@@ -1,14 +1,7 @@
-"""Trajectory-kernel backend selection.
-
-Prefers the compiled extension when it was built, falling back to the pure
-Python twin. Both expose the same ct_loop and must agree bit for bit.
-"""
+"""Re-export of the kernel: perfbench reads BACKEND and rebinds ct_loop here."""
 
 from __future__ import annotations
 
-try:
-    from ._loops_c import BACKEND, ct_loop  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    from ._loops_py import BACKEND, ct_loop
+from ._loops_py import BACKEND, ct_loop
 
 __all__ = ["BACKEND", "ct_loop"]

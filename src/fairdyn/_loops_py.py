@@ -1,44 +1,10 @@
-"""Pure-Python twin of the compiled trajectory kernel.
-
-The compiled extension (_loops_c) mirrors this module operation for
-operation; either backend must produce bit-identical trajectories. Keep the
-two in sync when touching numerics here.
-"""
+"""The fixed-step RK4 trajectory kernel behind ct_integrate."""
 
 from __future__ import annotations
 
+from .policy import policy_entries
+
 BACKEND = "python"
-
-
-def _policy(mode, pa, pb, ga, u0, u1):
-    # Mirrors policy.policy_entries; duplicated so the loop has no
-    # per-step attribute lookups.
-    if mode == 0:
-        return (1.0, 0.0, 1.0, 0.0, 0)
-    adv_is_a = pa >= pb
-    if mode == 1:
-        g_adv = ga if adv_is_a else 1.0 - ga
-        s = g_adv * u1 + (1.0 - g_adv) * u0
-        case = 1 if s < 0.0 else 2
-    elif mode == 2:
-        case = 1
-    else:
-        case = 2
-    pi_adv = pa if adv_is_a else pb
-    pi_dis = pb if adv_is_a else pa
-    if case == 1:
-        t1_adv = pi_dis / pi_adv if pi_adv > 0.0 else 1.0
-        t0_adv = 0.0
-        t1_dis = 1.0
-        t0_dis = 0.0
-    else:
-        t1_adv = 1.0
-        t0_adv = 0.0
-        t1_dis = 1.0
-        t0_dis = (pi_adv - pi_dis) / (1.0 - pi_dis) if pi_dis < 1.0 else 0.0
-    if adv_is_a:
-        return (t1_adv, t0_adv, t1_dis, t0_dis, case)
-    return (t1_dis, t0_dis, t1_adv, t0_adv, case)
 
 
 def ct_loop(
@@ -91,7 +57,7 @@ def ct_loop(
             xb = 0.0
         elif xb > 1.0:
             xb = 1.0
-        t1a, t0a, t1b, t0b, _ = _policy(mode, xa, xb, ga, u0, u1)
+        t1a, t0a, t1b, t0b, _ = policy_entries(mode, xa, xb, ga, u0, u1)
         b0a = t0a * (1.0 - xa)
         b1a = t1a * xa
         b0b = t0b * (1.0 - xb)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import _kernels
 from .core import PopulationState, QualificationProfile, UtilitySpec, clamp01
 from .expr import compile_expression
-from .policy import CASE_TAGS, MODE_CODES, policy_entries
+from .policy import CASE_TAGS, CASE_UN, MODE_CODES, policy_entries
 
 MERGE_TOL = 1e-10
 
@@ -219,13 +219,107 @@ PolicyFn = Callable[[float, float, int], tuple[float, float, float, float, int]]
 # (pi_a, pi_b, step) -> (tau1_a, tau0_a, tau1_b, tau0_b, case_code)
 
 
-def _default_policy_fn(mode: str, g_a: float, u: UtilitySpec) -> PolicyFn:
-    code = MODE_CODES[mode]
+def _sample_recorder(
+    state0: PopulationState,
+    mode: str,
+    time_mode: str,
+    u: UtilitySpec,
+    events: list[tuple[float, str]],
+    strict: bool,
+    policy_fn: PolicyFn | None = None,
+):
+    """Per-sample bookkeeping shared by the DT and CT engines.
 
-    def fn(pa: float, pb: float, step: int) -> tuple[float, float, float, float, int]:
-        return policy_entries(code, pa, pb, g_a, u.u0, u.u1)
+    Returns (sample, mark, finish). sample(step, t, pa, pb) evaluates the
+    policy at one recorded state (the closed form for `mode`, or
+    policy_fn(pa, pb, step) when given), stores the state, policy, selection
+    rates and utility, marks the sample's case_switch / advantage_swap events
+    at time t, and returns the rates (b0a, b1a, b0b, b1b). A case switch warns
+    or raises at the sample where it happens. mark(t, kind) appends an event
+    to `events` and flags it on the latest sample. finish(clamp_count) builds
+    the record: DT sums the utilities of applied policies, CT integrates them
+    by trapezoid.
+    """
+    code = MODE_CODES[mode] if policy_fn is None else None
+    ga, gb = state0.g_a, state0.g_b
+    u0, u1 = u.u0, u.u1
+    where = "at step {step}" if time_mode == "DT" else "near t={t}"
+    # one row per sample: t, pa, pb, tau1_a, tau0_a, tau1_b, tau0_b, beta_a,
+    # beta_b, step utility
+    rows: list[tuple[float, ...]] = []
+    case_tags: list[str] = []
+    flags: list[str] = []
+    # CASE_UN never takes part in a switch, so it also stands for "no sample
+    # yet"; a zero previous gap never makes a sign change.
+    prev_case = CASE_UN
+    prev_delta = 0.0
 
-    return fn
+    def mark(t: float, kind: str) -> None:
+        events.append((t, kind))
+        flags[-1] = f"{flags[-1]}|{kind}" if flags[-1] else kind
+
+    def sample(step: int, t: float, pa: float, pb: float):
+        nonlocal prev_case, prev_delta
+        if policy_fn is None:
+            t1a, t0a, t1b, t0b, case = policy_entries(code, pa, pb, ga, u0, u1)
+        else:
+            t1a, t0a, t1b, t0b, case = policy_fn(pa, pb, step)
+        b0a, b1a = t0a * (1.0 - pa), t1a * pa
+        b0b, b1b = t0b * (1.0 - pb), t1b * pb
+        flags.append("")
+        if case != prev_case and prev_case != CASE_UN and case != CASE_UN:
+            mark(t, "case_switch")
+            message = "AA case switched " + where.format(step=step, t=t)
+            if strict:
+                raise CaseSwitchError(message)
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
+        delta = pa - pb
+        if prev_delta * delta < 0.0:
+            mark(t, "advantage_swap")
+        prev_case, prev_delta = case, delta
+
+        rows.append((
+            t, pa, pb, t1a, t0a, t1b, t0b, b0a + b1a, b0b + b1b,
+            ga * (u1 * b1a + u0 * b0a) + gb * (u1 * b1b + u0 * b0b),
+        ))
+        case_tags.append(CASE_TAGS[case])
+        return b0a, b1a, b0b, b1b
+
+    def finish(clamp_count: int) -> TrajectoryRecord:
+        # copy: each column becomes its own contiguous array
+        times, pas, pbs, t1as, t0as, t1bs, t0bs, betas_a, betas_b, utils = (
+            np.array(rows, dtype=float).T.copy()
+        )
+        if time_mode == "DT":
+            running = np.cumsum(utils)
+            cumulative = float(running[-1] - utils[-1])
+        else:
+            increments = 0.5 * (utils[1:] + utils[:-1]) * np.diff(times)
+            running = np.concatenate(([0.0], np.cumsum(increments)))
+            cumulative = float(running[-1])
+        return TrajectoryRecord(
+            mode=mode,
+            time_mode=time_mode,
+            times=times,
+            pi_a=pas,
+            pi_b=pbs,
+            tau1_a=t1as,
+            tau0_a=t0as,
+            tau1_b=t1bs,
+            tau0_b=t0bs,
+            beta_a=betas_a,
+            beta_b=betas_b,
+            step_utility=utils,
+            running_utility=running,
+            cumulative_utility=cumulative,
+            case_tags=case_tags,
+            flags=flags,
+            events=events,
+            clamp_count=clamp_count,
+            g_a=ga,
+        )
+
+    return sample, mark, finish
 
 
 def dt_trajectory(
@@ -244,81 +338,21 @@ def dt_trajectory(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if policy_fn is None:
-        policy_fn = _default_policy_fn(mode, state0.g_a, u)
-
-    ga, gb = state0.g_a, state0.g_b
-    pa, pb = state0.pi_a.p1, state0.pi_b.p1
-
-    n = steps + 1
-    arr = lambda: np.empty(n)
-    times, pas, pbs = arr(), arr(), arr()
-    t1as, t0as, t1bs, t0bs = arr(), arr(), arr(), arr()
-    betas_a, betas_b, utils = arr(), arr(), arr()
-    case_tags: list[str] = []
-    flags: list[str] = []
     events: list[tuple[float, str]] = []
+    sample, mark, finish = _sample_recorder(
+        state0, mode, "DT", u, events, strict, policy_fn
+    )
+    pa, pb = state0.pi_a.p1, state0.pi_b.p1
     clamp_count = 0
-    prev_case = None
-    prev_delta = pa - pb
-
-    for t in range(n):
-        t1a, t0a, t1b, t0b, case = policy_fn(pa, pb, t)
-        b0a, b1a = t0a * (1.0 - pa), t1a * pa
-        b0b, b1b = t0b * (1.0 - pb), t1b * pb
-        step_u = ga * (u.u1 * b1a + u.u0 * b0a) + gb * (u.u1 * b1b + u.u0 * b0b)
-
-        step_flags = []
-        if prev_case is not None and case != prev_case and prev_case != 0 and case != 0:
-            events.append((float(t), "case_switch"))
-            step_flags.append("case_switch")
-            if strict:
-                raise CaseSwitchError(f"AA case switched at step {t}")
-            warnings.warn(f"AA case switched at step {t}", RuntimeWarning, stacklevel=2)
-        delta = pa - pb
-        if prev_delta * delta < 0.0:
-            events.append((float(t), "advantage_swap"))
-            step_flags.append("advantage_swap")
-        prev_case, prev_delta = case, delta
-
-        times[t], pas[t], pbs[t] = float(t), pa, pb
-        t1as[t], t0as[t], t1bs[t], t0bs[t] = t1a, t0a, t1b, t0b
-        betas_a[t], betas_b[t] = b0a + b1a, b0b + b1b
-        utils[t] = step_u
-        case_tags.append(CASE_TAGS[case])
-
+    for t in range(steps + 1):
+        b0a, b1a, b0b, b1b = sample(t, float(t), pa, pb)
         if t < steps:
             pa, ca = _dt_step_raw(pa, b0a, b1a, dyn)
             pb, cb = _dt_step_raw(pb, b0b, b1b, dyn)
             if ca or cb:
-                events.append((float(t), "clamp"))
-                step_flags.append("clamp")
+                mark(float(t), "clamp")
                 clamp_count += ca + cb
-        flags.append("|".join(step_flags))
-
-    running = np.cumsum(utils)
-    cumulative = float(running[-1] - utils[-1]) if steps >= 0 else 0.0
-    return TrajectoryRecord(
-        mode=mode,
-        time_mode="DT",
-        times=times,
-        pi_a=pas,
-        pi_b=pbs,
-        tau1_a=t1as,
-        tau0_a=t0as,
-        tau1_b=t1bs,
-        tau0_b=t0bs,
-        beta_a=betas_a,
-        beta_b=betas_b,
-        step_utility=utils,
-        running_utility=running,
-        cumulative_utility=cumulative,
-        case_tags=case_tags,
-        flags=flags,
-        events=events,
-        clamp_count=clamp_count,
-        g_a=ga,
-    )
+    return finish(clamp_count)
 
 
 def ct_integrate(
@@ -345,7 +379,6 @@ def ct_integrate(
         raise ValueError("t_end must be >= 0")
     if h <= 0.0:
         raise ValueError("step size h must be > 0")
-    mode_code = MODE_CODES[mode]
     n_steps = int(round(t_end / h))
     if sample_every is None:
         sample_every = max(1, n_steps // 2000)
@@ -356,7 +389,7 @@ def ct_integrate(
         state0.g_a,
         u.u0,
         u.u1,
-        mode_code,
+        MODE_CODES[mode],
         dyn.f0,
         dyn.f1,
         dyn.affine,
@@ -367,76 +400,17 @@ def ct_integrate(
         stop_tol,
     )
 
-    ga, gb = state0.g_a, state0.g_b
-    n = len(samples)
-    arr = lambda: np.empty(n)
-    times, pas, pbs = arr(), arr(), arr()
-    t1as, t0as, t1bs, t0bs = arr(), arr(), arr(), arr()
-    betas_a, betas_b, utils = arr(), arr(), arr()
-    case_tags: list[str] = []
-    flags: list[str] = []
     events: list[tuple[float, str]] = []
     if merge_step >= 0:
         events.append((merge_step * h, "merge"))
     if stop_step >= 0:
         events.append((stop_step * h, "stationary_stop"))
-
-    prev_case = None
-    prev_delta = None
-    for i, (step, pa, pb) in enumerate(samples):
-        t1a, t0a, t1b, t0b, case = policy_entries(mode_code, pa, pb, ga, u.u0, u.u1)
-        b0a, b1a = t0a * (1.0 - pa), t1a * pa
-        b0b, b1b = t0b * (1.0 - pb), t1b * pb
-        step_flags = []
-        if prev_case is not None and case != prev_case and prev_case != 0 and case != 0:
-            events.append((step * h, "case_switch"))
-            step_flags.append("case_switch")
-            if strict:
-                raise CaseSwitchError(f"AA case switched near t={step * h}")
-            warnings.warn(
-                f"AA case switched near t={step * h}", RuntimeWarning, stacklevel=2
-            )
-        delta = pa - pb
-        if prev_delta is not None and prev_delta * delta < 0.0 and (
-            merge_step < 0 or step <= merge_step
-        ):
-            events.append((step * h, "advantage_swap"))
-            step_flags.append("advantage_swap")
-        prev_case, prev_delta = case, delta
-
-        times[i], pas[i], pbs[i] = step * h, pa, pb
-        t1as[i], t0as[i], t1bs[i], t0bs[i] = t1a, t0a, t1b, t0b
-        betas_a[i], betas_b[i] = b0a + b1a, b0b + b1b
-        utils[i] = ga * (u.u1 * b1a + u.u0 * b0a) + gb * (u.u1 * b1b + u.u0 * b0b)
-        case_tags.append(CASE_TAGS[case])
-        flags.append("|".join(step_flags))
-
-    if n > 1:
-        increments = 0.5 * (utils[1:] + utils[:-1]) * np.diff(times)
-        running = np.concatenate(([0.0], np.cumsum(increments)))
-    else:
-        running = np.zeros(n)
-    record = TrajectoryRecord(
-        mode=mode,
-        time_mode="CT",
-        times=times,
-        pi_a=pas,
-        pi_b=pbs,
-        tau1_a=t1as,
-        tau0_a=t0as,
-        tau1_b=t1bs,
-        tau0_b=t0bs,
-        beta_a=betas_a,
-        beta_b=betas_b,
-        step_utility=utils,
-        running_utility=running,
-        cumulative_utility=float(running[-1]),
-        case_tags=case_tags,
-        flags=flags,
-        events=events,
-        clamp_count=clamp_count,
-        g_a=ga,
-    )
+    # Samples after a merge have pa == pb exactly, so they never register an
+    # advantage swap.
+    sample, _, finish = _sample_recorder(state0, mode, "CT", u, events, strict)
+    for step, pa, pb in samples:
+        sample(step, step * h, pa, pb)
+    record = finish(clamp_count)
 
     if check_step_halving:
         fine = ct_integrate(

@@ -12,7 +12,7 @@ from itertools import product
 
 from .core import Policy, PopulationState, UtilitySpec, utility
 
-# Mode / case codes shared with the trajectory kernels.
+# Mode / case codes shared with the trajectory kernel.
 MODE_UN = 0
 MODE_AA = 1
 MODE_AA1 = 2
@@ -25,6 +25,9 @@ CASE_AA1 = 1
 CASE_AA2 = 2
 
 CASE_TAGS = {CASE_UN: "UN", CASE_AA1: "AA1", CASE_AA2: "AA2"}
+
+# Built once: the RK4 kernel asks for the UN policy at every stage.
+_UN_ENTRIES = (1.0, 0.0, 1.0, 0.0, CASE_UN)
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,11 @@ def policy_entries(
     """Scalar closed-form policy for one state.
 
     Returns (tau1_a, tau0_a, tau1_b, tau0_b, case_code). This is the single
-    source of truth for the trajectory engines; the compiled kernel mirrors
-    it operation for operation.
+    source of truth for the closed form: the RK4 kernel calls it at every
+    stage and the trajectory engines at every recorded sample.
     """
     if mode == MODE_UN:
-        return (1.0, 0.0, 1.0, 0.0, CASE_UN)
+        return _UN_ENTRIES
     adv_is_a = pa >= pb
     if mode == MODE_AA:
         g_adv = ga if adv_is_a else 1.0 - ga

@@ -50,6 +50,45 @@ class ScenarioError(ValueError):
     pass
 
 
+# Keys each section accepts. [dynamics] keys depend on its form: a builtin
+# name, or None for expression dynamics; every form also takes l0 and l1.
+_DYNAMICS_KEYS = {
+    None: ("f0", "f1", "l0", "l1"),
+    "constant": ("builtin", "f0", "f1", "l0", "l1"),
+    "affine": ("builtin", "a0", "c0", "d0", "a1", "c1", "d1", "l0", "l1"),
+    "appendixC": ("builtin", "l0", "l1"),
+}
+_SECTION_KEYS = {
+    "scenario": ("name", "mode", "time", "steps", "t_end", "h", "sample_every", "outputs"),
+    "dynamics": _DYNAMICS_KEYS[None],
+    "state": ("piA", "piB", "gA"),
+    "utility": ("u0", "u1"),
+    "stereotype": ("epsA", "epsB"),
+}
+
+
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """Reject sections and keys the scenario format does not define."""
+    if cp.defaults():
+        raise ScenarioError(f"unknown section [{cp.default_section}]")
+    for name in cp.sections():
+        if name not in _SECTION_KEYS:
+            raise ScenarioError(f"unknown section [{name}]")
+        allowed, where = _SECTION_KEYS[name], f"[{name}]"
+        if name == "dynamics":
+            builtin = cp[name].get("builtin")
+            if builtin not in _DYNAMICS_KEYS:
+                continue  # validate() names the unknown builtin
+            allowed = _DYNAMICS_KEYS[builtin]
+            if builtin is not None:
+                where += f" for builtin = {builtin}"
+        for key in cp[name]:
+            if key not in allowed:
+                raise ScenarioError(
+                    f"unknown key {key!r} in {where}; allowed: {', '.join(allowed)}"
+                )
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -197,7 +236,7 @@ class Scenario:
 
     @staticmethod
     def from_text(text: str) -> "Scenario":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
         cp.optionxform = str  # keep key case (piA vs pia)
         try:
             cp.read_string(text)
@@ -205,6 +244,7 @@ class Scenario:
             raise ScenarioError(f"malformed scenario file: {exc}") from exc
         if "scenario" not in cp:
             raise ScenarioError("missing [scenario] section")
+        _check_keys(cp)
         sc = cp["scenario"]
         scenario = Scenario(name=sc.get("name", "unnamed"))
         scenario.mode = sc.get("mode", "UN")

@@ -10,14 +10,7 @@ import numpy as np
 
 from .core import Policy, PopulationState, UtilitySpec, clamp01
 from .dynamics import DynamicsSpec, TrajectoryRecord, dt_trajectory
-from .policy import (
-    CASE_AA1,
-    CASE_AA2,
-    CASE_UN,
-    MODE_AA1,
-    MODE_AA2,
-    determine_aa_case,
-)
+from .policy import CASE_AA1, CASE_AA2, CASE_UN, determine_aa_case
 
 
 class StereotypeValidityError(ValueError):

@@ -20,6 +20,7 @@ from fairdyn import (
     estimate_contraction,
     parse_dynamics,
 )
+from fairdyn import _loops_py
 from conftest import random_contractive_affine
 
 U = UtilitySpec(u0=-1.0, u1=1.0)
@@ -150,6 +151,24 @@ def test_ct_stationary_stop():
     assert any(kind == "stationary_stop" for _, kind in rec.events)
     assert rec.times[-1] < 500.0
     assert abs(rec.pi_a[-1] - 0.5) <= 1e-8
+
+
+def test_affine_fast_path_matches_generic_path(rng):
+    def both_paths(dyn, head, tail):
+        fast = _loops_py.ct_loop(*head, dyn.f0, dyn.f1, dyn.affine, *tail)
+        generic = _loops_py.ct_loop(*head, dyn.f0, dyn.f1, None, *tail)
+        assert fast == generic
+        return fast
+
+    for _ in range(10):
+        dyn = random_contractive_affine(rng, slope=0.3)
+        head = (rng.random(), rng.random(), 0.4, -1.0, 1.0, 1)
+        both_paths(dyn, head, (0.01, 1500, 11, 1e-10, 0.0))
+    dyn = affine_dynamics(0.4, 0.05, 0.1, 0.5, -0.05, 0.1)
+    for mode in (0, 1, 2, 3):
+        head = (0.9, 0.2, 0.5, -1.0, 1.0, mode)
+        _, _, merge_step, stop_step = both_paths(dyn, head, (0.01, 6000, 11, 1e-10, 1e-12))
+        assert 0 <= merge_step < stop_step  # merges, then stops on the merged path
 
 
 def test_ct_order_preservation_all_modes(rng):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,29 @@ def test_round_trip_ct_with_expressions_and_stereotype():
     assert again.eps_b == -0.05
 
 
+# (text replaced in DEMO, replacement, what the error message names)
+UNKNOWN_KEYS = [
+    ("outputs = trajectory", "outptus = trajectory", "'outptus' in [scenario]"),
+    ("piA = 0.8", "piAA = 0.8", "'piAA' in [state]"),
+    ("u1 = 1", "u2 = 1", "'u2' in [utility]"),
+    ("f1 = 0.8", "f1 = 0.8\na0 = 0.1", "'a0' in [dynamics] for builtin = constant"),
+    (
+        "builtin = constant\nf0 = 0.2\nf1 = 0.8",
+        "builtin = affine\na0 = 0.2\na9 = 0.8",
+        "'a9' in [dynamics] for builtin = affine",
+    ),
+    (
+        "builtin = constant\nf0 = 0.2\nf1 = 0.8",
+        "builtin = appendixC\nf0 = 0.2",
+        "'f0' in [dynamics] for builtin = appendixC",
+    ),
+    ("builtin = constant\n", "c0 = 0.1\n", "'c0' in [dynamics]; allowed: f0, f1, l0, l1"),
+    ("[utility]", "[stereotype]\nepsC = 0.1\n\n[utility]", "'epsC' in [stereotype]"),
+    ("[utility]", "[utilty]", "unknown section [utilty]"),
+    ("[scenario]", "[DEFAULT]\nseed = 1\n\n[scenario]", "unknown section [DEFAULT]"),
+]
+
+
 def test_invalid_scenarios_rejected():
     with pytest.raises(ScenarioError):
         Scenario.from_text(DEMO.replace("mode = AA", "mode = XX"))
@@ -68,6 +93,29 @@ def test_invalid_scenarios_rejected():
         Scenario.from_text("not a scenario [file")
     with pytest.raises(ScenarioError):
         Scenario.from_text(DEMO.replace("[scenario]", "[other]"))
+    for old, new, named in UNKNOWN_KEYS:
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            Scenario.from_text(DEMO.replace(old, new))
+
+
+def test_every_allowed_dynamics_key_accepted():
+    for dyn in (
+        "builtin = constant\nf0 = 0.2\nf1 = 0.8\nl0 = 0\nl1 = 0",
+        "builtin = affine\na0 = 0.2\nc0 = 0\nd0 = 0\na1 = 0.8\nc1 = 0\nd1 = 0\nl0 = 0\nl1 = 0",
+        "builtin = appendixC\nl0 = 40\nl1 = 40",
+        "f0 = 0.2\nf1 = 0.8\nl0 = 0\nl1 = 0",
+    ):
+        Scenario.from_text(DEMO.replace("builtin = constant\nf0 = 0.2\nf1 = 0.8", dyn))
+
+
+def test_readme_scenario_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    scenario = Scenario.from_text(block)
+    assert (scenario.name, scenario.mode, scenario.time_mode) == ("example", "AA", "CT")
+    assert scenario.expr_f0 == "0.2 + 0.05*b0" and scenario.expr_f1 == "0.8 - 0.02*b1"
+    assert (scenario.declared_l0, scenario.declared_l1) == (0.05, 0.02)
+    assert (scenario.eps_a, scenario.eps_b) == (0.0, -0.05)
 
 
 def test_trajectory_row_count_dt(tmp_path):
@@ -178,6 +226,8 @@ def test_exit_codes(tmp_path):
     assert main(["simulate", str(missing)]) == 2
     bad = tmp_path / "bad.scn"
     bad.write_text(DEMO.replace("mode = AA", "mode = XX"))
+    assert main(["simulate", str(bad)]) == 2
+    bad.write_text(DEMO.replace("piA = 0.8", "piAA = 0.8"))
     assert main(["simulate", str(bad)]) == 2
     assert main(["nonsense"]) == 2
 
