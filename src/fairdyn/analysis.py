@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PopulationState, UtilitySpec
-from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate
+from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate, max_grid_slope
 
 CONTRACTIVITY_MARGIN = 1e-6
 ROOT_RESIDUAL_TOL = 1e-10
@@ -44,18 +44,6 @@ class ContractionReport:
         return self.l_aa2 < 1.0 - CONTRACTIVITY_MARGIN
 
 
-def _lipschitz_from_grid(fn, xs: np.ndarray) -> float:
-    step = float(xs[1] - xs[0])
-    grid = np.array([[fn(x, y) for y in xs] for x in xs])
-    return float(
-        max(
-            np.max(np.abs(np.diff(grid, axis=0))),
-            np.max(np.abs(np.diff(grid, axis=1))),
-        )
-        / step
-    )
-
-
 def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> ContractionReport:
     """Grid estimates of the three equalization constants.
 
@@ -75,12 +63,12 @@ def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> Contractio
         l0 = (
             float(dyn.declared_l0)
             if dyn.declared_l0 is not None
-            else _lipschitz_from_grid(dyn.f0_clamped, xs)
+            else max_grid_slope(dyn.f0_clamped, xs)
         )
         l1 = (
             float(dyn.declared_l1)
             if dyn.declared_l1 is not None
-            else _lipschitz_from_grid(dyn.f1_clamped, xs)
+            else max_grid_slope(dyn.f1_clamped, xs)
         )
         method = "grid"
 

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: simulate, analyze, compare and field each take a scenario file;
-verify runs the randomized self-check suites. Exit codes: 0 success,
-2 invalid scenario or arguments, 3 warning escalated under --strict,
-4 stereotype validity violation.
+Subcommands simulate, analyze, compare and field each read a scenario file
+and write one artifact (see scenario.write_output) into --out (default: the
+working directory); they take --strict and --resolution. verify runs the
+randomized self-check suites and takes --seed and --resolution. Exit codes:
+0 success, 2 invalid scenario, arguments or unreadable file, 3 warning
+escalated under --strict, 4 stereotype validity violation.
 """
 
 from __future__ import annotations
@@ -26,11 +28,7 @@ from .scenario import (
     EXIT_STRICT,
     Scenario,
     ScenarioError,
-    export_field,
-    write_analysis_report,
-    write_compare_csv,
-    write_field_csv,
-    write_trajectory_csv,
+    write_output,
 )
 from .stereotype import StereotypeValidityError
 
@@ -39,54 +37,20 @@ APPENDIX_C_F1 = (
 )
 APPENDIX_C_F0 = "(b1 + b1/5)/1.2 + 0.01"
 
-
-def _load(path: str) -> Scenario:
-    return Scenario.from_file(path)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Scenario subcommand -> (artifact kind it writes, help text).
+SCENARIO_COMMANDS = {
+    "simulate": ("trajectory", "run one trajectory and write it as CSV"),
+    "analyze": ("analysis", "contraction report, equilibria and theorem verdicts"),
+    "compare": ("compare", "cumulative utilities under UN, AA1 and AA2"),
+    "field": ("field", "gradient-field grid over the state square"),
+}
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args.scenario)
-    record = scenario.run_trajectory(strict=args.strict)
-    path = _out_dir(args) / f"{scenario.name}_trajectory.csv"
-    write_trajectory_csv(record, path)
-    print(f"wrote {path} ({len(record.times)} rows, backend events: {len(record.events)})")
-    return EXIT_OK
-
-
-def cmd_analyze(args) -> int:
-    scenario = _load(args.scenario)
-    path = _out_dir(args) / f"{scenario.name}_analysis.txt"
-    write_analysis_report(scenario, path, resolution=args.resolution or 256)
+def cmd_scenario(args) -> int:
+    scenario = Scenario.from_file(args.scenario)
+    kind = SCENARIO_COMMANDS[args.command][0]
+    path = write_output(scenario, kind, args.out or Path.cwd(), args.strict, args.resolution)
     print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    scenario = _load(args.scenario)
-    path = _out_dir(args) / f"{scenario.name}_compare.csv"
-    write_compare_csv(scenario, path, strict=args.strict)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_field(args) -> int:
-    scenario = _load(args.scenario)
-    rows = export_field(
-        scenario.make_dynamics(),
-        scenario.mode,
-        scenario.utility_spec(),
-        resolution=args.resolution or 41,
-        g_a=scenario.g_a,
-    )
-    path = _out_dir(args) / f"{scenario.name}_field.csv"
-    write_field_csv(rows, path)
-    print(f"wrote {path} ({len(rows)} points)")
     return EXIT_OK
 
 
@@ -125,7 +89,7 @@ def _verify_parser(n: int) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
-    rng = random.Random(args.seed if args.seed is not None else 0)
+    rng = random.Random(args.seed)
     n_policy = args.resolution or 2000
     total, fail = _verify_policy_oracle(rng, n_policy)
     status = "PASS" if fail == 0 else "FAIL"
@@ -145,26 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_cmd(name: str, fn, help_text: str):
+    for name, (_, help_text) in SCENARIO_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a scenario file")
         p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
         p.add_argument("--out", help="output directory (default: cwd)")
         p.add_argument("--resolution", type=int, help="grid resolution override")
-        p.add_argument("--seed", type=int, help="unused; accepted for uniformity")
-        p.set_defaults(fn=fn)
-        return p
-
-    scenario_cmd("simulate", cmd_simulate, "run one trajectory and write it as CSV")
-    scenario_cmd("analyze", cmd_analyze, "contraction report, equilibria and theorem verdicts")
-    scenario_cmd("compare", cmd_compare, "cumulative utilities under UN, AA1 and AA2")
-    scenario_cmd("field", cmd_field, "gradient-field grid over the state square")
+        p.set_defaults(fn=cmd_scenario)
 
     v = sub.add_parser("verify", help="run the randomized self-check suites")
     v.add_argument("--seed", type=int, default=0, help="RNG seed for the instance draws")
     v.add_argument("--resolution", type=int, help="number of randomized policy instances")
-    v.add_argument("--strict", action="store_true")
-    v.add_argument("--out", help="ignored")
     v.set_defaults(fn=cmd_verify)
     return parser
 
@@ -183,8 +138,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseSwitchError, StepHalvingError) as exc:
         print(f"strict-mode failure: {exc}", file=sys.stderr)
         return EXIT_STRICT
-    except (ScenarioError, ExpressionError, FileNotFoundError, ValueError) as exc:
+    except (ScenarioError, ExpressionError, ValueError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:  # names the file, e.g. a missing or directory path
+        print(f"cannot read or write file: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

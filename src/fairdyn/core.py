@@ -8,11 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-PROB_TOL = 1e-12
-UTIL_TOL = 1e-9
-
-GROUPS = ("A", "B")
-
 
 def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)

@@ -62,23 +62,32 @@ class DynamicsSpec:
         if self.declared_l0 is None and self.declared_l1 is None:
             return
         xs = np.linspace(0.0, 1.0, resolution)
-        step = xs[1] - xs[0]
         for which, fn, declared in (
             ("f0", self.f0_clamped, self.declared_l0),
             ("f1", self.f1_clamped, self.declared_l1),
         ):
             if declared is None:
                 continue
-            grid = np.array([[fn(x, y) for y in xs] for x in xs])
-            worst = max(
-                np.max(np.abs(np.diff(grid, axis=0))) / step,
-                np.max(np.abs(np.diff(grid, axis=1))) / step,
-            )
+            worst = max_grid_slope(fn, xs)
             if worst > declared + 1e-6:
                 raise ValueError(
                     f"{which} of dynamics {self.name!r}: sampled slope {worst:.6g} "
                     f"exceeds declared Lipschitz constant {declared:.6g}"
                 )
+
+
+def max_grid_slope(fn: Callable[[float, float], float], xs: np.ndarray) -> float:
+    """Largest finite-difference slope of fn(x, y) along either axis of the
+    grid xs x xs (xs equispaced)."""
+    step = float(xs[1] - xs[0])
+    grid = np.array([[fn(x, y) for y in xs] for x in xs])
+    return float(
+        max(
+            np.max(np.abs(np.diff(grid, axis=0))),
+            np.max(np.abs(np.diff(grid, axis=1))),
+        )
+        / step
+    )
 
 
 def constant_dynamics(f0_value: float, f1_value: float, name: str | None = None) -> DynamicsSpec:
@@ -126,25 +135,26 @@ def appendix_c_dynamics() -> DynamicsSpec:
     return DynamicsSpec(f0=f0, f1=f1, name="appendixC")
 
 
+# Parameters of each builtin dynamics, by name. constant needs both; affine
+# parameters default to 0.
+BUILTIN_PARAMS = {
+    "constant": ("f0", "f1"),
+    "affine": ("a0", "c0", "d0", "a1", "c1", "d1"),
+    "appendixC": (),
+}
+
+
 def make_builtin(name: str, params: dict | None = None) -> DynamicsSpec:
+    """Build the builtin dynamics `name` from its BUILTIN_PARAMS; raises
+    KeyError naming an unknown builtin or a missing constant parameter."""
     params = dict(params or {})
     if name == "constant":
-        return constant_dynamics(float(params["f0"]), float(params["f1"]))
+        return constant_dynamics(*(float(params[key]) for key in BUILTIN_PARAMS[name]))
     if name == "affine":
-        return affine_dynamics(
-            float(params.get("a0", 0.0)),
-            float(params.get("c0", 0.0)),
-            float(params.get("d0", 0.0)),
-            float(params.get("a1", 0.0)),
-            float(params.get("c1", 0.0)),
-            float(params.get("d1", 0.0)),
-        )
+        return affine_dynamics(*(float(params.get(key, 0.0)) for key in BUILTIN_PARAMS[name]))
     if name == "appendixC":
         return appendix_c_dynamics()
     raise KeyError(f"unknown builtin dynamics {name!r}")
-
-
-BUILTIN_NAMES = ("constant", "affine", "appendixC")
 
 
 def parse_dynamics(
@@ -355,6 +365,23 @@ def dt_trajectory(
     return finish(clamp_count)
 
 
+def ct_steps(t_end: float, h: float, sample_every: int | None = None) -> tuple[int, int]:
+    """RK4 step count round(t_end/h) and sample stride (default: at most
+    about 2000 samples) of a CT run; raises ValueError naming a bad input."""
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end!r}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step size h must be finite and > 0, got {h!r}")
+    if not math.isfinite(t_end / h):
+        raise ValueError(f"t_end / h must be a finite step count, got {t_end!r} / {h!r}")
+    n_steps = int(round(t_end / h))
+    if sample_every is None:
+        return n_steps, max(1, n_steps // 2000)
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+    return n_steps, sample_every
+
+
 def ct_integrate(
     state0: PopulationState,
     mode: str,
@@ -375,13 +402,7 @@ def ct_integrate(
     samples. With check_step_halving, the run is repeated at h/2 and the
     endpoint difference above 1e-6 is flagged (or raised under strict).
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be >= 0")
-    if h <= 0.0:
-        raise ValueError("step size h must be > 0")
-    n_steps = int(round(t_end / h))
-    if sample_every is None:
-        sample_every = max(1, n_steps // 2000)
+    n_steps, sample_every = ct_steps(t_end, h, sample_every)
 
     samples, clamp_count, merge_step, stop_step = _kernels.ct_loop(
         state0.pi_a.p1,

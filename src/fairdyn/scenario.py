@@ -8,7 +8,7 @@ runs produce byte-identical files on the same platform.
 from __future__ import annotations
 
 import configparser
-import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,11 +23,12 @@ from .analysis import (
 )
 from .core import PopulationState, UtilitySpec
 from .dynamics import (
-    BUILTIN_NAMES,
+    BUILTIN_PARAMS,
     DynamicsSpec,
     TrajectoryRecord,
     ct_gradient,
     ct_integrate,
+    ct_steps,
     dt_trajectory,
     make_builtin,
     parse_dynamics,
@@ -50,47 +51,82 @@ class ScenarioError(ValueError):
     pass
 
 
-# Keys each section accepts. [dynamics] keys depend on its form: a builtin
-# name, or None for expression dynamics; every form also takes l0 and l1.
-_DYNAMICS_KEYS = {
-    None: ("f0", "f1", "l0", "l1"),
-    "constant": ("builtin", "f0", "f1", "l0", "l1"),
-    "affine": ("builtin", "a0", "c0", "d0", "a1", "c1", "d1", "l0", "l1"),
-    "appendixC": ("builtin", "l0", "l1"),
-}
-_SECTION_KEYS = {
-    "scenario": ("name", "mode", "time", "steps", "t_end", "h", "sample_every", "outputs"),
-    "dynamics": _DYNAMICS_KEYS[None],
-    "state": ("piA", "piB", "gA"),
-    "utility": ("u0", "u1"),
-    "stereotype": ("epsA", "epsB"),
-}
-
-
-def _check_keys(cp: configparser.ConfigParser) -> None:
-    """Reject sections and keys the scenario format does not define."""
-    if cp.defaults():
-        raise ScenarioError(f"unknown section [{cp.default_section}]")
-    for name in cp.sections():
-        if name not in _SECTION_KEYS:
-            raise ScenarioError(f"unknown section [{name}]")
-        allowed, where = _SECTION_KEYS[name], f"[{name}]"
-        if name == "dynamics":
-            builtin = cp[name].get("builtin")
-            if builtin not in _DYNAMICS_KEYS:
-                continue  # validate() names the unknown builtin
-            allowed = _DYNAMICS_KEYS[builtin]
-            if builtin is not None:
-                where += f" for builtin = {builtin}"
-        for key in cp[name]:
-            if key not in allowed:
-                raise ScenarioError(
-                    f"unknown key {key!r} in {where}; allowed: {', '.join(allowed)}"
-                )
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _names(raw: str) -> list[str]:
+    return [s.strip() for s in raw.split(",") if s.strip()]
+
+
+def _schedule(raw: str) -> float | list[float]:
+    """One float, or a comma-separated per-step schedule of floats."""
+    parts = _names(raw)
+    if len(parts) == 1:
+        return float(parts[0])
+    return [float(p) for p in parts]
+
+
+def _fmt_schedule(value: float | list[float]) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value)
+
+
+# Value types of the format table: (read from text, write as text).
+_STR = (str, str)
+_INT = (int, str)
+_FLOAT = (float, _fmt)
+_NAMES = (_names, ",".join)
+_SCHEDULE = (_schedule, _fmt_schedule)
+
+
+def scenario_format(builtin: str | None = None) -> list[tuple]:
+    """The scenario file format, one row per key in file order: (section,
+    key, Scenario attribute, value type).
+
+    [dynamics] holds either the expressions f0, f1 (builtin None) or
+    `builtin = <name>` and that builtin's parameters (dynamics.BUILTIN_PARAMS),
+    which are kept in Scenario.dynamics_params.
+    """
+    if builtin is None:
+        dynamics = [("dynamics", "f0", "expr_f0", _STR), ("dynamics", "f1", "expr_f1", _STR)]
+    elif builtin in BUILTIN_PARAMS:
+        dynamics = [("dynamics", "builtin", "dynamics_builtin", _STR)] + [
+            ("dynamics", key, "dynamics_params", _FLOAT) for key in BUILTIN_PARAMS[builtin]
+        ]
+    else:
+        raise ScenarioError(
+            f"unknown builtin dynamics {builtin!r} in [dynamics]; "
+            f"allowed: {', '.join(BUILTIN_PARAMS)}"
+        )
+    return [
+        ("scenario", "name", "name", _STR),
+        ("scenario", "mode", "mode", _STR),
+        ("scenario", "time", "time_mode", _STR),
+        ("scenario", "steps", "steps", _INT),
+        ("scenario", "t_end", "t_end", _FLOAT),
+        ("scenario", "h", "h", _FLOAT),
+        ("scenario", "sample_every", "sample_every", _INT),
+        ("scenario", "outputs", "outputs", _NAMES),
+        *dynamics,
+        ("dynamics", "l0", "declared_l0", _FLOAT),
+        ("dynamics", "l1", "declared_l1", _FLOAT),
+        ("state", "piA", "pi_a", _FLOAT),
+        ("state", "piB", "pi_b", _FLOAT),
+        ("state", "gA", "g_a", _FLOAT),
+        ("utility", "u0", "u0", _FLOAT),
+        ("utility", "u1", "u1", _FLOAT),
+        ("stereotype", "epsA", "eps_a", _SCHEDULE),
+        ("stereotype", "epsB", "eps_b", _SCHEDULE),
+    ]
+
+
+def _read(section: str, key: str, kind: tuple, raw: str):
+    try:
+        return kind[0](raw)
+    except ValueError as exc:
+        raise ScenarioError(f"bad value {raw!r} for {key!r} in [{section}]: {exc}") from None
 
 
 @dataclass
@@ -118,27 +154,37 @@ class Scenario:
     outputs: list[str] = field(default_factory=lambda: ["trajectory"])
 
     def validate(self) -> None:
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ScenarioError(f"name {self.name!r} in [scenario] must be a plain file name")
         if self.mode not in ("UN", "AA", "AA1", "AA2"):
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if self.time_mode not in ("DT", "CT"):
             raise ScenarioError(f"unknown time mode {self.time_mode!r}")
         if self.steps < 0:
             raise ScenarioError("steps must be >= 0")
-        if self.t_end < 0 or self.h <= 0:
-            raise ScenarioError("need t_end >= 0 and h > 0")
+        try:
+            ct_steps(self.t_end, self.h, self.sample_every)
+        except ValueError as exc:
+            raise ScenarioError(f"[scenario] {exc}") from exc
         if (self.dynamics_builtin is None) == (self.expr_f0 is None):
             raise ScenarioError("specify exactly one of builtin dynamics or expressions")
-        if self.dynamics_builtin is not None and self.dynamics_builtin not in BUILTIN_NAMES:
-            raise ScenarioError(f"unknown builtin dynamics {self.dynamics_builtin!r}")
+        scenario_format(self.dynamics_builtin)  # rejects an unknown builtin
         if self.expr_f0 is not None and self.expr_f1 is None:
             raise ScenarioError("expression dynamics need both f0 and f1")
+        for key, declared in (("l0", self.declared_l0), ("l1", self.declared_l1)):
+            if declared is not None and not (math.isfinite(declared) and declared >= 0.0):
+                raise ScenarioError(f"{key} in [dynamics] must be finite and >= 0, got {declared!r}")
         try:
             self.initial_state()
             self.utility_spec()
             self.make_dynamics()
-        except (ValueError, KeyError) as exc:
+        except KeyError as exc:  # the builtin is known, so a parameter is missing
+            raise ScenarioError(
+                f"missing key {exc.args[0]!r} in [dynamics] for builtin = {self.dynamics_builtin}"
+            ) from exc
+        except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        unknown = set(self.outputs) - {"trajectory", "analysis", "compare", "field"}
+        unknown = set(self.outputs) - set(OUTPUT_FILES)
         if unknown:
             raise ScenarioError(f"unknown outputs: {sorted(unknown)}")
 
@@ -191,48 +237,16 @@ class Scenario:
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        out = io.StringIO()
-        out.write("[scenario]\n")
-        out.write(f"name = {self.name}\n")
-        out.write(f"mode = {self.mode}\n")
-        out.write(f"time = {self.time_mode}\n")
-        if self.time_mode == "DT":
-            out.write(f"steps = {self.steps}\n")
-        else:
-            out.write(f"t_end = {_fmt(self.t_end)}\n")
-            out.write(f"h = {_fmt(self.h)}\n")
-            if self.sample_every is not None:
-                out.write(f"sample_every = {self.sample_every}\n")
-        out.write(f"outputs = {','.join(self.outputs)}\n")
-        out.write("\n[dynamics]\n")
-        if self.dynamics_builtin is not None:
-            out.write(f"builtin = {self.dynamics_builtin}\n")
-            for key in sorted(self.dynamics_params):
-                out.write(f"{key} = {_fmt(self.dynamics_params[key])}\n")
-        else:
-            out.write(f"f0 = {self.expr_f0}\n")
-            out.write(f"f1 = {self.expr_f1}\n")
-        if self.declared_l0 is not None:
-            out.write(f"l0 = {_fmt(self.declared_l0)}\n")
-        if self.declared_l1 is not None:
-            out.write(f"l1 = {_fmt(self.declared_l1)}\n")
-        out.write("\n[state]\n")
-        out.write(f"piA = {_fmt(self.pi_a)}\n")
-        out.write(f"piB = {_fmt(self.pi_b)}\n")
-        out.write(f"gA = {_fmt(self.g_a)}\n")
-        out.write("\n[utility]\n")
-        out.write(f"u0 = {_fmt(self.u0)}\n")
-        out.write(f"u1 = {_fmt(self.u1)}\n")
-        if self.eps_a is not None or self.eps_b is not None:
-            out.write("\n[stereotype]\n")
-            for key, val in (("epsA", self.eps_a), ("epsB", self.eps_b)):
-                if val is None:
-                    continue
-                if isinstance(val, (list, tuple)):
-                    out.write(f"{key} = {','.join(_fmt(v) for v in val)}\n")
-                else:
-                    out.write(f"{key} = {_fmt(val)}\n")
-        return out.getvalue()
+        """Every set field in scenario_format order; from_text reads it back."""
+        sections: dict[str, list[str]] = {}
+        for section, key, attr, kind in scenario_format(self.dynamics_builtin):
+            if attr == "dynamics_params":
+                value = self.dynamics_params.get(key)
+            else:
+                value = getattr(self, attr)
+            if value is not None:
+                sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {kind[1](value)}")
+        return "\n".join("\n".join(lines) + "\n" for lines in sections.values())
 
     @staticmethod
     def from_text(text: str) -> "Scenario":
@@ -244,56 +258,29 @@ class Scenario:
             raise ScenarioError(f"malformed scenario file: {exc}") from exc
         if "scenario" not in cp:
             raise ScenarioError("missing [scenario] section")
-        _check_keys(cp)
-        sc = cp["scenario"]
-        scenario = Scenario(name=sc.get("name", "unnamed"))
-        scenario.mode = sc.get("mode", "UN")
-        scenario.time_mode = sc.get("time", "DT")
-        if "steps" in sc:
-            scenario.steps = sc.getint("steps")
-        if "t_end" in sc:
-            scenario.t_end = sc.getfloat("t_end")
-        if "h" in sc:
-            scenario.h = sc.getfloat("h")
-        if "sample_every" in sc:
-            scenario.sample_every = sc.getint("sample_every")
-        if "outputs" in sc:
-            scenario.outputs = [s.strip() for s in sc.get("outputs").split(",") if s.strip()]
-        dyn = cp["dynamics"] if "dynamics" in cp else {}
-        if "builtin" in dyn:
-            scenario.dynamics_builtin = dyn["builtin"]
-            scenario.dynamics_params = {
-                k: float(v) for k, v in dyn.items() if k not in ("builtin", "l0", "l1")
-            }
-        else:
-            scenario.expr_f0 = dyn.get("f0")
-            scenario.expr_f1 = dyn.get("f1")
-        if "l0" in dyn:
-            scenario.declared_l0 = float(dyn["l0"])
-        if "l1" in dyn:
-            scenario.declared_l1 = float(dyn["l1"])
-        if "state" in cp:
-            st = cp["state"]
-            scenario.pi_a = st.getfloat("piA", scenario.pi_a)
-            scenario.pi_b = st.getfloat("piB", scenario.pi_b)
-            scenario.g_a = st.getfloat("gA", scenario.g_a)
-        if "utility" in cp:
-            ut = cp["utility"]
-            scenario.u0 = ut.getfloat("u0", scenario.u0)
-            scenario.u1 = ut.getfloat("u1", scenario.u1)
-        if "stereotype" in cp:
-            ster = cp["stereotype"]
-
-            def parse_eps(raw: str):
-                parts = [p.strip() for p in raw.split(",") if p.strip()]
-                if len(parts) == 1:
-                    return float(parts[0])
-                return [float(p) for p in parts]
-
-            if "epsA" in ster:
-                scenario.eps_a = parse_eps(ster["epsA"])
-            if "epsB" in ster:
-                scenario.eps_b = parse_eps(ster["epsB"])
+        if cp.defaults():
+            raise ScenarioError(f"unknown section [{cp.default_section}]")
+        builtin = cp["dynamics"].get("builtin") if cp.has_section("dynamics") else None
+        rows = scenario_format(builtin)
+        scenario = Scenario(name="unnamed")
+        for section in cp.sections():
+            keys = {row[1]: row for row in rows if row[0] == section}
+            if not keys:
+                raise ScenarioError(f"unknown section [{section}]")
+            for key, raw in cp[section].items():
+                if key not in keys:
+                    where = f"[{section}]"
+                    if section == "dynamics" and builtin is not None:
+                        where += f" for builtin = {builtin}"
+                    raise ScenarioError(
+                        f"unknown key {key!r} in {where}; allowed: {', '.join(keys)}"
+                    )
+                _, _, attr, kind = keys[key]
+                value = _read(section, key, kind, raw)
+                if attr == "dynamics_params":
+                    scenario.dynamics_params[key] = value
+                else:
+                    setattr(scenario, attr, value)
         scenario.validate()
         return scenario
 
@@ -411,17 +398,17 @@ def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int 
     for i, d in enumerate(atlas.unstable):
         lines.append(f"unstable_{i} = {_fmt(d)}")
     lines += ["", "[theorem2]"]
-    denom = (1.0 - scenario.g_a) * u.u1 + abs(u.u0)
-    if denom > 0.0:
+    try:
         verdict = theorem2_verdict(report.l_un, report.l_aa2, scenario.g_a, u)
+    except ValueError:  # alpha undefined
+        lines.append("alpha = undefined")
+    else:
         lines += [
             f"alpha = {_fmt(verdict.alpha)}",
             f"lower_ok = {verdict.lower_ok}",
             f"upper_ok = {verdict.upper_ok}",
             f"applies = {verdict.applies}",
         ]
-    else:
-        lines.append("alpha = undefined")
     lines += [
         "",
         "[case_persistence]",
@@ -452,6 +439,46 @@ def write_compare_csv(scenario: Scenario, path: str | Path, strict: bool = False
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# Artifact kind -> file-name suffix; the file is {scenario name}_{suffix}.
+OUTPUT_FILES = {
+    "trajectory": "trajectory.csv",
+    "analysis": "analysis.txt",
+    "compare": "compare.csv",
+    "field": "field.csv",
+}
+
+
+def write_output(
+    scenario: Scenario,
+    kind: str,
+    out_dir: str | Path,
+    strict: bool = False,
+    resolution: int | None = None,
+) -> Path:
+    """Write one artifact of a validated scenario into out_dir (created if
+    missing) and return its path. resolution overrides the grid of
+    `analysis` (default 256) and `field` (default 41)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{scenario.name}_{OUTPUT_FILES[kind]}"
+    if kind == "trajectory":
+        write_trajectory_csv(scenario.run_trajectory(strict=strict), path)
+    elif kind == "analysis":
+        write_analysis_report(scenario, path, resolution=resolution or 256)
+    elif kind == "compare":
+        write_compare_csv(scenario, path, strict=strict)
+    else:
+        rows = export_field(
+            scenario.make_dynamics(),
+            scenario.mode,
+            scenario.utility_spec(),
+            resolution=resolution or 41,
+            g_a=scenario.g_a,
+        )
+        write_field_csv(rows, path)
+    return path
+
+
 def run_scenario(
     scenario: Scenario,
     out_dir: str | Path,
@@ -460,30 +487,4 @@ def run_scenario(
 ) -> list[Path]:
     """Produce every artifact the scenario requests; returns written paths."""
     scenario.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for kind in scenario.outputs:
-        if kind == "trajectory":
-            path = out / f"{scenario.name}_trajectory.csv"
-            write_trajectory_csv(scenario.run_trajectory(strict=strict), path)
-        elif kind == "analysis":
-            path = out / f"{scenario.name}_analysis.txt"
-            write_analysis_report(scenario, path, resolution=resolution or 256)
-        elif kind == "compare":
-            path = out / f"{scenario.name}_compare.csv"
-            write_compare_csv(scenario, path, strict=strict)
-        elif kind == "field":
-            path = out / f"{scenario.name}_field.csv"
-            rows = export_field(
-                scenario.make_dynamics(),
-                scenario.mode,
-                scenario.utility_spec(),
-                resolution=resolution or 41,
-                g_a=scenario.g_a,
-            )
-            write_field_csv(rows, path)
-        else:  # pragma: no cover - validate() rejects these
-            raise ScenarioError(f"unknown output {kind!r}")
-        written.append(path)
-    return written
+    return [write_output(scenario, kind, out_dir, strict, resolution) for kind in scenario.outputs]

@@ -124,6 +124,17 @@ def test_ct_rejects_bad_arguments():
         ct_integrate(state, "UN", U, CONST, t_end=1.0, h=0.0)
     with pytest.raises(ValueError):
         ct_integrate(state, "UN", U, CONST, t_end=-1.0)
+    for bad, named in (
+        ({"t_end": math.inf}, "t_end must"),
+        ({"t_end": math.nan}, "t_end must"),
+        ({"t_end": 1e300, "h": 1e-300}, "t_end / h"),
+        ({"h": math.nan}, "h must"),
+        ({"h": math.inf}, "h must"),
+        ({"sample_every": 0}, "sample_every must"),
+        ({"sample_every": -3}, "sample_every must"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            ct_integrate(state, "UN", U, CONST, **{"t_end": 1.0, "h": 0.01, **bad})
 
 
 def test_ct_step_halving_check_passes():

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairdyn import PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
 from fairdyn.cli import main
@@ -59,6 +60,92 @@ def test_round_trip_ct_with_expressions_and_stereotype():
     assert again.eps_b == -0.05
 
 
+def _finite(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# The three builtins (with their parameters) and expression dynamics.
+_DYNAMICS_FORMS = st.one_of(
+    st.fixed_dictionaries({
+        "dynamics_builtin": st.just("constant"),
+        "dynamics_params": st.fixed_dictionaries({"f0": _finite(0, 1), "f1": _finite(0, 1)}),
+    }),
+    st.fixed_dictionaries({
+        "dynamics_builtin": st.just("affine"),
+        "dynamics_params": st.dictionaries(
+            st.sampled_from(["a0", "c0", "d0", "a1", "c1", "d1"]), _finite(-2, 2)
+        ),
+    }),
+    st.fixed_dictionaries({"dynamics_builtin": st.just("appendixC")}),
+    st.fixed_dictionaries({
+        "expr_f0": st.sampled_from(["0.2 + 0.05*b0", "(b1 + b1/5)/1.2 + 0.01", "min(b0, 0.3)"]),
+        "expr_f1": st.sampled_from(["0.8 - 0.02*b1", "exp(-b0)*sin(b1) + 0.5", "0.7"]),
+    }),
+)
+# A per-step stereotype schedule has two or more entries: one entry is a scalar.
+_EPS = st.one_of(
+    st.none(), _finite(-0.5, 0.5), st.lists(_finite(-0.5, 0.5), min_size=2, max_size=5)
+)
+_SCENARIOS = st.builds(
+    lambda dynamics, **fields: Scenario(**fields, **dynamics),
+    dynamics=_DYNAMICS_FORMS,
+    name=st.text("abcXYZ019_-.", min_size=1, max_size=12).filter(lambda n: n not in (".", "..")),
+    mode=st.sampled_from(["UN", "AA", "AA1", "AA2"]),
+    time_mode=st.sampled_from(["DT", "CT"]),
+    steps=st.integers(0, 10_000),
+    t_end=_finite(0, 1e4),
+    h=_finite(1e-6, 1),
+    sample_every=st.none() | st.integers(1, 10_000),
+    declared_l0=st.none() | _finite(0, 100),
+    declared_l1=st.none() | _finite(0, 100),
+    pi_a=_finite(0, 1),
+    pi_b=_finite(0, 1),
+    g_a=_finite(0.01, 0.99),
+    u0=_finite(-10, 0),
+    u1=_finite(0, 10),
+    eps_a=_EPS,
+    eps_b=_EPS,
+    outputs=st.lists(st.sampled_from(["trajectory", "analysis", "compare", "field"]), unique=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SCENARIOS)
+def test_to_text_round_trip_property(scenario):
+    scenario.validate()
+    text = scenario.to_text()
+    again = Scenario.from_text(text)
+    assert again == scenario
+    assert again.to_text() == text
+
+
+# Every key the format defines, in any section or [dynamics] form.
+FORMAT_KEYS = {
+    "name", "mode", "time", "steps", "t_end", "h", "sample_every", "outputs",
+    "builtin", "f0", "f1", "a0", "c0", "d0", "a1", "c1", "d1", "l0", "l1",
+    "piA", "piB", "gA", "u0", "u1", "epsA", "epsB",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    section=st.sampled_from(["scenario", "dynamics", "state", "utility", "stereotype"]),
+    key=st.text("abcdefxyzAB01_", min_size=1, max_size=8).filter(lambda k: k not in FORMAT_KEYS),
+    dynamics=st.sampled_from([
+        "builtin = constant\nf0 = 0.2\nf1 = 0.8",
+        "builtin = affine\na0 = 0.2\na1 = 0.8",
+        "builtin = appendixC",
+        "f0 = 0.2\nf1 = 0.8",
+    ]),
+)
+def test_unknown_key_property(section, key, dynamics):
+    text = DEMO.replace("builtin = constant\nf0 = 0.2\nf1 = 0.8", dynamics)
+    text += "\n[stereotype]\nepsA = 0\n"
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ScenarioError, match=re.escape(f"unknown key {key!r} in [{section}]")):
+        Scenario.from_text(text)
+
+
 # (text replaced in DEMO, replacement, what the error message names)
 UNKNOWN_KEYS = [
     ("outputs = trajectory", "outptus = trajectory", "'outptus' in [scenario]"),
@@ -81,6 +168,32 @@ UNKNOWN_KEYS = [
     ("[scenario]", "[DEFAULT]\nseed = 1\n\n[scenario]", "unknown section [DEFAULT]"),
 ]
 
+# (text replaced in DEMO, replacement, what the error message names): values
+# that do not convert, run lengths with no finite step count, names that are
+# not a plain file name, and declared bounds that are negative or not finite.
+BAD_VALUES = [
+    ("steps = 20", "steps = x1", "'steps' in [scenario]"),
+    ("piA = 0.8", "piA = abc", "'piA' in [state]"),
+    ("f0 = 0.2", "f0 = 0.2x", "'f0' in [dynamics]"),
+    ("[utility]", "[stereotype]\nepsA = 0,x\n\n[utility]", "'epsA' in [stereotype]"),
+    ("f1 = 0.8\n", "", "'f1' in [dynamics] for builtin = constant"),
+    ("steps = 20", "steps = 20\nsample_every = 0", "[scenario] sample_every"),
+    ("steps = 20", "steps = 20\nsample_every = -3", "[scenario] sample_every"),
+    ("steps = 20", "steps = 20\nt_end = inf", "[scenario] t_end"),
+    ("steps = 20", "steps = 20\nt_end = 1e300\nh = 1e-300", "[scenario] t_end / h"),
+    ("steps = 20", "steps = 20\nh = nan", "[scenario] step size h"),
+    ("name = demo", "name = ../escaped", "name '../escaped' in [scenario]"),
+    ("name = demo", "name = sub/dir", "name 'sub/dir' in [scenario]"),
+    ("name = demo", "name = sub\\dir", "name 'sub\\\\dir' in [scenario]"),
+    ("name = demo", "name = a\0b", "name 'a\\x00b' in [scenario]"),
+    ("name = demo", "name = ..", "name '..' in [scenario]"),
+    ("name = demo", "name = .", "name '.' in [scenario]"),
+    ("name = demo", "name =", "name '' in [scenario]"),
+    ("f1 = 0.8", "f1 = 0.8\nl0 = -1", "l0 in [dynamics]"),
+    ("f1 = 0.8", "f1 = 0.8\nl1 = nan", "l1 in [dynamics]"),
+    ("f1 = 0.8", "f1 = 0.8\nl1 = inf", "l1 in [dynamics]"),
+]
+
 
 def test_invalid_scenarios_rejected():
     with pytest.raises(ScenarioError):
@@ -93,9 +206,22 @@ def test_invalid_scenarios_rejected():
         Scenario.from_text("not a scenario [file")
     with pytest.raises(ScenarioError):
         Scenario.from_text(DEMO.replace("[scenario]", "[other]"))
-    for old, new, named in UNKNOWN_KEYS:
+    for old, new, named in UNKNOWN_KEYS + BAD_VALUES:
+        assert old in DEMO
         with pytest.raises(ScenarioError, match=re.escape(named)):
             Scenario.from_text(DEMO.replace(old, new))
+
+
+def test_scenario_name_cannot_escape_out_dir(tmp_path):
+    (tmp_path / "work").mkdir()
+    scn = tmp_path / "work" / "escape.scn"
+    out = tmp_path / "work" / "out"
+    for name in ("../escaped", "../../escaped", "sub/dir"):
+        scn.write_text(DEMO.replace("name = demo", f"name = {name}"))
+        for cmd in ("simulate", "analyze", "compare", "field"):
+            assert main([cmd, str(scn), "--out", str(out)]) == 2
+    written = {p for p in tmp_path.rglob("*") if p != out and out not in p.parents}
+    assert written == {tmp_path / "work", scn}
 
 
 def test_every_allowed_dynamics_key_accepted():
@@ -164,6 +290,10 @@ def test_analyze_subcommand(tmp_path):
     assert "L_UN = 0.6" in report
     assert "contractive_UN = True" in report
     assert "[equilibria]" in report and "[theorem2]" in report
+    path.write_text(DEMO.replace("u0 = -1\nu1 = 1", "u0 = 0\nu1 = 0"))
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--resolution", "64"]) == 0
+    report = (tmp_path / "demo_analysis.txt").read_text()
+    assert "[theorem2]\nalpha = undefined\n\n[case_persistence]" in report
 
 
 def test_field_subcommand_grid_size(tmp_path):
@@ -230,6 +360,15 @@ def test_exit_codes(tmp_path):
     bad.write_text(DEMO.replace("piA = 0.8", "piAA = 0.8"))
     assert main(["simulate", str(bad)]) == 2
     assert main(["nonsense"]) == 2
+    bad.write_text(DEMO.replace("steps = 20", "steps = 20\nsample_every = 0"))
+    assert main(["simulate", str(bad)]) == 2
+    assert main(["simulate", str(tmp_path)]) == 2  # a directory, not a file
+    # flags that did nothing are gone
+    good = tmp_path / "demo.scn"
+    good.write_text(DEMO)
+    assert main(["simulate", str(good), "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert main(["verify", "--out", str(tmp_path)]) == 2
+    assert main(["verify", "--strict"]) == 2
 
     # stereotype violation: eps outside the valid range for the state
     text = DEMO + "\n[stereotype]\nepsA = 0.5\nepsB = 0\n"
