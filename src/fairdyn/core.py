@@ -6,6 +6,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -62,6 +63,9 @@ class UtilitySpec:
     u1: float
 
     def __post_init__(self) -> None:
+        for key in ("u0", "u1"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"utility {key} must be finite, got {getattr(self, key)!r}")
         if not (self.u0 <= 0.0 <= self.u1):
             raise ValueError(
                 f"utilities must satisfy u0 <= 0 <= u1, got u0={self.u0}, u1={self.u1}"

@@ -22,8 +22,6 @@ from .policy import CASE_TAGS, CASE_UN, MODE_CODES, policy_entries
 
 MERGE_TOL = 1e-10
 
-POLICY_MODES = ("UN", "AA", "AA1", "AA2")
-
 
 class CaseSwitchError(RuntimeError):
     """Raised under strict mode when the AA case flips mid-run."""
@@ -146,15 +144,22 @@ BUILTIN_PARAMS = {
 
 def make_builtin(name: str, params: dict | None = None) -> DynamicsSpec:
     """Build the builtin dynamics `name` from its BUILTIN_PARAMS; raises
-    KeyError naming an unknown builtin or a missing constant parameter."""
+    KeyError naming an unknown builtin or a missing constant parameter, and
+    ValueError naming a parameter that is not finite."""
+    if name not in BUILTIN_PARAMS:
+        raise KeyError(f"unknown builtin dynamics {name!r}")
     params = dict(params or {})
+    values = []
+    for key in BUILTIN_PARAMS[name]:
+        value = float(params[key] if name == "constant" else params.get(key, 0.0))
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {key} of builtin {name} must be finite, got {value!r}")
+        values.append(value)
     if name == "constant":
-        return constant_dynamics(*(float(params[key]) for key in BUILTIN_PARAMS[name]))
+        return constant_dynamics(*values)
     if name == "affine":
-        return affine_dynamics(*(float(params.get(key, 0.0)) for key in BUILTIN_PARAMS[name]))
-    if name == "appendixC":
-        return appendix_c_dynamics()
-    raise KeyError(f"unknown builtin dynamics {name!r}")
+        return affine_dynamics(*values)
+    return appendix_c_dynamics()
 
 
 def parse_dynamics(

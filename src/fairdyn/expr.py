@@ -1,4 +1,4 @@
-"""Recursive-descent parser and evaluator for dynamics expressions.
+"""Recursive-descent compiler for dynamics expressions.
 
 Grammar (over the selection rates b0 and b1):
 
@@ -9,8 +9,15 @@ Grammar (over the selection rates b0 and b1):
     atom    := NUMBER | 'b0' | 'b1' | FUNC '(' expr (',' expr)* ')' | '(' expr ')'
 
 Numbers are decimal or scientific literals. Available functions:
-sin, cos, exp, abs (1 argument), min, max (2 arguments). Evaluation is a
-pure fold over the tree, bit-reproducible on a given platform.
+sin, cos, exp, abs (1 argument), min, max (2 arguments).
+
+Each parser rule returns the Python source of its subtree; compile_expression
+makes one function of the whole. The grammar's precedence and associativity
+are Python's own (unary minus binds looser than '^', which is right
+associative and takes a negated exponent), so the function does the tree's
+IEEE operations in the tree's order, bit-reproducible on a given platform.
+An arithmetic error or a NaN, infinite or complex result raises
+ExpressionEvaluationError naming the expression and the (b0, b1) point.
 """
 
 from __future__ import annotations
@@ -36,6 +43,24 @@ class UnknownIdentifierError(ExpressionError):
 
 class ArityError(ExpressionError):
     pass
+
+
+class ExpressionEvaluationError(ExpressionError):
+    """Evaluating a compiled expression at (b0, b1) failed or gave a NaN,
+    infinite or complex value."""
+
+    def __init__(self, source: str, b0: float, b1: float, outcome):
+        if isinstance(outcome, (TypeError, complex)):  # a TypeError needs a complex operand
+            reason = "complex value (a negative number to a fractional power)"
+        elif isinstance(outcome, Exception):
+            reason = f"{type(outcome).__name__}: {outcome}"
+        else:
+            reason = f"result {outcome!r} is not finite"
+        self.point = (float(b0), float(b1))
+        ValueError.__init__(
+            self, f"expression {source!r} at (b0, b1) = {self.point!r}: {reason}"
+        )
+        self.position = None
 
 
 _FUNCTIONS: dict[str, tuple[int, Callable[..., float]]] = {
@@ -78,7 +103,6 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
 
@@ -95,71 +119,55 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExpressionSyntaxError(f"expected {op!r}, found {value or 'end'!r}", pos)
 
-    def parse(self) -> Callable[[float, float], float]:
-        fn = self.expr()
+    def parse(self) -> str:
+        code = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing {value!r}", pos)
-        return fn
+        return code
 
-    def expr(self) -> Callable[[float, float], float]:
-        fn = self.term()
+    def expr(self) -> str:
+        return self.chain(self.term, "+-")
+
+    def term(self) -> str:
+        return self.chain(self.factor, "*/")
+
+    def chain(self, operand: Callable[[], str], ops: str) -> str:
+        """Left-associative operand (op operand)*."""
+        code = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                rhs = self.term()
-                lhs = fn
-                if value == "+":
-                    fn = lambda b0, b1, l=lhs, r=rhs: l(b0, b1) + r(b0, b1)
-                else:
-                    fn = lambda b0, b1, l=lhs, r=rhs: l(b0, b1) - r(b0, b1)
-            else:
-                return fn
+            if kind != "op" or value not in ops:
+                return code
+            self.next()
+            code = f"{code} {value} {operand()}"
 
-    def term(self) -> Callable[[float, float], float]:
-        fn = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.next()
-                rhs = self.factor()
-                lhs = fn
-                if value == "*":
-                    fn = lambda b0, b1, l=lhs, r=rhs: l(b0, b1) * r(b0, b1)
-                else:
-                    fn = lambda b0, b1, l=lhs, r=rhs: l(b0, b1) / r(b0, b1)
-            else:
-                return fn
-
-    def factor(self) -> Callable[[float, float], float]:
+    def factor(self) -> str:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            inner = self.factor()
-            return lambda b0, b1, f=inner: -f(b0, b1)
+            return "-" + self.factor()
         return self.power()
 
-    def power(self) -> Callable[[float, float], float]:
+    def power(self) -> str:
         base = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.next()
-            exponent = self.factor()
-            return lambda b0, b1, b=base, e=exponent: b(b0, b1) ** e(b0, b1)
+            return f"{base} ** {self.factor()}"
         return base
 
-    def atom(self) -> Callable[[float, float], float]:
+    def atom(self) -> str:
         kind, value, pos = self.next()
         if kind == "num":
-            const = float(value)
-            return lambda b0, b1, c=const: c
+            const = float(value)  # never NaN; a literal that overflows is inf
+            return repr(const) if math.isfinite(const) else "1e999"
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "op" and nxt_value == "(":
                 if value not in _FUNCTIONS:
                     raise UnknownIdentifierError(f"unknown function {value!r}", pos)
-                arity, impl = _FUNCTIONS[value]
+                arity = _FUNCTIONS[value][0]
                 self.next()  # consume '('
                 args = [self.expr()]
                 while True:
@@ -174,23 +182,51 @@ class _Parser:
                     raise ArityError(
                         f"{value} takes {arity} argument(s), got {len(args)}", pos
                     )
-                if arity == 1:
-                    arg = args[0]
-                    return lambda b0, b1, f=impl, a=arg: f(a(b0, b1))
-                a0, a1 = args
-                return lambda b0, b1, f=impl, x=a0, y=a1: f(x(b0, b1), y(b0, b1))
-            if value == "b0":
-                return lambda b0, b1: b0
-            if value == "b1":
-                return lambda b0, b1: b1
+                return f"{value}({', '.join(args)})"
+            if value in ("b0", "b1"):
+                return value
             raise UnknownIdentifierError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            fn = self.expr()
+            code = self.expr()
             self.expect_op(")")
-            return fn
+            return f"({code})"
         raise ExpressionSyntaxError(f"unexpected {value or 'end'!r}", pos)
 
 
+# The whole expression becomes one function. The chained comparison is False
+# for NaN and +-inf and raises TypeError for a Python complex value. Only '**'
+# turns real operands complex, and numpy's complex128 compares without raising,
+# so code with '**' also checks the type.
+_TEMPLATE = """\
+def compiled(b0, b1):
+    try:
+        v = {code}
+        if -1e999 < v < 1e999{real}:
+            return v
+    except _EVAL_ERRORS as exc:
+        v = exc
+    _fail(b0, b1, v)
+"""
+_EVAL_ERRORS = (ArithmeticError, TypeError, ValueError)
+
+
 def compile_expression(source: str) -> Callable[[float, float], float]:
-    """Compile a dynamics expression into a pure (b0, b1) -> float map."""
-    return _Parser(source).parse()
+    """Compile a dynamics expression into a pure (b0, b1) -> float map that
+    raises ExpressionEvaluationError instead of returning a NaN, infinite or
+    complex value."""
+    def fail(b0: float, b1: float, outcome) -> None:
+        raise ExpressionEvaluationError(source, b0, b1, outcome)
+
+    # eval is safe here: the code is built only from validated tokens (float
+    # literals, b0, b1, the names in _FUNCTIONS, operators and parentheses)
+    # and runs without builtins, seeing only the names below.
+    namespace = {name: impl for name, (_, impl) in _FUNCTIONS.items()}
+    namespace.update(__builtins__={}, _EVAL_ERRORS=_EVAL_ERRORS, _fail=fail)
+    namespace.update(_isinstance=isinstance, _complex=complex)
+    try:
+        code = _Parser(source).parse()
+        real = " and not _isinstance(v, _complex)" if "**" in code else ""
+        eval(compile(_TEMPLATE.format(code=code, real=real), "<expression>", "exec"), namespace)
+    except (RecursionError, MemoryError, SyntaxError):  # nesting limits
+        raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
+    return namespace["compiled"]

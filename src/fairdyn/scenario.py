@@ -33,6 +33,7 @@ from .dynamics import (
     make_builtin,
     parse_dynamics,
 )
+from .policy import MODE_CODES
 from .stereotype import StereotypeSpec, stereotype_trajectory
 
 TRAJECTORY_COLUMNS = (
@@ -85,12 +86,18 @@ def scenario_format(builtin: str | None = None) -> list[tuple]:
     """The scenario file format, one row per key in file order: (section,
     key, Scenario attribute, value type).
 
-    [dynamics] holds either the expressions f0, f1 (builtin None) or
-    `builtin = <name>` and that builtin's parameters (dynamics.BUILTIN_PARAMS),
-    which are kept in Scenario.dynamics_params.
+    [dynamics] holds either the expressions f0, f1 and their declared
+    Lipschitz bounds l0, l1 (builtin None) or `builtin = <name>` and that
+    builtin's parameters (dynamics.BUILTIN_PARAMS), which are kept in
+    Scenario.dynamics_params.
     """
     if builtin is None:
-        dynamics = [("dynamics", "f0", "expr_f0", _STR), ("dynamics", "f1", "expr_f1", _STR)]
+        dynamics = [
+            ("dynamics", "f0", "expr_f0", _STR),
+            ("dynamics", "f1", "expr_f1", _STR),
+            ("dynamics", "l0", "declared_l0", _FLOAT),
+            ("dynamics", "l1", "declared_l1", _FLOAT),
+        ]
     elif builtin in BUILTIN_PARAMS:
         dynamics = [("dynamics", "builtin", "dynamics_builtin", _STR)] + [
             ("dynamics", key, "dynamics_params", _FLOAT) for key in BUILTIN_PARAMS[builtin]
@@ -110,8 +117,6 @@ def scenario_format(builtin: str | None = None) -> list[tuple]:
         ("scenario", "sample_every", "sample_every", _INT),
         ("scenario", "outputs", "outputs", _NAMES),
         *dynamics,
-        ("dynamics", "l0", "declared_l0", _FLOAT),
-        ("dynamics", "l1", "declared_l1", _FLOAT),
         ("state", "piA", "pi_a", _FLOAT),
         ("state", "piB", "pi_b", _FLOAT),
         ("state", "gA", "g_a", _FLOAT),
@@ -156,7 +161,7 @@ class Scenario:
     def validate(self) -> None:
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name {self.name!r} in [scenario] must be a plain file name")
-        if self.mode not in ("UN", "AA", "AA1", "AA2"):
+        if self.mode not in MODE_CODES:
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if self.time_mode not in ("DT", "CT"):
             raise ScenarioError(f"unknown time mode {self.time_mode!r}")
@@ -171,6 +176,10 @@ class Scenario:
         scenario_format(self.dynamics_builtin)  # rejects an unknown builtin
         if self.expr_f0 is not None and self.expr_f1 is None:
             raise ScenarioError("expression dynamics need both f0 and f1")
+        if self.dynamics_builtin is not None and (
+            self.declared_l0 is not None or self.declared_l1 is not None
+        ):
+            raise ScenarioError("l0 and l1 in [dynamics] apply to expression dynamics only")
         for key, declared in (("l0", self.declared_l0), ("l1", self.declared_l1)):
             if declared is not None and not (math.isfinite(declared) and declared >= 0.0):
                 raise ScenarioError(f"{key} in [dynamics] must be finite and >= 0, got {declared!r}")

@@ -39,6 +39,9 @@ def test_utility_spec_sign_convention():
     with pytest.raises(ValueError):
         UtilitySpec(u0=-1.0, u1=-0.1)
     UtilitySpec(u0=0.0, u1=0.0)  # degenerate but allowed
+    for u0, u1, key in ((-1.0, math.inf, "u1"), (-math.inf, 1.0, "u0"), (math.nan, 1.0, "u0")):
+        with pytest.raises(ValueError, match=f"utility {key} must be finite"):
+            UtilitySpec(u0=u0, u1=u1)
 
 
 def test_policy_entry_bounds():

@@ -168,7 +168,12 @@ def test_affine_fast_path_matches_generic_path(rng):
     def both_paths(dyn, head, tail):
         fast = _loops_py.ct_loop(*head, dyn.f0, dyn.f1, dyn.affine, *tail)
         generic = _loops_py.ct_loop(*head, dyn.f0, dyn.f1, None, *tail)
-        assert fast == generic
+        # the same maps written as expressions: the same operations in order
+        a0, c0, d0, a1, c1, d1 = dyn.affine
+        parsed = parse_dynamics(
+            f"{a0!r} + {c0!r}*b0 + {d0!r}*b1", f"{a1!r} + {c1!r}*b0 + {d1!r}*b1"
+        )
+        assert fast == generic == _loops_py.ct_loop(*head, parsed.f0, parsed.f1, None, *tail)
         return fast
 
     for _ in range(10):

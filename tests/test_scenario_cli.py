@@ -31,6 +31,7 @@ gA = 0.5
 u0 = -1
 u1 = 1
 """
+CONSTANT_DYNAMICS = "builtin = constant\nf0 = 0.2\nf1 = 0.8"
 
 
 def test_round_trip_is_identity():
@@ -80,6 +81,8 @@ _DYNAMICS_FORMS = st.one_of(
     st.fixed_dictionaries({
         "expr_f0": st.sampled_from(["0.2 + 0.05*b0", "(b1 + b1/5)/1.2 + 0.01", "min(b0, 0.3)"]),
         "expr_f1": st.sampled_from(["0.8 - 0.02*b1", "exp(-b0)*sin(b1) + 0.5", "0.7"]),
+        "declared_l0": st.none() | _finite(0, 100),
+        "declared_l1": st.none() | _finite(0, 100),
     }),
 )
 # A per-step stereotype schedule has two or more entries: one entry is a scalar.
@@ -96,8 +99,6 @@ _SCENARIOS = st.builds(
     t_end=_finite(0, 1e4),
     h=_finite(1e-6, 1),
     sample_every=st.none() | st.integers(1, 10_000),
-    declared_l0=st.none() | _finite(0, 100),
-    declared_l1=st.none() | _finite(0, 100),
     pi_a=_finite(0, 1),
     pi_b=_finite(0, 1),
     g_a=_finite(0.01, 0.99),
@@ -170,7 +171,8 @@ UNKNOWN_KEYS = [
 
 # (text replaced in DEMO, replacement, what the error message names): values
 # that do not convert, run lengths with no finite step count, names that are
-# not a plain file name, and declared bounds that are negative or not finite.
+# not a plain file name, declared bounds that are negative or not finite, and
+# utilities and builtin parameters that are not finite.
 BAD_VALUES = [
     ("steps = 20", "steps = x1", "'steps' in [scenario]"),
     ("piA = 0.8", "piA = abc", "'piA' in [state]"),
@@ -189,9 +191,11 @@ BAD_VALUES = [
     ("name = demo", "name = ..", "name '..' in [scenario]"),
     ("name = demo", "name = .", "name '.' in [scenario]"),
     ("name = demo", "name =", "name '' in [scenario]"),
-    ("f1 = 0.8", "f1 = 0.8\nl0 = -1", "l0 in [dynamics]"),
-    ("f1 = 0.8", "f1 = 0.8\nl1 = nan", "l1 in [dynamics]"),
-    ("f1 = 0.8", "f1 = 0.8\nl1 = inf", "l1 in [dynamics]"),
+    (CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8\nl0 = -1", "l0 in [dynamics]"),
+    (CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8\nl1 = nan", "l1 in [dynamics]"),
+    (CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8\nl1 = inf", "l1 in [dynamics]"),
+    ("u1 = 1", "u1 = inf", "utility u1 must be finite"),
+    (CONSTANT_DYNAMICS, "builtin = affine\na0 = 0.2\nc0 = nan", "c0 of builtin affine"),
 ]
 
 
@@ -226,12 +230,21 @@ def test_scenario_name_cannot_escape_out_dir(tmp_path):
 
 def test_every_allowed_dynamics_key_accepted():
     for dyn in (
-        "builtin = constant\nf0 = 0.2\nf1 = 0.8\nl0 = 0\nl1 = 0",
-        "builtin = affine\na0 = 0.2\nc0 = 0\nd0 = 0\na1 = 0.8\nc1 = 0\nd1 = 0\nl0 = 0\nl1 = 0",
-        "builtin = appendixC\nl0 = 40\nl1 = 40",
+        "builtin = constant\nf0 = 0.2\nf1 = 0.8",
+        "builtin = affine\na0 = 0.2\nc0 = 0\nd0 = 0\na1 = 0.8\nc1 = 0\nd1 = 0",
+        "builtin = appendixC",
         "f0 = 0.2\nf1 = 0.8\nl0 = 0\nl1 = 0",
     ):
-        Scenario.from_text(DEMO.replace("builtin = constant\nf0 = 0.2\nf1 = 0.8", dyn))
+        Scenario.from_text(DEMO.replace(CONSTANT_DYNAMICS, dyn))
+    # The declared bounds l0, l1 belong to expression dynamics only.
+    for builtin in ("constant\nf0 = 0.2\nf1 = 0.8", "affine", "appendixC"):
+        for key in ("l0", "l1"):
+            text = DEMO.replace(CONSTANT_DYNAMICS, f"builtin = {builtin}\n{key} = 0")
+            named = re.escape(f"unknown key {key!r} in [dynamics]")
+            with pytest.raises(ScenarioError, match=named):
+                Scenario.from_text(text)
+    with pytest.raises(ScenarioError, match="expression dynamics only"):
+        Scenario(name="x", dynamics_builtin="appendixC", declared_l0=1.0).validate()
 
 
 def test_readme_scenario_example_parses():
@@ -351,7 +364,7 @@ def test_field_aa1_difference_sign():
         assert db - ub <= 1e-12
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.scn"
     assert main(["simulate", str(missing)]) == 2
     bad = tmp_path / "bad.scn"
@@ -369,6 +382,19 @@ def test_exit_codes(tmp_path):
     assert main(["simulate", str(good), "--seed", "1", "--out", str(tmp_path)]) == 2
     assert main(["verify", "--out", str(tmp_path)]) == 2
     assert main(["verify", "--strict"]) == 2
+    # builtin l0 is an unknown key; infinite utilities and builtin parameters
+    bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, "builtin = appendixC\nl0 = 1"))
+    assert main(["analyze", str(bad)]) == 2
+    bad.write_text(DEMO.replace("u1 = 1", "u1 = inf"))
+    assert main(["compare", str(bad), "--out", str(tmp_path)]) == 2
+    bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, "builtin = affine\nc0 = nan"))
+    assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+    # expressions that fail to evaluate name the expression and the point
+    capsys.readouterr()
+    for cmd, f0 in (("simulate", "0.1 + (b0-0.5)^0.5"), ("analyze", "1/b0")):
+        bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, f"f0 = {f0}\nf1 = 0.8"))
+        assert main([cmd, str(bad), "--out", str(tmp_path)]) == 2
+        assert f"expression {f0!r} at (b0, b1) = (" in capsys.readouterr().err
 
     # stereotype violation: eps outside the valid range for the state
     text = DEMO + "\n[stereotype]\nepsA = 0.5\nepsB = 0\n"
