@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PopulationState, UtilitySpec
-from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate, max_grid_slope
+from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate, grid_axis, max_grid_slope
 
 CONTRACTIVITY_MARGIN = 1e-6
 ROOT_RESIDUAL_TOL = 1e-10
@@ -49,47 +49,32 @@ def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> Contractio
 
     The grid uses resolution+1 equispaced points per axis, so doubling the
     resolution refines over a nested sample set and the estimates are
-    monotone in resolution.
+    monotone in resolution. A declared Lipschitz constant replaces its
+    sampled slope once dyn.check_declared has passed it (ValueError if not).
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
-    xs = np.linspace(0.0, 1.0, resolution + 1)
-
+    xs = grid_axis(resolution)
+    f0, f1 = dyn.sample(xs[:, None], xs)
+    l0, l1 = max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1])
+    dyn.check_declared(l0, l1)
+    l0 = l0 if dyn.declared_l0 is None else float(dyn.declared_l0)
+    l1 = l1 if dyn.declared_l1 is None else float(dyn.declared_l1)
     declared = dyn.declared_l0 is not None and dyn.declared_l1 is not None
-    if declared:
-        l0, l1 = float(dyn.declared_l0), float(dyn.declared_l1)
-        method = "grid+declared-constants"
-    else:
-        l0 = (
-            float(dyn.declared_l0)
-            if dyn.declared_l0 is not None
-            else max_grid_slope(dyn.f0_clamped, xs)
-        )
-        l1 = (
-            float(dyn.declared_l1)
-            if dyn.declared_l1 is not None
-            else max_grid_slope(dyn.f1_clamped, xs)
-        )
-        method = "grid"
+    method = "grid+declared-constants" if declared else "grid"
 
-    gap0 = np.array(
-        [abs(dyn.f1_clamped(0.0, x) - dyn.f0_clamped(0.0, x)) for x in xs]
-    )
+    gap0 = np.abs(f1[0] - f0[0])  # row 0 is b0 = 0
     l_aa1 = float(np.max(gap0))
     # l_un: max over pi of pi*L1 + (1-pi)*L0 + max_{x <= pi} gap0(x)
     prefix_gap = np.maximum.accumulate(gap0)
     l_un = float(np.max(xs * l1 + (1.0 - xs) * l0 + prefix_gap))
 
-    l_aa2 = 0.0
-    for i, pi in enumerate(xs):
-        lip = 2.0 * (pi * l1 + (1.0 - pi) * l0)
-        for k in range(i + 1):
-            delta = xs[k]
-            val = lip + abs(
-                dyn.f1_clamped(delta, pi - delta) - dyn.f0_clamped(delta, pi - delta)
-            )
-            if val > l_aa2:
-                l_aa2 = val
+    # l_aa2: max over pi = xs[i] and delta = xs[k], k <= i, of
+    # 2*(pi*L1 + (1-pi)*L0) + |f1 - f0| at (delta, pi - delta)
+    i, k = np.tril_indices(resolution + 1)
+    t0, t1 = dyn.sample(xs[k], xs[i] - xs[k])
+    lip = 2.0 * (xs * l1 + (1.0 - xs) * l0)
+    l_aa2 = float(np.max(lip[i] + np.abs(t1 - t0)))
 
     l_un_upper = l_aa2_upper = None
     if declared:
@@ -119,11 +104,12 @@ def check_status_quo_bias(dyn: DynamicsSpec, resolution: int = 256) -> StatusQuo
     """Verify f1 >= f0 - 1e-12 on a grid over the selection-rate square."""
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
-    xs = np.linspace(0.0, 1.0, resolution + 1)
-    for x in xs:
-        for y in xs:
-            if dyn.f1_clamped(x, y) < dyn.f0_clamped(x, y) - 1e-12:
-                return StatusQuoReport(holds=False, counterexample=(float(x), float(y)))
+    xs = grid_axis(resolution)
+    for x in xs.tolist():  # row by row, so a counterexample stops early
+        f0, f1 = dyn.sample(x, xs)
+        bad = np.flatnonzero(f1 < f0 - 1e-12)
+        if bad.size:
+            return StatusQuoReport(holds=False, counterexample=(x, float(xs[bad[0]])))
     return StatusQuoReport(holds=True, counterexample=None)
 
 
@@ -197,69 +183,52 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT", cells: int = 4096) -> E
         raise ValueError("mode must be 'DT' or 'CT'")
     f = un_map(dyn)
     g = lambda pi: f(pi) - pi
-    xs = np.linspace(0.0, 1.0, cells + 1)
+    xs = grid_axis(cells).tolist()
     gs = np.array([g(x) for x in xs])
 
-    for i in range(cells):
-        mid = 0.5 * (xs[i] + xs[i + 1])
-        if abs(gs[i]) < 1e-12 and abs(gs[i + 1]) < 1e-12 and abs(g(mid)) < 1e-12:
+    flat = np.abs(gs) < 1e-12
+    for i in np.flatnonzero(flat[:-1] & flat[1:]).tolist():
+        if abs(g(0.5 * (xs[i] + xs[i + 1]))) < 1e-12:
             return EquilibriumAtlas(
                 mode=mode, attracting=[], unstable=[], k_valid=False,
                 degenerate=True, interleaving_ok=False,
             )
 
-    roots: list[float] = []
-    for i in range(cells + 1):
-        if abs(gs[i]) <= ROOT_RESIDUAL_TOL:
-            roots.append(float(xs[i]))
-    for i in range(cells):
-        if gs[i] * gs[i + 1] < 0.0:
-            roots.append(_bisect(g, float(xs[i]), float(xs[i + 1])))
+    roots = [xs[i] for i in np.flatnonzero(np.abs(gs) <= ROOT_RESIDUAL_TOL).tolist()]
+    for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0).tolist():
+        roots.append(_bisect(g, xs[i], xs[i + 1]))
     roots.sort()
     deduped: list[float] = []
     for r in roots:
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
 
-    eps = 1e-7
-    attracting: list[Equilibrium] = []
-    unstable: list[float] = []
-    kinds: list[str] = []
-    for r in deduped:
-        lo, hi = max(0.0, r - eps), min(1.0, r + eps)
-        fp = (f(hi) - f(lo)) / (hi - lo)
-        if mode == "CT":
-            is_attracting = fp < 1.0
-        else:
-            is_attracting = abs(fp) < 1.0
-        kinds.append("a" if is_attracting else "u")
-        if is_attracting:
-            attracting.append(Equilibrium(position=r, rate=fp, radius=0.0))
-        else:
-            unstable.append(r)
+    def slope(p: float) -> float:
+        """Central difference of f at p, one-sided at 0 and 1."""
+        lo, hi = max(0.0, p - 1e-7), min(1.0, p + 1e-7)
+        return (f(hi) - f(lo)) / (hi - lo)
 
+    kinds = []
+    for r in deduped:
+        fp = slope(r)
+        kinds.append("a" if (fp < 1.0 if mode == "CT" else abs(fp) < 1.0) else "u")
     # Attracting points must be separated by exactly one unstable delimiter.
     interleaving_ok = "aa" not in "".join(kinds)
+    unstable = [r for r, kind in zip(deduped, kinds) if kind == "u"]
 
     # Local slope bound and radius around each attracting point.
     dels = [0.0] + [d for d in unstable if 0.0 < d < 1.0] + [1.0]
-    refined: list[Equilibrium] = []
-    for idx, eq in enumerate(attracting):
-        left = max(d for d in dels if d <= eq.position + 1e-15)
-        right = min(d for d in dels if d >= eq.position - 1e-15)
-        radius = min(0.05, 0.5 * max(eq.position - left, 1e-6), 0.5 * max(right - eq.position, 1e-6))
-        radius = max(radius, 1e-6)
-        pts = np.linspace(max(0.0, eq.position - radius), min(1.0, eq.position + radius), 33)
-        slopes = []
-        for p in pts:
-            lo, hi = max(0.0, p - eps), min(1.0, p + eps)
-            slopes.append((f(hi) - f(lo)) / (hi - lo))
-        refined.append(Equilibrium(position=eq.position, rate=float(max(slopes)), radius=radius))
-    attracting = refined
+    attracting: list[Equilibrium] = []
+    for r in [r for r, kind in zip(deduped, kinds) if kind == "a"]:
+        left = max(d for d in dels if d <= r + 1e-15)
+        right = min(d for d in dels if d >= r - 1e-15)
+        radius = max(min(0.05, 0.5 * max(r - left, 1e-6), 0.5 * max(right - r, 1e-6)), 1e-6)
+        pts = np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()
+        attracting.append(Equilibrium(position=r, rate=max(map(slope, pts)), radius=radius))
 
     k_valid = interleaving_ok and len(attracting) > 0
     if k_valid:
-        probe = np.linspace(0.0, 1.0, 2049)
+        probe = grid_axis(2048).tolist()
         for i, eq in enumerate(attracting):
             lo_bound = dels[i] if i < len(dels) else 0.0
             hi_bound = dels[i + 1] if i + 1 < len(dels) else 1.0

@@ -79,8 +79,8 @@ def _verify_parser(n: int) -> tuple[int, int]:
     dyn = appendix_c_dynamics()
     f0 = compile_expression(APPENDIX_C_F0)
     f1 = compile_expression(APPENDIX_C_F1)
-    xs = (np.arange(n) * 0.7548776662466927) % 1.0
-    ys = (np.arange(n) * 0.5698402909980532) % 1.0
+    xs = ((np.arange(n) * 0.7548776662466927) % 1.0).tolist()
+    ys = ((np.arange(n) * 0.5698402909980532) % 1.0).tolist()
     failures = 0
     for x, y in zip(xs, ys):
         if abs(f0(x, y) - dyn.f0(x, y)) > 1e-12 or abs(f1(x, y) - dyn.f1(x, y)) > 1e-12:

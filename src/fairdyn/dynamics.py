@@ -49,43 +49,68 @@ class DynamicsSpec:
     affine: tuple[float, float, float, float, float, float] | None = None
 
     def f0_clamped(self, b0: float, b1: float) -> float:
-        return clamp01(self.f0(b0, b1))
+        value = self.f0(b0, b1)
+        return value if 0.0 <= value <= 1.0 else self._clamp("f0", value, b0, b1)
 
     def f1_clamped(self, b0: float, b1: float) -> float:
-        return clamp01(self.f1(b0, b1))
+        value = self.f1(b0, b1)
+        return value if 0.0 <= value <= 1.0 else self._clamp("f1", value, b0, b1)
 
-    def validate_declared(self, resolution: int = 256) -> None:
-        """Check declared Lipschitz constants against sampled finite
-        differences on a resolution^2 grid; raises ValueError on excess."""
-        if self.declared_l0 is None and self.declared_l1 is None:
-            return
-        xs = np.linspace(0.0, 1.0, resolution)
-        for which, fn, declared in (
-            ("f0", self.f0_clamped, self.declared_l0),
-            ("f1", self.f1_clamped, self.declared_l1),
+    def _clamp(self, which: str, value: float, b0: float, b1: float) -> float:
+        """clamp01 of a map value outside [0, 1]; a NaN raises ValueError."""
+        if value != value:
+            point = (float(b0), float(b1))
+            raise ValueError(f"{which} of dynamics {self.name!r} is NaN at (b0, b1) = {point!r}")
+        return clamp01(value)
+
+    def sample(self, b0, b1) -> tuple[np.ndarray, np.ndarray]:
+        """The clamped maps (f0, f1) at every point of the broadcast
+        coordinate arrays b0, b1; each map is called once per point, with
+        Python floats. Returns two arrays of the broadcast shape."""
+        b0, b1 = np.broadcast_arrays(b0, b1)
+        x, y = b0.ravel(), b1.ravel()
+        f0, f1 = np.empty(x.size), np.empty(x.size)
+        chunk = 4096  # points held as Python floats at a time: bounds memory
+        for s in range(0, x.size, chunk):
+            cx, cy = x[s : s + chunk].tolist(), y[s : s + chunk].tolist()
+            f0[s : s + chunk] = list(map(self.f0_clamped, cx, cy))
+            f1[s : s + chunk] = list(map(self.f1_clamped, cx, cy))
+        return f0.reshape(b0.shape), f1.reshape(b0.shape)
+
+    def check_declared(self, l0_sampled: float, l1_sampled: float) -> None:
+        """Raise ValueError when a sampled slope exceeds its declared
+        Lipschitz constant (by more than 1e-6)."""
+        for which, worst, declared in (
+            ("f0", l0_sampled, self.declared_l0),
+            ("f1", l1_sampled, self.declared_l1),
         ):
-            if declared is None:
-                continue
-            worst = max_grid_slope(fn, xs)
-            if worst > declared + 1e-6:
+            if declared is not None and worst > declared + 1e-6:
                 raise ValueError(
                     f"{which} of dynamics {self.name!r}: sampled slope {worst:.6g} "
                     f"exceeds declared Lipschitz constant {declared:.6g}"
                 )
 
+    def validate_declared(self, resolution: int = 256) -> None:
+        """check_declared on the slopes of the grid_axis(resolution) grid,
+        the grid that estimate_contraction(resolution) samples."""
+        if self.declared_l0 is None and self.declared_l1 is None:
+            return
+        xs = grid_axis(resolution)
+        f0, f1 = self.sample(xs[:, None], xs)
+        self.check_declared(max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1]))
 
-def max_grid_slope(fn: Callable[[float, float], float], xs: np.ndarray) -> float:
-    """Largest finite-difference slope of fn(x, y) along either axis of the
-    grid xs x xs (xs equispaced)."""
-    step = float(xs[1] - xs[0])
-    grid = np.array([[fn(x, y) for y in xs] for x in xs])
-    return float(
-        max(
-            np.max(np.abs(np.diff(grid, axis=0))),
-            np.max(np.abs(np.diff(grid, axis=1))),
-        )
-        / step
-    )
+
+def grid_axis(resolution: int) -> np.ndarray:
+    """The resolution+1 equispaced points of [0, 1] along each axis of the
+    grid analyses."""
+    return np.linspace(0.0, 1.0, resolution + 1)
+
+
+def max_grid_slope(values: np.ndarray, step: float) -> float:
+    """Largest finite-difference slope along either axis of a map sampled on
+    a square grid with spacing step."""
+    rows, cols = np.abs(np.diff(values, axis=0)), np.abs(np.diff(values, axis=1))
+    return float(max(np.max(rows), np.max(cols)) / step)
 
 
 def constant_dynamics(f0_value: float, f1_value: float, name: str | None = None) -> DynamicsSpec:
@@ -247,7 +272,8 @@ def _sample_recorder(
 
     Returns (sample, mark, finish). sample(step, t, pa, pb) evaluates the
     policy at one recorded state (the closed form for `mode`, or
-    policy_fn(pa, pb, step) when given), stores the state, policy, selection
+    policy_fn(pa, pb, step) when given), raises ValueError naming the time
+    of a NaN state, stores the state, policy, selection
     rates and utility, marks the sample's case_switch / advantage_swap events
     at time t, and returns the rates (b0a, b1a, b0b, b1b). A case switch warns
     or raises at the sample where it happens. mark(t, kind) appends an event
@@ -275,6 +301,9 @@ def _sample_recorder(
 
     def sample(step: int, t: float, pa: float, pb: float):
         nonlocal prev_case, prev_delta
+        if pa != pa or pb != pb:
+            message = f"NaN state (piA, piB) = ({pa!r}, {pb!r}) " + where.format(step=step, t=t)
+            raise ValueError(message + ": a dynamics map returned NaN")
         if policy_fn is None:
             t1a, t0a, t1b, t0b, case = policy_entries(code, pa, pb, ga, u0, u1)
         else:

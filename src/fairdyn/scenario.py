@@ -220,21 +220,22 @@ class Scenario:
         return StereotypeSpec(eps_a=self.eps_a or 0.0, eps_b=self.eps_b or 0.0)
 
     def run_trajectory(self, strict: bool = False) -> TrajectoryRecord:
-        dyn = self.make_dynamics()
+        return self._trajectory(self.mode, self.make_dynamics(), self.stereotype_spec(), strict)
+
+    def _trajectory(
+        self, mode: str, dyn: DynamicsSpec, eps: StereotypeSpec | None, strict: bool
+    ) -> TrajectoryRecord:
         state0 = self.initial_state()
         u = self.utility_spec()
-        eps = self.stereotype_spec()
         if eps is not None:
             if self.time_mode != "DT":
                 raise ScenarioError("stereotype schedules are supported in DT only")
-            return stereotype_trajectory(
-                state0, self.mode, u, dyn, eps, self.steps, strict=strict
-            )
+            return stereotype_trajectory(state0, mode, u, dyn, eps, self.steps, strict=strict)
         if self.time_mode == "DT":
-            return dt_trajectory(state0, self.mode, u, dyn, self.steps, strict=strict)
+            return dt_trajectory(state0, mode, u, dyn, self.steps, strict=strict)
         return ct_integrate(
             state0,
-            self.mode,
+            mode,
             u,
             dyn,
             t_end=self.t_end,
@@ -338,7 +339,7 @@ def export_field(
     the constrained modes (zero for UN itself)."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    grid = np.linspace(0.0, 1.0, resolution)
+    grid = np.linspace(0.0, 1.0, resolution).tolist()
     rows = []
     for pb in grid:
         for pa in grid:
@@ -348,7 +349,7 @@ def export_field(
             else:
                 ua, ub = ct_gradient(pa, pb, g_a, "UN", u, dyn)
                 diff_a, diff_b = da - ua, db - ub
-            rows.append((float(pb), float(pa), da, db, diff_a, diff_b))
+            rows.append((pb, pa, da, db, diff_a, diff_b))
     return rows
 
 
@@ -430,10 +431,9 @@ def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int 
 
 def write_compare_csv(scenario: Scenario, path: str | Path, strict: bool = False) -> None:
     lines = ["mode,cumulativeUtility,finalPiA,finalPiB,finalDelta"]
+    dyn = scenario.make_dynamics()
     for mode in ("UN", "AA1", "AA2"):
-        sub = Scenario(**{**scenario.__dict__, "name": scenario.name, "mode": mode})
-        sub.eps_a = sub.eps_b = None
-        rec = sub.run_trajectory(strict=strict)
+        rec = scenario._trajectory(mode, dyn, None, strict)  # without a stereotype
         lines.append(
             ",".join(
                 [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairdyn import (
+    ContractionReport,
     DynamicsSpec,
     PopulationState,
     UtilitySpec,
@@ -15,12 +16,15 @@ from fairdyn import (
     delta_bounds,
     dt_trajectory,
     estimate_contraction,
+    export_field,
     find_equilibria,
+    parse_dynamics,
     prop3_case_persistence,
     theorem2_verdict,
     theorem4_limits,
     un_map,
 )
+from fairdyn.dynamics import max_grid_slope
 from conftest import random_contractive_affine
 
 CONST = constant_dynamics(0.2, 0.8)
@@ -262,3 +266,107 @@ def test_aa1_dt_contraction_rate(rng):
         d = np.abs(rec.delta)
         for t in range(40):
             assert d[t + 1] <= l_bound * d[t] + 1e-12
+
+
+# -- the grid sampler against the per-point loops it replaced ---------------
+
+
+def _loop_slope(fn, xs):
+    step = float(xs[1] - xs[0])
+    grid = np.array([[fn(x, y) for y in xs] for x in xs])
+    return float(
+        max(np.max(np.abs(np.diff(grid, axis=0))), np.max(np.abs(np.diff(grid, axis=1))))
+        / step
+    )
+
+
+def _loop_contraction(dyn, resolution):
+    """estimate_contraction as per-point scalar loops: the reference."""
+    xs = np.linspace(0.0, 1.0, resolution + 1)
+    declared = dyn.declared_l0 is not None and dyn.declared_l1 is not None
+    l0 = float(dyn.declared_l0) if dyn.declared_l0 is not None else _loop_slope(dyn.f0_clamped, xs)
+    l1 = float(dyn.declared_l1) if dyn.declared_l1 is not None else _loop_slope(dyn.f1_clamped, xs)
+    gap0 = np.array([abs(dyn.f1_clamped(0.0, x) - dyn.f0_clamped(0.0, x)) for x in xs])
+    l_un = float(np.max(xs * l1 + (1.0 - xs) * l0 + np.maximum.accumulate(gap0)))
+    l_aa2 = 0.0
+    for i, pi in enumerate(xs):
+        lip = 2.0 * (pi * l1 + (1.0 - pi) * l0)
+        for k in range(i + 1):
+            delta = xs[k]
+            val = lip + abs(dyn.f1_clamped(delta, pi - delta) - dyn.f0_clamped(delta, pi - delta))
+            if val > l_aa2:
+                l_aa2 = val
+    cell = 2.0 / resolution
+    return ContractionReport(
+        l_un=l_un,
+        l_aa1=float(np.max(gap0)),
+        l_aa2=l_aa2,
+        l0=l0,
+        l1=l1,
+        grid_resolution=resolution,
+        method="grid+declared-constants" if declared else "grid",
+        l_un_upper=l_un + (l0 + l1) * cell if declared else None,
+        l_aa2_upper=l_aa2 + (l0 + l1) * cell if declared else None,
+    )
+
+
+def _loop_status_quo(dyn, resolution):
+    xs = np.linspace(0.0, 1.0, resolution + 1)
+    for x in xs:
+        for y in xs:
+            if dyn.f1_clamped(x, y) < dyn.f0_clamped(x, y) - 1e-12:
+                return (float(x), float(y))
+    return None
+
+
+REFERENCE_DYNAMICS = [
+    appendix_c_dynamics(),
+    affine_dynamics(0.1, 0.7, -0.4, 0.5, 0.3, 0.9),  # clamps at both ends
+    CONST,
+    parse_dynamics(
+        "(b1 + b1/5)/1.2 + 0.01",
+        "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1",
+    ),
+    parse_dynamics("0.3 + 0.2*sin(7*b0)*b1^1.5", "max(0.25, 0.9*b0^0.5) - 0.1*cos(3*b1)"),
+]
+
+
+@pytest.mark.parametrize("resolution", [64, 100])  # 100: not a power of two
+@pytest.mark.parametrize("dyn", REFERENCE_DYNAMICS, ids=lambda d: d.name)
+def test_grid_analyses_match_scalar_loops(dyn, resolution):
+    assert estimate_contraction(dyn, resolution) == _loop_contraction(dyn, resolution)
+    xs = np.linspace(0.0, 1.0, resolution + 1)
+    f0, f1 = dyn.sample(xs[:, None], xs)
+    assert max_grid_slope(f0, xs[1]) == _loop_slope(dyn.f0_clamped, xs)
+    assert max_grid_slope(f1, xs[1]) == _loop_slope(dyn.f1_clamped, xs)
+    report = check_status_quo_bias(dyn, resolution)
+    assert report.counterexample == _loop_status_quo(dyn, resolution)
+    assert report.holds == (report.counterexample is None)
+
+
+def test_maps_are_called_with_python_floats():
+    base = appendix_c_dynamics()
+
+    def floats_only(fn):
+        def checked(b0, b1):
+            assert type(b0) is float and type(b1) is float, (type(b0), type(b1))
+            return fn(b0, b1)
+
+        return checked
+
+    dyn = DynamicsSpec(
+        f0=floats_only(base.f0),
+        f1=floats_only(base.f1),
+        name="floats-only",
+        declared_l0=100.0,
+        declared_l1=100.0,
+    )
+    estimate_contraction(dyn, resolution=64)
+    check_status_quo_bias(dyn, resolution=64)
+    holds = DynamicsSpec(f0=floats_only(CONST.f0), f1=floats_only(CONST.f1))
+    assert check_status_quo_bias(holds, resolution=64).holds  # samples every row
+    dyn.validate_declared(resolution=64)
+    for mode in ("CT", "DT"):
+        find_equilibria(dyn, mode=mode, cells=512)
+    for mode in ("UN", "AA"):
+        export_field(dyn, mode, U, resolution=5)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -223,8 +224,37 @@ def test_validate_declared_lipschitz():
     lying = DynamicsSpec(
         f0=lambda b0, b1: 0.9 * b0, f1=lambda b0, b1: 0.5, declared_l0=0.1, declared_l1=0.0
     )
-    with pytest.raises(ValueError):
-        lying.validate_declared()
+    # estimate_contraction checks the same grid before it reports a bound
+    named = "f0 of dynamics 'custom': sampled slope 0.9 exceeds declared Lipschitz constant 0.1"
+    for check in (lying.validate_declared, lambda: estimate_contraction(lying, resolution=64)):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            check()
+    only_l1 = DynamicsSpec(f0=lambda b0, b1: 0.2, f1=lambda b0, b1: 0.5 + 0.3 * b1, declared_l1=0.2)
+    with pytest.raises(ValueError, match="f1 of dynamics 'custom': sampled slope 0.3 exceeds"):
+        estimate_contraction(only_l1, resolution=64)
+
+
+def test_nan_from_callback_dynamics_is_rejected():
+    from fairdyn import DynamicsSpec, StereotypeSpec, stereotype_trajectory, un_map
+
+    nan_above = DynamicsSpec(
+        f0=lambda b0, b1: 0.2, f1=lambda b0, b1: math.nan if b1 > 0.5 else 0.8, name="nan"
+    )
+    point = re.escape("f1 of dynamics 'nan' is NaN at (b0, b1) = (0.0, 0.75)")
+    with pytest.raises(ValueError, match=point):
+        nan_above.sample(0.0, np.array([0.25, 0.75]))
+    with pytest.raises(ValueError, match=point):
+        ct_gradient(0.75, 0.5, 0.5, "UN", U, nan_above)
+    with pytest.raises(ValueError, match=point):
+        un_map(nan_above)(0.75)
+    # the trajectory engines name the time of the first NaN state
+    state = PopulationState.of(0.9, 0.7, 0.5)
+    with pytest.raises(ValueError, match=r"NaN state .* near t=0\.01"):
+        ct_integrate(state, "UN", U, nan_above, t_end=1.0, h=0.01)
+    with pytest.raises(ValueError, match=r"NaN state .* at step 1"):
+        dt_trajectory(state, "UN", U, nan_above, 5)
+    with pytest.raises(ValueError, match=r"NaN state .* at step 1"):
+        stereotype_trajectory(state, "UN", U, nan_above, StereotypeSpec(0.0, 0.0), 5)
 
 
 def test_parse_dynamics_produces_working_spec():

@@ -285,7 +285,7 @@ def test_determinism_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_compare_subcommand_theorem1_ordering(tmp_path):
+def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):
     path = tmp_path / "demo.scn"
     path.write_text(DEMO)
     assert main(["compare", str(path), "--out", str(tmp_path)]) == 0
@@ -293,6 +293,18 @@ def test_compare_subcommand_theorem1_ordering(tmp_path):
     utilities = {r.split(",")[0]: float(r.split(",")[1]) for r in rows}
     assert set(utilities) == {"UN", "AA1", "AA2"}
     assert utilities["UN"] >= utilities["AA1"] - 1e-9
+    # the three modes share one built dynamics: two expressions are compiled
+    # when the scenario is validated and two more for the runs
+    from fairdyn import dynamics
+
+    compiled = []
+    compile_expression = dynamics.compile_expression
+    monkeypatch.setattr(
+        dynamics, "compile_expression", lambda src: compiled.append(src) or compile_expression(src)
+    )
+    path.write_text(DEMO.replace(CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8"))
+    assert main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    assert len(compiled) == 4
 
 
 def test_analyze_subcommand(tmp_path):
@@ -389,6 +401,11 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["compare", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, "builtin = affine\nc0 = nan"))
     assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+    # declared constants below the sampled slopes are not reported as bounds
+    capsys.readouterr()
+    bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, "f0 = 0.2+0.9*b0\nf1 = 0.8\nl0 = 0.0001"))
+    assert main(["analyze", str(bad), "--out", str(tmp_path)]) == 2
+    assert "f0 of dynamics 'demo-expr': sampled slope 0.9 exceeds" in capsys.readouterr().err
     # expressions that fail to evaluate name the expression and the point
     capsys.readouterr()
     for cmd, f0 in (("simulate", "0.1 + (b0-0.5)^0.5"), ("analyze", "1/b0")):
