@@ -52,10 +52,21 @@ def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> Contractio
     monotone in resolution. A declared Lipschitz constant replaces its
     sampled slope once dyn.check_declared has passed it (ValueError if not).
     """
+    return _contraction(dyn, resolution, *_sample_grid(dyn, resolution))
+
+
+def _sample_grid(dyn: DynamicsSpec, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid_axis(resolution) axis xs and the clamped maps sampled at
+    (xs[i], xs[j]), indexed [i, j]."""
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
     xs = grid_axis(resolution)
-    f0, f1 = dyn.sample(xs[:, None], xs)
+    return (xs, *dyn.sample(xs[:, None], xs))
+
+
+def _contraction(
+    dyn: DynamicsSpec, resolution: int, xs: np.ndarray, f0: np.ndarray, f1: np.ndarray
+) -> ContractionReport:
     l0, l1 = max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1])
     dyn.check_declared(l0, l1)
     l0 = l0 if dyn.declared_l0 is None else float(dyn.declared_l0)
@@ -105,12 +116,43 @@ def check_status_quo_bias(dyn: DynamicsSpec, resolution: int = 256) -> StatusQuo
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
     xs = grid_axis(resolution)
-    for x in xs.tolist():  # row by row, so a counterexample stops early
-        f0, f1 = dyn.sample(x, xs)
-        bad = np.flatnonzero(f1 < f0 - 1e-12)
-        if bad.size:
-            return StatusQuoReport(holds=False, counterexample=(x, float(xs[bad[0]])))
+    step = max(1, 4096 // xs.size)  # rows per array evaluation
+    for r in range(0, xs.size, step):
+        rows = xs[r : r + step]
+        maps = dyn.array_sample(np.repeat(rows, xs.size), np.tile(xs, rows.size))
+        if maps is not None:
+            parts = [(rows, maps)]
+        else:  # row by row, so no row after a counterexample is evaluated
+            parts = (([x], dyn.sample(x, xs)) for x in rows.tolist())
+        for part_rows, (f0, f1) in parts:
+            report = _status_quo(part_rows, xs, f0, f1)
+            if not report.holds:
+                return report
     return StatusQuoReport(holds=True, counterexample=None)
+
+
+def _status_quo(rows, xs: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> StatusQuoReport:
+    """Check f1 >= f0 - 1e-12 on maps sampled at (rows[i], xs[j]); the
+    counterexample is the first failing point in row-major order."""
+    bad = np.flatnonzero(f1 < f0 - 1e-12)
+    if not bad.size:
+        return StatusQuoReport(holds=True, counterexample=None)
+    i, j = divmod(int(bad[0]), xs.size)
+    return StatusQuoReport(holds=False, counterexample=(float(rows[i]), float(xs[j])))
+
+
+def contraction_and_status_quo(
+    dyn: DynamicsSpec, resolution: int = 256
+) -> tuple[ContractionReport, StatusQuoReport]:
+    """estimate_contraction(dyn, resolution) and
+    check_status_quo_bias(dyn, min(resolution, 256)). Up to resolution 256
+    that is one grid, sampled once for both; the status-quo check then
+    reads every point, and the contraction has already raised any
+    evaluation error."""
+    if resolution > 256:
+        return estimate_contraction(dyn, resolution), check_status_quo_bias(dyn, 256)
+    xs, f0, f1 = _sample_grid(dyn, resolution)
+    return _contraction(dyn, resolution, xs, f0, f1), _status_quo(xs, xs, f0, f1)
 
 
 @dataclass(frozen=True)
@@ -161,6 +203,19 @@ def un_map(dyn: DynamicsSpec):
     return f
 
 
+def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray | None:
+    """un_map(dyn) at every point of the float array pis, evaluated as
+    arrays with the same bits; None when dyn.array_sample cannot vouch for
+    every point, and the points must go through un_map."""
+    maps = dyn.array_sample(np.zeros_like(pis), pis)
+    if maps is None:
+        return None
+    f0, f1 = maps
+    val = pis * f1 + (1.0 - pis) * f0
+    val = np.where(val > 0.0, val, 0.0)  # max(0.0, val)
+    return np.where(val < 1.0, val, 1.0)  # min(1.0, val)
+
+
 def _bisect(g, lo: float, hi: float, tol: float = 1e-12) -> float:
     glo = g(lo)
     for _ in range(200):
@@ -183,8 +238,10 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT", cells: int = 4096) -> E
         raise ValueError("mode must be 'DT' or 'CT'")
     f = un_map(dyn)
     g = lambda pi: f(pi) - pi
-    xs = grid_axis(cells).tolist()
-    gs = np.array([g(x) for x in xs])
+    xs = grid_axis(cells)
+    fs = _un_map_array(dyn, xs)
+    gs = np.array([g(x) for x in xs.tolist()]) if fs is None else fs - xs
+    xs = xs.tolist()
 
     flat = np.abs(gs) < 1e-12
     for i in np.flatnonzero(flat[:-1] & flat[1:]).tolist():
@@ -228,21 +285,31 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT", cells: int = 4096) -> E
 
     k_valid = interleaving_ok and len(attracting) > 0
     if k_valid:
-        probe = grid_axis(2048).tolist()
+        probe = grid_axis(2048)
+        # grid_axis(4096)[::2] == grid_axis(2048) exactly: both steps are powers of two
+        fp = fs[::2] if fs is not None and cells == 4096 else _un_map_array(dyn, probe)
         for i, eq in enumerate(attracting):
             lo_bound = dels[i] if i < len(dels) else 0.0
             hi_bound = dels[i + 1] if i + 1 < len(dels) else 1.0
-            for p in probe:
-                if lo_bound + 1e-6 < p < eq.position - 1e-6:
-                    fv = f(p)
-                    if not (fv > p) or (mode == "DT" and not (fv < eq.position)):
-                        k_valid = False
-                        break
-                elif eq.position + 1e-6 < p < hi_bound - 1e-6:
-                    fv = f(p)
-                    if not (fv < p) or (mode == "DT" and not (fv > eq.position)):
-                        k_valid = False
-                        break
+            if fp is not None:
+                left = (lo_bound + 1e-6 < probe) & (probe < eq.position - 1e-6)
+                right = (eq.position + 1e-6 < probe) & (probe < hi_bound - 1e-6)
+                ok = (~left | (fp > probe)) & (~right | (fp < probe))
+                if mode == "DT":
+                    ok &= (~left | (fp < eq.position)) & (~right | (fp > eq.position))
+                k_valid = bool(ok.all())
+            else:  # stops at the first failing point: no later point is evaluated
+                for p in probe.tolist():
+                    if lo_bound + 1e-6 < p < eq.position - 1e-6:
+                        fv = f(p)
+                        if not (fv > p) or (mode == "DT" and not (fv < eq.position)):
+                            k_valid = False
+                            break
+                    elif eq.position + 1e-6 < p < hi_bound - 1e-6:
+                        fv = f(p)
+                        if not (fv < p) or (mode == "DT" and not (fv > eq.position)):
+                            k_valid = False
+                            break
             if mode == "DT" and eq.rate >= 1.0:
                 k_valid = False
             if not k_valid:

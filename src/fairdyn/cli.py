@@ -4,8 +4,9 @@ Subcommands simulate, analyze, compare and field each read a scenario file
 and write one artifact (see scenario.write_output) into --out (default: the
 working directory); they take --strict and --resolution. verify runs the
 randomized self-check suites and takes --seed and --resolution. Exit codes:
-0 success, 2 invalid scenario, arguments or unreadable file, 3 warning
-escalated under --strict, 4 stereotype validity violation.
+0 success, 1 a verify self-check failed, 2 invalid scenario, arguments or
+unreadable file, 3 warning escalated under --strict, 4 stereotype validity
+violation.
 """
 
 from __future__ import annotations

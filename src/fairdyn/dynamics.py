@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .core import PopulationState, QualificationProfile, UtilitySpec, clamp01
 from .expr import compile_expression
-from .policy import CASE_TAGS, CASE_UN, MODE_CODES, policy_entries
+from .policy import CASE_TAGS, CASE_UN, MODE_CODES, policy_entries, policy_entries_array
 
 MERGE_TOL = 1e-10
 
@@ -39,6 +39,12 @@ class DynamicsSpec:
     f0 = a0 + c0*b0 + d0*b1 and f1 = a1 + c1*b0 + d1*b1; the trajectory
     kernels then evaluate the maps inline instead of calling back into
     Python.
+
+    array_maps, when set, is the array form (f0, f1) of the maps: each takes
+    two float arrays of one shape and returns the unclamped map at every
+    point, bit for bit the scalar map's wherever that is finite, or None when
+    it cannot vouch for every point (see array_sample). Expressions and the
+    affine and constant builtins have one; Python callbacks do not.
     """
 
     f0: Callable[[float, float], float]
@@ -47,6 +53,7 @@ class DynamicsSpec:
     declared_l0: float | None = None
     declared_l1: float | None = None
     affine: tuple[float, float, float, float, float, float] | None = None
+    array_maps: tuple[Callable, Callable] | None = None
 
     def f0_clamped(self, b0: float, b1: float) -> float:
         value = self.f0(b0, b1)
@@ -63,18 +70,45 @@ class DynamicsSpec:
             raise ValueError(f"{which} of dynamics {self.name!r} is NaN at (b0, b1) = {point!r}")
         return clamp01(value)
 
+    def array_sample(self, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The clamped maps (f0, f1) at every point of the float arrays b0,
+        b1 of one shape, evaluated as arrays with the bits f0_clamped and
+        f1_clamped give there. None when the spec has no array form, or
+        when some point has to go through the scalar maps: an evaluation
+        raised, a divisor was zero, a power was complex or a raw value is
+        not finite. The caller then evaluates those points one at a time,
+        which raises the per-point error (or, say, clamps an infinite affine
+        value)."""
+        if self.array_maps is None:
+            return None
+        with np.errstate(all="ignore"):
+            values = [fn(b0, b1) for fn in self.array_maps]
+            if any(v is None or not np.isfinite(v).all() for v in values):
+                return None
+            f0, f1 = map(_clamp01_array, values)
+        return f0, f1
+
     def sample(self, b0, b1) -> tuple[np.ndarray, np.ndarray]:
         """The clamped maps (f0, f1) at every point of the broadcast
-        coordinate arrays b0, b1; each map is called once per point, with
-        Python floats. Returns two arrays of the broadcast shape."""
+        coordinate arrays b0, b1. Returns two arrays of the broadcast shape.
+
+        The points go in chunks of 4096 through array_sample. A chunk it
+        cannot vouch for (and every chunk of a spec without an array form)
+        calls f0_clamped at each of its points, then f1_clamped at each,
+        with Python floats; so the first failing point in that order raises
+        its ValueError or ExpressionEvaluationError, naming the map and the
+        point."""
         b0, b1 = np.broadcast_arrays(b0, b1)
         x, y = b0.ravel(), b1.ravel()
         f0, f1 = np.empty(x.size), np.empty(x.size)
         chunk = 4096  # points held as Python floats at a time: bounds memory
         for s in range(0, x.size, chunk):
-            cx, cy = x[s : s + chunk].tolist(), y[s : s + chunk].tolist()
-            f0[s : s + chunk] = list(map(self.f0_clamped, cx, cy))
-            f1[s : s + chunk] = list(map(self.f1_clamped, cx, cy))
+            cx, cy = x[s : s + chunk], y[s : s + chunk]
+            values = self.array_sample(cx, cy)
+            if values is None:
+                cx, cy = cx.tolist(), cy.tolist()
+                values = list(map(self.f0_clamped, cx, cy)), list(map(self.f1_clamped, cx, cy))
+            f0[s : s + chunk], f1[s : s + chunk] = values
         return f0.reshape(b0.shape), f1.reshape(b0.shape)
 
     def check_declared(self, l0_sampled: float, l1_sampled: float) -> None:
@@ -98,6 +132,11 @@ class DynamicsSpec:
         xs = grid_axis(resolution)
         f0, f1 = self.sample(xs[:, None], xs)
         self.check_declared(max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1]))
+
+
+def _clamp01_array(values: np.ndarray) -> np.ndarray:
+    """clamp01 at every element, by the same comparisons (so -0.0 stays)."""
+    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
 
 
 def grid_axis(resolution: int) -> np.ndarray:
@@ -142,6 +181,8 @@ def affine_dynamics(
         declared_l0=max(abs(c0), abs(d0)),
         declared_l1=max(abs(c1), abs(d1)),
         affine=(a0, c0, d0, a1, c1, d1),
+        # The same closures on float arrays do the same IEEE operations.
+        array_maps=(f0, f1),
     )
 
 
@@ -195,12 +236,14 @@ def parse_dynamics(
     declared_l1: float | None = None,
 ) -> DynamicsSpec:
     """Build a DynamicsSpec from two expression sources over b0, b1."""
+    f0, f1 = compile_expression(expr_f0), compile_expression(expr_f1)
     return DynamicsSpec(
-        f0=compile_expression(expr_f0),
-        f1=compile_expression(expr_f1),
+        f0=f0,
+        f1=f1,
         name=name,
         declared_l0=declared_l0,
         declared_l1=declared_l1,
+        array_maps=(f0.array, f1.array),
     )
 
 
@@ -502,6 +545,22 @@ def ct_gradient(
     da = pa * (dyn.f1_clamped(b0a, b1a) - 1.0) + (1.0 - pa) * dyn.f0_clamped(b0a, b1a)
     db = pb * (dyn.f1_clamped(b0b, b1b) - 1.0) + (1.0 - pb) * dyn.f0_clamped(b0b, b1b)
     return da, db
+
+
+def ct_field(
+    pa: np.ndarray, pb: np.ndarray, g_a: float, mode: str, u: UtilitySpec, dyn: DynamicsSpec
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """ct_gradient at every point of the 1-D float arrays pa, pb, evaluated
+    as arrays with the same bits; None when dyn.array_sample cannot vouch
+    for every point, and the points must go through ct_gradient."""
+    pa, pb = _clamp01_array(pa), _clamp01_array(pb)
+    t1a, t0a, t1b, t0b = policy_entries_array(MODE_CODES[mode], pa, pb, g_a, u.u0, u.u1)
+    maps_a = dyn.array_sample(t0a * (1.0 - pa), t1a * pa)
+    maps_b = dyn.array_sample(t0b * (1.0 - pb), t1b * pb)
+    if maps_a is None or maps_b is None:
+        return None
+    (f0a, f1a), (f0b, f1b) = maps_a, maps_b
+    return pa * (f1a - 1.0) + (1.0 - pa) * f0a, pb * (f1b - 1.0) + (1.0 - pb) * f0b
 
 
 @dataclass(frozen=True)

@@ -11,20 +11,35 @@ Grammar (over the selection rates b0 and b1):
 Numbers are decimal or scientific literals. Available functions:
 sin, cos, exp, abs (1 argument), min, max (2 arguments).
 
-Each parser rule returns the Python source of its subtree; compile_expression
-makes one function of the whole. The grammar's precedence and associativity
-are Python's own (unary minus binds looser than '^', which is right
-associative and takes a negated exponent), so the function does the tree's
-IEEE operations in the tree's order, bit-reproducible on a given platform.
-An arithmetic error or a NaN, infinite or complex result raises
-ExpressionEvaluationError naming the expression and the (b0, b1) point.
+Each parser rule returns two Python sources of its subtree, a scalar one and
+an array one; compile_expression makes one function of each whole. The
+grammar's precedence and associativity are Python's own (unary minus binds
+looser than '^', which is right associative and takes a negated exponent), so
+the scalar function does the tree's IEEE operations in the tree's order,
+bit-reproducible on a given platform. An arithmetic error or a NaN, infinite
+or complex result raises ExpressionEvaluationError naming the expression and
+the (b0, b1) point.
+
+The array function does the same IEEE operations on numpy float arrays:
+`+ - * /`, unary minus and abs as numpy operations, min and max as the
+np.where selections that Python's min and max make (NaN and -0.0 included),
+and sin, cos, exp and '^' element by element through math and operator.pow
+on Python floats, since numpy's own transcendental functions and np.power
+round differently. Where the scalar function could raise at some point (a
+zero divisor, an element-wise call that raises, a complex power) the array
+function returns None instead, and a non-finite value it returns marks a
+point where the scalar function raises.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from typing import Callable
+
+import numpy as np
 
 
 class ExpressionError(ValueError):
@@ -63,13 +78,14 @@ class ExpressionEvaluationError(ExpressionError):
         self.position = None
 
 
-_FUNCTIONS: dict[str, tuple[int, Callable[..., float]]] = {
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
-    "exp": (1, math.exp),
-    "abs": (1, abs),
-    "min": (2, min),
-    "max": (2, max),
+# name -> (arity, scalar implementation, array code template)
+_FUNCTIONS: dict[str, tuple[int, Callable[..., float], str]] = {
+    "sin": (1, math.sin, "_map(sin, {})"),
+    "cos": (1, math.cos, "_map(cos, {})"),
+    "exp": (1, math.exp, "_map(exp, {})"),
+    "abs": (1, abs, "abs({})"),
+    "min": (2, min, "_min({}, {})"),
+    "max": (2, max, "_max({}, {})"),
 }
 
 _TOKEN_RE = re.compile(
@@ -119,49 +135,59 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExpressionSyntaxError(f"expected {op!r}, found {value or 'end'!r}", pos)
 
-    def parse(self) -> str:
+    # Each rule returns (scalar code, array code) of its subtree.
+
+    def parse(self) -> tuple[str, str]:
         code = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing {value!r}", pos)
         return code
 
-    def expr(self) -> str:
+    def expr(self) -> tuple[str, str]:
         return self.chain(self.term, "+-")
 
-    def term(self) -> str:
+    def term(self) -> tuple[str, str]:
         return self.chain(self.factor, "*/")
 
-    def chain(self, operand: Callable[[], str], ops: str) -> str:
+    def chain(self, operand: Callable[[], tuple[str, str]], ops: str) -> tuple[str, str]:
         """Left-associative operand (op operand)*."""
-        code = operand()
+        code, array = operand()
         while True:
             kind, value, _ = self.peek()
             if kind != "op" or value not in ops:
-                return code
+                return code, array
             self.next()
-            code = f"{code} {value} {operand()}"
+            rhs, rhs_array = operand()
+            code = f"{code} {value} {rhs}"
+            if value == "/":
+                array = f"_div({array}, {rhs_array})"
+            else:
+                array = f"{array} {value} {rhs_array}"
 
-    def factor(self) -> str:
+    def factor(self) -> tuple[str, str]:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return "-" + self.factor()
+            code, array = self.factor()
+            return "-" + code, "-" + array
         return self.power()
 
-    def power(self) -> str:
-        base = self.atom()
+    def power(self) -> tuple[str, str]:
+        base, base_array = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.next()
-            return f"{base} ** {self.factor()}"
-        return base
+            exponent, exponent_array = self.factor()
+            return f"{base} ** {exponent}", f"_pow({base_array}, {exponent_array})"
+        return base, base_array
 
-    def atom(self) -> str:
+    def atom(self) -> tuple[str, str]:
         kind, value, pos = self.next()
         if kind == "num":
             const = float(value)  # never NaN; a literal that overflows is inf
-            return repr(const) if math.isfinite(const) else "1e999"
+            code = repr(const) if math.isfinite(const) else "1e999"
+            return code, code
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "op" and nxt_value == "(":
@@ -182,21 +208,24 @@ class _Parser:
                     raise ArityError(
                         f"{value} takes {arity} argument(s), got {len(args)}", pos
                     )
-                return f"{value}({', '.join(args)})"
+                codes, arrays = zip(*args)
+                return f"{value}({', '.join(codes)})", _FUNCTIONS[value][2].format(*arrays)
             if value in ("b0", "b1"):
-                return value
+                return value, value
             raise UnknownIdentifierError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            code = self.expr()
+            code, array = self.expr()
             self.expect_op(")")
-            return f"({code})"
+            return f"({code})", f"({array})"
         raise ExpressionSyntaxError(f"unexpected {value or 'end'!r}", pos)
 
 
-# The whole expression becomes one function. The chained comparison is False
-# for NaN and +-inf and raises TypeError for a Python complex value. Only '**'
-# turns real operands complex, and numpy's complex128 compares without raising,
-# so code with '**' also checks the type.
+# The whole expression becomes one scalar and one array function. In the
+# scalar one, the chained comparison is False for NaN and +-inf and raises
+# TypeError for a Python complex value. Only '**' turns real operands complex,
+# and numpy's complex128 compares without raising, so code with '**' also
+# checks the type. In the array one a subtree is a Python float when it has
+# no b0 or b1 in it, else a float array of the points' shape.
 _TEMPLATE = """\
 def compiled(b0, b1):
     try:
@@ -207,26 +236,108 @@ def compiled(b0, b1):
         v = exc
     _fail(b0, b1, v)
 """
+_ARRAY_TEMPLATE = """\
+def compiled_array(b0, b1):
+    try:
+        v = {array}
+    except _EVAL_ERRORS:
+        return None
+    return v if _isinstance(v, _ndarray) else _full(b0.shape, v)
+"""
 _EVAL_ERRORS = (ArithmeticError, TypeError, ValueError)
+
+
+def _is_array(value) -> bool:
+    return isinstance(value, np.ndarray)
+
+
+def _map(fn: Callable[..., float], *args):
+    """fn element by element over the array arguments (a float argument is
+    the same at every point), on Python floats."""
+    if not any(map(_is_array, args)):
+        return fn(*args)
+    columns = [a.tolist() if _is_array(a) else itertools.repeat(a) for a in args]
+    return np.array(list(map(fn, *columns)))
+
+
+def _pow(base, exponent):
+    value = _map(operator.pow, base, exponent)
+    if np.iscomplexobj(value):  # a negative base to a fractional power
+        raise TypeError("complex value")
+    return value
+
+
+def _div(a, b):
+    if np.any(b == 0.0):  # Python raises where numpy returns inf or NaN
+        raise ZeroDivisionError("division by zero")
+    return a / b
+
+
+def _min(a, b):
+    """Python's min(a, b): a unless b < a."""
+    return np.where(b < a, b, a) if _is_array(a) or _is_array(b) else min(a, b)
+
+
+def _max(a, b):
+    """Python's max(a, b): a unless b > a."""
+    return np.where(b > a, b, a) if _is_array(a) or _is_array(b) else max(a, b)
+
+
+_ARRAY_NAMES = {
+    "_map": _map, "_pow": _pow, "_div": _div, "_min": _min, "_max": _max,
+    "_ndarray": np.ndarray, "_full": np.full,
+}
+
+
+def _no_array_form(b0, b1) -> None:
+    return None
 
 
 def compile_expression(source: str) -> Callable[[float, float], float]:
     """Compile a dynamics expression into a pure (b0, b1) -> float map that
     raises ExpressionEvaluationError instead of returning a NaN, infinite or
-    complex value."""
+    complex value.
+
+    The map's `array` attribute is the expression's array form, compiled
+    from the same parse: array(b0, b1) takes two float arrays of one shape
+    and returns the unchecked values at every point, bit for bit the scalar
+    map's wherever that returns, or None when the scalar map might raise at
+    some point. Evaluate it under np.errstate(all="ignore"); a non-finite
+    value marks a point where the scalar map raises."""
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)
 
     # eval is safe here: the code is built only from validated tokens (float
     # literals, b0, b1, the names in _FUNCTIONS, operators and parentheses)
     # and runs without builtins, seeing only the names below.
-    namespace = {name: impl for name, (_, impl) in _FUNCTIONS.items()}
+    namespace = {name: impl for name, (_, impl, _) in _FUNCTIONS.items()}
     namespace.update(__builtins__={}, _EVAL_ERRORS=_EVAL_ERRORS, _fail=fail)
-    namespace.update(_isinstance=isinstance, _complex=complex)
+    namespace.update(_isinstance=isinstance, _complex=complex, **_ARRAY_NAMES)
     try:
-        code = _Parser(source).parse()
+        code, array = _Parser(source).parse()
         real = " and not _isinstance(v, _complex)" if "**" in code else ""
         eval(compile(_TEMPLATE.format(code=code, real=real), "<expression>", "exec"), namespace)
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
-    return namespace["compiled"]
+    compiled = namespace["compiled"]
+    compiled.array = _array_form(array, namespace)
+    return compiled
+
+
+def _array_form(array: str, namespace: dict) -> Callable:
+    """The array function of the code `array`, compiled at its first call:
+    the trajectory engines never call it, and compiling costs as much as
+    the scalar function did."""
+
+    def array_form(b0, b1):
+        fn = namespace.get("compiled_array")
+        if fn is None:
+            code = _ARRAY_TEMPLATE.format(array=array)
+            try:
+                eval(compile(code, "<expression>", "exec"), namespace)
+            except (RecursionError, MemoryError, SyntaxError):  # '/' and '^' chains nest deeper
+                namespace["compiled_array"] = _no_array_form
+            fn = namespace["compiled_array"]
+        return fn(b0, b1)
+
+    return array_form

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .core import Policy, PopulationState, UtilitySpec, utility
 
 # Mode / case codes shared with the trajectory kernel.
@@ -119,6 +121,33 @@ def policy_entries(
     if adv_is_a:
         return (t1_adv, t0_adv, t1_dis, t0_dis, case)
     return (t1_dis, t0_dis, t1_adv, t0_adv, case)
+
+
+def policy_entries_array(
+    mode: int, pa: np.ndarray, pb: np.ndarray, ga: float, u0: float, u1: float
+) -> tuple:
+    """policy_entries at every point of the float arrays pa, pb, as
+    (tau1_a, tau0_a, tau1_b, tau0_b) with the same bits and no case codes:
+    the same operations, each branch chosen per point by np.where."""
+    if mode == MODE_UN:
+        return _UN_ENTRIES[:4]
+    adv_is_a = pa >= pb
+    if mode == MODE_AA:
+        g_adv = np.where(adv_is_a, ga, 1.0 - ga)
+        aa1 = g_adv * u1 + (1.0 - g_adv) * u0 < 0.0
+    else:
+        aa1 = mode == MODE_AA1
+    pi_adv = np.where(adv_is_a, pa, pb)
+    pi_dis = np.where(adv_is_a, pb, pa)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 limits are masked
+        t1_adv = np.where(aa1, np.where(pi_adv > 0.0, pi_dis / pi_adv, 1.0), 1.0)
+        t0_dis = np.where(aa1, 0.0, np.where(pi_dis < 1.0, (pi_adv - pi_dis) / (1.0 - pi_dis), 0.0))
+    return (
+        np.where(adv_is_a, t1_adv, 1.0),
+        np.where(adv_is_a, 0.0, t0_dis),
+        np.where(adv_is_a, 1.0, t1_adv),
+        np.where(adv_is_a, t0_dis, 0.0),
+    )
 
 
 def aa_policy(state: PopulationState, u: UtilitySpec) -> PolicySolution:

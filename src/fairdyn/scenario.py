@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    check_status_quo_bias,
-    estimate_contraction,
+    contraction_and_status_quo,
     find_equilibria,
     prop3_case_persistence,
     theorem2_verdict,
@@ -26,6 +25,7 @@ from .dynamics import (
     BUILTIN_PARAMS,
     DynamicsSpec,
     TrajectoryRecord,
+    ct_field,
     ct_gradient,
     ct_integrate,
     ct_steps,
@@ -336,10 +336,21 @@ def export_field(
     g_a: float = 0.5,
 ) -> list[tuple[float, float, float, float, float, float]]:
     """CT gradient grid over (piB, piA), plus the difference against UN for
-    the constrained modes (zero for UN itself)."""
+    the constrained modes (zero for UN itself). The grid is evaluated as
+    arrays by dynamics.ct_field when it can vouch for every point, else
+    point by point through ct_gradient, with the same bits either way."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    grid = np.linspace(0.0, 1.0, resolution).tolist()
+    axis = np.linspace(0.0, 1.0, resolution)
+    pa, pb = np.tile(axis, resolution), np.repeat(axis, resolution)
+    field = ct_field(pa, pb, g_a, mode, u, dyn)
+    un = field if mode == "UN" or field is None else ct_field(pa, pb, g_a, "UN", u, dyn)
+    if un is not None:
+        (da, db), (ua, ub) = field, un
+        diffs = [np.zeros(pa.size)] * 2 if mode == "UN" else [da - ua, db - ub]
+        return list(zip(*(c.tolist() for c in [pb, pa, da, db, *diffs])))
+    # one point at a time: the first point that fails raises its error
+    grid = axis.tolist()
     rows = []
     for pb in grid:
         for pa in grid:
@@ -363,8 +374,7 @@ def write_field_csv(rows, path: str | Path) -> None:
 def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int = 256) -> None:
     dyn = scenario.make_dynamics()
     u = scenario.utility_spec()
-    report = estimate_contraction(dyn, resolution=resolution)
-    sq = check_status_quo_bias(dyn, resolution=min(resolution, 256))
+    report, sq = contraction_and_status_quo(dyn, resolution)
     atlas = find_equilibria(dyn, mode=scenario.time_mode)
     persistence = prop3_case_persistence(scenario.g_a, u)
 

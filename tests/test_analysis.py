@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from fairdyn import (
     ContractionReport,
     DynamicsSpec,
+    ExpressionEvaluationError,
     PopulationState,
     UtilitySpec,
     affine_dynamics,
     appendix_c_dynamics,
     check_status_quo_bias,
     constant_dynamics,
+    ct_gradient,
     ct_integrate,
     delta_bounds,
     dt_trajectory,
@@ -24,7 +28,8 @@ from fairdyn import (
     theorem4_limits,
     un_map,
 )
-from fairdyn.dynamics import max_grid_slope
+from fairdyn.analysis import ROOT_RESIDUAL_TOL, Equilibrium, EquilibriumAtlas, _bisect
+from fairdyn.dynamics import grid_axis, max_grid_slope
 from conftest import random_contractive_affine
 
 CONST = constant_dynamics(0.2, 0.8)
@@ -319,6 +324,102 @@ def _loop_status_quo(dyn, resolution):
     return None
 
 
+def _loop_equilibria(dyn, mode, cells=4096):
+    """find_equilibria with its scan and basin probe as per-point loops over
+    un_map: the reference."""
+    f = un_map(dyn)
+    g = lambda pi: f(pi) - pi
+    xs = grid_axis(cells).tolist()
+    gs = np.array([g(x) for x in xs])
+
+    flat = np.abs(gs) < 1e-12
+    for i in np.flatnonzero(flat[:-1] & flat[1:]).tolist():
+        if abs(g(0.5 * (xs[i] + xs[i + 1]))) < 1e-12:
+            return EquilibriumAtlas(
+                mode=mode, attracting=[], unstable=[], k_valid=False,
+                degenerate=True, interleaving_ok=False,
+            )
+
+    roots = [xs[i] for i in np.flatnonzero(np.abs(gs) <= ROOT_RESIDUAL_TOL).tolist()]
+    for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0).tolist():
+        roots.append(_bisect(g, xs[i], xs[i + 1]))
+    roots.sort()
+    deduped = []
+    for r in roots:
+        if not deduped or r - deduped[-1] > 1e-9:
+            deduped.append(r)
+
+    def slope(p):
+        lo, hi = max(0.0, p - 1e-7), min(1.0, p + 1e-7)
+        return (f(hi) - f(lo)) / (hi - lo)
+
+    kinds = []
+    for r in deduped:
+        fp = slope(r)
+        kinds.append("a" if (fp < 1.0 if mode == "CT" else abs(fp) < 1.0) else "u")
+    interleaving_ok = "aa" not in "".join(kinds)
+    unstable = [r for r, kind in zip(deduped, kinds) if kind == "u"]
+
+    dels = [0.0] + [d for d in unstable if 0.0 < d < 1.0] + [1.0]
+    attracting = []
+    for r in [r for r, kind in zip(deduped, kinds) if kind == "a"]:
+        left = max(d for d in dels if d <= r + 1e-15)
+        right = min(d for d in dels if d >= r - 1e-15)
+        radius = max(min(0.05, 0.5 * max(r - left, 1e-6), 0.5 * max(right - r, 1e-6)), 1e-6)
+        pts = np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()
+        attracting.append(Equilibrium(position=r, rate=max(map(slope, pts)), radius=radius))
+
+    k_valid = interleaving_ok and len(attracting) > 0
+    if k_valid:
+        probe = grid_axis(2048).tolist()
+        for i, eq in enumerate(attracting):
+            lo_bound = dels[i] if i < len(dels) else 0.0
+            hi_bound = dels[i + 1] if i + 1 < len(dels) else 1.0
+            for p in probe:
+                if lo_bound + 1e-6 < p < eq.position - 1e-6:
+                    fv = f(p)
+                    if not (fv > p) or (mode == "DT" and not (fv < eq.position)):
+                        k_valid = False
+                        break
+                elif eq.position + 1e-6 < p < hi_bound - 1e-6:
+                    fv = f(p)
+                    if not (fv < p) or (mode == "DT" and not (fv > eq.position)):
+                        k_valid = False
+                        break
+            if mode == "DT" and eq.rate >= 1.0:
+                k_valid = False
+            if not k_valid:
+                break
+    return EquilibriumAtlas(
+        mode=mode, attracting=attracting, unstable=unstable, k_valid=k_valid,
+        degenerate=False, interleaving_ok=interleaving_ok,
+    )
+
+
+def _loop_field(dyn, mode, u, resolution, g_a):
+    """export_field as a per-point loop over ct_gradient: the reference."""
+    grid = np.linspace(0.0, 1.0, resolution).tolist()
+    rows = []
+    for pb in grid:
+        for pa in grid:
+            da, db = ct_gradient(pa, pb, g_a, mode, u, dyn)
+            if mode == "UN":
+                diff_a = diff_b = 0.0
+            else:
+                ua, ub = ct_gradient(pa, pb, g_a, "UN", u, dyn)
+                diff_a, diff_b = da - ua, db - ub
+            rows.append((pb, pa, da, db, diff_a, diff_b))
+    return rows
+
+
+def _outcome(fn):
+    """repr of fn's result, or its exception's type and message."""
+    try:
+        return repr(fn())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 REFERENCE_DYNAMICS = [
     appendix_c_dynamics(),
     affine_dynamics(0.1, 0.7, -0.4, 0.5, 0.3, 0.9),  # clamps at both ends
@@ -329,6 +430,8 @@ REFERENCE_DYNAMICS = [
     ),
     parse_dynamics("0.3 + 0.2*sin(7*b0)*b1^1.5", "max(0.25, 0.9*b0^0.5) - 0.1*cos(3*b1)"),
 ]
+# Both maps fail on the line b1 = 0.5.
+BOTH_FAIL = parse_dynamics("1/(b1 - 0.5)", "2/(b1 - 0.5)", name="both-fail")
 
 
 @pytest.mark.parametrize("resolution", [64, 100])  # 100: not a power of two
@@ -342,6 +445,38 @@ def test_grid_analyses_match_scalar_loops(dyn, resolution):
     report = check_status_quo_bias(dyn, resolution)
     assert report.counterexample == _loop_status_quo(dyn, resolution)
     assert report.holds == (report.counterexample is None)
+    if resolution == 64:  # neither depends on the resolution
+        for mode in ("CT", "DT"):
+            assert find_equilibria(dyn, mode=mode) == _loop_equilibria(dyn, mode)
+        for mode in ("UN", "AA", "AA1", "AA2"):
+            rows = export_field(dyn, mode, U, resolution=9, g_a=0.3)
+            assert repr(rows) == repr(_loop_field(dyn, mode, U, 9, 0.3))
+
+
+def test_failing_point_names_the_map_the_scalar_loops_name():
+    """At a point where both maps fail, sample (and so the contraction, the
+    status-quo check and validate_declared) names f0, which it evaluates
+    first over a chunk; un_map and ct_gradient evaluate f1 first, so
+    find_equilibria and export_field name f1."""
+    f0_error = "expression '1/(b1 - 0.5)' at (b0, b1) = (0.0, 0.5): ZeroDivisionError"
+    f1_error = f0_error.replace("1/", "2/")
+    for analysis in (
+        lambda: estimate_contraction(BOTH_FAIL, 64),
+        lambda: check_status_quo_bias(BOTH_FAIL, 64),
+        lambda: DynamicsSpec.validate_declared(
+            dataclasses.replace(BOTH_FAIL, declared_l0=1.0), resolution=64
+        ),
+    ):
+        with pytest.raises(ExpressionEvaluationError, match=re.escape(f0_error)):
+            analysis()
+    for mode in ("CT", "DT"):
+        outcome = _outcome(lambda: find_equilibria(BOTH_FAIL, mode=mode))
+        assert outcome == _outcome(lambda: _loop_equilibria(BOTH_FAIL, mode))
+        assert outcome[1].startswith(f1_error)
+    for mode in ("UN", "AA", "AA1", "AA2"):
+        outcome = _outcome(lambda: export_field(BOTH_FAIL, mode, U, resolution=9, g_a=0.3))
+        assert outcome == _outcome(lambda: _loop_field(BOTH_FAIL, mode, U, 9, 0.3))
+        assert outcome[1].startswith("expression '2/(b1 - 0.5)'")
 
 
 def test_maps_are_called_with_python_floats():

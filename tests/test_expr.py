@@ -3,7 +3,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairdyn import (
     ArityError,
@@ -13,6 +13,7 @@ from fairdyn import (
     UnknownIdentifierError,
     appendix_c_dynamics,
     compile_expression,
+    parse_dynamics,
 )
 
 APPENDIX_F1 = "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
@@ -252,3 +253,45 @@ def test_compiled_matches_tree_fold(tree, points):
     with np.errstate(all="ignore"):
         for b0, b1 in points:
             assert _compiled_outcome(compiled, b0, b1) == _native_outcome(native, b0, b1), source
+
+
+def _scalar_outcome(fn, b0, b1):
+    try:
+        return repr(fn(b0, b1))
+    except ExpressionEvaluationError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _TREES.map(lambda tree: tree[0]),
+    st.lists(st.tuples(_RATE, _RATE), min_size=1, max_size=12),
+)
+@example("min(1/b0, 2)", [(0.5, 0.0), (0.0, 0.25)])
+@example("max(2, (1e999-1e999)/b0)", [(0.5, 0.0), (0.0, 0.25)])
+@example("(b0-0.5)^0.5", [(1.0, 0.0), (0.25, 0.5)])
+@example("exp(800*b1)", [(0.0, 0.5), (0.0, 1.0)])
+@example("sin(1e999*b0)", [(0.0, 0.5), (0.5, 0.5)])
+@example("min(b0, -b1)", [(0.0, 0.0)])  # Python's min keeps 0.0, np.minimum gives -0.0
+@example("max(-b0, b1)", [(0.0, 0.0)])
+def test_array_form_matches_scalar(source, points):
+    """Where the array form gives finite values they are the scalar
+    function's bits; where the scalar function raises, sample raises the
+    same error as the point-by-point evaluation."""
+    compiled = compile_expression(source)
+    b0, b1 = (np.array(axis) for axis in zip(*points))
+    outcomes = [_scalar_outcome(compiled, x, y) for x, y in points]
+    with np.errstate(all="ignore"):
+        values = compiled.array(b0, b1)
+    if values is not None and np.isfinite(values).all():
+        assert [repr(v) for v in values.tolist()] == outcomes, source
+
+    dyn = parse_dynamics(source, "0.5")
+    errors = [o for o in outcomes if isinstance(o, ExpressionEvaluationError)]
+    if errors:
+        with pytest.raises(ExpressionEvaluationError) as exc:
+            dyn.sample(b0, b1)
+        assert str(exc.value) == str(errors[0])
+    else:
+        f0, _ = dyn.sample(b0, b1)
+        assert [repr(v) for v in f0.tolist()] == [repr(dyn.f0_clamped(x, y)) for x, y in points]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -32,6 +34,10 @@ u0 = -1
 u1 = 1
 """
 CONSTANT_DYNAMICS = "builtin = constant\nf0 = 0.2\nf1 = 0.8"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# sha256 of every output below, recorded before the grid analyses gained
+# their array form; regenerate only for a change meant to alter the bytes.
+SHIPPED_DIGESTS = Path(__file__).with_name("shipped_digests.json")
 
 
 def test_round_trip_is_identity():
@@ -283,6 +289,27 @@ def test_determinism_byte_identical(tmp_path):
     assert (out1 / "demo_trajectory.csv").read_bytes() == (
         out2 / "demo_trajectory.csv"
     ).read_bytes()
+
+
+def shipped_output_digests(out: Path) -> dict[str, str]:
+    """sha256 of the simulate, compare, field and analyze outputs of every
+    shipped scenario, written into out with default arguments."""
+    digests = {}
+    for cmd, suffix in (
+        ("simulate", "trajectory.csv"),
+        ("compare", "compare.csv"),
+        ("field", "field.csv"),
+        ("analyze", "analysis.txt"),
+    ):
+        for scenario in sorted(SCENARIOS.glob("*.scn")):
+            assert main([cmd, str(scenario), "--out", str(out)]) == 0
+            data = (out / f"{scenario.stem}_{suffix}").read_bytes()
+            digests[f"{cmd}/{scenario.stem}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_shipped_outputs_are_byte_identical(tmp_path):
+    assert shipped_output_digests(tmp_path) == json.loads(SHIPPED_DIGESTS.read_text())
 
 
 def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):
