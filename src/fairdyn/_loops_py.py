@@ -1,10 +1,31 @@
-"""The fixed-step RK4 trajectory kernel behind ct_integrate."""
+"""The fixed-step RK4 trajectory kernel behind ct_integrate.
+
+ct_loop runs a kernel generated from one template and compiled at its first
+use. The generator writes in the policy mode's closed form (policy.py's
+policy_source) and each map's form: an expression's scalar code, the affine
+tuple's three terms, or a call of the map. Numeric literals are kernel
+arguments, so expressions that differ only in their numbers share a kernel.
+"""
 
 from __future__ import annotations
 
-from .policy import policy_entries
+import functools
+
+from .expr import EVAL_ERRORS, SCALAR_FUNCTIONS
+from .policy import AA1_TESTS, MODE_AA, indent, policy_source
 
 BACKEND = "python"
+
+# A map's form: (code, merged code, number of literals, checked). Both codes
+# are str.format templates over {b0}, {b1} and {i}, the map's i-th literal;
+# the merged stages fill in 0.0 for b0. A checked map is an expression: a
+# stage where its code raises or gives a non-finite or complex value is run
+# again through the compiled maps, which raise the expression's own error.
+_AFFINE = ("{0} + {1} * {b0} + {2} * {b1}", "{0} + {2} * {b1}", 3, False)
+_CALLS = (
+    ("f0({b0}, {b1})", "f0({b0}, {b1})", 0, False),
+    ("f1({b0}, {b1})", "f1({b0}, {b1})", 0, False),
+)
 
 
 def ct_loop(
@@ -32,104 +53,61 @@ def ct_loop(
     derivatives fall below it in magnitude.
 
     affine, when not None, is (a0, c0, d0, a1, c1, d1) and replaces the f0/f1
-    calls with inline affine evaluation.
+    calls with inline affine evaluation. Otherwise maps compiled by
+    compile_expression are inlined when both are, and called otherwise, so
+    a Python callback's exceptions come in the order the maps are called.
 
     Returns (samples, clamp_count, merge_step, stop_step) where samples is a
     list of (step_index, pa, pb); merge_step and stop_step are -1 when the
     corresponding event did not occur.
     """
-    use_affine = affine is not None
-    if use_affine:
+    if affine is not None:
         a0, c0, d0, a1, c1, d1 = affine
+        forms, literals = (_AFFINE, _AFFINE), ((a0, c0, d0), (a1, c1, d1))
+    else:
+        codes = getattr(f0, "scalar_code", None), getattr(f1, "scalar_code", None)
+        if codes[0] is None or codes[1] is None:
+            forms, literals = _CALLS, ((), ())
+        else:
+            forms = tuple((code, code, len(values), True) for code, values in codes)
+            literals = tuple(values for _, values in codes)
+    kernel = _kernel(mode, *forms)
+    return kernel(
+        pa, pb, ga, u0, u1, f0, f1, *literals, h, n_steps, sample_every, merge_tol, stop_tol
+    )
 
+
+class _Refused(ArithmeticError):
+    """An inlined expression gave a non-finite or complex value: the stage
+    is run again through the compiled maps, which raise their own error."""
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel(mode, form0, form1):
+    """The kernel for a policy mode and the forms of f0 and f1, compiled on
+    first use; with the maps called instead when the inlined code is too
+    deeply nested for CPython's compiler."""
+    namespace = dict(SCALAR_FUNCTIONS, EVAL_ERRORS=EVAL_ERRORS, _Refused=_Refused)
+    namespace.update(_isinstance=isinstance, _complex=complex)
+    try:
+        exec(compile(_kernel_source(mode, form0, form1), "<ct_loop kernel>", "exec"), namespace)
+    except (RecursionError, MemoryError, SyntaxError):  # nesting limits
+        if (form0, form1) == _CALLS:
+            raise
+        return _kernel(mode, *_CALLS)
+    return namespace["kernel"]
+
+
+_TEMPLATE = """\
+def kernel(pa, pb, ga, u0, u1, f0, f1, literals0, literals1, h, n_steps, sample_every, merge_tol, stop_tol):
+{setup}
     clamp_count = 0
     merged = False
     merge_step = -1
     stop_step = -1
-
-    def deriv(xa, xb):
-        nonlocal clamp_count
-        if xa < 0.0:
-            xa = 0.0
-        elif xa > 1.0:
-            xa = 1.0
-        if xb < 0.0:
-            xb = 0.0
-        elif xb > 1.0:
-            xb = 1.0
-        t1a, t0a, t1b, t0b, _ = policy_entries(mode, xa, xb, ga, u0, u1)
-        b0a = t0a * (1.0 - xa)
-        b1a = t1a * xa
-        b0b = t0b * (1.0 - xb)
-        b1b = t1b * xb
-        if use_affine:
-            f1a = a1 + c1 * b0a + d1 * b1a
-            f0a = a0 + c0 * b0a + d0 * b1a
-            f1b = a1 + c1 * b0b + d1 * b1b
-            f0b = a0 + c0 * b0b + d0 * b1b
-        else:
-            f1a = f1(b0a, b1a)
-            f0a = f0(b0a, b1a)
-            f1b = f1(b0b, b1b)
-            f0b = f0(b0b, b1b)
-        if f1a < 0.0:
-            f1a = 0.0
-            clamp_count += 1
-        elif f1a > 1.0:
-            f1a = 1.0
-            clamp_count += 1
-        if f0a < 0.0:
-            f0a = 0.0
-            clamp_count += 1
-        elif f0a > 1.0:
-            f0a = 1.0
-            clamp_count += 1
-        if f1b < 0.0:
-            f1b = 0.0
-            clamp_count += 1
-        elif f1b > 1.0:
-            f1b = 1.0
-            clamp_count += 1
-        if f0b < 0.0:
-            f0b = 0.0
-            clamp_count += 1
-        elif f0b > 1.0:
-            f0b = 1.0
-            clamp_count += 1
-        da = xa * (f1a - 1.0) + (1.0 - xa) * f0a
-        db = xb * (f1b - 1.0) + (1.0 - xb) * f0b
-        return da, db
-
-    def deriv_merged(x):
-        nonlocal clamp_count
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
-        if use_affine:
-            f1v = a1 + d1 * x
-            f0v = a0 + d0 * x
-        else:
-            f1v = f1(0.0, x)
-            f0v = f0(0.0, x)
-        if f1v < 0.0:
-            f1v = 0.0
-            clamp_count += 1
-        elif f1v > 1.0:
-            f1v = 1.0
-            clamp_count += 1
-        if f0v < 0.0:
-            f0v = 0.0
-            clamp_count += 1
-        elif f0v > 1.0:
-            f0v = 1.0
-            clamp_count += 1
-        return x * (f1v - 1.0) + (1.0 - x) * f0v
-
     samples = [(0, pa, pb)]
     half = 0.5 * h
     sixth = h / 6.0
-
     step = 0
     while step < n_steps:
         if not merged and abs(pa - pb) < merge_tol:
@@ -139,13 +117,13 @@ def ct_loop(
             pa = pm
             pb = pm
         if merged:
-            k1 = deriv_merged(pa)
+{merged1}
             if stop_tol > 0.0 and abs(k1) < stop_tol:
                 stop_step = step
                 break
-            k2 = deriv_merged(pa + half * k1)
-            k3 = deriv_merged(pa + half * k2)
-            k4 = deriv_merged(pa + h * k3)
+{merged2}
+{merged3}
+{merged4}
             pa = pa + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if pa < 0.0:
                 pa = 0.0
@@ -153,13 +131,13 @@ def ct_loop(
                 pa = 1.0
             pb = pa
         else:
-            k1a, k1b = deriv(pa, pb)
+{stage1}
             if stop_tol > 0.0 and abs(k1a) < stop_tol and abs(k1b) < stop_tol:
                 stop_step = step
                 break
-            k2a, k2b = deriv(pa + half * k1a, pb + half * k1b)
-            k3a, k3b = deriv(pa + half * k2a, pb + half * k2b)
-            k4a, k4b = deriv(pa + h * k3a, pb + h * k3b)
+{stage2}
+{stage3}
+{stage4}
             pa = pa + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
             pb = pb + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
             if pa < 0.0:
@@ -178,3 +156,100 @@ def ct_loop(
         samples.append((step, pa, pb))
 
     return samples, clamp_count, merge_step, stop_step
+"""
+
+
+def _kernel_source(mode, form0, form1) -> str:
+    forms = (form0, form1)
+    setup = [
+        f"{''.join(f'lit{i}_{j}, ' for j in range(form[2]))}= literals{i}"
+        for i, form in enumerate(forms)
+        if form[2]
+    ]
+    if mode == MODE_AA:  # the AA case of each advantaged group, once per run
+        setup += [f"aa1_a = {AA1_TESTS[0]}", f"aa1_b = {AA1_TESTS[1]}"]
+    parts = {"setup": "\n".join(indent(setup or ["pass"]))}
+    for k, (xa, xb) in enumerate(
+        (("pa", "pb"), ("pa + half * k1a", "pb + half * k1b"),
+         ("pa + half * k2a", "pb + half * k2b"), ("pa + h * k3a", "pb + h * k3b")),
+        start=1,
+    ):
+        parts[f"stage{k}"] = "\n".join(indent(_stage(k, mode, xa, xb, forms), 3))
+    for k, x in enumerate(("pa", "pa + half * k1", "pa + half * k2", "pa + h * k3"), start=1):
+        parts[f"merged{k}"] = "\n".join(indent(_merged_stage(k, x, forms), 3))
+    return _TEMPLATE.format(**parts)
+
+
+def _stage(k: int, mode, xa: str, xb: str, forms) -> list[str]:
+    """RK4 stage k of both groups at the state (xa, xb), into (kka, kkb)."""
+
+    def rates(entries, case):
+        t1a, t0a, t1b, t0b = entries
+        return [
+            f"b0a = ({t0a}) * (1.0 - xa)",
+            f"b1a = ({t1a}) * xa",
+            f"b0b = ({t0b}) * (1.0 - xb)",
+            f"b1b = ({t1b}) * xb",
+        ]
+
+    return [
+        f"xa = {xa}",
+        f"xb = {xb}",
+        *_clamp_state("xa"),
+        *_clamp_state("xb"),
+        *policy_source(mode, "xa", "xb", rates, ("aa1_a", "aa1_b")),
+        *_maps(
+            (("f1a", 1, "b0a", "b1a"), ("f0a", 0, "b0a", "b1a"),
+             ("f1b", 1, "b0b", "b1b"), ("f0b", 0, "b0b", "b1b")),
+            forms,
+            merged=False,
+        ),
+        f"k{k}a = xa * (f1a - 1.0) + (1.0 - xa) * f0a",
+        f"k{k}b = xb * (f1b - 1.0) + (1.0 - xb) * f0b",
+    ]
+
+
+def _merged_stage(k: int, x: str, forms) -> list[str]:
+    """RK4 stage k of the merged trajectory at x, into kk. The policy of
+    equal groups selects no unqualified individual: b0 = 0.0, b1 = x."""
+    return [
+        f"x = {x}",
+        *_clamp_state("x"),
+        *_maps((("f1v", 1, "0.0", "x"), ("f0v", 0, "0.0", "x")), forms, merged=True),
+        f"k{k} = x * (f1v - 1.0) + (1.0 - x) * f0v",
+    ]
+
+
+def _clamp_state(x: str) -> list[str]:
+    return [f"if {x} < 0.0:", f"    {x} = 0.0", f"elif {x} > 1.0:", f"    {x} = 1.0"]
+
+
+def _maps(values, forms, merged: bool) -> list[str]:
+    """The clamped map values `values`, (name, map index, b0, b1) each, in
+    order; with an expression's checks and the rerun of the stage through
+    the compiled maps."""
+    code, clamps = [], []
+    for name, i, b0, b1 in values:
+        template, merged_template, n_literals, checked = forms[i]
+        fields = (f"lit{i}_{j}" for j in range(n_literals))
+        code.append(f"{name} = " + (merged_template if merged else template).format(*fields, b0=b0, b1=b1))
+        if not checked:
+            clamps += [
+                f"if {name} < 0.0:", f"    {name} = 0.0", "    clamp_count += 1",
+                f"elif {name} > 1.0:", f"    {name} = 1.0", "    clamp_count += 1",
+            ]
+            continue
+        if "**" in template:  # numpy's complex128 compares with floats without raising
+            clamps += [f"if _isinstance({name}, _complex):", "    raise _Refused"]
+        # A Python complex raises TypeError here.
+        clamps += [
+            f"if not 0.0 <= {name} <= 1.0:",
+            f"    if not -1e999 < {name} < 1e999:",
+            "        raise _Refused",
+            f"    {name} = 0.0 if {name} < 0.0 else 1.0",
+            "    clamp_count += 1",
+        ]
+    if not any(form[3] for form in forms):
+        return code + clamps
+    rerun = [f"f{i}({b0}, {b1})" for _, i, b0, b1 in values]
+    return ["try:", *indent(code + clamps), "except EVAL_ERRORS:", *indent(rerun), "    raise"]

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="path to a scenario file")
         p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
         p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--resolution", type=int, help="grid resolution override")
+        p.add_argument("--resolution", type=int, help="grid intervals per axis (N+1 points)")
         p.set_defaults(fn=cmd_scenario)
 
     v = sub.add_parser("verify", help="run the randomized self-check suites")

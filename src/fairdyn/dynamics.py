@@ -36,9 +36,11 @@ class DynamicsSpec:
     """Evaluable dynamics pair with optional declared Lipschitz constants.
 
     affine, when set, is (a0, c0, d0, a1, c1, d1) describing
-    f0 = a0 + c0*b0 + d0*b1 and f1 = a1 + c1*b0 + d1*b1; the trajectory
-    kernels then evaluate the maps inline instead of calling back into
-    Python.
+    f0 = a0 + c0*b0 + d0*b1 and f1 = a1 + c1*b0 + d1*b1, as the affine and
+    constant builtins set it; the RK4 kernel then evaluates these terms
+    inline (on the merged trajectory, where b0 = 0, a + d*b1) and never
+    calls f0 or f1, the way it inlines the code of compiled expressions.
+    Without it, maps that are not both compiled expressions are called.
 
     array_maps, when set, is the array form (f0, f1) of the maps: each takes
     two float arrays of one shape and returns the unclamped map at every
@@ -443,15 +445,23 @@ def dt_trajectory(
 
 
 def ct_steps(t_end: float, h: float, sample_every: int | None = None) -> tuple[int, int]:
-    """RK4 step count round(t_end/h) and sample stride (default: at most
-    about 2000 samples) of a CT run; raises ValueError naming a bad input."""
+    """RK4 step count t_end/h and sample stride (default: at most about 2000
+    samples) of a CT run; raises ValueError naming a bad input. t_end must
+    be a whole number of steps h, to a relative 1e-9 (so 0.3 / 0.1, whose
+    float quotient is 2.9999999999999996, is 3 steps): a run never ends
+    short of or past t_end."""
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end!r}")
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step size h must be finite and > 0, got {h!r}")
-    if not math.isfinite(t_end / h):
+    steps = t_end / h
+    if not math.isfinite(steps):
         raise ValueError(f"t_end / h must be a finite step count, got {t_end!r} / {h!r}")
-    n_steps = int(round(t_end / h))
+    n_steps = round(steps)
+    if not math.isclose(steps, n_steps, rel_tol=1e-9):
+        raise ValueError(
+            f"t_end = {t_end!r} is not a whole number of steps h = {h!r} (t_end / h = {steps!r})"
+        )
     if sample_every is None:
         return n_steps, max(1, n_steps // 2000)
     if sample_every < 1:

@@ -12,13 +12,16 @@ Numbers are decimal or scientific literals. Available functions:
 sin, cos, exp, abs (1 argument), min, max (2 arguments).
 
 Each parser rule returns two Python sources of its subtree, a scalar one and
-an array one; compile_expression makes one function of each whole. The
-grammar's precedence and associativity are Python's own (unary minus binds
-looser than '^', which is right associative and takes a negated exponent), so
-the scalar function does the tree's IEEE operations in the tree's order,
-bit-reproducible on a given platform. An arithmetic error or a NaN, infinite
-or complex result raises ExpressionEvaluationError naming the expression and
-the (b0, b1) point.
+an array one, with a field for each numeric literal (a unary minus on a bare
+literal is folded into its value); compile_expression fills in the literals
+and makes one function of each whole. The grammar's precedence and
+associativity are Python's own (unary minus binds looser than '^', which is
+right associative and takes a negated exponent), so the scalar function does
+the tree's IEEE operations in the tree's order, bit-reproducible on a given
+platform. An arithmetic error or a NaN, infinite or complex result raises
+ExpressionEvaluationError naming the expression and the (b0, b1) point. The
+RK4 kernel inlines the scalar source with the literals as its arguments (see
+compile_expression's scalar_code).
 
 The array function does the same IEEE operations on numpy float arrays:
 `+ - * /`, unary minus and abs as numpy operations, min and max as the
@@ -121,6 +124,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.i = 0
+        self.literals: list[float] = []
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -135,7 +139,9 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExpressionSyntaxError(f"expected {op!r}, found {value or 'end'!r}", pos)
 
-    # Each rule returns (scalar code, array code) of its subtree.
+    # Each rule returns (scalar code, array code) of its subtree, as
+    # str.format templates: {b0} and {b1} for the rates, {i} for the i-th
+    # numeric literal.
 
     def parse(self) -> tuple[str, str]:
         code = self.expr()
@@ -170,6 +176,11 @@ class _Parser:
         if kind == "op" and value == "-":
             self.next()
             code, array = self.factor()
+            literal = _LITERAL_FIELD.fullmatch(code)
+            if literal:  # a bare literal (never a '**' base here): fold the sign in
+                i = int(literal[1])
+                self.literals[i] = -self.literals[i]
+                return code, array
             return "-" + code, "-" + array
         return self.power()
 
@@ -185,8 +196,8 @@ class _Parser:
     def atom(self) -> tuple[str, str]:
         kind, value, pos = self.next()
         if kind == "num":
-            const = float(value)  # never NaN; a literal that overflows is inf
-            code = repr(const) if math.isfinite(const) else "1e999"
+            self.literals.append(float(value))  # never NaN; a literal that overflows is inf
+            code = f"{{{len(self.literals) - 1}}}"
             return code, code
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
@@ -211,7 +222,7 @@ class _Parser:
                 codes, arrays = zip(*args)
                 return f"{value}({', '.join(codes)})", _FUNCTIONS[value][2].format(*arrays)
             if value in ("b0", "b1"):
-                return value, value
+                return f"{{{value}}}", f"{{{value}}}"
             raise UnknownIdentifierError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             code, array = self.expr()
@@ -232,7 +243,7 @@ def compiled(b0, b1):
         v = {code}
         if -1e999 < v < 1e999{real}:
             return v
-    except _EVAL_ERRORS as exc:
+    except EVAL_ERRORS as exc:
         v = exc
     _fail(b0, b1, v)
 """
@@ -240,11 +251,21 @@ _ARRAY_TEMPLATE = """\
 def compiled_array(b0, b1):
     try:
         v = {array}
-    except _EVAL_ERRORS:
+    except EVAL_ERRORS:
         return None
     return v if _isinstance(v, _ndarray) else _full(b0.shape, v)
 """
-_EVAL_ERRORS = (ArithmeticError, TypeError, ValueError)
+# The errors that mark a failed evaluation of an expression's code.
+EVAL_ERRORS = (ArithmeticError, TypeError, ValueError)
+_LITERAL_FIELD = re.compile(r"\{(\d+)\}")
+
+
+def _literal_code(value: float) -> str:
+    """Python source of a literal's value: its repr, or +-1e999 for +-inf
+    (whose repr is a name)."""
+    if math.isfinite(value):
+        return repr(value)
+    return "1e999" if value > 0.0 else "-1e999"
 
 
 def _is_array(value) -> bool:
@@ -293,10 +314,23 @@ def _no_array_form(b0, b1) -> None:
     return None
 
 
+# The scalar implementations of the functions, by name, for code that
+# inlines an expression's scalar code.
+SCALAR_FUNCTIONS = {name: impl for name, (_, impl, _) in _FUNCTIONS.items()}
+
+
 def compile_expression(source: str) -> Callable[[float, float], float]:
     """Compile a dynamics expression into a pure (b0, b1) -> float map that
     raises ExpressionEvaluationError instead of returning a NaN, infinite or
     complex value.
+
+    The map's `scalar_code` attribute is (template, literals): the scalar
+    code as a str.format template with the fields {b0} and {b1} for the
+    rates and {i} for the i-th numeric literal, a unary minus on a bare
+    literal folded into it, and the literals' values. Expressions that
+    differ only in their numbers share one template; filled in with the
+    literals' values it is the code the map runs, which calls the functions
+    in SCALAR_FUNCTIONS by name.
 
     The map's `array` attribute is the expression's array form, compiled
     from the same parse: array(b0, b1) takes two float arrays of one shape
@@ -310,17 +344,22 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     # eval is safe here: the code is built only from validated tokens (float
     # literals, b0, b1, the names in _FUNCTIONS, operators and parentheses)
     # and runs without builtins, seeing only the names below.
-    namespace = {name: impl for name, (_, impl, _) in _FUNCTIONS.items()}
-    namespace.update(__builtins__={}, _EVAL_ERRORS=_EVAL_ERRORS, _fail=fail)
+    namespace = dict(SCALAR_FUNCTIONS)
+    namespace.update(__builtins__={}, EVAL_ERRORS=EVAL_ERRORS, _fail=fail)
     namespace.update(_isinstance=isinstance, _complex=complex, **_ARRAY_NAMES)
     try:
-        code, array = _Parser(source).parse()
+        parser = _Parser(source)
+        template, array = parser.parse()
+        literals = tuple(parser.literals)
+        numbers = [_literal_code(v) for v in literals]
+        code = template.format(*numbers, b0="b0", b1="b1")
         real = " and not _isinstance(v, _complex)" if "**" in code else ""
         eval(compile(_TEMPLATE.format(code=code, real=real), "<expression>", "exec"), namespace)
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
     compiled = namespace["compiled"]
-    compiled.array = _array_form(array, namespace)
+    compiled.scalar_code = (template, literals)
+    compiled.array = _array_form(array.format(*numbers, b0="b0", b1="b1"), namespace)
     return compiled
 
 

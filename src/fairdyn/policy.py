@@ -28,10 +28,6 @@ CASE_AA2 = 2
 
 CASE_TAGS = {CASE_UN: "UN", CASE_AA1: "AA1", CASE_AA2: "AA2"}
 
-# Built once: the RK4 kernel asks for the UN policy at every stage.
-_UN_ENTRIES = (1.0, 0.0, 1.0, 0.0, CASE_UN)
-
-
 @dataclass(frozen=True)
 class AACase:
     """Which parity branch is optimal, and who is currently advantaged."""
@@ -83,44 +79,74 @@ def determine_aa_case(state: PopulationState, u: UtilitySpec) -> AACase:
     return AACase(tag=tag, advantaged=adv)
 
 
-def policy_entries(
-    mode: int, pa: float, pb: float, ga: float, u0: float, u1: float
-) -> tuple[float, float, float, float, int]:
-    """Scalar closed-form policy for one state.
+# The closed form as Python source, its one home: policy_entries below is
+# compiled from it, and the RK4 kernel (_loops_py) writes it into each stage.
+# UN selects every qualified individual and no unqualified one. In each AA
+# case, the entries (tau1_adv, tau0_adv, tau1_dis, tau0_dis) of the
+# advantaged and the disadvantaged group, over their qualified fractions
+# {adv} and {dis}:
+_AA_CASE_ENTRIES = {
+    # 0/0 limit: pi_adv == 0 forces pi_dis == 0; any value is parity
+    # feasible, pick the UN-consistent 1.
+    CASE_AA1: ("{dis} / {adv} if {adv} > 0.0 else 1.0", "0.0", "1.0", "0.0"),
+    # pi_dis == 1 forces pi_adv == 1; the 0/0 limit is resolved to 0.
+    CASE_AA2: ("1.0", "0.0", "1.0", "({adv} - {dis}) / (1.0 - {dis}) if {dis} < 1.0 else 0.0"),
+}
+_UN_ENTRIES_SOURCE = ("1.0", "0.0", "1.0", "0.0")
+# Mode AA takes case AA1 where the advantaged group's share g gives
+# g*u1 + (1 - g)*u0 < 0, else AA2. As source over ga, u0 and u1, when A and
+# when B is the advantaged group:
+AA1_TESTS = tuple(f"{g} * u1 + (1.0 - {g}) * u0 < 0.0" for g in ("ga", "(1.0 - ga)"))
 
-    Returns (tau1_a, tau0_a, tau1_b, tau0_b, case_code). This is the single
-    source of truth for the closed form: the RK4 kernel calls it at every
-    stage and the trajectory engines at every recorded sample.
-    """
+
+def policy_source(mode: int, pa: str, pb: str, leaf, aa1_tests=AA1_TESTS) -> list[str]:
+    """The closed-form policy of `mode` at the state named pa, pb, as lines
+    of Python source: branches, each ending in the lines leaf(entries, case)
+    gives for its case code and its entries (tau1_a, tau0_a, tau1_b, tau0_b)
+    as expressions. Mode AA branches on aa1_tests (source, or names bound to
+    their values). Modes other than UN, AA and AA1 are AA2."""
     if mode == MODE_UN:
-        return _UN_ENTRIES
-    adv_is_a = pa >= pb
-    if mode == MODE_AA:
-        g_adv = ga if adv_is_a else 1.0 - ga
-        s = g_adv * u1 + (1.0 - g_adv) * u0
-        case = CASE_AA1 if s < 0.0 else CASE_AA2
-    elif mode == MODE_AA1:
-        case = CASE_AA1
-    else:
-        case = CASE_AA2
-    pi_adv = pa if adv_is_a else pb
-    pi_dis = pb if adv_is_a else pa
-    if case == CASE_AA1:
-        # 0/0 limit: pi_adv == 0 forces pi_dis == 0; any value is parity
-        # feasible, pick the UN-consistent 1.
-        t1_adv = pi_dis / pi_adv if pi_adv > 0.0 else 1.0
-        t0_adv = 0.0
-        t1_dis = 1.0
-        t0_dis = 0.0
-    else:
-        t1_adv = 1.0
-        t0_adv = 0.0
-        t1_dis = 1.0
-        # pi_dis == 1 forces pi_adv == 1; the 0/0 limit is resolved to 0.
-        t0_dis = (pi_adv - pi_dis) / (1.0 - pi_dis) if pi_dis < 1.0 else 0.0
-    if adv_is_a:
-        return (t1_adv, t0_adv, t1_dis, t0_dis, case)
-    return (t1_dis, t0_dis, t1_adv, t0_adv, case)
+        return leaf(_UN_ENTRIES_SOURCE, CASE_UN)
+    cases = {MODE_AA: (CASE_AA1, CASE_AA2), MODE_AA1: (CASE_AA1,)}.get(mode, (CASE_AA2,))
+    lines = []
+    for head, a_adv, test in ((f"if {pa} >= {pb}:", True, aa1_tests[0]), ("else:", False, aa1_tests[1])):
+        adv, dis = (pa, pb) if a_adv else (pb, pa)
+        branches = []
+        for case in cases:
+            t1_adv, t0_adv, t1_dis, t0_dis = (e.format(adv=adv, dis=dis) for e in _AA_CASE_ENTRIES[case])
+            entries = (t1_adv, t0_adv, t1_dis, t0_dis) if a_adv else (t1_dis, t0_dis, t1_adv, t0_adv)
+            branches.append(leaf(entries, case))
+        if mode == MODE_AA:
+            body = [f"if {test}:", *indent(branches[0]), "else:", *indent(branches[1])]
+        else:
+            body = branches[0]
+        lines += [head, *indent(body)]
+    return lines
+
+
+def indent(lines: list[str], depth: int = 1) -> list[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _policy_entries_source() -> str:
+    def leaf(entries, case):
+        return [f"return ({', '.join(entries)}, {case})"]
+
+    lines = ["def policy_entries(mode, pa, pb, ga, u0, u1):"]
+    for mode in (MODE_UN, MODE_AA, MODE_AA1):
+        lines += [f"    if mode == {mode}:", *indent(policy_source(mode, "pa", "pb", leaf), 2)]
+    lines += indent(policy_source(MODE_AA2, "pa", "pb", leaf))
+    return "\n".join(lines) + "\n"
+
+
+_generated = {"__name__": __name__}
+exec(compile(_policy_entries_source(), "<policy_entries>", "exec"), _generated)
+policy_entries = _generated["policy_entries"]
+policy_entries.__doc__ = """Scalar closed-form policy for one state, (mode, pa, pb, ga, u0, u1) ->
+(tau1_a, tau0_a, tau1_b, tau0_b, case_code).
+
+Compiled from the closed form's source above, as the RK4 kernel's stages
+are. The trajectory engines call it at every recorded sample."""
 
 
 def policy_entries_array(
@@ -130,7 +156,7 @@ def policy_entries_array(
     (tau1_a, tau0_a, tau1_b, tau0_b) with the same bits and no case codes:
     the same operations, each branch chosen per point by np.where."""
     if mode == MODE_UN:
-        return _UN_ENTRIES[:4]
+        return policy_entries(MODE_UN, 0.0, 0.0, ga, u0, u1)[:4]
     adv_is_a = pa >= pb
     if mode == MODE_AA:
         g_adv = np.where(adv_is_a, ga, 1.0 - ga)

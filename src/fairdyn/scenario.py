@@ -30,6 +30,7 @@ from .dynamics import (
     ct_integrate,
     ct_steps,
     dt_trajectory,
+    grid_axis,
     make_builtin,
     parse_dynamics,
 )
@@ -336,12 +337,13 @@ def export_field(
     g_a: float = 0.5,
 ) -> list[tuple[float, float, float, float, float, float]]:
     """CT gradient grid over (piB, piA), plus the difference against UN for
-    the constrained modes (zero for UN itself). The grid is evaluated as
-    arrays by dynamics.ct_field when it can vouch for every point, else
-    point by point through ct_gradient, with the same bits either way."""
+    the constrained modes (zero for UN itself), at resolution points per
+    axis: grid_axis(resolution - 1). The grid is evaluated as arrays by
+    dynamics.ct_field when it can vouch for every point, else point by point
+    through ct_gradient, with the same bits either way."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    axis = np.linspace(0.0, 1.0, resolution)
+    axis = grid_axis(resolution - 1)
     pa, pb = np.tile(axis, resolution), np.repeat(axis, resolution)
     field = ct_field(pa, pb, g_a, mode, u, dyn)
     un = field if mode == "UN" or field is None else ct_field(pa, pb, g_a, "UN", u, dyn)
@@ -475,8 +477,9 @@ def write_output(
     resolution: int | None = None,
 ) -> Path:
     """Write one artifact of a validated scenario into out_dir (created if
-    missing) and return its path. resolution overrides the grid of
-    `analysis` (default 256) and `field` (default 41)."""
+    missing) and return its path. resolution overrides the number of grid
+    intervals per axis, grid_axis(resolution), of `analysis` (default 256)
+    and `field` (default 40)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scenario.name}_{OUTPUT_FILES[kind]}"
@@ -491,7 +494,7 @@ def write_output(
             scenario.make_dynamics(),
             scenario.mode,
             scenario.utility_spec(),
-            resolution=resolution or 41,
+            resolution=(resolution or 40) + 1,  # export_field counts points
             g_a=scenario.g_a,
         )
         write_field_csv(rows, path)

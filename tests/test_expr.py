@@ -52,6 +52,17 @@ def test_arithmetic_and_precedence():
         assert compile_expression(source)(b0, b1) == expected, source
 
 
+def test_scalar_code_shares_a_template_across_numbers():
+    """A unary minus on a bare literal is folded into the literal, so
+    expressions that differ only in their numbers have one template; a
+    minus on a power stays, as in -2^2 = -(2^2)."""
+    forms = [compile_expression(s).scalar_code for s in ("0.1 + -0.2*b0", "7 + 0.2*b0", "3 + --4*b0")]
+    assert {template for template, _ in forms} == {"{0} + {1} * {b0}"}
+    assert [literals for _, literals in forms] == [(0.1, -0.2), (7.0, 0.2), (3.0, 4.0)]
+    assert compile_expression("-2^2*b1").scalar_code == ("-{0} ** {1} * {b1}", (2.0, 2.0))
+    assert compile_expression("(-2)^2 - -1e999").scalar_code == ("({0}) ** {1} - {2}", (-2.0, 2.0, -math.inf))
+
+
 def test_functions():
     assert compile_expression("sin(0)")(0, 0) == 0.0
     assert compile_expression("cos(0)")(0, 0) == 1.0

@@ -1,0 +1,387 @@
+"""The generated RK4 kernel against the hand-written kernel it replaced.
+
+_reference_ct_loop and _reference_policy are the kernel and the closed form
+as they were written out by hand (one deriv closure calling the policy at
+every stage, inline affine evaluation, f0/f1 calls otherwise); the generated
+kernel must give the same samples, clamp count and events bit for bit, and
+raise the same errors.
+"""
+
+import dataclasses
+import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fairdyn import (
+    DynamicsSpec,
+    ExpressionEvaluationError,
+    affine_dynamics,
+    appendix_c_dynamics,
+    constant_dynamics,
+    parse_dynamics,
+)
+from fairdyn import _kernels, _loops_py
+from fairdyn.expr import compile_expression, ExpressionSyntaxError
+from fairdyn.policy import policy_entries
+
+
+def _reference_policy(mode, pa, pb, ga, u0, u1):
+    if mode == 0:
+        return (1.0, 0.0, 1.0, 0.0, 0)
+    adv_is_a = pa >= pb
+    if mode == 1:
+        g_adv = ga if adv_is_a else 1.0 - ga
+        s = g_adv * u1 + (1.0 - g_adv) * u0
+        case = 1 if s < 0.0 else 2
+    elif mode == 2:
+        case = 1
+    else:
+        case = 2
+    pi_adv = pa if adv_is_a else pb
+    pi_dis = pb if adv_is_a else pa
+    if case == 1:
+        t1_adv = pi_dis / pi_adv if pi_adv > 0.0 else 1.0
+        t0_adv = 0.0
+        t1_dis = 1.0
+        t0_dis = 0.0
+    else:
+        t1_adv = 1.0
+        t0_adv = 0.0
+        t1_dis = 1.0
+        t0_dis = (pi_adv - pi_dis) / (1.0 - pi_dis) if pi_dis < 1.0 else 0.0
+    if adv_is_a:
+        return (t1_adv, t0_adv, t1_dis, t0_dis, case)
+    return (t1_dis, t0_dis, t1_adv, t0_adv, case)
+
+
+def _reference_ct_loop(
+    pa, pb, ga, u0, u1, mode, f0, f1, affine, h, n_steps, sample_every, merge_tol, stop_tol
+):
+    use_affine = affine is not None
+    if use_affine:
+        a0, c0, d0, a1, c1, d1 = affine
+
+    clamp_count = 0
+    merged = False
+    merge_step = -1
+    stop_step = -1
+
+    def deriv(xa, xb):
+        nonlocal clamp_count
+        if xa < 0.0:
+            xa = 0.0
+        elif xa > 1.0:
+            xa = 1.0
+        if xb < 0.0:
+            xb = 0.0
+        elif xb > 1.0:
+            xb = 1.0
+        t1a, t0a, t1b, t0b, _ = _reference_policy(mode, xa, xb, ga, u0, u1)
+        b0a = t0a * (1.0 - xa)
+        b1a = t1a * xa
+        b0b = t0b * (1.0 - xb)
+        b1b = t1b * xb
+        if use_affine:
+            f1a = a1 + c1 * b0a + d1 * b1a
+            f0a = a0 + c0 * b0a + d0 * b1a
+            f1b = a1 + c1 * b0b + d1 * b1b
+            f0b = a0 + c0 * b0b + d0 * b1b
+        else:
+            f1a = f1(b0a, b1a)
+            f0a = f0(b0a, b1a)
+            f1b = f1(b0b, b1b)
+            f0b = f0(b0b, b1b)
+        if f1a < 0.0:
+            f1a = 0.0
+            clamp_count += 1
+        elif f1a > 1.0:
+            f1a = 1.0
+            clamp_count += 1
+        if f0a < 0.0:
+            f0a = 0.0
+            clamp_count += 1
+        elif f0a > 1.0:
+            f0a = 1.0
+            clamp_count += 1
+        if f1b < 0.0:
+            f1b = 0.0
+            clamp_count += 1
+        elif f1b > 1.0:
+            f1b = 1.0
+            clamp_count += 1
+        if f0b < 0.0:
+            f0b = 0.0
+            clamp_count += 1
+        elif f0b > 1.0:
+            f0b = 1.0
+            clamp_count += 1
+        da = xa * (f1a - 1.0) + (1.0 - xa) * f0a
+        db = xb * (f1b - 1.0) + (1.0 - xb) * f0b
+        return da, db
+
+    def deriv_merged(x):
+        nonlocal clamp_count
+        if x < 0.0:
+            x = 0.0
+        elif x > 1.0:
+            x = 1.0
+        if use_affine:
+            f1v = a1 + d1 * x
+            f0v = a0 + d0 * x
+        else:
+            f1v = f1(0.0, x)
+            f0v = f0(0.0, x)
+        if f1v < 0.0:
+            f1v = 0.0
+            clamp_count += 1
+        elif f1v > 1.0:
+            f1v = 1.0
+            clamp_count += 1
+        if f0v < 0.0:
+            f0v = 0.0
+            clamp_count += 1
+        elif f0v > 1.0:
+            f0v = 1.0
+            clamp_count += 1
+        return x * (f1v - 1.0) + (1.0 - x) * f0v
+
+    samples = [(0, pa, pb)]
+    half = 0.5 * h
+    sixth = h / 6.0
+
+    step = 0
+    while step < n_steps:
+        if not merged and abs(pa - pb) < merge_tol:
+            merged = True
+            merge_step = step
+            pm = 0.5 * (pa + pb)
+            pa = pm
+            pb = pm
+        if merged:
+            k1 = deriv_merged(pa)
+            if stop_tol > 0.0 and abs(k1) < stop_tol:
+                stop_step = step
+                break
+            k2 = deriv_merged(pa + half * k1)
+            k3 = deriv_merged(pa + half * k2)
+            k4 = deriv_merged(pa + h * k3)
+            pa = pa + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if pa < 0.0:
+                pa = 0.0
+            elif pa > 1.0:
+                pa = 1.0
+            pb = pa
+        else:
+            k1a, k1b = deriv(pa, pb)
+            if stop_tol > 0.0 and abs(k1a) < stop_tol and abs(k1b) < stop_tol:
+                stop_step = step
+                break
+            k2a, k2b = deriv(pa + half * k1a, pb + half * k1b)
+            k3a, k3b = deriv(pa + half * k2a, pb + half * k2b)
+            k4a, k4b = deriv(pa + h * k3a, pb + h * k3b)
+            pa = pa + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+            pb = pb + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+            if pa < 0.0:
+                pa = 0.0
+            elif pa > 1.0:
+                pa = 1.0
+            if pb < 0.0:
+                pb = 0.0
+            elif pb > 1.0:
+                pb = 1.0
+        step += 1
+        if step % sample_every == 0 or step == n_steps:
+            samples.append((step, pa, pb))
+
+    if stop_step >= 0 and samples[-1][0] != step:
+        samples.append((step, pa, pb))
+
+    return samples, clamp_count, merge_step, stop_step
+
+
+def _outcome(kernel, args):
+    try:
+        return repr(kernel(*args))
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+_COEF = st.floats(-0.6, 0.6, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 0.5, -0.5, 2.0, 1e308, -1e308]  # 1e308 sums overflow to inf
+)
+# Expression shapes over signed literals {0}..{3}: sums, functions, powers
+# with negated bases and exponents (a negative {2} makes the last one
+# complex), division and min/max.
+_SHAPES = [
+    "{0} + {1}*b0 + {2}*b1",
+    "{0} - {1}*b0 - -{2}*b1",
+    "{0} + {1}*sin({2}*(b0 + b1)) + {3}*exp(-b1)",
+    "{0} + {1}*(-b1)^2 + {2}*b0",
+    "{0} + {1}*b1^-{2}",
+    "{0} + -{1}^2*b1 + {2}*b0",
+    "{0} + {1}*(b0 - 0.5)^{2}",
+    "{0} + {1}*(b1 - {2})^-0.5",
+    "min(0.9, max(0.1, {0} + {1}*b1)) + {2}*abs(b0 - b1)",
+    "({0} + {1}*b1)/({2} + b0)",
+    "{0}*b1*b1 + {1}*cos({2}*b0) + {3}",
+    "{0} + {1}*b1*({2})^0.5",
+]
+_EXPRESSIONS = st.builds(
+    lambda shape, coef: shape.format(*map(repr, coef)),
+    st.sampled_from(_SHAPES),
+    st.lists(_COEF, min_size=4, max_size=4),
+)
+
+
+def _callback(coef):
+    return dataclasses.replace(affine_dynamics(*coef), affine=None)
+
+
+def _mixed(source):
+    return DynamicsSpec(f0=compile_expression(source), f1=appendix_c_dynamics().f1)
+
+
+_OTHER_DYNAMICS = st.one_of(
+    st.lists(_COEF, min_size=6, max_size=6).map(lambda c: affine_dynamics(*c)),
+    st.lists(_COEF, min_size=6, max_size=6).map(_callback),
+    st.tuples(_COEF, _COEF).map(lambda v: constant_dynamics(*v)),
+    st.just(appendix_c_dynamics()),
+    _EXPRESSIONS.map(_mixed),
+)
+# half of them parsed expressions, the form with the most generated code
+_DYNAMICS = st.booleans().flatmap(
+    lambda parsed: st.builds(parse_dynamics, _EXPRESSIONS, _EXPRESSIONS) if parsed else _OTHER_DYNAMICS
+)
+_PROB = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dyn=_DYNAMICS,
+    state=st.tuples(_PROB, _PROB, st.floats(0.01, 0.99)),
+    equal_start=st.booleans(),
+    numpy_state=st.booleans(),
+    utility=st.tuples(st.floats(-2.0, 0.0), st.floats(0.0, 2.0)),
+    mode=st.sampled_from([0, 1, 2, 3]),
+    h=st.sampled_from([0.01, 0.1, 0.5, 1.5]),
+    n_steps=st.integers(0, 200),
+    sample_every=st.integers(1, 40),
+    merge_tol=st.sampled_from([0.0, 1e-10, 1e-3, 0.2]),
+    stop_tol=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+)
+@example(  # appendixC expression under AA, merging, then stopping
+    dyn=parse_dynamics(
+        "(b1 + b1/5)/1.2 + 0.01",
+        "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1",
+    ),
+    state=(0.9, 0.2, 0.4), equal_start=False, numpy_state=False, utility=(-1.0, 1.0),
+    mode=1, h=0.05, n_steps=200, sample_every=7, merge_tol=1e-3, stop_tol=1e-9,
+)
+@example(  # negated powers of literals: -0.7^2 is -(0.7^2), the exponent folds
+    dyn=parse_dynamics("0.5 + -0.7^2*b1 + 0.1*b0", "0.6 + -0.2*b1^-0.5"),
+    state=(0.9, 0.2, 0.5), equal_start=False, numpy_state=False, utility=(-1.0, 1.0),
+    mode=0, h=0.1, n_steps=20, sample_every=1, merge_tol=1e-10, stop_tol=0.0,
+)
+def test_kernel_matches_reference(
+    dyn, state, equal_start, numpy_state, utility, mode, h, n_steps, sample_every, merge_tol,
+    stop_tol,
+):
+    pa, pb, ga = map(np.float64, state) if numpy_state else state  # numpy's complex128 compares
+    pb = pa if equal_start else pb
+    args = (
+        pa, pb, ga, *utility, mode, dyn.f0, dyn.f1, dyn.affine,
+        h, n_steps, sample_every, merge_tol, stop_tol,
+    )
+    assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pa=_PROB | st.just(math.nan),
+    pb=_PROB | st.just(math.nan),
+    ga=st.floats(0.01, 0.99) | st.just(0.5),
+    utility=st.tuples(st.floats(-2.0, 0.0), st.floats(0.0, 2.0)) | st.just((-1.0, 1.0)),
+)
+def test_policy_entries_match_reference(pa, pb, ga, utility):
+    """policy_entries is compiled from the closed form's source, like the
+    kernel's stages: every mode (and an unknown code, which is AA2)."""
+    for mode in (0, 1, 2, 3, 7):
+        for x, y in ((pa, pb), (pb, pa), (pa, pa)):
+            expected = _reference_policy(mode, x, y, ga, *utility)
+            assert repr(policy_entries(mode, x, y, ga, *utility)) == repr(expected)
+
+
+# Expression dynamics that fail mid-run, each with its start (piA, piB) and
+# the reason the failing point names: x falls below 0.5 and the divisor
+# max(0, b1 - 0.5) is zero, or the power is complex; x passes 0.8872 and
+# exp(800*b1) overflows.
+MID_RUN_FAILURES = [
+    (("0.1", "0.3 + 1e-300/max(0, b1 - 0.5)"), (0.9, 0.8), "ZeroDivisionError"),
+    (("0.1", "0.3 + 0.1*(b1 - 0.5)^0.5"), (0.9, 0.8), "complex value"),
+    (("0.9", "0.95 + 1e-300*exp(800*b1)"), (0.5, 0.4), "OverflowError"),
+]
+
+
+@pytest.mark.parametrize("sources, start, reason", MID_RUN_FAILURES)
+@pytest.mark.parametrize("mode", [0, 1, 3])
+@pytest.mark.parametrize("merge_tol", [0.0, 1e-10])
+def test_mid_run_errors_match_reference(sources, start, reason, mode, merge_tol):
+    dyn = parse_dynamics(*sources)
+    head = (*start, 0.5, -1.0, 1.0, mode, dyn.f0, dyn.f1, None, 0.1)
+    # the first ten steps run
+    assert _outcome(_loops_py.ct_loop, (*head, 10, 1, merge_tol, 0.0)) == _outcome(
+        _reference_ct_loop, (*head, 10, 1, merge_tol, 0.0)
+    )
+    with pytest.raises(ExpressionEvaluationError) as exc:
+        _loops_py.ct_loop(*head, 2000, 1, merge_tol, 0.0)
+    with pytest.raises(ExpressionEvaluationError) as expected:
+        _reference_ct_loop(*head, 2000, 1, merge_tol, 0.0)
+    assert str(exc.value) == str(expected.value)
+    assert reason in str(exc.value)
+
+
+def test_nan_callback_flows_like_reference():
+    nan_above = DynamicsSpec(
+        f0=lambda b0, b1: 0.2, f1=lambda b0, b1: math.nan if b1 > 0.5 else 0.8, name="nan"
+    )
+    for mode in (0, 1, 2, 3):
+        args = (0.9, 0.7, 0.5, -1.0, 1.0, mode, nan_above.f0, nan_above.f1, None, 0.01, 50, 1, 1e-10, 0.0)
+        result = _loops_py.ct_loop(*args)
+        assert math.isnan(result[0][1][1])
+        assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
+
+
+def test_too_deep_expression_integrates_through_calls():
+    """The deepest '-' chain compile_expression accepts is too deep for
+    CPython's compiler inside the kernel: the kernel then calls the maps."""
+
+    def compiles(n):
+        try:
+            compile_expression("-".join(["b1"] * n))
+        except ExpressionSyntaxError:
+            return False
+        return True
+
+    lo, hi = 1, 20_000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if compiles(mid) else (lo, mid - 1)
+    dyn = parse_dynamics("0.5", "-".join(["b1"] * lo))
+    args = (0.9, 0.2, 0.5, -1.0, 1.0, 0, dyn.f0, dyn.f1, None, 0.1, 20, 1, 1e-10, 0.0)
+    assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
+    forms = [(code, code, len(values), True) for code, values in (dyn.f0.scalar_code, dyn.f1.scalar_code)]
+    assert _loops_py._kernel(0, *forms) is _loops_py._kernel(0, *_loops_py._CALLS)
+
+
+def test_kernel_entry_point_contract():
+    """perfbench rebinds _kernels.ct_loop and binds ct_loop's arguments by
+    name: both stay as they are."""
+    assert _kernels.ct_loop is _loops_py.ct_loop
+    assert list(inspect.signature(_loops_py.ct_loop).parameters) == [
+        "pa", "pb", "ga", "u0", "u1", "mode", "f0", "f1", "affine",
+        "h", "n_steps", "sample_every", "merge_tol", "stop_tol",
+    ]

@@ -96,13 +96,14 @@ _EPS = st.one_of(
     st.none(), _finite(-0.5, 0.5), st.lists(_finite(-0.5, 0.5), min_size=2, max_size=5)
 )
 _SCENARIOS = st.builds(
-    lambda dynamics, **fields: Scenario(**fields, **dynamics),
+    # t_end is a whole number of steps h, as validate requires
+    lambda dynamics, n_steps, **fields: Scenario(**fields, t_end=n_steps * fields["h"], **dynamics),
     dynamics=_DYNAMICS_FORMS,
+    n_steps=st.integers(0, 10_000),
     name=st.text("abcXYZ019_-.", min_size=1, max_size=12).filter(lambda n: n not in (".", "..")),
     mode=st.sampled_from(["UN", "AA", "AA1", "AA2"]),
     time_mode=st.sampled_from(["DT", "CT"]),
     steps=st.integers(0, 10_000),
-    t_end=_finite(0, 1e4),
     h=_finite(1e-6, 1),
     sample_every=st.none() | st.integers(1, 10_000),
     pi_a=_finite(0, 1),
@@ -190,6 +191,7 @@ BAD_VALUES = [
     ("steps = 20", "steps = 20\nt_end = inf", "[scenario] t_end"),
     ("steps = 20", "steps = 20\nt_end = 1e300\nh = 1e-300", "[scenario] t_end / h"),
     ("steps = 20", "steps = 20\nh = nan", "[scenario] step size h"),
+    ("steps = 20", "steps = 20\nt_end = 1.05\nh = 0.1", "[scenario] t_end = 1.05 is not a whole"),
     ("name = demo", "name = ../escaped", "name '../escaped' in [scenario]"),
     ("name = demo", "name = sub/dir", "name 'sub/dir' in [scenario]"),
     ("name = demo", "name = sub\\dir", "name 'sub\\\\dir' in [scenario]"),
@@ -357,6 +359,9 @@ def test_field_subcommand_grid_size(tmp_path):
     rows = (tmp_path / "demo_field.csv").read_text().strip().split("\n")
     assert rows[0] == "piB,piA,dA,dB,diffA,diffB"
     assert len(rows) == 1 + 41 * 41
+    # --resolution N is N intervals per axis, as for analyze
+    assert main(["field", str(path), "--out", str(tmp_path), "--resolution", "7"]) == 0
+    assert len((tmp_path / "demo_field.csv").read_text().strip().split("\n")) == 1 + 8 * 8
 
 
 def test_field_diagonal_and_equilibrium_properties():
@@ -413,6 +418,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", str(bad)]) == 2
     assert main(["nonsense"]) == 2
     bad.write_text(DEMO.replace("steps = 20", "steps = 20\nsample_every = 0"))
+    assert main(["simulate", str(bad)]) == 2
+    bad.write_text(DEMO.replace("time = DT\nsteps = 20", "time = CT\nt_end = 1.05\nh = 0.1"))
     assert main(["simulate", str(bad)]) == 2
     assert main(["simulate", str(tmp_path)]) == 2  # a directory, not a file
     # flags that did nothing are gone
