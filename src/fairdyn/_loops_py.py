@@ -10,6 +10,7 @@ arguments, so expressions that differ only in their numbers share a kernel.
 from __future__ import annotations
 
 import functools
+import math
 
 from .expr import EVAL_ERRORS, SCALAR_FUNCTIONS
 from .policy import AA1_TESTS, MODE_AA, indent, policy_source
@@ -57,6 +58,15 @@ def ct_loop(
     compile_expression are inlined when both are, and called otherwise, so
     a Python callback's exceptions come in the order the maps are called.
 
+    A step that leaves (pa, pb) as it was, of the same type and bit for bit
+    (-0.0 is not 0.0 and NaN never matches), is a fixed point: the step
+    depends only on (pa, pb), the merged flag and the run's constants, so
+    every later step would repeat it, and neither the stop nor the merge
+    test that did not fire on it can fire later. The run ends there: the
+    remaining samples and the n_steps sample get this state, and
+    clamp_count gets this step's clamps once per remaining step. f0 and f1
+    must be pure functions of (b0, b1), as they are called fewer times.
+
     Returns (samples, clamp_count, merge_step, stop_step) where samples is a
     list of (step_index, pa, pb); merge_step and stop_step are -1 when the
     corresponding event did not occur.
@@ -82,13 +92,20 @@ class _Refused(ArithmeticError):
     is run again through the compiled maps, which raise their own error."""
 
 
+def _same(x, y) -> bool:
+    """Whether x and y, which compare equal (so neither is NaN), are the
+    same value: of one type (a float and a numpy float64 can behave
+    differently in the maps) and of one sign, so that -0.0 and 0.0 differ."""
+    return type(x) is type(y) and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
 @functools.lru_cache(maxsize=32)
 def _kernel(mode, form0, form1):
     """The kernel for a policy mode and the forms of f0 and f1, compiled on
     first use; with the maps called instead when the inlined code is too
     deeply nested for CPython's compiler."""
     namespace = dict(SCALAR_FUNCTIONS, EVAL_ERRORS=EVAL_ERRORS, _Refused=_Refused)
-    namespace.update(_isinstance=isinstance, _complex=complex)
+    namespace.update(_isinstance=isinstance, _complex=complex, _same=_same)
     try:
         exec(compile(_kernel_source(mode, form0, form1), "<ct_loop kernel>", "exec"), namespace)
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
@@ -116,6 +133,9 @@ def kernel(pa, pb, ga, u0, u1, f0, f1, literals0, literals1, h, n_steps, sample_
             pm = 0.5 * (pa + pb)
             pa = pm
             pb = pm
+        pa0 = pa
+        pb0 = pb
+        clamps0 = clamp_count
         if merged:
 {merged1}
             if stop_tol > 0.0 and abs(k1) < stop_tol:
@@ -151,6 +171,14 @@ def kernel(pa, pb, ga, u0, u1, f0, f1, literals0, literals1, h, n_steps, sample_
         step += 1
         if step % sample_every == 0 or step == n_steps:
             samples.append((step, pa, pb))
+        if pa == pa0 and pb == pb0 and _same(pa, pa0) and _same(pb, pb0):
+            # A fixed point of the step: every later step repeats this one.
+            clamp_count += (clamp_count - clamps0) * (n_steps - step)
+            first = step - step % sample_every + sample_every
+            samples.extend((s, pa, pb) for s in range(first, n_steps, sample_every))
+            if step < n_steps:
+                samples.append((n_steps, pa, pb))
+            break
 
     if stop_step >= 0 and samples[-1][0] != step:
         samples.append((step, pa, pb))
@@ -226,8 +254,10 @@ def _clamp_state(x: str) -> list[str]:
 
 def _maps(values, forms, merged: bool) -> list[str]:
     """The clamped map values `values`, (name, map index, b0, b1) each, in
-    order; with an expression's checks and the rerun of the stage through
-    the compiled maps."""
+    order. Called maps are all called before any is clamped, as a callback's
+    exceptions come in call order; an expression is checked right after it
+    is evaluated, as its compiled map would be, and a failed check reruns
+    the stage through the compiled maps."""
     code, clamps = [], []
     for name, i, b0, b1 in values:
         template, merged_template, n_literals, checked = forms[i]
@@ -240,9 +270,9 @@ def _maps(values, forms, merged: bool) -> list[str]:
             ]
             continue
         if "**" in template:  # numpy's complex128 compares with floats without raising
-            clamps += [f"if _isinstance({name}, _complex):", "    raise _Refused"]
+            code += [f"if _isinstance({name}, _complex):", "    raise _Refused"]
         # A Python complex raises TypeError here.
-        clamps += [
+        code += [
             f"if not 0.0 <= {name} <= 1.0:",
             f"    if not -1e999 < {name} < 1e999:",
             "        raise _Refused",

@@ -53,8 +53,18 @@ class ScenarioError(ValueError):
     pass
 
 
+# Every number in an artifact: 17 significant digits give back the double.
+_FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _FLOAT_FORMAT % float(x)
+
+
+# One CSV row as one %-template: the numbers as _fmt writes them, then the
+# trajectory's case tag and event flags as they are.
+_TRAJECTORY_ROW = ",".join([_FLOAT_FORMAT] * 12 + ["%s"] * 2)
+_FIELD_ROW = ",".join([_FLOAT_FORMAT] * 6)
 
 
 def _names(raw: str) -> list[str]:
@@ -304,28 +314,16 @@ class Scenario:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str | Path) -> None:
-    lines = [TRAJECTORY_COLUMNS]
-    for i in range(len(record.times)):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(record.times[i]),
-                    _fmt(record.pi_a[i]),
-                    _fmt(record.pi_b[i]),
-                    _fmt(record.pi_a[i] - record.pi_b[i]),
-                    _fmt(record.tau1_a[i]),
-                    _fmt(record.tau0_a[i]),
-                    _fmt(record.tau1_b[i]),
-                    _fmt(record.tau0_b[i]),
-                    _fmt(record.beta_a[i]),
-                    _fmt(record.beta_b[i]),
-                    _fmt(record.step_utility[i]),
-                    _fmt(record.running_utility[i]),
-                    record.case_tags[i],
-                    record.flags[i],
-                ]
-            )
+    columns = [
+        column.tolist()
+        for column in (
+            record.times, record.pi_a, record.pi_b, record.delta,
+            record.tau1_a, record.tau0_a, record.tau1_b, record.tau0_b,
+            record.beta_a, record.beta_b, record.step_utility, record.running_utility,
         )
+    ]
+    lines = [TRAJECTORY_COLUMNS]
+    lines += [_TRAJECTORY_ROW % row for row in zip(*columns, record.case_tags, record.flags)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -368,8 +366,7 @@ def export_field(
 
 def write_field_csv(rows, path: str | Path) -> None:
     lines = [FIELD_COLUMNS]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [_FIELD_ROW % tuple(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

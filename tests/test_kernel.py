@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from fairdyn import (
     DynamicsSpec,
+    UtilitySpec,
     ExpressionEvaluationError,
     affine_dynamics,
     appendix_c_dynamics,
     constant_dynamics,
     parse_dynamics,
 )
-from fairdyn import _kernels, _loops_py
+from fairdyn import _kernels, _loops_py, dynamics
 from fairdyn.expr import compile_expression, ExpressionSyntaxError
 from fairdyn.policy import policy_entries
 
@@ -281,6 +282,11 @@ _PROB = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.5])
     state=(0.9, 0.2, 0.4), equal_start=False, numpy_state=False, utility=(-1.0, 1.0),
     mode=1, h=0.05, n_steps=200, sample_every=7, merge_tol=1e-3, stop_tol=1e-9,
 )
+@example(  # f1 is complex at zero: it fails before f0's 0^-0.5 warns
+    dyn=parse_dynamics("0.0 + 0.0*(b1 - 0.0)^-0.5", "0.0 + 0.0*b1*(-0.5)^0.5"),
+    state=(0.0, 0.0, 0.5), equal_start=False, numpy_state=True, utility=(-1.0, 1.0),
+    mode=0, h=0.01, n_steps=1, sample_every=1, merge_tol=0.0, stop_tol=0.0,
+)
 @example(  # negated powers of literals: -0.7^2 is -(0.7^2), the exponent folds
     dyn=parse_dynamics("0.5 + -0.7^2*b1 + 0.1*b0", "0.6 + -0.2*b1^-0.5"),
     state=(0.9, 0.2, 0.5), equal_start=False, numpy_state=False, utility=(-1.0, 1.0),
@@ -342,6 +348,134 @@ def test_mid_run_errors_match_reference(sources, start, reason, mode, merge_tol)
         _reference_ct_loop(*head, 2000, 1, merge_tol, 0.0)
     assert str(exc.value) == str(expected.value)
     assert reason in str(exc.value)
+
+
+def _counting(dyn):
+    """dyn's maps as callbacks that count their calls, into the returned list."""
+    calls = [0]
+
+    def wrap(f):
+        def counted(b0, b1):
+            calls[0] += 1
+            return f(b0, b1)
+
+        return counted
+
+    return wrap(dyn.f0), wrap(dyn.f1), calls
+
+
+def _fixed_point_outcomes(dyn, args):
+    """(kernel outcome, reference outcome, kernel map calls, reference map
+    calls) for ct_loop arguments without the maps and affine."""
+    runs = []
+    for kernel in (_loops_py.ct_loop, _reference_ct_loop):
+        f0, f1, calls = _counting(dyn)
+        head, tail = args[:6], args[6:]
+        runs.append((_outcome(kernel, (*head, f0, f1, None, *tail)), calls[0]))
+    (ours, our_calls), (ref, ref_calls) = runs
+    return ours, ref, our_calls, ref_calls
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2, 3])
+def test_fixed_point_exit_appendix_c(mode):
+    """The shipped appendixC scenario's run (t_end 100, h 0.01, one sample in
+    100) becomes a bitwise fixed point of the step long before step 10,000:
+    the kernel stops calling the maps there and returns the reference's
+    samples and counts."""
+    args = (0.95, 0.05, 0.5, -1.0, 1.0, mode, 0.01, 10_000, 100, 1e-10, 0.0)
+    ours, ref, our_calls, ref_calls = _fixed_point_outcomes(appendix_c_dynamics(), args)
+    assert ours == ref
+    assert our_calls < ref_calls
+
+
+@pytest.mark.parametrize("start", [(0.9, 0.2), (0.4, 0.4)])
+@pytest.mark.parametrize("inline", [True, False])
+def test_fixed_point_exit_counts_the_clamps_of_every_step(start, inline):
+    """Both maps clamp at every evaluation and the state never moves: the
+    clamp count is that of all n_steps steps, 16 per unmerged step and 8
+    per merged one, though only the first step runs."""
+    dyn = constant_dynamics(-0.5, 1.5)
+    n_steps = 1000
+    f0, f1, calls = _counting(dyn)
+    args = (*start, 0.5, -1.0, 1.0, 1, f0, f1, dyn.affine if inline else None,
+            0.1, n_steps, 7, 1e-10, 0.0)
+    result = _loops_py.ct_loop(*args)
+    merged = start[0] == start[1]
+    assert calls[0] == (0 if inline else (8 if merged else 16))
+    assert result[1] == (8 if merged else 16) * n_steps
+    assert repr(result) == repr(_reference_ct_loop(*args))
+
+
+@pytest.mark.parametrize("n_steps, sample_every", [(1000, 7), (1000, 1), (1000, 1000), (999, 10), (5, 9), (1, 3)])
+def test_fixed_point_exit_samples_like_reference(n_steps, sample_every):
+    """The samples after the fixed point follow the stride, end with the
+    n_steps sample and have no duplicate, whether or not the stride divides
+    the remaining steps."""
+    dyn = parse_dynamics("0.2", "0.7")  # settles at 0.4 within the run
+    for start in ((0.9, 0.1), (0.4, 0.4)):
+        args = (*start, 0.5, -1.0, 1.0, 0, dyn.f0, dyn.f1, None, 0.5, n_steps, sample_every, 0.0, 0.0)
+        assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
+        samples = _loops_py.ct_loop(*args)[0]
+        assert samples[-1][0] == n_steps
+        assert len({step for step, _, _ in samples}) == len(samples)
+
+
+def test_fixed_point_exit_does_not_stop_a_moving_state():
+    """A derivative far above stop_tol that is too small to move the state:
+    the state is fixed, the stop test never fires, and the kernel ends the
+    run at the first step as the reference would run it out."""
+    dyn = constant_dynamics(1e-20, 1.0)
+    stop_tol = 1e-25
+    args = (0.5, 0.2, 0.5, -1.0, 1.0, 0, 0.01, 500, 3, 1e-10, stop_tol)
+    ours, ref, our_calls, ref_calls = _fixed_point_outcomes(dyn, args)
+    assert ours == ref
+    assert (our_calls, ref_calls) == (16, 16 * 500)
+    assert abs(dynamics.ct_gradient(0.5, 0.2, 0.5, "UN", UtilitySpec(-1.0, 1.0), dyn)[0]) >= stop_tol
+
+
+def test_fixed_point_exit_tells_signed_zeros_apart():
+    """From piA = -0.0, f1 clamps while b1 is -0.0, and the first step moves
+    piA to +0.0, equal as a number but not as a value: the steps after it
+    clamp nothing, so an exit on numeric equality would count a clamp per
+    step."""
+
+    def f1(b0, b1):
+        return 1.5 if math.copysign(1.0, b1) < 0.0 else 1.0
+
+    dyn = DynamicsSpec(f0=lambda b0, b1: 0.0, f1=f1, name="signed zero")
+    args = (-0.0, 1.0, 0.5, -1.0, 1.0, 0, 0.01, 200, 1, 1e-10, 0.0)
+    ours, ref, our_calls, ref_calls = _fixed_point_outcomes(dyn, args)
+    assert ours == ref
+    assert ours.startswith("([(0, -0.0, 1.0), (1, 0.0, 1.0), (2, 0.0, 1.0)")
+    assert ours.endswith(", 1, -1, -1)")
+    assert our_calls == 2 * 16 < ref_calls
+
+
+def test_fixed_point_exit_tells_float_types_apart():
+    """A map that returns numpy floats turns the state (0.0, 0.0) into
+    numpy's (0.0, 0.0) at the first step: the same bits, but the maps now
+    see numpy floats, and f1 here, like numpy's warnings, tells them apart.
+    The steps after it clamp nothing."""
+
+    def f1(b0, b1):
+        return 1.5 if type(b1) is float else 0.5
+
+    dyn = DynamicsSpec(f0=lambda b0, b1: np.float64(0.0), f1=f1, name="float types")
+    args = (0.0, 0.0, 0.5, -1.0, 1.0, 0, 0.01, 200, 1, 0.0, 0.0)
+    ours, ref, our_calls, ref_calls = _fixed_point_outcomes(dyn, args)
+    assert ours == ref
+    assert ours.endswith(", 2, -1, -1)")
+    assert our_calls == 2 * 16 < ref_calls
+
+
+def test_fixed_point_exit_never_matches_nan():
+    """A NaN state compares unequal to itself: the kernel runs every step."""
+    dyn = DynamicsSpec(f0=lambda b0, b1: 0.2, f1=lambda b0, b1: math.nan, name="nan")
+    for mode in (0, 1, 2, 3):
+        args = (0.9, 0.7, 0.5, -1.0, 1.0, mode, 0.01, 300, 7, 1e-10, 0.0)
+        ours, ref, our_calls, ref_calls = _fixed_point_outcomes(dyn, args)
+        assert ours == ref and "nan" in ours
+        assert our_calls == ref_calls == 16 * 300
 
 
 def test_nan_callback_flows_like_reference():
