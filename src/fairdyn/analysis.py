@@ -31,17 +31,24 @@ class ContractionReport:
     l_un_upper: float | None = None
     l_aa2_upper: float | None = None
 
+    # The UN and AA2 verdicts test the upper bound when declared constants
+    # give one: the grid estimate is a lower bound, and L < 1 on it proves
+    # nothing. Without one they test the estimate.
     @property
     def is_contractive_un(self) -> bool:
-        return self.l_un < 1.0 - CONTRACTIVITY_MARGIN
+        return _contractive(self.l_un if self.l_un_upper is None else self.l_un_upper)
 
     @property
     def is_contractive_aa1(self) -> bool:
-        return self.l_aa1 < 1.0 - CONTRACTIVITY_MARGIN
+        return _contractive(self.l_aa1)
 
     @property
     def is_contractive_aa2(self) -> bool:
-        return self.l_aa2 < 1.0 - CONTRACTIVITY_MARGIN
+        return _contractive(self.l_aa2 if self.l_aa2_upper is None else self.l_aa2_upper)
+
+
+def _contractive(bound: float) -> bool:
+    return bound < 1.0 - CONTRACTIVITY_MARGIN
 
 
 def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> ContractionReport:

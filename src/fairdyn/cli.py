@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .core import PopulationState, UtilitySpec, utility
 from .dynamics import CaseSwitchError, StepHalvingError, appendix_c_dynamics
 from .expr import ExpressionError, compile_expression
@@ -108,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fairdyn",
         description="Two-group selection-policy simulation and analysis toolkit.",
     )
+    parser.add_argument("--version", action="version", version=f"fairdyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, (_, help_text) in SCENARIO_COMMANDS.items():

@@ -8,6 +8,7 @@ dynamics can assert none occurred on reachable states.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -304,111 +305,110 @@ PolicyFn = Callable[[float, float, int], tuple[float, float, float, float, int]]
 # (pi_a, pi_b, step) -> (tau1_a, tau0_a, tau1_b, tau0_b, case_code)
 
 
-def _sample_recorder(
+def _nan_state(pa, pb, where: str) -> ValueError:
+    return ValueError(f"NaN state (piA, piB) = ({pa!r}, {pb!r}) {where}: a dynamics map returned NaN")
+
+
+def _case_switched(where: str, strict: bool) -> None:
+    """Raise CaseSwitchError under strict, else warn, that the AA case
+    switched; the warning names the line that called dt_trajectory or
+    ct_integrate, whichever called this."""
+    message = f"AA case switched {where}"
+    if strict:
+        raise CaseSwitchError(message)
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
+
+
+def _case_switches(cases: np.ndarray) -> np.ndarray:
+    """Whether each sample's case code differs from the previous sample's
+    while neither is CASE_UN, which never takes part in a switch."""
+    prev, cur = cases[:-1], cases[1:]
+    return np.concatenate(([False], (cur != prev) & (prev != CASE_UN) & (cur != CASE_UN)))
+
+
+def _columns(rows: list[tuple], width: int) -> np.ndarray:
+    """The rows, tuples of `width` numbers, as `width` contiguous float
+    columns."""
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, width * len(rows))
+    return flat.reshape(len(rows), width).T.copy()
+
+
+_TAGS = np.array([CASE_TAGS[case] for case in sorted(CASE_TAGS)], dtype=object)
+
+
+def _record(
     state0: PopulationState,
     mode: str,
     time_mode: str,
     u: UtilitySpec,
+    steps: np.ndarray,
+    h: float,
+    pa: np.ndarray,
+    pb: np.ndarray,
+    policy: tuple,
     events: list[tuple[float, str]],
-    strict: bool,
-    policy_fn: PolicyFn | None = None,
-):
-    """Per-sample bookkeeping shared by the DT and CT engines.
+    clamp_count: int,
+    clamped: np.ndarray | None = None,
+) -> TrajectoryRecord:
+    """The record of a DT or CT run from its float columns: the sample steps
+    (at times steps*h), the states pa, pb and the policy (tau1_a, tau0_a,
+    tau1_b, tau0_b, case code) at every sample.
 
-    Returns (sample, mark, finish). sample(step, t, pa, pb) evaluates the
-    policy at one recorded state (the closed form for `mode`, or
-    policy_fn(pa, pb, step) when given), raises ValueError naming the time
-    of a NaN state, stores the state, policy, selection
-    rates and utility, marks the sample's case_switch / advantage_swap events
-    at time t, and returns the rates (b0a, b1a, b0b, b1b). A case switch warns
-    or raises at the sample where it happens. mark(t, kind) appends an event
-    to `events` and flags it on the latest sample. finish(clamp_count) builds
-    the record: DT sums the utilities of applied policies, CT integrates them
-    by trapezoid.
-    """
-    code = MODE_CODES[mode] if policy_fn is None else None
-    ga, gb = state0.g_a, state0.g_b
-    u0, u1 = u.u0, u.u1
-    where = "at step {step}" if time_mode == "DT" else "near t={t}"
-    # one row per sample: t, pa, pb, tau1_a, tau0_a, tau1_b, tau0_b, beta_a,
-    # beta_b, step utility
-    rows: list[tuple[float, ...]] = []
-    case_tags: list[str] = []
-    flags: list[str] = []
-    # CASE_UN never takes part in a switch, so it also stands for "no sample
-    # yet"; a zero previous gap never makes a sign change.
-    prev_case = CASE_UN
-    prev_delta = 0.0
+    Computes the selection rates, step utility and running utility (DT sums
+    the utilities of applied policies, CT integrates them by trapezoid) and
+    the case tags. Each sample where the AA case switched, the advantaged
+    group swapped or (where clamped is given) a map value was clamped gets
+    those events in that order, flagged on the sample and appended to events
+    at time step*h. Warns and raises nothing: the engines check the samples
+    first."""
+    ga, gb, u0, u1 = state0.g_a, state0.g_b, u.u0, u.u1
+    t1a, t0a, t1b, t0b, cases = policy
+    b0a, b1a = t0a * (1.0 - pa), t1a * pa
+    b0b, b1b = t0b * (1.0 - pb), t1b * pb
+    utils = ga * (u1 * b1a + u0 * b0a) + gb * (u1 * b1b + u0 * b0b)
+    times = steps * h
+    if time_mode == "DT":
+        running = np.cumsum(utils)
+        cumulative = float(running[-1] - utils[-1])
+    else:
+        increments = 0.5 * (utils[1:] + utils[:-1]) * np.diff(times)
+        running = np.concatenate(([0.0], np.cumsum(increments)))
+        cumulative = float(running[-1])
 
-    def mark(t: float, kind: str) -> None:
-        events.append((t, kind))
-        flags[-1] = f"{flags[-1]}|{kind}" if flags[-1] else kind
-
-    def sample(step: int, t: float, pa: float, pb: float):
-        nonlocal prev_case, prev_delta
-        if pa != pa or pb != pb:
-            message = f"NaN state (piA, piB) = ({pa!r}, {pb!r}) " + where.format(step=step, t=t)
-            raise ValueError(message + ": a dynamics map returned NaN")
-        if policy_fn is None:
-            t1a, t0a, t1b, t0b, case = policy_entries(code, pa, pb, ga, u0, u1)
-        else:
-            t1a, t0a, t1b, t0b, case = policy_fn(pa, pb, step)
-        b0a, b1a = t0a * (1.0 - pa), t1a * pa
-        b0b, b1b = t0b * (1.0 - pb), t1b * pb
-        flags.append("")
-        if case != prev_case and prev_case != CASE_UN and case != CASE_UN:
-            mark(t, "case_switch")
-            message = "AA case switched " + where.format(step=step, t=t)
-            if strict:
-                raise CaseSwitchError(message)
-            warnings.warn(message, RuntimeWarning, stacklevel=3)
-        delta = pa - pb
-        if prev_delta * delta < 0.0:
-            mark(t, "advantage_swap")
-        prev_case, prev_delta = case, delta
-
-        rows.append((
-            t, pa, pb, t1a, t0a, t1b, t0b, b0a + b1a, b0b + b1b,
-            ga * (u1 * b1a + u0 * b0a) + gb * (u1 * b1b + u0 * b0b),
-        ))
-        case_tags.append(CASE_TAGS[case])
-        return b0a, b1a, b0b, b1b
-
-    def finish(clamp_count: int) -> TrajectoryRecord:
-        # copy: each column becomes its own contiguous array
-        times, pas, pbs, t1as, t0as, t1bs, t0bs, betas_a, betas_b, utils = (
-            np.array(rows, dtype=float).T.copy()
-        )
-        if time_mode == "DT":
-            running = np.cumsum(utils)
-            cumulative = float(running[-1] - utils[-1])
-        else:
-            increments = 0.5 * (utils[1:] + utils[:-1]) * np.diff(times)
-            running = np.concatenate(([0.0], np.cumsum(increments)))
-            cumulative = float(running[-1])
-        return TrajectoryRecord(
-            mode=mode,
-            time_mode=time_mode,
-            times=times,
-            pi_a=pas,
-            pi_b=pbs,
-            tau1_a=t1as,
-            tau0_a=t0as,
-            tau1_b=t1bs,
-            tau0_b=t0bs,
-            beta_a=betas_a,
-            beta_b=betas_b,
-            step_utility=utils,
-            running_utility=running,
-            cumulative_utility=cumulative,
-            case_tags=case_tags,
-            flags=flags,
-            events=events,
-            clamp_count=clamp_count,
-            g_a=ga,
-        )
-
-    return sample, mark, finish
+    delta = pa - pb
+    marks = [
+        ("case_switch", _case_switches(cases)),
+        ("advantage_swap", np.concatenate(([False], delta[:-1] * delta[1:] < 0.0))),
+    ]
+    if clamped is not None:
+        marks.append(("clamp", clamped))
+    flags = [""] * pa.size
+    for i in np.flatnonzero(np.logical_or.reduce([mask for _, mask in marks])).tolist():
+        kinds = [kind for kind, mask in marks if mask[i]]
+        t = int(steps[i]) * h
+        events.extend((t, kind) for kind in kinds)
+        flags[i] = "|".join(kinds)
+    return TrajectoryRecord(
+        mode=mode,
+        time_mode=time_mode,
+        times=times,
+        pi_a=pa,
+        pi_b=pb,
+        tau1_a=t1a,
+        tau0_a=t0a,
+        tau1_b=t1b,
+        tau0_b=t0b,
+        beta_a=b0a + b1a,
+        beta_b=b0b + b1b,
+        step_utility=utils,
+        running_utility=running,
+        cumulative_utility=cumulative,
+        case_tags=_TAGS[cases].tolist(),
+        flags=flags,
+        events=events,
+        clamp_count=clamp_count,
+        g_a=ga,
+    )
 
 
 def dt_trajectory(
@@ -422,26 +422,45 @@ def dt_trajectory(
 ) -> TrajectoryRecord:
     """Iterate the DT dynamics, recomputing the one-step policy each step.
 
-    The policy recorded at the final time is the one that would be applied
-    next; cumulative utility sums the utilities of applied policies only.
+    The policy is the closed form for `mode`, or policy_fn(pa, pb, step)
+    when given. A NaN state raises ValueError naming its step, and a case
+    switch warns (or raises CaseSwitchError under strict) at the step where
+    it happens, before the next step is taken. The policy recorded at the
+    final time is the one that would be applied next; cumulative utility
+    sums the utilities of applied policies only.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    events: list[tuple[float, str]] = []
-    sample, mark, finish = _sample_recorder(
-        state0, mode, "DT", u, events, strict, policy_fn
-    )
+    code = MODE_CODES[mode] if policy_fn is None else None
+    ga, u0, u1 = state0.g_a, u.u0, u.u1
     pa, pb = state0.pi_a.p1, state0.pi_b.p1
-    clamp_count = 0
+    states, policies, clamps = [], [], []
+    prev_case = CASE_UN
     for t in range(steps + 1):
-        b0a, b1a, b0b, b1b = sample(t, float(t), pa, pb)
+        if pa != pa or pb != pb:
+            raise _nan_state(pa, pb, f"at step {t}")
+        if policy_fn is None:
+            entries = policy_entries(code, pa, pb, ga, u0, u1)
+        else:
+            entries = policy_fn(pa, pb, t)
+        t1a, t0a, t1b, t0b, case = entries
+        if case != prev_case and prev_case != CASE_UN and case != CASE_UN:
+            _case_switched(f"at step {t}", strict)
+        prev_case = case
+        states.append((pa, pb))
+        policies.append(entries)
         if t < steps:
-            pa, ca = _dt_step_raw(pa, b0a, b1a, dyn)
-            pb, cb = _dt_step_raw(pb, b0b, b1b, dyn)
-            if ca or cb:
-                mark(float(t), "clamp")
-                clamp_count += ca + cb
-    return finish(clamp_count)
+            pa, ca = _dt_step_raw(pa, t0a * (1.0 - pa), t1a * pa, dyn)
+            pb, cb = _dt_step_raw(pb, t0b * (1.0 - pb), t1b * pb, dyn)
+            clamps.append(ca + cb)
+    clamps.append(0)  # no step is taken from the last sample
+    pas, pbs = _columns(states, 2)
+    t1a, t0a, t1b, t0b, cases = _columns(policies, 5)
+    clamps = np.array(clamps)
+    return _record(
+        state0, mode, "DT", u, np.arange(steps + 1, dtype=float), 1.0, pas, pbs,
+        (t1a, t0a, t1b, t0b, cases.astype(np.intp)), [], int(clamps.sum()), clamps > 0,
+    )
 
 
 def ct_steps(t_end: float, h: float, sample_every: int | None = None) -> tuple[int, int]:
@@ -513,12 +532,17 @@ def ct_integrate(
         events.append((merge_step * h, "merge"))
     if stop_step >= 0:
         events.append((stop_step * h, "stationary_stop"))
-    # Samples after a merge have pa == pb exactly, so they never register an
-    # advantage swap.
-    sample, _, finish = _sample_recorder(state0, mode, "CT", u, events, strict)
-    for step, pa, pb in samples:
-        sample(step, step * h, pa, pb)
-    record = finish(clamp_count)
+    steps, pa, pb = _columns(samples, 3)
+    policy = policy_entries_array(MODE_CODES[mode], pa, pb, state0.g_a, u.u0, u.u1)
+    # Walk the samples with a NaN state or a case switch in order; the
+    # kernel's own objects name the state (a numpy float reprs differently).
+    for i in np.flatnonzero(np.isnan(pa) | np.isnan(pb) | _case_switches(policy[4])).tolist():
+        step, a, b = samples[i]
+        where = f"near t={step * h}"
+        if a != a or b != b:
+            raise _nan_state(a, b, where)
+        _case_switched(where, strict)
+    record = _record(state0, mode, "CT", u, steps, h, pa, pb, policy, events, clamp_count)
 
     if check_step_halving:
         fine = ct_integrate(
@@ -564,7 +588,7 @@ def ct_field(
     as arrays with the same bits; None when dyn.array_sample cannot vouch
     for every point, and the points must go through ct_gradient."""
     pa, pb = _clamp01_array(pa), _clamp01_array(pb)
-    t1a, t0a, t1b, t0b = policy_entries_array(MODE_CODES[mode], pa, pb, g_a, u.u0, u.u1)
+    t1a, t0a, t1b, t0b, _ = policy_entries_array(MODE_CODES[mode], pa, pb, g_a, u.u0, u.u1)
     maps_a = dyn.array_sample(t0a * (1.0 - pa), t1a * pa)
     maps_b = dyn.array_sample(t0b * (1.0 - pb), t1b * pb)
     if maps_a is None or maps_b is None:

@@ -146,23 +146,25 @@ policy_entries.__doc__ = """Scalar closed-form policy for one state, (mode, pa, 
 (tau1_a, tau0_a, tau1_b, tau0_b, case_code).
 
 Compiled from the closed form's source above, as the RK4 kernel's stages
-are. The trajectory engines call it at every recorded sample."""
+are. dt_trajectory calls it at every step; ct_integrate evaluates its
+samples' policies as arrays, through policy_entries_array."""
 
 
 def policy_entries_array(
     mode: int, pa: np.ndarray, pb: np.ndarray, ga: float, u0: float, u1: float
 ) -> tuple:
-    """policy_entries at every point of the float arrays pa, pb, as
-    (tau1_a, tau0_a, tau1_b, tau0_b) with the same bits and no case codes:
-    the same operations, each branch chosen per point by np.where."""
+    """policy_entries at every point of the 1-D float arrays pa, pb, as the
+    arrays (tau1_a, tau0_a, tau1_b, tau0_b, case_code) with the same bits
+    and codes: the same operations, each branch chosen per point by
+    np.where."""
     if mode == MODE_UN:
-        return policy_entries(MODE_UN, 0.0, 0.0, ga, u0, u1)[:4]
+        return tuple(np.full(pa.shape, v) for v in policy_entries(MODE_UN, 0.0, 0.0, ga, u0, u1))
     adv_is_a = pa >= pb
     if mode == MODE_AA:
         g_adv = np.where(adv_is_a, ga, 1.0 - ga)
         aa1 = g_adv * u1 + (1.0 - g_adv) * u0 < 0.0
     else:
-        aa1 = mode == MODE_AA1
+        aa1 = np.full(pa.shape, mode == MODE_AA1)
     pi_adv = np.where(adv_is_a, pa, pb)
     pi_dis = np.where(adv_is_a, pb, pa)
     with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 limits are masked
@@ -173,6 +175,7 @@ def policy_entries_array(
         np.where(adv_is_a, 0.0, t0_dis),
         np.where(adv_is_a, 1.0, t1_adv),
         np.where(adv_is_a, t0_dis, 0.0),
+        np.where(aa1, CASE_AA1, CASE_AA2),
     )
 
 

@@ -168,6 +168,8 @@ class Scenario:
     eps_a: float | list[float] | None = None
     eps_b: float | list[float] | None = None
     outputs: list[str] = field(default_factory=lambda: ["trajectory"])
+    # make_dynamics' last spec and the dynamics fields it was built from
+    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
@@ -209,15 +211,27 @@ class Scenario:
             raise ScenarioError(f"unknown outputs: {sorted(unknown)}")
 
     def make_dynamics(self) -> DynamicsSpec:
+        """The scenario's dynamics, built once per set of dynamics fields: a
+        validated scenario hands its writers the spec validate() built, and
+        a field changed since builds a new one."""
+        key = repr((  # repr tells -0.0 from 0.0
+            self.name, self.dynamics_builtin, self.dynamics_params,
+            self.expr_f0, self.expr_f1, self.declared_l0, self.declared_l1,
+        ))
+        if self._built is not None and self._built[0] == key:
+            return self._built[1]
         if self.dynamics_builtin is not None:
-            return make_builtin(self.dynamics_builtin, self.dynamics_params)
-        return parse_dynamics(
-            self.expr_f0,
-            self.expr_f1,
-            name=f"{self.name}-expr",
-            declared_l0=self.declared_l0,
-            declared_l1=self.declared_l1,
-        )
+            dyn = make_builtin(self.dynamics_builtin, self.dynamics_params)
+        else:
+            dyn = parse_dynamics(
+                self.expr_f0,
+                self.expr_f1,
+                name=f"{self.name}-expr",
+                declared_l0=self.declared_l0,
+                declared_l1=self.declared_l1,
+            )
+        self._built = key, dyn
+        return dyn
 
     def initial_state(self) -> PopulationState:
         return PopulationState.of(self.pi_a, self.pi_b, self.g_a)

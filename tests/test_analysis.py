@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdyn import (
     ContractionReport,
@@ -50,6 +52,47 @@ def test_constant_dynamics_constants():
     assert rep.is_contractive_un and rep.is_contractive_aa1 and rep.is_contractive_aa2
     assert rep.method == "grid+declared-constants"
     assert rep.l_un_upper == pytest.approx(0.6, abs=1e-12)
+
+
+def test_verdicts_use_the_declared_upper_bounds():
+    # The grid estimate of L_UN is below 1, but the upper bound the
+    # declared constants give is not: L_UN < 1 is not shown.
+    dyn = parse_dynamics("0.2 + 0.3*b0", "0.599 + 0.3*b1", declared_l0=0.3, declared_l1=0.3)
+    rep = estimate_contraction(dyn, resolution=256)
+    assert rep.l_un < 1.0 - 1e-6 < rep.l_un_upper == 1.0036875
+    assert not rep.is_contractive_un and not rep.is_contractive_aa2
+    below = dataclasses.replace(rep, l_aa2=0.9, l_aa2_upper=0.95)
+    assert below.is_contractive_aa2
+    assert not dataclasses.replace(below, l_aa2_upper=1.0).is_contractive_aa2
+    assert dataclasses.replace(rep, l_un_upper=None).is_contractive_un
+
+
+def _affine_sin(a, c, d, e, w):
+    """a + c*b0 + d*b1 + e*sin(w*(b0 + b1)) for floats and numpy arrays
+    alike, so one function is both the map and its array form."""
+
+    def f(b0, b1):
+        return a + c * b0 + d * b1 + e * np.sin(w * (b0 + b1))
+
+    return f
+
+
+_SLOPE = st.floats(-0.5, 0.5)
+_SIN = st.tuples(st.floats(0.0, 1.0), _SLOPE, _SLOPE, st.floats(-0.2, 0.2), st.floats(0.0, 20.0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(p0=_SIN, p1=_SIN)
+def test_upper_bounds_bound_the_fine_estimates(p0, p1):
+    """With declared constants (the largest partial derivatives), the
+    res-64 upper bounds are at least the res-1024 grid estimates."""
+    f0, f1 = _affine_sin(*p0), _affine_sin(*p1)
+    declared = [max(abs(c), abs(d)) + abs(e) * w for _, c, d, e, w in (p0, p1)]
+    dyn = DynamicsSpec(f0, f1, declared_l0=declared[0], declared_l1=declared[1], array_maps=(f0, f1))
+    coarse = estimate_contraction(dyn, resolution=64)
+    fine = estimate_contraction(dyn, resolution=1024)
+    assert coarse.l_un_upper >= fine.l_un
+    assert coarse.l_aa2_upper >= fine.l_aa2
 
 
 def test_zero_gap_dynamics():

@@ -314,6 +314,16 @@ def test_shipped_outputs_are_byte_identical(tmp_path):
     assert shipped_output_digests(tmp_path) == json.loads(SHIPPED_DIGESTS.read_text())
 
 
+def test_benchmark_pins_the_same_csv_digests():
+    """The benchmark checks the shipped scenarios' CSVs against its own
+    copy of their digests: it must hold the ones pinned here."""
+    shipped = json.loads(SHIPPED_DIGESTS.read_text())
+    bench = json.loads((SCENARIOS.parent / "perfbench" / "digests.json").read_text())
+    csv = {key: digest for key, digest in shipped.items() if not key.startswith("analyze/")}
+    assert len(csv) == 9
+    assert bench == csv
+
+
 def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):
     path = tmp_path / "demo.scn"
     path.write_text(DEMO)
@@ -322,8 +332,16 @@ def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):
     utilities = {r.split(",")[0]: float(r.split(",")[1]) for r in rows}
     assert set(utilities) == {"UN", "AA1", "AA2"}
     assert utilities["UN"] >= utilities["AA1"] - 1e-9
-    # the three modes share one built dynamics: two expressions are compiled
-    # when the scenario is validated and two more for the runs
+    # the three modes run the dynamics built when the scenario was validated:
+    # each expression is compiled once
+    compiled = _count_compiles(monkeypatch)
+    path.write_text(DEMO.replace(CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8"))
+    assert main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    assert compiled == ["0.2", "0.8"]
+
+
+def _count_compiles(monkeypatch) -> list[str]:
+    """The sources compile_expression is called with from now on."""
     from fairdyn import dynamics
 
     compiled = []
@@ -331,9 +349,44 @@ def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):
     monkeypatch.setattr(
         dynamics, "compile_expression", lambda src: compiled.append(src) or compile_expression(src)
     )
+    return compiled
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "field"])
+def test_each_command_compiles_each_expression_once(tmp_path, monkeypatch, command):
+    path = tmp_path / "demo.scn"
     path.write_text(DEMO.replace(CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8"))
-    assert main(["compare", str(path), "--out", str(tmp_path)]) == 0
-    assert len(compiled) == 4
+    compiled = _count_compiles(monkeypatch)
+    assert main([command, str(path), "--out", str(tmp_path), "--resolution", "64"]) == 0
+    assert compiled == ["0.2", "0.8"]
+
+
+def test_changed_dynamics_fields_build_new_maps(tmp_path):
+    scenario = Scenario.from_text(DEMO.replace(CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8"))
+    built = scenario.make_dynamics()
+    assert scenario.make_dynamics() is built
+    scenario.expr_f1 = "0.7"
+    assert scenario.make_dynamics().f1(0.5, 0.5) == 0.7
+    scenario.declared_l0 = 0.0
+    assert scenario.make_dynamics().declared_l0 == 0.0
+    scenario.declared_l0 = -0.0
+    assert math.copysign(1.0, scenario.make_dynamics().declared_l0) == -1.0
+    other = Scenario.from_text(scenario.to_text())
+    assert other.make_dynamics() is not scenario.make_dynamics()
+    builtin = Scenario.from_text(DEMO)
+    builtin.dynamics_params["f0"] = 0.3
+    assert builtin.make_dynamics().f0(0.5, 0.5) == 0.3
+
+
+def test_version(capsys):
+    import fairdyn
+
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"fairdyn {fairdyn.__version__}\n" == "fairdyn 1.0.0\n"
+    # pyproject.toml reads the version from that one attribute
+    pyproject = (SCENARIOS.parent / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in pyproject
+    assert 'version = {attr = "fairdyn.__version__"}' in pyproject
 
 
 def test_analyze_subcommand(tmp_path):
