@@ -7,6 +7,7 @@ as estimate + (L0 + L1) * cell diameter.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,9 +32,9 @@ class ContractionReport:
     l_un_upper: float | None = None
     l_aa2_upper: float | None = None
 
-    # The UN and AA2 verdicts test the upper bound when declared constants
-    # give one: the grid estimate is a lower bound, and L < 1 on it proves
-    # nothing. Without one they test the estimate.
+    # The verdicts test the upper bounds when declared constants give them:
+    # the grid estimates are lower bounds, so L < 1 on them proves nothing
+    # (L_UN >= 1 - alpha, theorem2's lower_ok, it does). Else the estimates.
     @property
     def is_contractive_un(self) -> bool:
         return _contractive(self.l_un if self.l_un_upper is None else self.l_un_upper)
@@ -45,6 +46,14 @@ class ContractionReport:
     @property
     def is_contractive_aa2(self) -> bool:
         return _contractive(self.l_aa2 if self.l_aa2_upper is None else self.l_aa2_upper)
+
+    def theorem2(self, g_a: float, u: UtilitySpec) -> Theorem2Verdict:
+        """theorem2_verdict at g_a and u, with upper_ok testing L_AA2_upper
+        and applies also needing L_UN_upper < 1 when there are upper bounds."""
+        if self.l_un_upper is None:
+            return theorem2_verdict(self.l_un, self.l_aa2, g_a, u)
+        verdict = theorem2_verdict(self.l_un, self.l_aa2_upper, g_a, u)
+        return dataclasses.replace(verdict, applies=verdict.applies and self.l_un_upper < 1.0)
 
 
 def _contractive(bound: float) -> bool:
@@ -187,12 +196,12 @@ class EquilibriumAtlas:
         interior = [d for d in self.unstable if 0.0 < d < 1.0]
         return [0.0] + sorted(interior) + [1.0]
 
-    def basin_index(self, pi0: float, tol: float = 1e-9) -> int | None:
+    def basin_index(self, pi0: float) -> int | None:
         """Index (0-based) of the attracting point whose basin holds pi0;
-        None when pi0 sits on a delimiter."""
+        None when pi0 is within 1e-9 of an interior delimiter."""
         dels = self.delimiters()
         for d in dels[1:-1]:
-            if abs(pi0 - d) <= tol:
+            if abs(pi0 - d) <= 1e-9:
                 return None
         for i in range(len(self.attracting)):
             if dels[i] <= pi0 <= dels[i + 1]:
@@ -210,13 +219,13 @@ def un_map(dyn: DynamicsSpec):
     return f
 
 
-def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray | None:
-    """un_map(dyn) at every point of the float array pis, evaluated as
-    arrays with the same bits; None when dyn.array_sample cannot vouch for
-    every point, and the points must go through un_map."""
+def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray:
+    """un_map(dyn) at every point of the float array pis: as arrays with the
+    same bits when dyn.array_sample vouches for every point, else through
+    un_map point by point, so the first failing point raises its error."""
     maps = dyn.array_sample(np.zeros_like(pis), pis)
     if maps is None:
-        return None
+        return np.array(list(map(un_map(dyn), pis.tolist())))
     f0, f1 = maps
     val = pis * f1 + (1.0 - pis) * f0
     val = np.where(val > 0.0, val, 0.0)  # max(0.0, val)
@@ -239,15 +248,16 @@ def _bisect(g, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_equilibria(dyn: DynamicsSpec, mode: str = "CT", cells: int = 4096) -> EquilibriumAtlas:
-    """Locate and classify fixed points of the UN-induced profile map."""
+def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
+    """Locate and classify fixed points of the UN-induced profile map, from
+    one scan of it on grid_axis(4096)."""
     if mode not in ("DT", "CT"):
         raise ValueError("mode must be 'DT' or 'CT'")
     f = un_map(dyn)
     g = lambda pi: f(pi) - pi
-    xs = grid_axis(cells)
+    xs = grid_axis(4096)
     fs = _un_map_array(dyn, xs)
-    gs = np.array([g(x) for x in xs.tolist()]) if fs is None else fs - xs
+    gs = fs - xs
     xs = xs.tolist()
 
     flat = np.abs(gs) < 1e-12
@@ -292,31 +302,17 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT", cells: int = 4096) -> E
 
     k_valid = interleaving_ok and len(attracting) > 0
     if k_valid:
-        probe = grid_axis(2048)
         # grid_axis(4096)[::2] == grid_axis(2048) exactly: both steps are powers of two
-        fp = fs[::2] if fs is not None and cells == 4096 else _un_map_array(dyn, probe)
+        probe, fp = grid_axis(2048), fs[::2]
         for i, eq in enumerate(attracting):
             lo_bound = dels[i] if i < len(dels) else 0.0
             hi_bound = dels[i + 1] if i + 1 < len(dels) else 1.0
-            if fp is not None:
-                left = (lo_bound + 1e-6 < probe) & (probe < eq.position - 1e-6)
-                right = (eq.position + 1e-6 < probe) & (probe < hi_bound - 1e-6)
-                ok = (~left | (fp > probe)) & (~right | (fp < probe))
-                if mode == "DT":
-                    ok &= (~left | (fp < eq.position)) & (~right | (fp > eq.position))
-                k_valid = bool(ok.all())
-            else:  # stops at the first failing point: no later point is evaluated
-                for p in probe.tolist():
-                    if lo_bound + 1e-6 < p < eq.position - 1e-6:
-                        fv = f(p)
-                        if not (fv > p) or (mode == "DT" and not (fv < eq.position)):
-                            k_valid = False
-                            break
-                    elif eq.position + 1e-6 < p < hi_bound - 1e-6:
-                        fv = f(p)
-                        if not (fv < p) or (mode == "DT" and not (fv > eq.position)):
-                            k_valid = False
-                            break
+            left = (lo_bound + 1e-6 < probe) & (probe < eq.position - 1e-6)
+            right = (eq.position + 1e-6 < probe) & (probe < hi_bound - 1e-6)
+            ok = (~left | (fp > probe)) & (~right | (fp < probe))
+            if mode == "DT":
+                ok &= (~left | (fp < eq.position)) & (~right | (fp > eq.position))
+            k_valid = bool(ok.all())
             if mode == "DT" and eq.rate >= 1.0:
                 k_valid = False
             if not k_valid:

@@ -2,11 +2,11 @@
 
 Subcommands simulate, analyze, compare and field each read a scenario file
 and write one artifact (see scenario.write_output) into --out (default: the
-working directory); they take --strict and --resolution. verify runs the
-randomized self-check suites and takes --seed and --resolution. Exit codes:
-0 success, 1 a verify self-check failed, 2 invalid scenario, arguments or
-unreadable file, 3 warning escalated under --strict, 4 stereotype validity
-violation.
+working directory); they take --strict, analyze and field --resolution too.
+verify runs the randomized self-check suites; it takes --seed and
+--resolution. Exit codes: 0 success, 1 a verify self-check failed, 2 invalid
+scenario, arguments (a --resolution below its minimum too) or unreadable
+file, 3 warning escalated under --strict, 4 stereotype validity violation.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ APPENDIX_C_F1 = (
 )
 APPENDIX_C_F0 = "(b1 + b1/5)/1.2 + 0.01"
 
-# Scenario subcommand -> (artifact kind it writes, help text).
+# Scenario subcommand -> (artifact kind it writes, help text, --resolution's minimum or None).
 SCENARIO_COMMANDS = {
-    "simulate": ("trajectory", "run one trajectory and write it as CSV"),
-    "analyze": ("analysis", "contraction report, equilibria and theorem verdicts"),
-    "compare": ("compare", "cumulative utilities under UN, AA1 and AA2"),
-    "field": ("field", "gradient-field grid over the state square"),
+    "simulate": ("trajectory", "run one trajectory and write it as CSV", None),
+    "analyze": ("analysis", "contraction report, equilibria and theorem verdicts", 64),
+    "compare": ("compare", "cumulative utilities under UN, AA1 and AA2", None),
+    "field": ("field", "gradient-field grid over the state square", 1),
 }
 
 
@@ -92,8 +92,7 @@ def _verify_parser(n: int) -> tuple[int, int]:
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    n_policy = args.resolution or 2000
-    total, fail = _verify_policy_oracle(rng, n_policy)
+    total, fail = _verify_policy_oracle(rng, args.resolution)
     status = "PASS" if fail == 0 else "FAIL"
     print(f"[{status}] closed-form vs LP oracle: {total - fail}/{total}")
     bad = fail
@@ -104,6 +103,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if bad == 0 else 1
 
 
+def _at_least(minimum: int):
+    """argparse type of --resolution: an int, at least minimum."""
+
+    def resolution(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+
+    return resolution
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairdyn",
@@ -112,17 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fairdyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (_, help_text) in SCENARIO_COMMANDS.items():
+    for name, (_, help_text, minimum) in SCENARIO_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a scenario file")
         p.add_argument("--strict", action="store_true", help="escalate warnings to errors")
         p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--resolution", type=int, help="grid intervals per axis (N+1 points)")
-        p.set_defaults(fn=cmd_scenario)
+        if minimum is not None:
+            p.add_argument("--resolution", type=_at_least(minimum), help="grid intervals per axis (N+1 points)")
+        p.set_defaults(fn=cmd_scenario, resolution=None)
 
     v = sub.add_parser("verify", help="run the randomized self-check suites")
     v.add_argument("--seed", type=int, default=0, help="RNG seed for the instance draws")
-    v.add_argument("--resolution", type=int, help="number of randomized policy instances")
+    v.add_argument("--resolution", type=_at_least(1), default=2000, help="number of randomized policy instances")
     v.set_defaults(fn=cmd_verify)
     return parser
 

@@ -79,104 +79,102 @@ def determine_aa_case(state: PopulationState, u: UtilitySpec) -> AACase:
     return AACase(tag=tag, advantaged=adv)
 
 
-# The closed form as Python source, its one home: policy_entries below is
-# compiled from it, and the RK4 kernel (_loops_py) writes it into each stage.
-# UN selects every qualified individual and no unqualified one. In each AA
-# case, the entries (tau1_adv, tau0_adv, tau1_dis, tau0_dis) of the
-# advantaged and the disadvantaged group, over their qualified fractions
-# {adv} and {dis}:
+# The closed form as Python source, its one home: policy_entries and
+# policy_entries_array are compiled from it, and the RK4 kernel (_loops_py)
+# writes it into each stage. UN selects every qualified individual and no
+# unqualified one. In each AA case, the entries (tau1_adv, tau0_adv, tau1_dis,
+# tau0_dis) of the advantaged and the disadvantaged group, over their
+# qualified fractions {adv} and {dis}, a guarded one as (test, value,
+# fallback):
 _AA_CASE_ENTRIES = {
     # 0/0 limit: pi_adv == 0 forces pi_dis == 0; any value is parity
     # feasible, pick the UN-consistent 1.
-    CASE_AA1: ("{dis} / {adv} if {adv} > 0.0 else 1.0", "0.0", "1.0", "0.0"),
+    CASE_AA1: (("{adv} > 0.0", "{dis} / {adv}", "1.0"), "0.0", "1.0", "0.0"),
     # pi_dis == 1 forces pi_adv == 1; the 0/0 limit is resolved to 0.
-    CASE_AA2: ("1.0", "0.0", "1.0", "({adv} - {dis}) / (1.0 - {dis}) if {dis} < 1.0 else 0.0"),
+    CASE_AA2: ("1.0", "0.0", "1.0", ("{dis} < 1.0", "({adv} - {dis}) / (1.0 - {dis})", "0.0")),
 }
-_UN_ENTRIES_SOURCE = ("1.0", "0.0", "1.0", "0.0")
 # Mode AA takes case AA1 where the advantaged group's share g gives
 # g*u1 + (1 - g)*u0 < 0, else AA2. As source over ga, u0 and u1, when A and
 # when B is the advantaged group:
 AA1_TESTS = tuple(f"{g} * u1 + (1.0 - {g}) * u0 < 0.0" for g in ("ga", "(1.0 - ga)"))
 
 
+def _policy_tree(mode: int, pa: str, pb: str, aa1_tests) -> tuple:
+    """The closed form of `mode` (AA2 for modes other than UN, AA and AA1)
+    at the state named pa, pb: a branch (test, then, else) or a leaf
+    (entries (tau1_a, tau0_a, tau1_b, tau0_b), case code)."""
+    if mode == MODE_UN:
+        return ("1.0", "0.0", "1.0", "0.0"), CASE_UN
+    cases = {MODE_AA: (CASE_AA1, CASE_AA2), MODE_AA1: (CASE_AA1,)}.get(mode, (CASE_AA2,))
+    sides = []
+    for adv, dis, test in ((pa, pb, aa1_tests[0]), (pb, pa, aa1_tests[1])):
+        fill = lambda e: e.format(adv=adv, dis=dis) if isinstance(e, str) else tuple(map(fill, e))
+        leaves = [(fill(_AA_CASE_ENTRIES[case]), case) for case in cases]
+        leaves = [(e if adv == pa else e[2:] + e[:2], case) for e, case in leaves]  # A's entries first
+        sides.append((test, *leaves) if mode == MODE_AA else leaves[0])
+    return (f"{pa} >= {pb}", *sides)
+
+
 def policy_source(mode: int, pa: str, pb: str, leaf, aa1_tests=AA1_TESTS) -> list[str]:
     """The closed-form policy of `mode` at the state named pa, pb, as lines
-    of Python source: branches, each ending in the lines leaf(entries, case)
-    gives for its case code and its entries (tau1_a, tau0_a, tau1_b, tau0_b)
-    as expressions. Mode AA branches on aa1_tests (source, or names bound to
-    their values). Modes other than UN, AA and AA1 are AA2."""
-    if mode == MODE_UN:
-        return leaf(_UN_ENTRIES_SOURCE, CASE_UN)
-    cases = {MODE_AA: (CASE_AA1, CASE_AA2), MODE_AA1: (CASE_AA1,)}.get(mode, (CASE_AA2,))
-    lines = []
-    for head, a_adv, test in ((f"if {pa} >= {pb}:", True, aa1_tests[0]), ("else:", False, aa1_tests[1])):
-        adv, dis = (pa, pb) if a_adv else (pb, pa)
-        branches = []
-        for case in cases:
-            t1_adv, t0_adv, t1_dis, t0_dis = (e.format(adv=adv, dis=dis) for e in _AA_CASE_ENTRIES[case])
-            entries = (t1_adv, t0_adv, t1_dis, t0_dis) if a_adv else (t1_dis, t0_dis, t1_adv, t0_adv)
-            branches.append(leaf(entries, case))
-        if mode == MODE_AA:
-            body = [f"if {test}:", *indent(branches[0]), "else:", *indent(branches[1])]
-        else:
-            body = branches[0]
-        lines += [head, *indent(body)]
-    return lines
+    of Python source: if/else branches, each ending in leaf(entries, case),
+    the lines for its case code and entries (tau1_a, tau0_a, tau1_b, tau0_b)
+    as expressions. Mode AA branches on aa1_tests (source, or bound names)."""
+
+    def lines(node) -> list[str]:
+        if len(node) == 2:
+            entries, case = node
+            return leaf(tuple(e if isinstance(e, str) else "{1} if {0} else {2}".format(*e) for e in entries), case)
+        return [f"if {node[0]}:", *indent(lines(node[1])), "else:", *indent(lines(node[2]))]
+
+    return lines(_policy_tree(mode, pa, pb, aa1_tests))
 
 
 def indent(lines: list[str], depth: int = 1) -> list[str]:
     return ["    " * depth + line for line in lines]
 
 
-def _policy_entries_source() -> str:
-    def leaf(entries, case):
-        return [f"return ({', '.join(entries)}, {case})"]
+def _array_lines(mode: int) -> list[str]:
+    """Lines returning the closed form of `mode` at the arrays pa, pb: its
+    tests bound once, each output np.where over those on pa, pb (both sides
+    computed, warnings masked), equal sides folded, constants filled."""
+    tests: dict[str, str] = {}
 
-    lines = ["def policy_entries(mode, pa, pb, ga, u0, u1):"]
+    def where(node, k: int) -> str:
+        if len(node) == 2:
+            value = (*node[0], str(node[1]))[k]  # entry k, or the case code
+            return value if isinstance(value, str) else "np.where({}, {}, {})".format(*value)
+        then, other = where(node[1], k), where(node[2], k)
+        if then == other:
+            return then
+        # an AA1 test is a Python bool: a conditional computes only the chosen side
+        form = "({1} if {0} else {2})" if node[0] in AA1_TESTS else "np.where({0}, {1}, {2})"
+        return form.format(tests.setdefault(node[0], f"c{len(tests)}"), then, other)
+
+    outputs = [where(_policy_tree(mode, "pa", "pb", AA1_TESTS), k) for k in range(5)]
+    outputs = [o if o.startswith("np.where") else f"np.full(pa.shape, {o})" for o in outputs]
+    body = [f"{name} = {test}" for test, name in tests.items()] + [f"return ({', '.join(outputs)})"]
+    return ['with np.errstate(all="ignore"):', *indent(body)]
+
+
+def _compiled(name: str, body):
+    """The compiled function name(mode, pa, pb, ga, u0, u1): the lines body(mode) for each mode."""
+    lines = [f"def {name}(mode, pa, pb, ga, u0, u1):"]
     for mode in (MODE_UN, MODE_AA, MODE_AA1):
-        lines += [f"    if mode == {mode}:", *indent(policy_source(mode, "pa", "pb", leaf), 2)]
-    lines += indent(policy_source(MODE_AA2, "pa", "pb", leaf))
-    return "\n".join(lines) + "\n"
+        lines += [f"    if mode == {mode}:", *indent(body(mode), 2)]
+    namespace = {"__name__": __name__, "np": np}
+    exec(compile("\n".join(lines + indent(body(MODE_AA2))) + "\n", f"<{name}>", "exec"), namespace)
+    return namespace[name]
 
 
-_generated = {"__name__": __name__}
-exec(compile(_policy_entries_source(), "<policy_entries>", "exec"), _generated)
-policy_entries = _generated["policy_entries"]
+policy_entries = _compiled(
+    "policy_entries", lambda mode: policy_source(mode, "pa", "pb", lambda e, case: [f"return ({', '.join(e)}, {case})"])
+)
 policy_entries.__doc__ = """Scalar closed-form policy for one state, (mode, pa, pb, ga, u0, u1) ->
-(tau1_a, tau0_a, tau1_b, tau0_b, case_code).
-
-Compiled from the closed form's source above, as the RK4 kernel's stages
-are. dt_trajectory calls it at every step; ct_integrate evaluates its
-samples' policies as arrays, through policy_entries_array."""
-
-
-def policy_entries_array(
-    mode: int, pa: np.ndarray, pb: np.ndarray, ga: float, u0: float, u1: float
-) -> tuple:
-    """policy_entries at every point of the 1-D float arrays pa, pb, as the
-    arrays (tau1_a, tau0_a, tau1_b, tau0_b, case_code) with the same bits
-    and codes: the same operations, each branch chosen per point by
-    np.where."""
-    if mode == MODE_UN:
-        return tuple(np.full(pa.shape, v) for v in policy_entries(MODE_UN, 0.0, 0.0, ga, u0, u1))
-    adv_is_a = pa >= pb
-    if mode == MODE_AA:
-        g_adv = np.where(adv_is_a, ga, 1.0 - ga)
-        aa1 = g_adv * u1 + (1.0 - g_adv) * u0 < 0.0
-    else:
-        aa1 = np.full(pa.shape, mode == MODE_AA1)
-    pi_adv = np.where(adv_is_a, pa, pb)
-    pi_dis = np.where(adv_is_a, pb, pa)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 limits are masked
-        t1_adv = np.where(aa1, np.where(pi_adv > 0.0, pi_dis / pi_adv, 1.0), 1.0)
-        t0_dis = np.where(aa1, 0.0, np.where(pi_dis < 1.0, (pi_adv - pi_dis) / (1.0 - pi_dis), 0.0))
-    return (
-        np.where(adv_is_a, t1_adv, 1.0),
-        np.where(adv_is_a, 0.0, t0_dis),
-        np.where(adv_is_a, 1.0, t1_adv),
-        np.where(adv_is_a, t0_dis, 0.0),
-        np.where(aa1, CASE_AA1, CASE_AA2),
-    )
+(tau1_a, tau0_a, tau1_b, tau0_b, case_code), compiled from the source above."""
+policy_entries_array = _compiled("policy_entries_array", _array_lines)
+policy_entries_array.__doc__ = """policy_entries at every point of the 1-D float arrays pa, pb, as arrays
+with the same bits and codes, compiled from the same source with np.where."""
 
 
 def aa_policy(state: PopulationState, u: UtilitySpec) -> PolicySolution:

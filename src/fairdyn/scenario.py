@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    contraction_and_status_quo,
-    find_equilibria,
-    prop3_case_persistence,
-    theorem2_verdict,
-)
+from .analysis import contraction_and_status_quo, find_equilibria, prop3_case_persistence
 from .core import PopulationState, UtilitySpec
 from .dynamics import (
     BUILTIN_PARAMS,
@@ -432,7 +427,7 @@ def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int 
         lines.append(f"unstable_{i} = {_fmt(d)}")
     lines += ["", "[theorem2]"]
     try:
-        verdict = theorem2_verdict(report.l_un, report.l_aa2, scenario.g_a, u)
+        verdict = report.theorem2(scenario.g_a, u)
     except ValueError:  # alpha undefined
         lines.append("alpha = undefined")
     else:
@@ -488,16 +483,16 @@ def write_output(
     resolution: int | None = None,
 ) -> Path:
     """Write one artifact of a validated scenario into out_dir (created if
-    missing) and return its path. resolution overrides the number of grid
-    intervals per axis, grid_axis(resolution), of `analysis` (default 256)
-    and `field` (default 40)."""
+    missing) and return its path. resolution, when not None, overrides the
+    number of grid intervals per axis, grid_axis(resolution), of `analysis`
+    (default 256) and `field` (default 40)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scenario.name}_{OUTPUT_FILES[kind]}"
     if kind == "trajectory":
         write_trajectory_csv(scenario.run_trajectory(strict=strict), path)
     elif kind == "analysis":
-        write_analysis_report(scenario, path, resolution=resolution or 256)
+        write_analysis_report(scenario, path, resolution=256 if resolution is None else resolution)
     elif kind == "compare":
         write_compare_csv(scenario, path, strict=strict)
     else:
@@ -505,7 +500,7 @@ def write_output(
             scenario.make_dynamics(),
             scenario.mode,
             scenario.utility_spec(),
-            resolution=(resolution or 40) + 1,  # export_field counts points
+            resolution=(40 if resolution is None else resolution) + 1,  # export_field counts points
             g_a=scenario.g_a,
         )
         write_field_csv(rows, path)

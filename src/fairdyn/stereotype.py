@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import Policy, PopulationState, UtilitySpec, clamp01
 from .dynamics import DynamicsSpec, TrajectoryRecord, dt_trajectory
-from .policy import CASE_AA1, CASE_AA2, CASE_UN, determine_aa_case
+from .policy import CASE_AA1, CASE_AA2, CASE_UN, MODE_AA1, determine_aa_case, policy_entries
 
 
 class StereotypeValidityError(ValueError):
@@ -104,10 +104,9 @@ def effective_policy(
     e_adv, e_dis = (ea, eb) if adv_is_a else (eb, ea)
 
     if case == "AA1":
-        if e_dis == 0.0 and e_adv == 0.0:
-            t1_adv = pi_dis / pi_adv if pi_adv > 0.0 else 1.0
-            t0_adv, t1_dis, t0_dis = 0.0, 1.0, 0.0
-        elif e_dis >= 0.0:
+        if e_dis == 0.0 and e_adv == 0.0:  # the unbiased closed form
+            return Policy(*policy_entries(MODE_AA1, pa, pb, state.g_a, u.u0, u.u1)[:4])
+        if e_dis >= 0.0:
             target = pi_dis + e_dis
             t1_adv = min(1.0, target / pi_adv) if pi_adv > 0.0 else 1.0
             t0_adv = 0.0

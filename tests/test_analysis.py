@@ -67,6 +67,25 @@ def test_verdicts_use_the_declared_upper_bounds():
     assert dataclasses.replace(rep, l_un_upper=None).is_contractive_un
 
 
+def test_theorem2_uses_the_bound_that_makes_each_test_sound():
+    # alpha = 1/3: lower_ok needs L_UN >= 2/3, upper_ok L_AA2 <= 1 + 3*(L_UN - 1)
+    rep = ContractionReport(
+        l_un=0.99, l_aa1=0.5, l_aa2=0.9, l0=0.1, l1=0.1, grid_resolution=64,
+        method="grid+declared-constants", l_un_upper=1.01, l_aa2_upper=0.95,
+    )
+    assert theorem2_verdict(rep.l_un, rep.l_aa2, 0.5, U).applies
+    sound = rep.theorem2(0.5, U)
+    assert sound.lower_ok and sound.upper_ok  # 0.95 <= 1 + 3*(0.99 - 1)
+    assert not sound.applies  # L_UN_upper = 1.01 does not show L_UN < 1
+    assert rep.theorem2(0.5, U) == dataclasses.replace(sound, applies=False)
+    assert dataclasses.replace(rep, l_un_upper=0.999).theorem2(0.5, U).applies
+    # the upper L_AA2 above the bound the lower L_UN gives fails upper_ok
+    assert not dataclasses.replace(rep, l_aa2_upper=0.98).theorem2(0.5, U).upper_ok
+    # without declared constants, the estimates
+    estimates = dataclasses.replace(rep, method="grid", l_un_upper=None, l_aa2_upper=None)
+    assert estimates.theorem2(0.5, U) == theorem2_verdict(0.99, 0.9, 0.5, U)
+
+
 def _affine_sin(a, c, d, e, w):
     """a + c*b0 + d*b1 + e*sin(w*(b0 + b1)) for floats and numpy arrays
     alike, so one function is both the map and its array form."""
@@ -545,6 +564,6 @@ def test_maps_are_called_with_python_floats():
     assert check_status_quo_bias(holds, resolution=64).holds  # samples every row
     dyn.validate_declared(resolution=64)
     for mode in ("CT", "DT"):
-        find_equilibria(dyn, mode=mode, cells=512)
+        find_equilibria(dyn, mode=mode)
     for mode in ("UN", "AA"):
         export_field(dyn, mode, U, resolution=5)

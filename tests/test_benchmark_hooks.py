@@ -1,0 +1,66 @@
+"""The benchmark's tracer (perfbench/tracing.py) rebinds fairdyn attributes
+by name: each must still exist, and uninstalling the tracer must put every
+original back."""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing() -> types.ModuleType:
+    """perfbench/tracing.py as a module, read without writing its bytecode."""
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def _hooked(tracing) -> list[tuple[str, str]]:
+    hooks = [(module, attr) for module, attr, *_ in (*tracing.SPANS, *tracing.TIMED, *tracing.BUILDERS)]
+    return hooks + [("fairdyn.analysis", "un_map")]
+
+
+def _resolve(module: str, attr: str):
+    """The raw attribute a hook rebinds: a class attribute as stored in the
+    class (a staticmethod undecorated), else the module attribute."""
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        return vars(getattr(owner, cls_name))[attr]
+    return getattr(owner, attr)
+
+
+def _fairdyn_bindings() -> dict:
+    """Every attribute of every loaded fairdyn module and of its classes."""
+    bindings = {}
+    for name, module in list(sys.modules.items()):
+        if name == "fairdyn" or name.startswith("fairdyn."):
+            for key, value in vars(module).items():
+                bindings[name, key] = value
+                if isinstance(value, type) and value.__module__ == name:
+                    for attr, raw in vars(value).items():
+                        bindings[name, f"{key}.{attr}"] = raw
+    return bindings
+
+
+def test_tracer_hooks_resolve_and_uninstall_restores_them():
+    import fairdyn.cli  # noqa: F401  loads every module the tracer hooks
+
+    tracing = _load_tracing()
+    hooks = _hooked(tracing)
+    originals = {hook: _resolve(*hook) for hook in hooks}
+    assert all(callable(getattr(raw, "__func__", raw)) for raw in originals.values())
+    before = _fairdyn_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for hook in hooks:
+            assert _resolve(*hook) is not originals[hook], hook
+    finally:
+        tracer.uninstall()
+    after = _fairdyn_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []

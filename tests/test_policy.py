@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fairdyn import (
     Policy,
@@ -14,6 +16,7 @@ from fairdyn import (
     unconstrained_policy,
     utility,
 )
+from fairdyn.policy import policy_entries, policy_entries_array
 from conftest import random_state, random_utility
 
 
@@ -168,3 +171,40 @@ def test_achieved_utility_consistent(rng):
             assert sol.achieved_utility == pytest.approx(
                 utility(state, sol.policy, u), abs=1e-12
             )
+
+
+# States at the ends of [0, 1] and next to them, where the closed form's
+# guarded divisions fall back to their limits.
+EDGE_STATES = (0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5)
+# (ga, u0, u1) with g*u1 + (1 - g)*u0 == 0 for the advantaged group's share
+# g: ga when A is advantaged, 1 - ga when B is.
+AA_BOUNDARY = ((0.5, -1.0, 1.0), (0.25, -1.0, 3.0), (0.75, -1.0, 3.0), (0.2, -1.0, 4.0), (0.3, 0.0, 0.0))
+_unit = st.one_of(st.sampled_from(EDGE_STATES), st.floats(0.0, 1.0))
+_points = st.lists(
+    st.one_of(st.tuples(_unit, _unit), _unit.map(lambda p: (p, p))), min_size=1, max_size=12
+)
+_utilities = st.one_of(
+    st.sampled_from(AA_BOUNDARY),
+    st.tuples(st.floats(0.01, 0.99), st.floats(-2.0, 0.0), st.floats(0.0, 2.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from((0, 1, 2, 3, 7)), points=_points, utility_args=_utilities)
+@example(mode=1, points=[(0.0, 0.0), (1.0, 1.0), (1e-300, 0.0), (1.0 - 1e-16, 1.0)], utility_args=(0.25, -1.0, 3.0))
+@example(mode=1, points=[(0.0, 1e-300), (1.0, 1.0 - 1e-16), (0.4, 0.4)], utility_args=(0.75, -1.0, 3.0))
+def test_policy_entries_array_matches_scalar_entries(mode, points, utility_args):
+    """Every output of the array closed form is, point by point, the scalar
+    closed form's value: the same dtype and the same bytes."""
+    ga, u0, u1 = utility_args
+    if utility_args in AA_BOUNDARY:
+        assert ga * u1 + (1.0 - ga) * u0 == 0.0 or (1.0 - ga) * u1 + (1.0 - (1.0 - ga)) * u0 == 0.0
+    pa, pb = (np.array(column) for column in zip(*points))
+    arrays = policy_entries_array(mode, pa, pb, ga, u0, u1)
+    scalars = [policy_entries(mode, a, b, ga, u0, u1) for a, b in points]
+    assert len(arrays) == 5
+    for k, array in enumerate(arrays):
+        expected = np.array([entries[k] for entries in scalars])
+        assert array.shape == expected.shape
+        assert array.dtype == expected.dtype
+        assert array.tobytes() == expected.tobytes()

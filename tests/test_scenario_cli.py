@@ -357,7 +357,8 @@ def test_each_command_compiles_each_expression_once(tmp_path, monkeypatch, comma
     path = tmp_path / "demo.scn"
     path.write_text(DEMO.replace(CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8"))
     compiled = _count_compiles(monkeypatch)
-    assert main([command, str(path), "--out", str(tmp_path), "--resolution", "64"]) == 0
+    resolution = [] if command == "simulate" else ["--resolution", "64"]
+    assert main([command, str(path), "--out", str(tmp_path), *resolution]) == 0
     assert compiled == ["0.2", "0.8"]
 
 
@@ -401,6 +402,24 @@ def test_analyze_subcommand(tmp_path):
     assert main(["analyze", str(path), "--out", str(tmp_path), "--resolution", "64"]) == 0
     report = (tmp_path / "demo_analysis.txt").read_text()
     assert "[theorem2]\nalpha = undefined\n\n[case_persistence]" in report
+
+
+def test_analyze_theorem2_tests_the_declared_upper_bound(tmp_path):
+    """An affine builtin declares its constants: upper_ok tests
+    L_AA2_upper, which fails where the grid L_AA2 passes."""
+    text = DEMO.replace(
+        CONSTANT_DYNAMICS,
+        "builtin = affine\na0 = 0.4\nc0 = 0.28\nd0 = -0.79\na1 = 0.79\nc1 = -0.22\nd1 = -0.93",
+    )
+    text = text.replace("gA = 0.5", "gA = 0.67").replace("u1 = 1\n", "u1 = 1.26\n")
+    path = tmp_path / "demo.scn"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--resolution", "64"]) == 0
+    report = (tmp_path / "demo_analysis.txt").read_text()
+    assert "L_UN = 1.3200000000000001\n" in report and "L_AA2 = 2.04\n" in report
+    assert "L_AA2_upper = 2.09375\n" in report
+    # 2.04 <= 1 + (L_UN - 1)/alpha = 2.0896... < 2.09375
+    assert "alpha = 0.29368554880632858\nlower_ok = True\nupper_ok = False\n" in report
 
 
 def test_field_subcommand_grid_size(tmp_path):
@@ -481,6 +500,30 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", str(good), "--seed", "1", "--out", str(tmp_path)]) == 2
     assert main(["verify", "--out", str(tmp_path)]) == 2
     assert main(["verify", "--strict"]) == 2
+    for cmd in ("simulate", "compare"):  # --resolution changed nothing there
+        assert main([cmd, str(good), "--resolution", "64", "--out", str(tmp_path)]) == 2
+    # --resolution below its minimum names the flag and the minimum, and
+    # writes nothing
+    capsys.readouterr()
+    none = str(tmp_path / "none")
+    for argv, minimum in (
+        (["analyze", str(good), "--out", none, "--resolution", "0"], 64),
+        (["analyze", str(good), "--out", none, "--resolution", "63"], 64),
+        (["field", str(good), "--out", none, "--resolution", "0"], 1),
+        (["field", str(good), "--out", none, "--resolution", "-1"], 1),
+        (["verify", "--resolution", "0"], 1),
+        (["verify", "--resolution", "-3"], 1),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"argument --resolution: must be >= {minimum}, got {argv[-1]}" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "none").exists()
+    # the minimum itself is accepted
+    assert main(["field", str(good), "--resolution", "1", "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "demo_field.csv").read_text().strip().split("\n")) == 1 + 2 * 2
+    assert main(["verify", "--resolution", "1"]) == 0
+    assert "closed-form vs LP oracle: 1/1" in capsys.readouterr().out
     # builtin l0 is an unknown key; infinite utilities and builtin parameters
     bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, "builtin = appendixC\nl0 = 1"))
     assert main(["analyze", str(bad)]) == 2
