@@ -1,8 +1,10 @@
 """Numerical verification of the equality and utility conditions.
 
 Grid-based suprema are reported as lower bounds of the true values; when
-declared Lipschitz constants are available a rigorous upper bound is added
-as estimate + (L0 + L1) * cell diameter.
+declared Lipschitz constants are available an upper bound is added as
+estimate + (L0 + L1) * cell diameter. That bound holds only if the declared
+constants are true Lipschitz constants of the maps: they are checked only
+against the grid's finite-difference slopes, which are lower bounds.
 """
 
 from __future__ import annotations
@@ -220,10 +222,11 @@ def un_map(dyn: DynamicsSpec):
 
 
 def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray:
-    """un_map(dyn) at every point of the float array pis: as arrays with the
-    same bits when dyn.array_sample vouches for every point, else through
-    un_map point by point, so the first failing point raises its error."""
-    maps = dyn.array_sample(np.zeros_like(pis), pis)
+    """un_map(dyn) at every point of the float array pis, with the same bits:
+    as arrays when dyn.array_sample or dyn._call_maps vouches for every
+    point, else point by point, so the first failing point raises its error."""
+    b0 = np.zeros_like(pis)
+    maps = dyn.array_sample(b0, pis) or dyn._call_maps(b0, pis)
     if maps is None:
         return np.array(list(map(un_map(dyn), pis.tolist())))
     f0, f1 = maps

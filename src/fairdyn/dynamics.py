@@ -47,7 +47,9 @@ class DynamicsSpec:
     two float arrays of one shape and returns the unclamped map at every
     point, bit for bit the scalar map's wherever that is finite, or None when
     it cannot vouch for every point (see array_sample). Expressions and the
-    affine and constant builtins have one; Python callbacks do not.
+    affine and constant builtins have one; Python callbacks do not, and the
+    grid analyses call them once per point (see sample). A chunk with a
+    failing point is evaluated again point by point, so maps must be pure.
     """
 
     f0: Callable[[float, float], float]
@@ -97,22 +99,37 @@ class DynamicsSpec:
 
         The points go in chunks of 4096 through array_sample. A chunk it
         cannot vouch for (and every chunk of a spec without an array form)
-        calls f0_clamped at each of its points, then f1_clamped at each,
-        with Python floats; so the first failing point in that order raises
-        its ValueError or ExpressionEvaluationError, naming the map and the
-        point."""
+        goes through _call_maps, which calls each map once per point. A
+        chunk that fails there calls f0_clamped at each of its points, then
+        f1_clamped at each, with Python floats; so the first failing point
+        in that order raises its ValueError or ExpressionEvaluationError,
+        naming the map and the point."""
         b0, b1 = np.broadcast_arrays(b0, b1)
         x, y = b0.ravel(), b1.ravel()
         f0, f1 = np.empty(x.size), np.empty(x.size)
         chunk = 4096  # points held as Python floats at a time: bounds memory
         for s in range(0, x.size, chunk):
             cx, cy = x[s : s + chunk], y[s : s + chunk]
-            values = self.array_sample(cx, cy)
+            values = self.array_sample(cx, cy) or self._call_maps(cx, cy)
             if values is None:
                 cx, cy = cx.tolist(), cy.tolist()
                 values = list(map(self.f0_clamped, cx, cy)), list(map(self.f1_clamped, cx, cy))
             f0[s : s + chunk], f1[s : s + chunk] = values
         return f0.reshape(b0.shape), f1.reshape(b0.shape)
+
+    def _call_maps(self, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The clamped maps (f0, f1) at every point of the 1-D float arrays
+        b0, b1, with the bits f0_clamped and f1_clamped give: f0 called at
+        each point, then f1, with Python floats. None when a call raised or
+        _plain_array refuses its values; the caller then goes point by point."""
+        x, y = b0.tolist(), b1.tolist()
+        try:
+            f0, f1 = (_plain_array(list(map(fn, x, y))) for fn in (self.f0, self.f1))
+        except Exception:  # per point, a call raises its error again; an int may overflow
+            return None
+        if f0 is None or f1 is None:
+            return None
+        return _clamp01_array(f0), _clamp01_array(f1)
 
     def check_declared(self, l0_sampled: float, l1_sampled: float) -> None:
         """Raise ValueError when a sampled slope exceeds its declared
@@ -135,6 +152,16 @@ class DynamicsSpec:
         xs = grid_axis(resolution)
         f0, f1 = self.sample(xs[:, None], xs)
         self.check_declared(max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1]))
+
+
+def _plain_array(values: list) -> np.ndarray | None:
+    """values as a float64 array; None when one is NaN or is not a float, a
+    numpy float64 or an int (a Fraction would round, and un_map computes with
+    a numpy float32 in float32)."""
+    if not {*map(type, values)} <= {float, np.float64, int}:
+        return None
+    array = np.fromiter(values, float, len(values))
+    return None if np.isnan(array).any() else array
 
 
 def _clamp01_array(values: np.ndarray) -> np.ndarray:

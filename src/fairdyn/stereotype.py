@@ -68,6 +68,11 @@ def _un_entries(pi: float, eps: float) -> tuple[float, float]:
     return clamp01((pi + eps) / pi), 0.0
 
 
+def _resolved_case(mode: str, state: PopulationState, u: UtilitySpec) -> str:
+    """mode, with AA resolved to the AA case it takes at state."""
+    return determine_aa_case(state, u).resolved_tag() if mode == "AA" else mode
+
+
 def effective_policy(
     mode: str,
     state: PopulationState,
@@ -92,11 +97,8 @@ def effective_policy(
         t1b, t0b = _un_entries(pb, eb)
         return Policy(t1a, t0a, t1b, t0b)
 
-    if mode == "AA":
-        case = determine_aa_case(state, u).resolved_tag()
-    elif mode in ("AA1", "AA2"):
-        case = mode
-    else:
+    case = _resolved_case(mode, state, u)
+    if case not in ("AA1", "AA2"):
         raise ValueError(f"unknown policy mode {mode!r}")
 
     adv_is_a = pa >= pb
@@ -163,12 +165,10 @@ def stereotype_trajectory(
     case_code = {"UN": CASE_UN, "AA1": CASE_AA1, "AA2": CASE_AA2}
 
     def policy_fn(pa: float, pb: float, step: int):
+        # effective_policy takes the resolved case as its mode: one case per step
         state = PopulationState.of(pa, pb, g_a)
-        if mode == "AA":
-            tag = determine_aa_case(state, u).resolved_tag()
-        else:
-            tag = mode
-        pol = effective_policy(mode, state, u, eps, step)
+        tag = _resolved_case(mode, state, u)
+        pol = effective_policy(tag, state, u, eps, step)
         return (pol.tau1_a, pol.tau0_a, pol.tau1_b, pol.tau0_b, case_code[tag])
 
     record = dt_trajectory(

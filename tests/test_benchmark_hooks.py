@@ -64,3 +64,26 @@ def test_tracer_hooks_resolve_and_uninstall_restores_them():
     after = _fairdyn_bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_export_field_calls_ct_gradient_for_callback_maps(monkeypatch):
+    """perfbench's dynamics.ct_gradient.us_per_call times ct_gradient, which
+    only export_field calls on a spec without array maps: once per grid
+    point for UN, and again for the UN difference under a constrained mode."""
+    from fairdyn import UtilitySpec, appendix_c_dynamics, dynamics, scenario
+
+    calls, original = [], dynamics.ct_gradient
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for (module, key), value in _fairdyn_bindings().items():  # rebound as the tracer does
+        if value is original and "." not in key:
+            monkeypatch.setattr(sys.modules[module], key, counted)
+    dyn, u = appendix_c_dynamics(), UtilitySpec(-1.0, 1.0)
+    assert dyn.array_maps is None
+    for mode, per_point in (("UN", 1), ("AA1", 2)):
+        calls.clear()
+        rows = scenario.export_field(dyn, mode, u, resolution=6)
+        assert len(rows) == 36 and len(calls) == 36 * per_point, mode

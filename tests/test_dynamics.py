@@ -1,9 +1,13 @@
 import math
 import re
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairdyn import (
     CaseSwitchError,
@@ -21,7 +25,8 @@ from fairdyn import (
     estimate_contraction,
     parse_dynamics,
 )
-from fairdyn import _loops_py
+from fairdyn import _loops_py, analysis
+from fairdyn.dynamics import DynamicsSpec, grid_axis
 from conftest import random_contractive_affine
 
 U = UtilitySpec(u0=-1.0, u1=1.0)
@@ -311,3 +316,128 @@ def test_appendix_c_shape():
     assert dyn.f0(0.0, 0.0) == pytest.approx(0.01)
     assert dyn.f1(0.0, 0.0) == pytest.approx(0.1)
     assert dyn.affine is None
+
+
+# What a callback map returns at its drawn point (or at every point): a
+# value, or ZeroDivisionError, which the map raises.
+OUTCOMES = (
+    0.375,  # in range
+    1.625,  # out of range
+    math.inf,
+    -math.inf,
+    -0.0,
+    1,  # an int
+    np.float32(0.3),
+    Fraction(1, 3),
+    -Fraction(1, 10**400),  # float() of it is -0.0, which the clamp keeps
+    math.nan,
+    ZeroDivisionError,
+    0.5 + 0.25j,
+)
+GRID8 = grid_axis(8)  # every grid_axis(8) point is a grid_axis(64) and a grid_axis(4096) point
+
+
+def _frozen_sample(dyn, b0, b1):
+    """DynamicsSpec.sample on a spec without array maps as it was before
+    _call_maps: per 4096-point chunk, f0_clamped at each point, then
+    f1_clamped at each."""
+    b0, b1 = np.broadcast_arrays(b0, b1)
+    x, y = b0.ravel(), b1.ravel()
+    f0, f1 = np.empty(x.size), np.empty(x.size)
+    for s in range(0, x.size, 4096):
+        cx, cy = x[s : s + 4096].tolist(), y[s : s + 4096].tolist()
+        values = list(map(dyn.f0_clamped, cx, cy)), list(map(dyn.f1_clamped, cx, cy))
+        f0[s : s + 4096], f1[s : s + 4096] = values
+    return f0.reshape(b0.shape), f1.reshape(b0.shape)
+
+
+def _frozen_un_map_array(dyn, pis):
+    """analysis._un_map_array on a spec without array maps as it was before
+    _call_maps: un_map point by point."""
+    return np.array(list(map(analysis.un_map(dyn), pis.tolist())))
+
+
+def _outcome_map(base, outcome, point, everywhere, calls, which):
+    def f(b0, b1):
+        calls[which] += 1
+        if everywhere or (b0, b1) == point:
+            return 1.0 / 0.0 if outcome is ZeroDivisionError else outcome
+        return base(b0, b1)
+
+    return f
+
+
+def _result(fn):
+    """The bytes of fn's arrays or the repr of its result, or its
+    exception's type and message."""
+    try:
+        value = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, tuple) and all(isinstance(v, np.ndarray) for v in value):
+        return [(v.dtype, v.shape, v.tobytes()) for v in value]
+    return repr(value)
+
+
+CASE = st.tuples(
+    st.integers(0, len(OUTCOMES) - 1),
+    st.one_of(st.just(0.0), st.sampled_from(GRID8.tolist())),  # b0 = 0 is on the UN map
+    st.sampled_from(GRID8.tolist()),
+    st.integers(0, 3).map(lambda k: k == 0),  # the outcome at every point
+)
+
+
+AFFINE = (0.2, 0.1, 0.3, 0.4, 0.0, 0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.tuples(*[st.floats(-0.5, 1.5)] * 6),
+    case0=CASE,
+    case1=CASE,
+    declared=st.sampled_from([0.5, 1e6]),
+)
+@example(coeffs=AFFINE, case0=(8, 0.0, 0.5, False), case1=(0, 0.0, 0.0, False), declared=1e6)  # -Fraction(1, 10**400)
+@example(coeffs=AFFINE, case0=(0, 0.0, 0.0, False), case1=(9, 0.25, 0.5, False), declared=1e6)  # NaN
+@example(coeffs=AFFINE, case0=(0, 0.0, 0.0, False), case1=(9, 0.0, 0.5, False), declared=1e6)  # NaN on the UN map
+@example(coeffs=AFFINE, case0=(1, 0.5, 0.5, False), case1=(6, 0.0, 0.375, False), declared=1e6)  # un_map in float32
+@example(coeffs=AFFINE, case0=(5, 0.0, 0.0, True), case1=(4, 0.0, 0.0, True), declared=0.5)  # ints, -0.0 everywhere
+def test_called_maps_match_the_per_point_path(coeffs, case0, case1, declared):
+    """Each grid analysis of a callback spec gives the bytes, repr or error
+    (class and message) of the per-point path, whatever the maps return at
+    one point or at every point; and where _call_maps takes every value, each
+    map is called as often as the per-point path calls it, once per point."""
+    a0, c0, d0, a1, c1, d1 = coeffs
+    bases = (lambda b0, b1: a0 + c0 * b0 + d0 * b1, lambda b0, b1: a1 + c1 * b0 + d1 * b1)
+    calls = [0, 0]
+    maps = [
+        _outcome_map(base, OUTCOMES[k], (b0, b1), everywhere, calls, which)
+        for which, (base, (k, b0, b1, everywhere)) in enumerate(zip(bases, (case0, case1)))
+    ]
+    dyn = DynamicsSpec(*maps, name="outcomes", declared_l0=declared, declared_l1=declared)
+    values = [OUTCOMES[case0[0]], OUTCOMES[case1[0]]]
+    called_once = all(type(v) in (float, int) and v == v for v in values)  # a float, not NaN, or an int
+    analyses = {
+        "sample": lambda: dyn.sample(GRID8[:, None], GRID8),
+        "status quo": lambda: analysis.check_status_quo_bias(dyn, 64),
+        "declared": lambda: dyn.validate_declared(64),  # 65**2 points: two chunks
+        "UN map scan": lambda: (analysis._un_map_array(dyn, grid_axis(4096)),),
+        "equilibria CT": lambda: analysis.find_equilibria(dyn, "CT"),
+        "equilibria DT": lambda: analysis.find_equilibria(dyn, "DT"),
+    }
+    for name, run in analyses.items():
+        calls[:] = [0, 0]
+        got = _result(run)
+        got_calls = calls[:]
+        calls[:] = [0, 0]
+        with mock.patch.object(DynamicsSpec, "sample", _frozen_sample), mock.patch.object(
+            analysis, "_un_map_array", _frozen_un_map_array
+        ):
+            want = _result(run)
+        assert got == want, name
+        if called_once:
+            assert got_calls == calls, name
+    if called_once:
+        calls[:] = [0, 0]
+        dyn.sample(GRID8[:, None], GRID8)
+        assert calls == [GRID8.size**2] * 2

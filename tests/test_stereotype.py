@@ -152,3 +152,24 @@ def test_schedule_length_respected():
     spec = StereotypeSpec(eps_a=[0.0] * 11, eps_b=[0.0] * 11)
     rec = stereotype_trajectory(state, "AA1", U_AA1, CONST, spec, 10)
     assert len(rec.times) == 11
+
+
+def test_aa_case_is_determined_once_per_step(monkeypatch):
+    import fairdyn.stereotype as stereotype
+
+    calls = []
+    original = stereotype.determine_aa_case
+
+    def counted(state, u):
+        calls.append(state)
+        return original(state, u)
+
+    monkeypatch.setattr(stereotype, "determine_aa_case", counted)
+    state = PopulationState.of(0.8, 0.3, 0.5)
+    for u, tag in ((U_AA1, "AA1"), (U_AA2, "AA2")):
+        calls.clear()
+        rec = stereotype_trajectory(state, "AA", u, CONST, StereotypeSpec(0.02, -0.02), 10)
+        assert len(calls) == 11 and set(rec.case_tags) == {tag}
+    calls.clear()
+    stereotype_trajectory(state, "AA1", U_AA1, CONST, StereotypeSpec(0.02, -0.02), 10)
+    assert calls == []
