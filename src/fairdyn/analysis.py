@@ -65,26 +65,16 @@ def _contractive(bound: float) -> bool:
 def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> ContractionReport:
     """Grid estimates of the three equalization constants.
 
-    The grid uses resolution+1 equispaced points per axis, so doubling the
-    resolution refines over a nested sample set and the estimates are
-    monotone in resolution. A declared Lipschitz constant replaces its
-    sampled slope once dyn.check_declared has passed it (ValueError if not).
+    The grid is dyn.sample_grid(resolution): resolution+1 equispaced points
+    per axis, so doubling the resolution refines over a nested sample set
+    and the estimates are monotone in resolution. The spec keeps it for
+    validate_declared and check_status_quo_bias at the same resolution. A
+    declared Lipschitz constant replaces its sampled slope once
+    dyn.check_declared has passed it (ValueError if not).
     """
-    return _contraction(dyn, resolution, *_sample_grid(dyn, resolution))
-
-
-def _sample_grid(dyn: DynamicsSpec, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid_axis(resolution) axis xs and the clamped maps sampled at
-    (xs[i], xs[j]), indexed [i, j]."""
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
-    xs = grid_axis(resolution)
-    return (xs, *dyn.sample(xs[:, None], xs))
-
-
-def _contraction(
-    dyn: DynamicsSpec, resolution: int, xs: np.ndarray, f0: np.ndarray, f1: np.ndarray
-) -> ContractionReport:
+    xs, f0, f1 = dyn.sample_grid(resolution)
     l0, l1 = max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1])
     dyn.check_declared(l0, l1)
     l0 = l0 if dyn.declared_l0 is None else float(dyn.declared_l0)
@@ -99,9 +89,18 @@ def _contraction(
     l_un = float(np.max(xs * l1 + (1.0 - xs) * l0 + prefix_gap))
 
     # l_aa2: max over pi = xs[i] and delta = xs[k], k <= i, of
-    # 2*(pi*L1 + (1-pi)*L0) + |f1 - f0| at (delta, pi - delta)
+    # 2*(pi*L1 + (1-pi)*L0) + |f1 - f0| at (delta, pi - delta). Where
+    # pi - delta is xs[i - k] bit for bit the maps are read off the grid,
+    # and only the other points are sampled; if one of those raises, the
+    # whole triangle is sampled, to raise the error it raises in its order.
     i, k = np.tril_indices(resolution + 1)
-    t0, t1 = dyn.sample(xs[k], xs[i] - xs[k])
+    b1 = xs[i] - xs[k]
+    other = b1.view(np.int64) != xs[i - k].view(np.int64)
+    t0, t1 = f0[k, i - k], f1[k, i - k]
+    try:
+        t0[other], t1[other] = dyn.sample(xs[k[other]], b1[other])
+    except Exception:
+        t0, t1 = dyn.sample(xs[k], b1)
     lip = 2.0 * (xs * l1 + (1.0 - xs) * l0)
     l_aa2 = float(np.max(lip[i] + np.abs(t1 - t0)))
 
@@ -130,9 +129,16 @@ class StatusQuoReport:
 
 
 def check_status_quo_bias(dyn: DynamicsSpec, resolution: int = 256) -> StatusQuoReport:
-    """Verify f1 >= f0 - 1e-12 on a grid over the selection-rate square."""
+    """Verify f1 >= f0 - 1e-12 on a grid over the selection-rate square.
+
+    Reads the grid the spec keeps when it is this resolution's (see
+    DynamicsSpec.sample_grid); else samples the grid in rows and stops at
+    the first row with a counterexample, keeping nothing."""
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
+    if resolution in dyn._grids:
+        xs, f0, f1 = dyn._grids[resolution]
+        return _status_quo(xs, xs, f0, f1)
     xs = grid_axis(resolution)
     step = max(1, 4096 // xs.size)  # rows per array evaluation
     for r in range(0, xs.size, step):
@@ -157,20 +163,6 @@ def _status_quo(rows, xs: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> StatusQ
         return StatusQuoReport(holds=True, counterexample=None)
     i, j = divmod(int(bad[0]), xs.size)
     return StatusQuoReport(holds=False, counterexample=(float(rows[i]), float(xs[j])))
-
-
-def contraction_and_status_quo(
-    dyn: DynamicsSpec, resolution: int = 256
-) -> tuple[ContractionReport, StatusQuoReport]:
-    """estimate_contraction(dyn, resolution) and
-    check_status_quo_bias(dyn, min(resolution, 256)). Up to resolution 256
-    that is one grid, sampled once for both; the status-quo check then
-    reads every point, and the contraction has already raised any
-    evaluation error."""
-    if resolution > 256:
-        return estimate_contraction(dyn, resolution), check_status_quo_bias(dyn, 256)
-    xs, f0, f1 = _sample_grid(dyn, resolution)
-    return _contraction(dyn, resolution, xs, f0, f1), _status_quo(xs, xs, f0, f1)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,11 @@ class DynamicsSpec:
     affine and constant builtins have one; Python callbacks do not, and the
     grid analyses call them once per point (see sample). A chunk with a
     failing point is evaluated again point by point, so maps must be pure.
+
+    The spec keeps the last grid that sample_grid sampled, for the grid
+    analyses of one resolution to share: the axis and two float arrays of
+    (resolution+1)**2 points, 267 KB at resolution 128. dataclasses.replace
+    starts a spec without it.
     """
 
     f0: Callable[[float, float], float]
@@ -59,6 +64,7 @@ class DynamicsSpec:
     declared_l1: float | None = None
     affine: tuple[float, float, float, float, float, float] | None = None
     array_maps: tuple[Callable, Callable] | None = None
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def f0_clamped(self, b0: float, b1: float) -> float:
         value = self.f0(b0, b1)
@@ -145,13 +151,27 @@ class DynamicsSpec:
                 )
 
     def validate_declared(self, resolution: int = 256) -> None:
-        """check_declared on the slopes of the grid_axis(resolution) grid,
-        the grid that estimate_contraction(resolution) samples."""
+        """check_declared on the slopes of sample_grid(resolution), the grid
+        that estimate_contraction(resolution) reads."""
         if self.declared_l0 is None and self.declared_l1 is None:
             return
-        xs = grid_axis(resolution)
-        f0, f1 = self.sample(xs[:, None], xs)
+        xs, f0, f1 = self.sample_grid(resolution)
         self.check_declared(max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1]))
+
+    def sample_grid(self, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The axis xs = grid_axis(resolution) and the clamped maps sampled
+        at (xs[i], xs[j]), indexed [i, j], as read-only arrays. The spec
+        keeps the last grid it sampled and returns it again for the same
+        resolution; a sampling that raises keeps nothing."""
+        grid = self._grids.get(resolution)
+        if grid is None:
+            xs = grid_axis(resolution)
+            grid = (xs, *self.sample(xs[:, None], xs))
+            for array in grid:
+                array.flags.writeable = False
+            self._grids.clear()
+            self._grids[resolution] = grid
+        return grid
 
 
 def _plain_array(values: list) -> np.ndarray | None:

@@ -190,7 +190,7 @@ class _Parser:
         if kind == "op" and value == "^":
             self.next()
             exponent, exponent_array = self.factor()
-            return f"{base} ** {exponent}", f"_pow({base_array}, {exponent_array})"
+            return f"{base} ** {exponent}", f"_map(_pow, {base_array}, {exponent_array})"
         return base, base_array
 
     def atom(self) -> tuple[str, str]:
@@ -273,19 +273,15 @@ def _is_array(value) -> bool:
 
 
 def _map(fn: Callable[..., float], *args):
-    """fn element by element over the array arguments (a float argument is
-    the same at every point), on Python floats."""
-    if not any(map(_is_array, args)):
-        return fn(*args)
+    """fn element by element over the 1-D array arguments (a float argument
+    is the same at every point), on Python floats. A value that is not a
+    real number, such as the complex power of a negative base, raises
+    TypeError."""
+    arrays = [a for a in args if _is_array(a)]
+    if not arrays:
+        return float(fn(*args))
     columns = [a.tolist() if _is_array(a) else itertools.repeat(a) for a in args]
-    return np.array(list(map(fn, *columns)))
-
-
-def _pow(base, exponent):
-    value = _map(operator.pow, base, exponent)
-    if np.iscomplexobj(value):  # a negative base to a fractional power
-        raise TypeError("complex value")
-    return value
+    return np.fromiter(map(fn, *columns), float, count=arrays[0].size)
 
 
 def _div(a, b):
@@ -305,7 +301,7 @@ def _max(a, b):
 
 
 _ARRAY_NAMES = {
-    "_map": _map, "_pow": _pow, "_div": _div, "_min": _min, "_max": _max,
+    "_map": _map, "_pow": operator.pow, "_div": _div, "_min": _min, "_max": _max,
     "_ndarray": np.ndarray, "_full": np.full,
 }
 

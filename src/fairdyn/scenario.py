@@ -14,7 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import contraction_and_status_quo, find_equilibria, prop3_case_persistence
+from .analysis import (
+    check_status_quo_bias,
+    estimate_contraction,
+    find_equilibria,
+    prop3_case_persistence,
+)
 from .core import PopulationState, UtilitySpec
 from .dynamics import (
     BUILTIN_PARAMS,
@@ -382,7 +387,8 @@ def write_field_csv(rows, path: str | Path) -> None:
 def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int = 256) -> None:
     dyn = scenario.make_dynamics()
     u = scenario.utility_spec()
-    report, sq = contraction_and_status_quo(dyn, resolution)
+    report = estimate_contraction(dyn, resolution)
+    sq = check_status_quo_bias(dyn, min(resolution, 256))
     atlas = find_equilibria(dyn, mode=scenario.time_mode)
     persistence = prop3_case_persistence(scenario.g_a, u)
 

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairdyn import (
@@ -504,9 +505,11 @@ def test_grid_analyses_match_scalar_loops(dyn, resolution):
     f0, f1 = dyn.sample(xs[:, None], xs)
     assert max_grid_slope(f0, xs[1]) == _loop_slope(dyn.f0_clamped, xs)
     assert max_grid_slope(f1, xs[1]) == _loop_slope(dyn.f1_clamped, xs)
-    report = check_status_quo_bias(dyn, resolution)
-    assert report.counterexample == _loop_status_quo(dyn, resolution)
-    assert report.holds == (report.counterexample is None)
+    counterexample = _loop_status_quo(dyn, resolution)
+    for spec in (dyn, dataclasses.replace(dyn)):  # reads the kept grid, then streams rows
+        report = check_status_quo_bias(spec, resolution)
+        assert report.counterexample == counterexample
+        assert report.holds == (report.counterexample is None)
     if resolution == 64:  # neither depends on the resolution
         for mode in ("CT", "DT"):
             assert find_equilibria(dyn, mode=mode) == _loop_equilibria(dyn, mode)
@@ -567,3 +570,139 @@ def test_maps_are_called_with_python_floats():
         find_equilibria(dyn, mode=mode)
     for mode in ("UN", "AA"):
         export_field(dyn, mode, U, resolution=5)
+
+
+def _full_triangle_contraction(dyn, resolution):
+    """estimate_contraction as it was before the spec kept its grid: it
+    samples the grid, then every point of the l_aa2 triangle. The
+    reference for the triangle points read off the grid."""
+    xs = grid_axis(resolution)
+    f0, f1 = dyn.sample(xs[:, None], xs)
+    l0, l1 = max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1])
+    dyn.check_declared(l0, l1)
+    l0 = l0 if dyn.declared_l0 is None else float(dyn.declared_l0)
+    l1 = l1 if dyn.declared_l1 is None else float(dyn.declared_l1)
+    declared = dyn.declared_l0 is not None and dyn.declared_l1 is not None
+    gap0 = np.abs(f1[0] - f0[0])
+    l_un = float(np.max(xs * l1 + (1.0 - xs) * l0 + np.maximum.accumulate(gap0)))
+    i, k = np.tril_indices(resolution + 1)
+    t0, t1 = dyn.sample(xs[k], xs[i] - xs[k])
+    l_aa2 = float(np.max(2.0 * (xs * l1 + (1.0 - xs) * l0)[i] + np.abs(t1 - t0)))
+    cell = 2.0 / resolution
+    return ContractionReport(
+        l_un=l_un,
+        l_aa1=float(np.max(gap0)),
+        l_aa2=l_aa2,
+        l0=l0,
+        l1=l1,
+        grid_resolution=resolution,
+        method="grid+declared-constants" if declared else "grid",
+        l_un_upper=l_un + (l0 + l1) * cell if declared else None,
+        l_aa2_upper=l_aa2 + (l0 + l1) * cell if declared else None,
+    )
+
+
+def _triangle_points_off_the_axis(resolution):
+    """(index, (b0, b1)) of each l_aa2 triangle point, in sampling order,
+    whose b1 is no value of the grid axis: no grid point has it."""
+    xs = grid_axis(resolution)
+    i, k = np.tril_indices(resolution + 1)
+    b1 = xs[i] - xs[k]
+    return [(int(n), (float(xs[k[n]]), float(b1[n]))) for n in np.flatnonzero(~np.isin(b1, xs))]
+
+
+OFF_AXIS_96 = _triangle_points_off_the_axis(96)
+# The first such point is in the triangle's first 4096-point chunk, the last
+# in its second: f1 failing at the first and f0 at the last, sampling the
+# whole triangle names f1, and sampling the off-axis points alone names f0.
+FIRST_OFF_96, LAST_OFF_96 = OFF_AXIS_96[0][1], OFF_AXIS_96[-1][1]
+assert OFF_AXIS_96[0][0] < 4096 <= OFF_AXIS_96[-1][0]
+
+
+def _nan_at(fn, point):
+    """fn, returning NaN (which sample reports as a ValueError naming the
+    map and the point) at point."""
+    if point is None:
+        return fn
+    return lambda b0, b1: math.nan if (b0, b1) == point else fn(b0, b1)
+
+
+def _callback_spec(coeffs, fail0, fail1):
+    a0, c0, d0, a1, c1, d1 = coeffs
+    f0 = _nan_at(lambda b0, b1: a0 + c0 * b0 + d0 * math.sin(3.0 * b1), fail0)
+    f1 = _nan_at(lambda b0, b1: a1 + c1 * math.cos(2.0 * b0) + d1 * b1, fail1)
+    return DynamicsSpec(f0=f0, f1=f1, name="callback")
+
+
+COEFFS = st.tuples(*[st.floats(-0.5, 1.5)] * 6)
+FAIL_AT = st.sampled_from([None, FIRST_OFF_96, LAST_OFF_96])
+SPECS = st.one_of(
+    st.sampled_from(REFERENCE_DYNAMICS[1:] + [BOTH_FAIL]),
+    COEFFS.map(lambda c: affine_dynamics(*c)),
+    st.builds(_callback_spec, COEFFS, FAIL_AT, FAIL_AT),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dyn=SPECS,
+    resolution=st.sampled_from([64, 96, 100, 128, 200]),
+    declared=st.sampled_from([(), (None, None), (0.5, 0.5), (1e6, 1e6), (None, 1e6)]),
+)
+@example(dyn=_callback_spec((0.2, 0.1, 0.3, 0.4, 0.0, 0.5), None, LAST_OFF_96), resolution=96, declared=())
+@example(
+    dyn=_callback_spec((0.2, 0.1, 0.3, 0.4, 0.0, 0.5), LAST_OFF_96, FIRST_OFF_96), resolution=96, declared=()
+)
+def test_contraction_matches_the_full_triangle(dyn, resolution, declared):
+    """estimate_contraction gives the repr, or the error class and message,
+    of sampling the whole triangle; also when it reads the kept grid."""
+    # a copy: a shared spec would keep its grid for the tests after this one
+    dyn = dataclasses.replace(dyn, **dict(zip(("declared_l0", "declared_l1"), declared)))
+    want = _outcome(lambda: _full_triangle_contraction(dyn, resolution))
+    assert _outcome(lambda: estimate_contraction(dyn, resolution)) == want
+    assert _outcome(lambda: estimate_contraction(dyn, resolution)) == want
+
+
+def test_grid_analyses_call_each_map_once_per_grid_point():
+    """estimate_contraction, validate_declared and check_status_quo_bias at
+    one resolution sample one grid: at resolution 128 every triangle point
+    is a grid point, so each map is called 129**2 times in all."""
+    calls = [0, 0]
+
+    def counted(which, fn):
+        def counting(b0, b1):
+            calls[which] += 1
+            return fn(b0, b1)
+
+        return counting
+
+    base = appendix_c_dynamics()
+    dyn = DynamicsSpec(
+        f0=counted(0, base.f0), f1=counted(1, base.f1), declared_l0=1e6, declared_l1=1e6
+    )
+    estimate_contraction(dyn, 128)
+    dyn.validate_declared(128)
+    check_status_quo_bias(dyn, 128)
+    assert calls == [129**2, 129**2]
+    assert check_status_quo_bias(dataclasses.replace(dyn), 128) == check_status_quo_bias(dyn, 128)
+    assert calls[0] > 129**2  # a replaced spec keeps no grid
+
+
+@pytest.mark.parametrize("resolution", [128, 1024])
+def test_a_spec_keeps_only_its_last_grid(resolution):
+    """The bytes a spec keeps after the grid analyses: its last grid, the
+    axis and two float arrays of (resolution+1)**2 points, and no more."""
+    dyn = affine_dynamics(0.1, 0.2, 0.3, 0.4, 0.1, 0.2)
+    grid_bytes = (2 * (resolution + 1) + 1) * (resolution + 1) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_contraction(dyn, 96)
+        estimate_contraction(dyn, resolution)
+        dyn.validate_declared(resolution)
+        check_status_quo_bias(dyn, resolution)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grid_bytes <= kept <= grid_bytes + 16384
+    assert list(dyn._grids) == [resolution]

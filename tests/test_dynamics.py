@@ -406,38 +406,41 @@ def test_called_maps_match_the_per_point_path(coeffs, case0, case1, declared):
     """Each grid analysis of a callback spec gives the bytes, repr or error
     (class and message) of the per-point path, whatever the maps return at
     one point or at every point; and where _call_maps takes every value, each
-    map is called as often as the per-point path calls it, once per point."""
+    map is called as often as the per-point path calls it, once per point.
+    Each run gets fresh maps, counters and spec: a spec keeps its grid."""
     a0, c0, d0, a1, c1, d1 = coeffs
     bases = (lambda b0, b1: a0 + c0 * b0 + d0 * b1, lambda b0, b1: a1 + c1 * b0 + d1 * b1)
-    calls = [0, 0]
-    maps = [
-        _outcome_map(base, OUTCOMES[k], (b0, b1), everywhere, calls, which)
-        for which, (base, (k, b0, b1, everywhere)) in enumerate(zip(bases, (case0, case1)))
-    ]
-    dyn = DynamicsSpec(*maps, name="outcomes", declared_l0=declared, declared_l1=declared)
+
+    def fresh():
+        calls = [0, 0]
+        maps = [
+            _outcome_map(base, OUTCOMES[k], (b0, b1), everywhere, calls, which)
+            for which, (base, (k, b0, b1, everywhere)) in enumerate(zip(bases, (case0, case1)))
+        ]
+        return DynamicsSpec(*maps, name="outcomes", declared_l0=declared, declared_l1=declared), calls
+
     values = [OUTCOMES[case0[0]], OUTCOMES[case1[0]]]
     called_once = all(type(v) in (float, int) and v == v for v in values)  # a float, not NaN, or an int
     analyses = {
-        "sample": lambda: dyn.sample(GRID8[:, None], GRID8),
-        "status quo": lambda: analysis.check_status_quo_bias(dyn, 64),
-        "declared": lambda: dyn.validate_declared(64),  # 65**2 points: two chunks
-        "UN map scan": lambda: (analysis._un_map_array(dyn, grid_axis(4096)),),
-        "equilibria CT": lambda: analysis.find_equilibria(dyn, "CT"),
-        "equilibria DT": lambda: analysis.find_equilibria(dyn, "DT"),
+        "sample": lambda dyn: dyn.sample(GRID8[:, None], GRID8),
+        "status quo": lambda dyn: analysis.check_status_quo_bias(dyn, 64),
+        "declared": lambda dyn: dyn.validate_declared(64),  # 65**2 points: two chunks
+        "UN map scan": lambda dyn: (analysis._un_map_array(dyn, grid_axis(4096)),),
+        "equilibria CT": lambda dyn: analysis.find_equilibria(dyn, "CT"),
+        "equilibria DT": lambda dyn: analysis.find_equilibria(dyn, "DT"),
     }
     for name, run in analyses.items():
-        calls[:] = [0, 0]
-        got = _result(run)
-        got_calls = calls[:]
-        calls[:] = [0, 0]
+        dyn, got_calls = fresh()
+        got = _result(lambda: run(dyn))
+        dyn, calls = fresh()
         with mock.patch.object(DynamicsSpec, "sample", _frozen_sample), mock.patch.object(
             analysis, "_un_map_array", _frozen_un_map_array
         ):
-            want = _result(run)
+            want = _result(lambda: run(dyn))
         assert got == want, name
         if called_once:
             assert got_calls == calls, name
     if called_once:
-        calls[:] = [0, 0]
+        dyn, calls = fresh()
         dyn.sample(GRID8[:, None], GRID8)
         assert calls == [GRID8.size**2] * 2

@@ -306,3 +306,15 @@ def test_array_form_matches_scalar(source, points):
     else:
         f0, _ = dyn.sample(b0, b1)
         assert [repr(v) for v in f0.tolist()] == [repr(dyn.f0_clamped(x, y)) for x, y in points]
+
+
+@pytest.mark.parametrize("source", ["b0 + (0-1)^0.5", "b0*(-0.5)^0.5", "(b0-2)^0.5"])
+def test_complex_power_has_no_array_value(source):
+    """A complex power, of the points or of a constant subtree, makes the
+    array form return None, where the scalar function raises."""
+    compiled = compile_expression(source)
+    b = np.linspace(0.0, 1.0, 5)
+    with np.errstate(all="ignore"):
+        assert compiled.array(b, b) is None
+    with pytest.raises(ExpressionEvaluationError, match="complex value"):
+        compiled(0.5, 0.5)

@@ -295,18 +295,23 @@ def test_determinism_byte_identical(tmp_path):
 
 def shipped_output_digests(out: Path) -> dict[str, str]:
     """sha256 of the simulate, compare, field and analyze outputs of every
-    shipped scenario, written into out with default arguments."""
+    shipped scenario, written into out with default arguments, and of the
+    analyze reports at resolutions 96 and 100 (grids whose step is not a
+    power of two), keyed "analyze/<scenario>@<resolution>"."""
     digests = {}
-    for cmd, suffix in (
-        ("simulate", "trajectory.csv"),
-        ("compare", "compare.csv"),
-        ("field", "field.csv"),
-        ("analyze", "analysis.txt"),
+    for cmd, suffix, args in (
+        ("simulate", "trajectory.csv", []),
+        ("compare", "compare.csv", []),
+        ("field", "field.csv", []),
+        ("analyze", "analysis.txt", []),
+        ("analyze", "analysis.txt", ["--resolution", "96"]),
+        ("analyze", "analysis.txt", ["--resolution", "100"]),
     ):
         for scenario in sorted(SCENARIOS.glob("*.scn")):
-            assert main([cmd, str(scenario), "--out", str(out)]) == 0
+            assert main([cmd, str(scenario), "--out", str(out), *args]) == 0
             data = (out / f"{scenario.stem}_{suffix}").read_bytes()
-            digests[f"{cmd}/{scenario.stem}"] = hashlib.sha256(data).hexdigest()
+            key = f"{cmd}/{scenario.stem}" + (f"@{args[1]}" if args else "")
+            digests[key] = hashlib.sha256(data).hexdigest()
     return digests
 
 
