@@ -11,27 +11,25 @@ Grammar (over the selection rates b0 and b1):
 Numbers are decimal or scientific literals. Available functions:
 sin, cos, exp, abs (1 argument), min, max (2 arguments).
 
-Each parser rule returns two Python sources of its subtree, a scalar one and
-an array one, with a field for each numeric literal (a unary minus on a bare
-literal is folded into its value); compile_expression fills in the literals
-and makes one function of each whole. The grammar's precedence and
-associativity are Python's own (unary minus binds looser than '^', which is
-right associative and takes a negated exponent), so the scalar function does
-the tree's IEEE operations in the tree's order, bit-reproducible on a given
-platform. An arithmetic error or a NaN, infinite or complex result raises
-ExpressionEvaluationError naming the expression and the (b0, b1) point. The
-RK4 kernel inlines the scalar source with the literals as its arguments (see
-compile_expression's scalar_code).
+The parser builds only a tree of tuples. A node is an int i, the i-th
+numeric literal (a unary minus on a bare literal is folded into its
+value); "b0" or "b1"; or (kind, *children), with kind one of + - * / ^,
+"neg", "()" (the source's parentheses) or a function name. Each form of
+the expression is one table of a code template per kind, _SCALAR and
+_ARRAY, and _render fills them in over the tree, never reassociating or
+simplifying. The grammar's precedence and associativity are Python's own
+(unary minus binds looser than '^', which is right associative and takes
+a negated exponent), so the scalar function does the tree's IEEE
+operations in the tree's order, bit-reproducible on a given platform. An
+arithmetic error or a NaN, infinite or complex result raises
+ExpressionEvaluationError naming the expression and the (b0, b1) point.
+The RK4 kernel inlines the scalar code (compile_expression's scalar_code).
 
-The array function does the same IEEE operations on numpy float arrays:
-`+ - * /`, unary minus and abs as numpy operations, min and max as the
-np.where selections that Python's min and max make (NaN and -0.0 included),
-and sin, cos, exp and '^' element by element through math and operator.pow
-on Python floats, since numpy's own transcendental functions and np.power
-round differently. Where the scalar function could raise at some point (a
-zero divisor, an element-wise call that raises, a complex power) the array
-function returns None instead, and a non-finite value it returns marks a
-point where the scalar function raises.
+The array function does the same IEEE operations on numpy float arrays.
+Where the scalar function could raise at some point (a zero divisor, an
+element-wise call that raises, a complex power) it returns None instead,
+and a non-finite value it returns marks a point where the scalar function
+raises.
 """
 
 from __future__ import annotations
@@ -81,14 +79,25 @@ class ExpressionEvaluationError(ExpressionError):
         self.position = None
 
 
-# name -> (arity, scalar implementation, array code template)
-_FUNCTIONS: dict[str, tuple[int, Callable[..., float], str]] = {
-    "sin": (1, math.sin, "_map(sin, {})"),
-    "cos": (1, math.cos, "_map(cos, {})"),
-    "exp": (1, math.exp, "_map(exp, {})"),
-    "abs": (1, abs, "abs({})"),
-    "min": (2, min, "_min({}, {})"),
-    "max": (2, max, "_max({}, {})"),
+# The scalar implementations of the functions, by name, for the scalar
+# code (and the RK4 kernel that inlines it), which calls them by name.
+SCALAR_FUNCTIONS: dict[str, Callable[..., float]] = {
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs, "min": min, "max": max,
+}
+# The code template of each kind of node, one {} slot per child (a
+# function's arity). The array form calls Python's float functions element
+# by element where numpy's round differently (sin, cos, exp, np.power), and
+# does Python's min, max and '/' with their NaN, -0.0 and zero-divisor rules.
+_SCALAR = {
+    "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "{} ** {}",
+    "neg": "-{}", "()": "({})",
+    "sin": "sin({})", "cos": "cos({})", "exp": "exp({})", "abs": "abs({})",
+    "min": "min({}, {})", "max": "max({}, {})",
+}
+_ARRAY = {
+    **_SCALAR, "/": "_div({}, {})", "^": "_map(_pow, {}, {})",
+    "sin": "_map(sin, {})", "cos": "_map(cos, {})", "exp": "_map(exp, {})",
+    "min": "_min({}, {})", "max": "_max({}, {})",
 }
 
 _TOKEN_RE = re.compile(
@@ -103,18 +112,15 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            if source[pos:].strip() == "":
+        if m is None:  # after the whitespace at pos: the end or a bad character
+            rest = source[pos:].lstrip()
+            if not rest:
                 break
             raise ExpressionSyntaxError(
-                f"unexpected character {source[pos:].strip()[0]!r}", pos
+                f"unexpected character {rest[0]!r}", len(source) - len(rest)
             )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # "num", "ident" or "op"
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens
@@ -134,101 +140,99 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, ops: str) -> str | None:
+        """The next token, consumed, if it is one of the operators `ops`."""
+        kind, value, _ = self.tokens[self.i]  # not peek(): a frame more moves the nesting limit
+        if kind == "op" and value in ops:
+            self.i += 1
+            return value
+        return None
+
     def expect_op(self, op: str) -> None:
         kind, value, pos = self.next()
         if kind != "op" or value != op:
             raise ExpressionSyntaxError(f"expected {op!r}, found {value or 'end'!r}", pos)
 
-    # Each rule returns (scalar code, array code) of its subtree, as
-    # str.format templates: {b0} and {b1} for the rates, {i} for the i-th
-    # numeric literal.
-
-    def parse(self) -> tuple[str, str]:
-        code = self.expr()
+    def parse(self):
+        tree = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing {value!r}", pos)
-        return code
+        return tree
 
-    def expr(self) -> tuple[str, str]:
+    def expr(self):
         return self.chain(self.term, "+-")
 
-    def term(self) -> tuple[str, str]:
+    def term(self):
         return self.chain(self.factor, "*/")
 
-    def chain(self, operand: Callable[[], tuple[str, str]], ops: str) -> tuple[str, str]:
+    def chain(self, operand: Callable[[], object], ops: str):
         """Left-associative operand (op operand)*."""
-        code, array = operand()
-        while True:
-            kind, value, _ = self.peek()
-            if kind != "op" or value not in ops:
-                return code, array
-            self.next()
-            rhs, rhs_array = operand()
-            code = f"{code} {value} {rhs}"
-            if value == "/":
-                array = f"_div({array}, {rhs_array})"
-            else:
-                array = f"{array} {value} {rhs_array}"
+        tree = operand()
+        while op := self.accept(ops):
+            tree = (op, tree, operand())
+        return tree
 
-    def factor(self) -> tuple[str, str]:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            code, array = self.factor()
-            literal = _LITERAL_FIELD.fullmatch(code)
-            if literal:  # a bare literal (never a '**' base here): fold the sign in
-                i = int(literal[1])
-                self.literals[i] = -self.literals[i]
-                return code, array
-            return "-" + code, "-" + array
+    def factor(self):
+        if self.accept("-"):
+            tree = self.factor()
+            if type(tree) is int:  # a bare literal (never a '^' base here): fold the sign in
+                self.literals[tree] = -self.literals[tree]
+                return tree
+            return ("neg", tree)
         return self.power()
 
-    def power(self) -> tuple[str, str]:
-        base, base_array = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            exponent, exponent_array = self.factor()
-            return f"{base} ** {exponent}", f"_map(_pow, {base_array}, {exponent_array})"
-        return base, base_array
+    def power(self):
+        base = self.atom()
+        return ("^", base, self.factor()) if self.accept("^") else base
 
-    def atom(self) -> tuple[str, str]:
+    def atom(self):
         kind, value, pos = self.next()
         if kind == "num":
             self.literals.append(float(value))  # never NaN; a literal that overflows is inf
-            code = f"{{{len(self.literals) - 1}}}"
-            return code, code
+            return len(self.literals) - 1
         if kind == "ident":
-            nxt_kind, nxt_value, _ = self.peek()
-            if nxt_kind == "op" and nxt_value == "(":
-                if value not in _FUNCTIONS:
+            if self.accept("("):
+                if value not in SCALAR_FUNCTIONS:
                     raise UnknownIdentifierError(f"unknown function {value!r}", pos)
-                arity = _FUNCTIONS[value][0]
-                self.next()  # consume '('
+                arity = _SCALAR[value].count("{}")
                 args = [self.expr()]
-                while True:
-                    kind2, value2, _ = self.peek()
-                    if kind2 == "op" and value2 == ",":
-                        self.next()
-                        args.append(self.expr())
-                    else:
-                        break
+                while self.accept(","):
+                    args.append(self.expr())
                 self.expect_op(")")
                 if len(args) != arity:
                     raise ArityError(
                         f"{value} takes {arity} argument(s), got {len(args)}", pos
                     )
-                codes, arrays = zip(*args)
-                return f"{value}({', '.join(codes)})", _FUNCTIONS[value][2].format(*arrays)
+                return (value, *args)
             if value in ("b0", "b1"):
-                return f"{{{value}}}", f"{{{value}}}"
+                return value
             raise UnknownIdentifierError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            code, array = self.expr()
+            tree = self.expr()
             self.expect_op(")")
-            return f"({code})", f"({array})"
+            return ("()", tree)
         raise ExpressionSyntaxError(f"unexpected {value or 'end'!r}", pos)
+
+
+def _render(node, form: dict[str, str]) -> str:
+    """The code of a tree in one form, as a str.format template: {b0} and
+    {b1} for the rates, {i} for the i-th literal, and each node its kind's
+    template in `form` filled with its children's code. A left-nested chain
+    of + - * / (a 1,000-term sum nests 999 deep) is rendered in a loop."""
+    chain = []
+    while type(node) is tuple and node[0] in "+-*/":
+        chain.append(node)
+        node = node[1]
+    if type(node) is not tuple:  # a leaf
+        code = f"{{{node}}}"
+    elif len(node) == 2:  # one frame per level, fewer than the parser's: what parses renders
+        code = form[node[0]].format(_render(node[1], form))
+    else:
+        code = form[node[0]].format(_render(node[1], form), _render(node[2], form))
+    for kind, _, right in reversed(chain):
+        code = form[kind].format(code, _render(right, form))
+    return code
 
 
 # The whole expression becomes one scalar and one array function. In the
@@ -257,7 +261,6 @@ def compiled_array(b0, b1):
 """
 # The errors that mark a failed evaluation of an expression's code.
 EVAL_ERRORS = (ArithmeticError, TypeError, ValueError)
-_LITERAL_FIELD = re.compile(r"\{(\d+)\}")
 
 
 def _literal_code(value: float) -> str:
@@ -306,15 +309,6 @@ _ARRAY_NAMES = {
 }
 
 
-def _no_array_form(b0, b1) -> None:
-    return None
-
-
-# The scalar implementations of the functions, by name, for code that
-# inlines an expression's scalar code.
-SCALAR_FUNCTIONS = {name: impl for name, (_, impl, _) in _FUNCTIONS.items()}
-
-
 def compile_expression(source: str) -> Callable[[float, float], float]:
     """Compile a dynamics expression into a pure (b0, b1) -> float map that
     raises ExpressionEvaluationError instead of returning a NaN, infinite or
@@ -322,11 +316,10 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
 
     The map's `scalar_code` attribute is (template, literals): the scalar
     code as a str.format template with the fields {b0} and {b1} for the
-    rates and {i} for the i-th numeric literal, a unary minus on a bare
-    literal folded into it, and the literals' values. Expressions that
-    differ only in their numbers share one template; filled in with the
-    literals' values it is the code the map runs, which calls the functions
-    in SCALAR_FUNCTIONS by name.
+    rates and {i} for the i-th numeric literal, and the literals' values.
+    Expressions that differ only in their numbers share one template; filled
+    in with the literals' values it is the code the map runs, which calls
+    the functions in SCALAR_FUNCTIONS by name.
 
     The map's `array` attribute is the expression's array form, compiled
     from the same parse: array(b0, b1) takes two float arrays of one shape
@@ -337,17 +330,18 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)
 
-    # eval is safe here: the code is built only from validated tokens (float
-    # literals, b0, b1, the names in _FUNCTIONS, operators and parentheses)
-    # and runs without builtins, seeing only the names below.
+    # eval is safe here: the code is rendered only from the tree's literals,
+    # b0, b1 and the templates in _SCALAR and _ARRAY, and runs without
+    # builtins, seeing only the names below.
     namespace = dict(SCALAR_FUNCTIONS)
     namespace.update(__builtins__={}, EVAL_ERRORS=EVAL_ERRORS, _fail=fail)
     namespace.update(_isinstance=isinstance, _complex=complex, **_ARRAY_NAMES)
     try:
         parser = _Parser(source)
-        template, array = parser.parse()
+        tree = parser.parse()
         literals = tuple(parser.literals)
         numbers = [_literal_code(v) for v in literals]
+        template = _render(tree, _SCALAR)
         code = template.format(*numbers, b0="b0", b1="b1")
         real = " and not _isinstance(v, _complex)" if "**" in code else ""
         eval(compile(_TEMPLATE.format(code=code, real=real), "<expression>", "exec"), namespace)
@@ -355,23 +349,24 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
     compiled = namespace["compiled"]
     compiled.scalar_code = (template, literals)
-    compiled.array = _array_form(array.format(*numbers, b0="b0", b1="b1"), namespace)
+    compiled.array = _array_form(tree, numbers, namespace)
     return compiled
 
 
-def _array_form(array: str, namespace: dict) -> Callable:
-    """The array function of the code `array`, compiled at its first call:
-    the trajectory engines never call it, and compiling costs as much as
-    the scalar function did."""
+def _array_form(tree, numbers: list[str], namespace: dict) -> Callable:
+    """The array function of the tree, with the literals' code `numbers`,
+    rendered and compiled at its first call: the trajectory engines never
+    call it, and compiling costs as much as the scalar function did."""
 
     def array_form(b0, b1):
         fn = namespace.get("compiled_array")
         if fn is None:
-            code = _ARRAY_TEMPLATE.format(array=array)
             try:
+                array = _render(tree, _ARRAY).format(*numbers, b0="b0", b1="b1")
+                code = _ARRAY_TEMPLATE.format(array=array)
                 eval(compile(code, "<expression>", "exec"), namespace)
-            except (RecursionError, MemoryError, SyntaxError):  # '/' and '^' chains nest deeper
-                namespace["compiled_array"] = _no_array_form
+            except (RecursionError, MemoryError, SyntaxError):  # '/' and '^' nest deeper here
+                namespace["compiled_array"] = lambda b0, b1: None
             fn = namespace["compiled_array"]
         return fn(b0, b1)
 

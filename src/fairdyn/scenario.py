@@ -34,6 +34,7 @@ from .dynamics import (
     make_builtin,
     parse_dynamics,
 )
+from .expr import ExpressionError, compile_expression
 from .policy import MODE_CODES
 from .stereotype import StereotypeSpec, stereotype_trajectory
 
@@ -138,6 +139,15 @@ def scenario_format(builtin: str | None = None) -> list[tuple]:
     ]
 
 
+def _invalid(source: str) -> bool:
+    """Whether compile_expression rejects source."""
+    try:
+        compile_expression(source)
+    except ExpressionError:
+        return True
+    return False
+
+
 def _read(section: str, key: str, kind: tuple, raw: str):
     try:
         return kind[0](raw)
@@ -223,13 +233,20 @@ class Scenario:
         if self.dynamics_builtin is not None:
             dyn = make_builtin(self.dynamics_builtin, self.dynamics_params)
         else:
-            dyn = parse_dynamics(
-                self.expr_f0,
-                self.expr_f1,
-                name=f"{self.name}-expr",
-                declared_l0=self.declared_l0,
-                declared_l1=self.declared_l1,
-            )
+            try:
+                dyn = parse_dynamics(
+                    self.expr_f0,
+                    self.expr_f1,
+                    name=f"{self.name}-expr",
+                    declared_l0=self.declared_l0,
+                    declared_l1=self.declared_l1,
+                )
+            except ExpressionError as exc:  # parse_dynamics compiles f0 first
+                f0_bad = _invalid(self.expr_f0)
+                name, source = ("f0", self.expr_f0) if f0_bad else ("f1", self.expr_f1)
+                raise ScenarioError(
+                    f"bad expression {source!r} for {name!r} in [dynamics]: {exc}"
+                ) from exc
         self._built = key, dyn
         return dyn
 

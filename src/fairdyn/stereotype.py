@@ -159,8 +159,16 @@ def stereotype_trajectory(
 
     Identical machinery to the unbiased DT run, with the effective policy
     substituted; additionally records the per-evaluation v=1 rate gap
-    |beta(1;A) - beta(1;B)| per step in extras["rate_gap_v1"].
+    |beta(1;A) - beta(1;B)| per step in extras["rate_gap_v1"]. A per-step
+    schedule needs an entry for each of the steps + 1 samples; a shorter one
+    raises ValueError before the first step.
     """
+    for name, key, schedule in (("eps_a", "epsA", eps.eps_a), ("eps_b", "epsB", eps.eps_b)):
+        if not isinstance(schedule, (int, float)) and len(schedule) < steps + 1:
+            raise ValueError(
+                f"the {name} ({key}) schedule has {len(schedule)} entries; "
+                f"{steps} steps need steps + 1 = {steps + 1}"
+            )
     g_a = state0.g_a
     case_code = {"UN": CASE_UN, "AA1": CASE_AA1, "AA2": CASE_AA2}
 

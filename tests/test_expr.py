@@ -97,31 +97,35 @@ def test_simple_constant_pair_matches_builtin():
         assert f1(x, y) == dyn.f1(x, y)
 
 
-def test_unknown_identifier():
-    with pytest.raises(UnknownIdentifierError) as exc:
-        compile_expression("b2 + 1")
-    assert exc.value.position == 0
-    with pytest.raises(UnknownIdentifierError):
-        compile_expression("sqrt(b0)")
-
-
-def test_syntax_errors_carry_position():
-    with pytest.raises(ExpressionSyntaxError) as exc:
-        compile_expression("1 + * 2")
-    assert exc.value.position == 4
-    with pytest.raises(ExpressionSyntaxError):
-        compile_expression("(b0 + 1")
-    with pytest.raises(ExpressionSyntaxError):
-        compile_expression("b0 b1")
-    with pytest.raises(ExpressionSyntaxError):
-        compile_expression("1 @ 2")
-
-
-def test_arity_errors():
-    with pytest.raises(ArityError):
-        compile_expression("sin(b0, b1)")
-    with pytest.raises(ArityError):
-        compile_expression("min(b0)")
+@pytest.mark.parametrize(
+    "source, error, message, position",
+    [
+        ("1 @ 2", ExpressionSyntaxError, "unexpected character '@'", 2),
+        ("b0 +\t# 1", ExpressionSyntaxError, "unexpected character '#'", 5),
+        ("1 + * 2", ExpressionSyntaxError, "unexpected '*'", 4),
+        ("(b0 + 1", ExpressionSyntaxError, "expected ')', found 'end'", 7),
+        ("min(b0, 1 b1)", ExpressionSyntaxError, "expected ')', found 'b1'", 10),
+        ("b0 b1", ExpressionSyntaxError, "unexpected trailing 'b1'", 3),
+        ("2 * sqrt(b0)", UnknownIdentifierError, "unknown function 'sqrt'", 4),
+        ("b0 + b2", UnknownIdentifierError, "unknown identifier 'b2'", 5),
+        ("sin(b0, b1)", ArityError, "sin takes 1 argument(s), got 2", 0),
+        ("1 + min(b0)", ArityError, "min takes 2 argument(s), got 1", 4),
+        ("", ExpressionSyntaxError, "unexpected 'end'", 0),
+        ("  ", ExpressionSyntaxError, "unexpected 'end'", 2),
+        ("(" * 300 + "b0" + ")" * 300, ExpressionSyntaxError,
+         "expression is nested too deeply", 0),
+    ],
+    ids=lambda value: value[:20] if isinstance(value, str) else None,
+)
+def test_parser_errors(source, error, message, position):
+    """Each parser error's class, message and position; a position is the
+    index of the offending character or token, not of the whitespace before
+    it."""
+    with pytest.raises(ExpressionError) as exc:
+        compile_expression(source)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 def test_evaluation_is_reproducible():
@@ -131,10 +135,18 @@ def test_evaluation_is_reproducible():
 
 
 def test_long_sum_evaluates():
-    total = 0.1
-    for _ in range(999):
-        total += 0.1
-    assert compile_expression("+".join(["b0"] * 1000))(0.1, 0.0) == total
+    """A 1,000-term chain of each operator compiles under the default
+    recursion limit (Hypothesis raises it) and folds from the left."""
+    for op, impl, b1 in (
+        ("+", operator.add, 0.1),
+        ("-", operator.sub, 0.1),
+        ("*", operator.mul, 0.999),
+        ("/", operator.truediv, 1.001),
+    ):
+        total = b1
+        for _ in range(999):
+            total = impl(total, b1)
+        assert compile_expression(op.join(["b1"] * 1000))(0.0, b1) == total, op
 
 
 def test_nesting_beyond_python_limits_is_a_syntax_error():
@@ -285,6 +297,12 @@ def _scalar_outcome(fn, b0, b1):
 @example("sin(1e999*b0)", [(0.0, 0.5), (0.5, 0.5)])
 @example("min(b0, -b1)", [(0.0, 0.0)])  # Python's min keeps 0.0, np.minimum gives -0.0
 @example("max(-b0, b1)", [(0.0, 0.0)])
+# 1,000-term chains, 999 deep in the tree (test_long_sum_evaluates compiles
+# them under the default recursion limit, which Hypothesis raises)
+@example("+".join(["b0"] * 1000), [(0.1, 0.0), (0.3, 0.7)])
+@example("-".join(["b0"] * 1000), [(0.1, 0.0), (-1.5, 0.7)])
+@example("*".join(["b1"] * 1000), [(0.0, 0.999), (0.0, -1.001)])
+@example("/".join(["b1"] * 1000), [(0.0, 0.5), (0.0, 0.0)])
 def test_array_form_matches_scalar(source, points):
     """Where the array form gives finite values they are the scalar
     function's bits; where the scalar function raises, sample raises the

@@ -587,6 +587,48 @@ u1 = 1
     assert code == 3
 
 
+_BAD_F = "bad expression '0.5 + * b0' for 'f{}' in [dynamics]: unexpected '*' (at position 6)"
+
+
+@pytest.mark.parametrize(
+    "f0, f1, message",
+    [
+        ("0.5 + * b0", "0.8", _BAD_F.format(0)),
+        ("0.2", "0.5 + * b0", _BAD_F.format(1)),
+        # f0 is compiled first
+        ("sqrt(b0)", "0.5 + * b0", "bad expression 'sqrt(b0)' for 'f0' in [dynamics]: "
+         "unknown function 'sqrt' (at position 0)"),
+    ],
+    ids=["f0", "f1", "f0-first"],
+)
+def test_bad_expression_names_the_key_and_source(tmp_path, capsys, f0, f1, message):
+    text = DEMO.replace(CONSTANT_DYNAMICS, f"f0 = {f0}\nf1 = {f1}")
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.from_text(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+
+
+def test_short_stereotype_schedule_exits_2(tmp_path, capsys):
+    """A per-step schedule shorter than steps + 1 is invalid input (exit 2),
+    not a traceback; a longer one runs."""
+    path = tmp_path / "short.scn"
+    text = DEMO.replace("steps = 20", "steps = 5") + "\n[stereotype]\nepsA = "
+    path.write_text(text + "0.01,0.02\n")
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid scenario: the eps_a (epsA) schedule has 2 entries; "
+        "5 steps need steps + 1 = 6\n"
+    )
+    assert not (tmp_path / "demo_trajectory.csv").exists()
+    path.write_text(text + ",".join(["0.01"] * 7) + "\n")
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "demo_trajectory.csv").read_text().splitlines()) == 1 + 6
+
+
 def test_verify_subcommand(capsys):
     assert main(["verify", "--seed", "1", "--resolution", "200"]) == 0
     out = capsys.readouterr().out

@@ -154,6 +154,25 @@ def test_schedule_length_respected():
     assert len(rec.times) == 11
 
 
+@pytest.mark.parametrize("field, key", [("eps_a", "epsA"), ("eps_b", "epsB")])
+def test_short_schedule_is_rejected_before_the_first_step(monkeypatch, field, key):
+    """A schedule needs steps + 1 entries: a shorter one is a plain
+    ValueError (not a validity violation) raised before any step."""
+    import fairdyn.stereotype as stereotype
+
+    calls = []
+    monkeypatch.setattr(stereotype, "effective_policy", lambda *args: calls.append(args))
+    state = PopulationState.of(0.8, 0.4, 0.5)
+    spec = StereotypeSpec(**{"eps_a": 0.0, "eps_b": 0.0, field: [0.01, 0.02]})
+    with pytest.raises(ValueError) as exc:
+        stereotype_trajectory(state, "AA", U_AA1, CONST, spec, 5)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (
+        f"the {field} ({key}) schedule has 2 entries; 5 steps need steps + 1 = 6"
+    )
+    assert calls == []
+
+
 def test_aa_case_is_determined_once_per_step(monkeypatch):
     import fairdyn.stereotype as stereotype
 
