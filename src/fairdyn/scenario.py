@@ -73,11 +73,13 @@ def _names(raw: str) -> list[str]:
 
 
 def _schedule(raw: str) -> float | list[float]:
-    """One float, or a comma-separated per-step schedule of floats."""
-    parts = _names(raw)
-    if len(parts) == 1:
-        return float(parts[0])
-    return [float(p) for p in parts]
+    """One finite float, or a comma-separated per-step schedule of them; an
+    empty entry does not parse."""
+    values = [float(p) for p in raw.split(",")]
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"schedule entries must be finite, got {value!r}")
+    return values[0] if len(values) == 1 else values
 
 
 def _fmt_schedule(value: float | list[float]) -> str:
@@ -259,7 +261,10 @@ class Scenario:
     def stereotype_spec(self) -> StereotypeSpec | None:
         if self.eps_a is None and self.eps_b is None:
             return None
-        return StereotypeSpec(eps_a=self.eps_a or 0.0, eps_b=self.eps_b or 0.0)
+        return StereotypeSpec(
+            eps_a=0.0 if self.eps_a is None else self.eps_a,
+            eps_b=0.0 if self.eps_b is None else self.eps_b,
+        )
 
     def run_trajectory(self, strict: bool = False) -> TrajectoryRecord:
         return self._trajectory(self.mode, self.make_dynamics(), self.stereotype_spec(), strict)

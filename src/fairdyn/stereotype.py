@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import Policy, PopulationState, UtilitySpec, clamp01
 from .dynamics import DynamicsSpec, TrajectoryRecord, dt_trajectory
-from .policy import CASE_AA1, CASE_AA2, CASE_UN, MODE_AA1, determine_aa_case, policy_entries
+from .policy import CASE_AA1, CASE_AA2, CASE_UN, MODE_CODES, determine_aa_case, policy_entries
 
 
 class StereotypeValidityError(ValueError):
@@ -41,21 +41,22 @@ class StereotypeSpec:
                 f"eps_b={eb} outside [-pi_b, 1-pi_b] = [{-pb}, {1.0 - pb}]"
             )
         # The perceived ordering must not flip the true advantage.
-        if pa >= pb:
-            if eb - ea > pa - pb:
-                raise StereotypeValidityError(
-                    "errors large enough to flip the perceived advantaged group"
-                )
-        else:
-            if ea - eb > pb - pa:
-                raise StereotypeValidityError(
-                    "errors large enough to flip the perceived advantaged group"
-                )
+        (pi_adv, e_adv), (pi_dis, e_dis) = _by_advantage(pa, pb, ea, eb)
+        if e_dis - e_adv > pi_adv - pi_dis:
+            raise StereotypeValidityError(
+                "errors large enough to flip the perceived advantaged group"
+            )
 
 
-def _un_entries(pi: float, eps: float) -> tuple[float, float]:
-    """Truly implemented (tau1, tau0) for one group under the select-all-
-    qualified nominal policy with estimation error eps."""
+def _by_advantage(pa: float, pb: float, ea: float, eb: float):
+    """(pi, eps) of the advantaged group, then of the other; ties go to A."""
+    return ((pa, ea), (pb, eb)) if pa >= pb else ((pb, eb), (pa, ea))
+
+
+def _fill(pi: float, eps: float) -> tuple[float, float]:
+    """Truly implemented (tau1, tau0) for a group whose nominal policy
+    selects all of its estimated qualified mass pi + eps: UN's groups, AA1's
+    disadvantaged group and AA2's advantaged group."""
     if eps == 0.0:
         return 1.0, 0.0
     if eps > 0.0:
@@ -83,67 +84,33 @@ def effective_policy(
     """Translate the nominal policy on estimated profiles into the policy
     actually applied to the true distribution.
 
-    All entries are clamped into [0, 1]; the clamp only engages where the
-    parity target computed from the estimates is unattainable on the true
-    profiles (the min clause of the under-acceptance table, and the
-    analogous overshoot of the over-acceptance fill rate).
+    With both errors zero this is the closed form. Otherwise each group the
+    nominal policy fills gets _fill; in AA1 the advantaged group matches the
+    disadvantaged group's estimated rate, and in AA2 the disadvantaged group
+    fills the estimated gap with unqualified individuals. All entries are
+    clamped into [0, 1]; the clamp only engages where the parity target
+    computed from the estimates is unattainable on the true profiles.
     """
     eps.validate_for(state, step)
     ea, eb = eps.at(step)
     pa, pb = state.pi_a.p1, state.pi_b.p1
-
-    if mode == "UN":
-        t1a, t0a = _un_entries(pa, ea)
-        t1b, t0b = _un_entries(pb, eb)
-        return Policy(t1a, t0a, t1b, t0b)
-
     case = _resolved_case(mode, state, u)
-    if case not in ("AA1", "AA2"):
+    if case not in ("UN", "AA1", "AA2"):
         raise ValueError(f"unknown policy mode {mode!r}")
+    if ea == 0.0 and eb == 0.0:
+        return Policy(*policy_entries(MODE_CODES[case], pa, pb, state.g_a, u.u0, u.u1)[:4])
+    if case == "UN":
+        return Policy(*_fill(pa, ea), *_fill(pb, eb))
 
-    adv_is_a = pa >= pb
-    pi_adv, pi_dis = (pa, pb) if adv_is_a else (pb, pa)
-    e_adv, e_dis = (ea, eb) if adv_is_a else (eb, ea)
-
+    (pi_adv, e_adv), (pi_dis, e_dis) = _by_advantage(pa, pb, ea, eb)
     if case == "AA1":
-        if e_dis == 0.0 and e_adv == 0.0:  # the unbiased closed form
-            return Policy(*policy_entries(MODE_AA1, pa, pb, state.g_a, u.u0, u.u1)[:4])
-        if e_dis >= 0.0:
-            target = pi_dis + e_dis
-            t1_adv = min(1.0, target / pi_adv) if pi_adv > 0.0 else 1.0
-            t0_adv = 0.0
-            t1_dis = 1.0
-            t0_dis = clamp01(e_dis / (1.0 - pi_dis)) if pi_dis < 1.0 else 0.0
-        else:
-            if pi_dis <= 0.0:
-                raise StereotypeValidityError(
-                    "negative stereotype with no qualified individuals to under-identify"
-                )
-            target = pi_dis + e_dis
-            t1_adv = clamp01(target / pi_adv) if pi_adv > 0.0 else 1.0
-            t0_adv = 0.0
-            t1_dis = clamp01(target / pi_dis)
-            t0_dis = 0.0
-    else:  # AA2
-        if e_adv >= 0.0:
-            t1_adv = 1.0
-            t0_adv = clamp01(e_adv / (1.0 - pi_adv)) if pi_adv < 1.0 else 0.0
-        else:
-            if pi_adv <= 0.0:
-                raise StereotypeValidityError(
-                    "negative stereotype with no qualified individuals to under-identify"
-                )
-            t1_adv = clamp01((pi_adv + e_adv) / pi_adv)
-            t0_adv = 0.0
-        t1_dis = 1.0
-        if pi_dis < 1.0:
-            t0_dis = clamp01((pi_adv - pi_dis + e_adv - e_dis) / (1.0 - pi_dis))
-        else:
-            t0_dis = 0.0
-
-    if adv_is_a:
-        return Policy(t1_adv, t0_adv, t1_dis, t0_dis)
-    return Policy(t1_dis, t0_dis, t1_adv, t0_adv)
+        adv = (clamp01((pi_dis + e_dis) / pi_adv) if pi_adv > 0.0 else 1.0, 0.0)
+        dis = _fill(pi_dis, e_dis)
+    else:
+        adv = _fill(pi_adv, e_adv)
+        gap = pi_adv - pi_dis + e_adv - e_dis
+        dis = (1.0, clamp01(gap / (1.0 - pi_dis)) if pi_dis < 1.0 else 0.0)
+    return Policy(*adv, *dis) if pa >= pb else Policy(*dis, *adv)
 
 
 def stereotype_trajectory(

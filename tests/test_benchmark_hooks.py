@@ -87,3 +87,26 @@ def test_export_field_calls_ct_gradient_for_callback_maps(monkeypatch):
         calls.clear()
         rows = scenario.export_field(dyn, mode, u, resolution=6)
         assert len(rows) == 36 and len(calls) == 36 * per_point, mode
+
+
+def test_stereotype_trajectory_calls_effective_policy_every_step(monkeypatch):
+    """perfbench's stereotype.effective_policy.us_per_call times
+    effective_policy, which a stereotype run calls once per sample, with the
+    errors zero or not."""
+    from fairdyn import PopulationState, StereotypeSpec, UtilitySpec, constant_dynamics, stereotype
+
+    calls, original = [], stereotype.effective_policy
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for (module, key), value in _fairdyn_bindings().items():  # rebound as the tracer does
+        if value is original and "." not in key:
+            monkeypatch.setattr(sys.modules[module], key, counted)
+    state, dyn, steps = PopulationState.of(0.8, 0.4, 0.5), constant_dynamics(0.2, 0.8), 12
+    for mode in ("UN", "AA"):
+        for eps in (StereotypeSpec(0.0, 0.0), StereotypeSpec(0.0, -0.02)):
+            calls.clear()
+            stereotype.stereotype_trajectory(state, mode, UtilitySpec(-1.0, 1.0), dyn, eps, steps)
+            assert len(calls) == steps + 1, (mode, eps)

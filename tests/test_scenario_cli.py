@@ -185,6 +185,12 @@ BAD_VALUES = [
     ("piA = 0.8", "piA = abc", "'piA' in [state]"),
     ("f0 = 0.2", "f0 = 0.2x", "'f0' in [dynamics]"),
     ("[utility]", "[stereotype]\nepsA = 0,x\n\n[utility]", "'epsA' in [stereotype]"),
+    ("[utility]", "[stereotype]\nepsA =\n\n[utility]", "'epsA' in [stereotype]"),
+    ("[utility]", "[stereotype]\nepsA = ,\n\n[utility]", "'epsA' in [stereotype]"),
+    ("[utility]", "[stereotype]\nepsA = 0.01,,0.02\n\n[utility]", "'epsA' in [stereotype]"),
+    ("[utility]", "[stereotype]\nepsA = 0.01,\n\n[utility]", "'epsA' in [stereotype]"),
+    ("[utility]", "[stereotype]\nepsA = nan\n\n[utility]", "'epsA' in [stereotype]"),
+    ("[utility]", "[stereotype]\nepsB = 0,inf\n\n[utility]", "'epsB' in [stereotype]"),
     ("f1 = 0.8\n", "", "'f1' in [dynamics] for builtin = constant"),
     ("steps = 20", "steps = 20\nsample_every = 0", "[scenario] sample_every"),
     ("steps = 20", "steps = 20\nsample_every = -3", "[scenario] sample_every"),
@@ -553,6 +559,10 @@ def test_exit_codes(tmp_path, capsys):
     ster = tmp_path / "ster.scn"
     ster.write_text(text)
     assert main(["simulate", str(ster), "--out", str(tmp_path)]) == 4
+    # an empty or non-finite schedule entry is bad input, not a violation
+    for eps in ("", ",", "0.01,,0.02", "nan"):
+        ster.write_text(DEMO + f"\n[stereotype]\nepsA = {eps}\n")
+        assert main(["simulate", str(ster), "--out", str(tmp_path)]) == 2, eps
 
     # strict escalation: dynamics engineered to swap advantage and AA case
     strict_text = """\
