@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import PopulationState, UtilitySpec
 from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate, grid_axis, max_grid_slope
+from .policy import aa_scores
 
 CONTRACTIVITY_MARGIN = 1e-6
 ROOT_RESIDUAL_TOL = 1e-10
@@ -129,40 +130,17 @@ class StatusQuoReport:
 
 
 def check_status_quo_bias(dyn: DynamicsSpec, resolution: int = 256) -> StatusQuoReport:
-    """Verify f1 >= f0 - 1e-12 on a grid over the selection-rate square.
-
-    Reads the grid the spec keeps when it is this resolution's (see
-    DynamicsSpec.sample_grid); else samples the grid in rows and stops at
-    the first row with a counterexample, keeping nothing."""
+    """Verify f1 >= f0 - 1e-12 on dyn.sample_grid(resolution), the grid the
+    spec keeps; the counterexample is the first failing point in row-major
+    order."""
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
-    if resolution in dyn._grids:
-        xs, f0, f1 = dyn._grids[resolution]
-        return _status_quo(xs, xs, f0, f1)
-    xs = grid_axis(resolution)
-    step = max(1, 4096 // xs.size)  # rows per array evaluation
-    for r in range(0, xs.size, step):
-        rows = xs[r : r + step]
-        maps = dyn.array_sample(np.repeat(rows, xs.size), np.tile(xs, rows.size))
-        if maps is not None:
-            parts = [(rows, maps)]
-        else:  # row by row, so no row after a counterexample is evaluated
-            parts = (([x], dyn.sample(x, xs)) for x in rows.tolist())
-        for part_rows, (f0, f1) in parts:
-            report = _status_quo(part_rows, xs, f0, f1)
-            if not report.holds:
-                return report
-    return StatusQuoReport(holds=True, counterexample=None)
-
-
-def _status_quo(rows, xs: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> StatusQuoReport:
-    """Check f1 >= f0 - 1e-12 on maps sampled at (rows[i], xs[j]); the
-    counterexample is the first failing point in row-major order."""
+    xs, f0, f1 = dyn.sample_grid(resolution)
     bad = np.flatnonzero(f1 < f0 - 1e-12)
     if not bad.size:
         return StatusQuoReport(holds=True, counterexample=None)
     i, j = divmod(int(bad[0]), xs.size)
-    return StatusQuoReport(holds=False, counterexample=(float(rows[i]), float(xs[j])))
+    return StatusQuoReport(holds=False, counterexample=(float(xs[i]), float(xs[j])))
 
 
 @dataclass(frozen=True)
@@ -187,8 +165,7 @@ class EquilibriumAtlas:
 
     def delimiters(self) -> list[float]:
         """Basin boundaries with the 0/1 end conventions applied."""
-        interior = [d for d in self.unstable if 0.0 < d < 1.0]
-        return [0.0] + sorted(interior) + [1.0]
+        return _delimiters(self.unstable)
 
     def basin_index(self, pi0: float) -> int | None:
         """Index (0-based) of the attracting point whose basin holds pi0;
@@ -201,6 +178,11 @@ class EquilibriumAtlas:
             if dels[i] <= pi0 <= dels[i + 1]:
                 return i
         return None
+
+
+def _delimiters(unstable: list[float]) -> list[float]:
+    """0, the unstable points strictly inside (0, 1) in order, then 1."""
+    return [0.0] + sorted(d for d in unstable if 0.0 < d < 1.0) + [1.0]
 
 
 def un_map(dyn: DynamicsSpec):
@@ -286,7 +268,7 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
     unstable = [r for r, kind in zip(deduped, kinds) if kind == "u"]
 
     # Local slope bound and radius around each attracting point.
-    dels = [0.0] + [d for d in unstable if 0.0 < d < 1.0] + [1.0]
+    dels = _delimiters(unstable)
     attracting: list[Equilibrium] = []
     for r in [r for r, kind in zip(deduped, kinds) if kind == "a"]:
         left = max(d for d in dels if d <= r + 1e-15)
@@ -299,11 +281,11 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
     if k_valid:
         # grid_axis(4096)[::2] == grid_axis(2048) exactly: both steps are powers of two
         probe, fp = grid_axis(2048), fs[::2]
+        # interleaved: an unstable point lies strictly inside (0, 1) between
+        # each pair of attracting points, so dels has k + 1 entries or more
         for i, eq in enumerate(attracting):
-            lo_bound = dels[i] if i < len(dels) else 0.0
-            hi_bound = dels[i + 1] if i + 1 < len(dels) else 1.0
-            left = (lo_bound + 1e-6 < probe) & (probe < eq.position - 1e-6)
-            right = (eq.position + 1e-6 < probe) & (probe < hi_bound - 1e-6)
+            left = (dels[i] + 1e-6 < probe) & (probe < eq.position - 1e-6)
+            right = (eq.position + 1e-6 < probe) & (probe < dels[i + 1] - 1e-6)
             ok = (~left | (fp > probe)) & (~right | (fp < probe))
             if mode == "DT":
                 ok &= (~left | (fp < eq.position)) & (~right | (fp > eq.position))
@@ -411,13 +393,10 @@ def theorem4_limits(
             record=rec,
         )
 
-    adv_is_a = state0.pi_a.p1 >= state0.pi_b.p1
-    pi_adv0 = state0.pi_a.p1 if adv_is_a else state0.pi_b.p1
-    pi_dis0 = state0.pi_b.p1 if adv_is_a else state0.pi_a.p1
     basin_a = atlas.basin_index(state0.pi_a.p1)
     basin_b = atlas.basin_index(state0.pi_b.p1)
-    basin_adv = atlas.basin_index(pi_adv0)
-    basin_dis = atlas.basin_index(pi_dis0)
+    adv_is_a = state0.pi_a.p1 >= state0.pi_b.p1
+    basin_adv, basin_dis = (basin_a, basin_b) if adv_is_a else (basin_b, basin_a)
 
     aa1_ok = None
     if limits["AA1"].converged and basin_dis is not None:
@@ -468,9 +447,7 @@ class PersistenceRecord:
 
 def prop3_case_persistence(g_a: float, u: UtilitySpec) -> PersistenceRecord:
     """Sufficient conditions for staying in one AA case across advantage swaps."""
-    g_b = 1.0 - g_a
-    s_a = g_a * u.u1 + g_b * u.u0
-    s_b = g_b * u.u1 + g_a * u.u0
+    s_a, s_b = aa_scores(g_a, u.u0, u.u1)  # the scores mode AA's case follows
     c_minus_a = s_a <= 0.0
     c_minus_b = s_b <= 0.0
     c_plus_a = s_a >= 0.0

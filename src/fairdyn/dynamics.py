@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .core import PopulationState, QualificationProfile, UtilitySpec, clamp01
 from .expr import compile_expression
-from .policy import CASE_TAGS, CASE_UN, MODE_CODES, policy_entries, policy_entries_array
+from .policy import CASE_TAGS, CASE_UN, MODE_CODES, aa_scores, policy_entries, policy_entries_array
 
 MERGE_TOL = 1e-10
 
@@ -50,6 +50,10 @@ class DynamicsSpec:
     affine and constant builtins have one; Python callbacks do not, and the
     grid analyses call them once per point (see sample). A chunk with a
     failing point is evaluated again point by point, so maps must be pure.
+
+    affine and array_maps must describe f0 and f1. dataclasses.replace with
+    new f0 and f1 keeps the old affine and array_maps, and then CT runs and
+    the grid analyses use the old maps; replace those fields too.
 
     The spec keeps the last grid that sample_grid sampled, for the grid
     analyses of one resolution to share: the axis and two float arrays of
@@ -681,7 +685,7 @@ def cumulative_utility_with_tail(
     elif tag == "AA1":
         coeff = 0.0
     else:  # AA2
-        coeff = g_adv * u.u1 + (1.0 - g_adv) * u.u0
+        coeff = aa_scores(g_a, u.u0, u.u1)[final_delta < 0.0]
     finite = record.cumulative_utility
     if coeff >= 0.0:
         interval = (finite + coeff * lo, finite + coeff * hi)

@@ -65,11 +65,10 @@ def unconstrained_policy(state: PopulationState, u: UtilitySpec) -> PolicySoluti
 
 
 def determine_aa_case(state: PopulationState, u: UtilitySpec) -> AACase:
-    """Classify the parity-constrained optimum by the sign of
-    g_adv*u1 + (1-g_adv)*u0."""
+    """Classify the parity-constrained optimum by the sign of the
+    advantaged group's AA score g_adv*u1 + (1-g_adv)*u0 (aa_scores)."""
     adv = advantaged_group(state)
-    g_adv = state.g_a if adv == "A" else state.g_b
-    s = g_adv * u.u1 + (1.0 - g_adv) * u.u0
+    s = aa_scores(state.g_a, u.u0, u.u1)[adv == "B"]
     if s < 0.0:
         tag = "AA1"
     elif s > 0.0:
@@ -93,10 +92,14 @@ _AA_CASE_ENTRIES = {
     # pi_dis == 1 forces pi_adv == 1; the 0/0 limit is resolved to 0.
     CASE_AA2: ("1.0", "0.0", "1.0", ("{dis} < 1.0", "({adv} - {dis}) / (1.0 - {dis})", "0.0")),
 }
-# Mode AA takes case AA1 where the advantaged group's share g gives
-# g*u1 + (1 - g)*u0 < 0, else AA2. As source over ga, u0 and u1, when A and
-# when B is the advantaged group:
-AA1_TESTS = tuple(f"{g} * u1 + (1.0 - {g}) * u0 < 0.0" for g in ("ga", "(1.0 - ga)"))
+# The AA score g*u1 + (1 - g)*u0 of the advantaged group's share g, as source
+# over ga, u0 and u1, when A and when B is the advantaged group. Mode AA takes
+# case AA1 where it is < 0, else AA2.
+AA_SCORES = tuple(f"{g} * u1 + (1.0 - {g}) * u0" for g in ("ga", "(1.0 - ga)"))
+AA1_TESTS = tuple(f"{score} < 0.0" for score in AA_SCORES)
+aa_scores = eval(compile(f"lambda ga, u0, u1: ({', '.join(AA_SCORES)})", "<aa_scores>", "eval"))
+aa_scores.__doc__ = """The AA scores (A advantaged, B advantaged) at ga, u0, u1, with the
+bits the kernel's and policy_entries' AA1 tests compute."""
 
 
 def _policy_tree(mode: int, pa: str, pb: str, aa1_tests) -> tuple:

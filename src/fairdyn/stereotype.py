@@ -62,10 +62,7 @@ def _fill(pi: float, eps: float) -> tuple[float, float]:
     if eps > 0.0:
         # pi < 1 guaranteed: eps <= 1 - pi and eps > 0
         return 1.0, clamp01(eps / (1.0 - pi))
-    if pi <= 0.0:
-        raise StereotypeValidityError(
-            "negative stereotype with no qualified individuals to under-identify"
-        )
+    # pi > 0 guaranteed: validate_for requires eps >= -pi, and eps < 0
     return clamp01((pi + eps) / pi), 0.0
 
 
@@ -93,6 +90,7 @@ def effective_policy(
     """
     eps.validate_for(state, step)
     ea, eb = eps.at(step)
+    ea, eb = ea + 0.0, eb + 0.0  # -0.0 is no error: at pi = -0.0, pi + -0.0 keeps the sign
     pa, pb = state.pi_a.p1, state.pi_b.p1
     case = _resolved_case(mode, state, u)
     if case not in ("UN", "AA1", "AA2"):

@@ -33,6 +33,7 @@ from fairdyn import (
 )
 from fairdyn.analysis import ROOT_RESIDUAL_TOL, Equilibrium, EquilibriumAtlas, _bisect
 from fairdyn.dynamics import grid_axis, max_grid_slope
+from fairdyn.policy import CASE_AA1, CASE_AA2, MODE_AA, policy_entries
 from conftest import random_contractive_affine
 
 CONST = constant_dynamics(0.2, 0.8)
@@ -277,6 +278,34 @@ def test_prop3_no_penalty():
         assert rec.always_aa2
 
 
+@st.composite
+def _aa_score_roots(draw):
+    """(g_a, u) with u0 on, or one ulp off, the root -g*u1/(1 - g) of one
+    group's AA score g*u1 + (1 - g)*u0: where rounding decides its sign."""
+    ga = draw(st.floats(0.01, 0.99))
+    u1 = draw(st.floats(0.01, 100.0))
+    g = draw(st.sampled_from([ga, 1.0 - ga]))
+    u0 = -g * u1 / (1.0 - g)
+    u0 = draw(st.sampled_from([u0, math.nextafter(u0, 0.0), math.nextafter(u0, -math.inf)]))
+    return ga, UtilitySpec(u0=u0, u1=u1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_aa_score_roots())
+@example(point=(0.3, UtilitySpec(u0=-3.282449746817901, u1=1.406764177207672)))  # always AA1
+def test_case_persistence_allows_the_case_the_engine_takes(point):
+    """With either group advantaged, the case mode AA takes in the closed
+    form the engines run is one prop3_case_persistence allows there."""
+    ga, u = point
+    rec = prop3_case_persistence(ga, u)
+    for (pa, pb), aa1, aa2 in (
+        ((0.8, 0.3), rec.aa1_under_a_advantage, rec.aa2_under_a_advantage),
+        ((0.3, 0.8), rec.aa1_under_b_advantage, rec.aa2_under_b_advantage),
+    ):
+        case = policy_entries(MODE_AA, pa, pb, ga, u.u0, u.u1)[4]
+        assert aa1 if case == CASE_AA1 else (case == CASE_AA2 and aa2)
+
+
 def test_theorem4_single_basin():
     rec = theorem4_limits(CONST, PopulationState.of(0.9, 0.2, 0.5), U, t_cap=200.0)
     for mode in ("UN", "AA1", "AA2"):
@@ -506,10 +535,12 @@ def test_grid_analyses_match_scalar_loops(dyn, resolution):
     assert max_grid_slope(f0, xs[1]) == _loop_slope(dyn.f0_clamped, xs)
     assert max_grid_slope(f1, xs[1]) == _loop_slope(dyn.f1_clamped, xs)
     counterexample = _loop_status_quo(dyn, resolution)
-    for spec in (dyn, dataclasses.replace(dyn)):  # reads the kept grid, then streams rows
+    fresh = dataclasses.replace(dyn)  # keeps no grid: the check samples one and keeps it
+    for spec in (dyn, fresh):  # dyn keeps the grid the contraction sampled
         report = check_status_quo_bias(spec, resolution)
         assert report.counterexample == counterexample
         assert report.holds == (report.counterexample is None)
+    assert list(fresh._grids) == [resolution]
     if resolution == 64:  # neither depends on the resolution
         for mode in ("CT", "DT"):
             assert find_equilibria(dyn, mode=mode) == _loop_equilibria(dyn, mode)
@@ -564,7 +595,7 @@ def test_maps_are_called_with_python_floats():
     estimate_contraction(dyn, resolution=64)
     check_status_quo_bias(dyn, resolution=64)
     holds = DynamicsSpec(f0=floats_only(CONST.f0), f1=floats_only(CONST.f1))
-    assert check_status_quo_bias(holds, resolution=64).holds  # samples every row
+    assert check_status_quo_bias(holds, resolution=64).holds  # samples the whole grid
     dyn.validate_declared(resolution=64)
     for mode in ("CT", "DT"):
         find_equilibria(dyn, mode=mode)

@@ -110,3 +110,29 @@ def test_stereotype_trajectory_calls_effective_policy_every_step(monkeypatch):
             calls.clear()
             stereotype.stereotype_trajectory(state, mode, UtilitySpec(-1.0, 1.0), dyn, eps, steps)
             assert len(calls) == steps + 1, (mode, eps)
+
+
+def test_layer_probe_fills_every_per_layer_metric(monkeypatch, tmp_path):
+    """perfbench/run.py fills each per-layer rate a workload leaves unset
+    from the layer probe and prints null where the probe leaves it unset
+    too: the probe must set every one (dynamics.ct_gradient.us_per_call
+    comes only from export_field on a spec without array maps)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as it is
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    try:
+        import probe
+        import tracing
+        import workloads
+
+        ctx = workloads.Context(root=TRACING.parents[1], work=tmp_path)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            probe.layer_probe(ctx)
+        finally:
+            tracer.uninstall()
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        for name in ("probe", "tracing", "workloads"):
+            sys.modules.pop(name, None)
+    assert [name for name, value in metrics.items() if value is None] == []

@@ -216,6 +216,9 @@ def _error(error, pi):
 @example(  # both groups at the lower end of their range
     pa=1.0, pb=0.0, ga=0.5, utility=(-1.0, 1.0), errors=(("-pi", -0.0), ("-pi", -0.0))
 )
+@example(  # AA1's advantaged entry at pi_dis = -0.0 with an error of -0.0: 0.0, not -0.0
+    pa=-0.0, pb=0.5, ga=0.5, utility=(-2.0, 1.0), errors=(("", -0.0), ("", 5e-324))
+)
 def test_nonzero_eps_matches_reference(pa, pb, ga, utility, errors):
     """With an error other than zero, every mode (and an unknown one) gives
     the reference's entries and errors, an error of -0.0 read as 0.0."""
