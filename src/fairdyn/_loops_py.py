@@ -28,6 +28,12 @@ _CALLS = (
     ("f1({b0}, {b1})", "f1({b0}, {b1})", 0, False),
 )
 
+# The CT field dx/dt = x*(f1 - 1) + (1 - x)*f0 of one group as source: each
+# kernel stage writes it in, and ct_rate(x, f1, f0) (floats or arrays; f1
+# first, as the maps are called) is compiled from it.
+CT_RATE = "{x} * ({f1} - 1.0) + (1.0 - {x}) * {f0}"
+ct_rate = eval(compile("lambda x, f1, f0: " + CT_RATE.format(x="x", f1="f1", f0="f0"), "<ct_rate>", "eval"))
+
 
 def ct_loop(
     pa,
@@ -232,8 +238,8 @@ def _stage(k: int, mode, xa: str, xb: str, forms) -> list[str]:
             forms,
             merged=False,
         ),
-        f"k{k}a = xa * (f1a - 1.0) + (1.0 - xa) * f0a",
-        f"k{k}b = xb * (f1b - 1.0) + (1.0 - xb) * f0b",
+        f"k{k}a = " + CT_RATE.format(x="xa", f1="f1a", f0="f0a"),
+        f"k{k}b = " + CT_RATE.format(x="xb", f1="f1b", f0="f0b"),
     ]
 
 
@@ -244,7 +250,7 @@ def _merged_stage(k: int, x: str, forms) -> list[str]:
         f"x = {x}",
         *_clamp_state("x"),
         *_maps((("f1v", 1, "0.0", "x"), ("f0v", 0, "0.0", "x")), forms, merged=True),
-        f"k{k} = x * (f1v - 1.0) + (1.0 - x) * f0v",
+        f"k{k} = " + CT_RATE.format(x="x", f1="f1v", f0="f0v"),
     ]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PopulationState, UtilitySpec
-from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate, grid_axis, max_grid_slope
+from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate, dt_map, grid_axis, max_grid_slope
 from .policy import aa_scores
 
 CONTRACTIVITY_MARGIN = 1e-6
@@ -92,16 +92,13 @@ def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> Contractio
     # l_aa2: max over pi = xs[i] and delta = xs[k], k <= i, of
     # 2*(pi*L1 + (1-pi)*L0) + |f1 - f0| at (delta, pi - delta). Where
     # pi - delta is xs[i - k] bit for bit the maps are read off the grid,
-    # and only the other points are sampled; if one of those raises, the
-    # whole triangle is sampled, to raise the error it raises in its order.
+    # and only the other points are sampled. The grid sampled cleanly, so
+    # the first of those to fail is the whole triangle's first failing point.
     i, k = np.tril_indices(resolution + 1)
     b1 = xs[i] - xs[k]
     other = b1.view(np.int64) != xs[i - k].view(np.int64)
     t0, t1 = f0[k, i - k], f1[k, i - k]
-    try:
-        t0[other], t1[other] = dyn.sample(xs[k[other]], b1[other])
-    except Exception:
-        t0, t1 = dyn.sample(xs[k], b1)
+    t0[other], t1[other] = dyn.sample(xs[k[other]], b1[other])
     lip = 2.0 * (xs * l1 + (1.0 - xs) * l0)
     l_aa2 = float(np.max(lip[i] + np.abs(t1 - t0)))
 
@@ -189,22 +186,16 @@ def un_map(dyn: DynamicsSpec):
     """The one-dimensional profile map induced by the unconstrained policy."""
 
     def f(pi: float) -> float:
-        val = pi * dyn.f1_clamped(0.0, pi) + (1.0 - pi) * dyn.f0_clamped(0.0, pi)
-        return min(1.0, max(0.0, val))
+        return min(1.0, max(0.0, dt_map(pi, dyn.f1_clamped(0.0, pi), dyn.f0_clamped(0.0, pi))))
 
     return f
 
 
 def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray:
-    """un_map(dyn) at every point of the float array pis, with the same bits:
-    as arrays when dyn.array_sample or dyn._call_maps vouches for every
-    point, else point by point, so the first failing point raises its error."""
-    b0 = np.zeros_like(pis)
-    maps = dyn.array_sample(b0, pis) or dyn._call_maps(b0, pis)
-    if maps is None:
-        return np.array(list(map(un_map(dyn), pis.tolist())))
-    f0, f1 = maps
-    val = pis * f1 + (1.0 - pis) * f0
+    """un_map(dyn) at every point of the float array pis, with the same bits,
+    from dyn.sample: the first failing point raises its error."""
+    f0, f1 = dyn.sample(0.0, pis)
+    val = dt_map(pis, f1, f0)
     val = np.where(val > 0.0, val, 0.0)  # max(0.0, val)
     return np.where(val < 1.0, val, 1.0)  # min(1.0, val)
 

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
+from ._loops_py import ct_rate
 from .core import PopulationState, QualificationProfile, UtilitySpec, clamp01
 from .expr import compile_expression
 from .policy import CASE_TAGS, CASE_UN, MODE_CODES, aa_scores, policy_entries, policy_entries_array
@@ -72,14 +73,16 @@ class DynamicsSpec:
 
     def f0_clamped(self, b0: float, b1: float) -> float:
         value = self.f0(b0, b1)
-        return value if 0.0 <= value <= 1.0 else self._clamp("f0", value, b0, b1)
+        return value if type(value) is float and 0.0 <= value <= 1.0 else self._clamp("f0", value, b0, b1)
 
     def f1_clamped(self, b0: float, b1: float) -> float:
         value = self.f1(b0, b1)
-        return value if 0.0 <= value <= 1.0 else self._clamp("f1", value, b0, b1)
+        return value if type(value) is float and 0.0 <= value <= 1.0 else self._clamp("f1", value, b0, b1)
 
-    def _clamp(self, which: str, value: float, b0: float, b1: float) -> float:
-        """clamp01 of a map value outside [0, 1]; a NaN raises ValueError."""
+    def _clamp(self, which: str, value, b0: float, b1: float) -> float:
+        """clamp01 of a map value that is not a float in [0, 1], converted by
+        float() first; a NaN raises ValueError."""
+        value = float(value)
         if value != value:
             point = (float(b0), float(b1))
             raise ValueError(f"{which} of dynamics {self.name!r} is NaN at (b0, b1) = {point!r}")
@@ -107,23 +110,24 @@ class DynamicsSpec:
         """The clamped maps (f0, f1) at every point of the broadcast
         coordinate arrays b0, b1. Returns two arrays of the broadcast shape.
 
-        The points go in chunks of 4096 through array_sample. A chunk it
+        The points go in chunks of 8192 through array_sample. A chunk it
         cannot vouch for (and every chunk of a spec without an array form)
         goes through _call_maps, which calls each map once per point. A
-        chunk that fails there calls f0_clamped at each of its points, then
-        f1_clamped at each, with Python floats; so the first failing point
-        in that order raises its ValueError or ExpressionEvaluationError,
-        naming the map and the point."""
+        chunk that fails there goes point by point, in order, calling
+        f1_clamped then f0_clamped at each point with Python floats as the
+        engines do: the first failing point raises its error, naming the
+        map and the point."""
         b0, b1 = np.broadcast_arrays(b0, b1)
         x, y = b0.ravel(), b1.ravel()
         f0, f1 = np.empty(x.size), np.empty(x.size)
-        chunk = 4096  # points held as Python floats at a time: bounds memory
+        chunk = 8192  # points held as Python floats at a time: bounds memory
         for s in range(0, x.size, chunk):
             cx, cy = x[s : s + chunk], y[s : s + chunk]
             values = self.array_sample(cx, cy) or self._call_maps(cx, cy)
             if values is None:
-                cx, cy = cx.tolist(), cy.tolist()
-                values = list(map(self.f0_clamped, cx, cy)), list(map(self.f1_clamped, cx, cy))
+                points = zip(cx.tolist(), cy.tolist())
+                v1, v0 = zip(*[(self.f1_clamped(p, q), self.f0_clamped(p, q)) for p, q in points])
+                values = v0, v1
             f0[s : s + chunk], f1[s : s + chunk] = values
         return f0.reshape(b0.shape), f1.reshape(b0.shape)
 
@@ -131,7 +135,7 @@ class DynamicsSpec:
         """The clamped maps (f0, f1) at every point of the 1-D float arrays
         b0, b1, with the bits f0_clamped and f1_clamped give: f0 called at
         each point, then f1, with Python floats. None when a call raised or
-        _plain_array refuses its values; the caller then goes point by point."""
+        _plain_array refuses its values; sample then goes point by point."""
         x, y = b0.tolist(), b1.tolist()
         try:
             f0, f1 = (_plain_array(list(map(fn, x, y))) for fn in (self.f0, self.f1))
@@ -179,9 +183,7 @@ class DynamicsSpec:
 
 
 def _plain_array(values: list) -> np.ndarray | None:
-    """values as a float64 array; None when one is NaN or is not a float, a
-    numpy float64 or an int (a Fraction would round, and un_map computes with
-    a numpy float32 in float32)."""
+    """values as a float64 array; None when one is NaN or not a float, a numpy float64 or an int."""
     if not {*map(type, values)} <= {float, np.float64, int}:
         return None
     array = np.fromiter(values, float, len(values))
@@ -330,9 +332,6 @@ class TrajectoryRecord:
     def delta(self) -> np.ndarray:
         return self.pi_a - self.pi_b
 
-    def final_state(self) -> PopulationState:
-        return PopulationState.of(float(self.pi_a[-1]), float(self.pi_b[-1]), self.g_a)
-
 
 def dt_step(
     profile: QualificationProfile,
@@ -348,8 +347,13 @@ def _dt_step_raw(p1: float, b0: float, b1: float, dyn: DynamicsSpec) -> tuple[fl
     raw1 = dyn.f1(b0, b1)
     raw0 = dyn.f0(b0, b1)
     clamps = int(raw1 < 0.0 or raw1 > 1.0) + int(raw0 < 0.0 or raw0 > 1.0)
-    nxt = p1 * clamp01(raw1) + (1.0 - p1) * clamp01(raw0)
-    return clamp01(nxt), clamps
+    return clamp01(dt_map(p1, clamp01(raw1), clamp01(raw0))), clamps
+
+
+def dt_map(x, f1, f0):
+    """The DT profile map, unclamped, at qualified fraction x and clamped map
+    values f1, f0 (floats or arrays): f1 first, as the maps are called."""
+    return x * f1 + (1.0 - x) * f0
 
 
 PolicyFn = Callable[[float, float, int], tuple[float, float, float, float, int]]
@@ -607,15 +611,10 @@ def ct_integrate(
         record.extras["step_halving_diff"] = diff
         record.extras["step_halving_ok"] = diff <= 1e-6
         if diff > 1e-6:
+            message = f"step-halving check failed: endpoint difference {diff:.3g}"
             if strict:
-                raise StepHalvingError(
-                    f"step-halving check failed: endpoint difference {diff:.3g}"
-                )
-            warnings.warn(
-                f"step-halving check failed: endpoint difference {diff:.3g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+                raise StepHalvingError(message)
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
     return record
 
 
@@ -627,8 +626,8 @@ def ct_gradient(
     t1a, t0a, t1b, t0b, _ = policy_entries(MODE_CODES[mode], pa, pb, g_a, u.u0, u.u1)
     b0a, b1a = t0a * (1.0 - pa), t1a * pa
     b0b, b1b = t0b * (1.0 - pb), t1b * pb
-    da = pa * (dyn.f1_clamped(b0a, b1a) - 1.0) + (1.0 - pa) * dyn.f0_clamped(b0a, b1a)
-    db = pb * (dyn.f1_clamped(b0b, b1b) - 1.0) + (1.0 - pb) * dyn.f0_clamped(b0b, b1b)
+    da = ct_rate(pa, dyn.f1_clamped(b0a, b1a), dyn.f0_clamped(b0a, b1a))
+    db = ct_rate(pb, dyn.f1_clamped(b0b, b1b), dyn.f0_clamped(b0b, b1b))
     return da, db
 
 
@@ -645,7 +644,7 @@ def ct_field(
     if maps_a is None or maps_b is None:
         return None
     (f0a, f1a), (f0b, f1b) = maps_a, maps_b
-    return pa * (f1a - 1.0) + (1.0 - pa) * f0a, pb * (f1b - 1.0) + (1.0 - pb) * f0b
+    return ct_rate(pa, f1a, f0a), ct_rate(pb, f1b, f0b)
 
 
 @dataclass(frozen=True)

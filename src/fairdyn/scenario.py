@@ -410,7 +410,7 @@ def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int 
     dyn = scenario.make_dynamics()
     u = scenario.utility_spec()
     report = estimate_contraction(dyn, resolution)
-    sq = check_status_quo_bias(dyn, min(resolution, 256))
+    sq = check_status_quo_bias(dyn, resolution)
     atlas = find_equilibria(dyn, mode=scenario.time_mode)
     persistence = prop3_case_persistence(scenario.g_a, u)
 

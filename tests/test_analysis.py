@@ -550,12 +550,11 @@ def test_grid_analyses_match_scalar_loops(dyn, resolution):
 
 
 def test_failing_point_names_the_map_the_scalar_loops_name():
-    """At a point where both maps fail, sample (and so the contraction, the
-    status-quo check and validate_declared) names f0, which it evaluates
-    first over a chunk; un_map and ct_gradient evaluate f1 first, so
-    find_equilibria and export_field name f1."""
-    f0_error = "expression '1/(b1 - 0.5)' at (b0, b1) = (0.0, 0.5): ZeroDivisionError"
-    f1_error = f0_error.replace("1/", "2/")
+    """At a point where both maps fail, every analysis names f1: sample
+    (and so the contraction, the status-quo check and validate_declared),
+    un_map and ct_gradient all evaluate f1 before f0 at a point, so they
+    agree with find_equilibria's and export_field's scalar loops."""
+    f1_error = "expression '2/(b1 - 0.5)' at (b0, b1) = (0.0, 0.5): ZeroDivisionError"
     for analysis in (
         lambda: estimate_contraction(BOTH_FAIL, 64),
         lambda: check_status_quo_bias(BOTH_FAIL, 64),
@@ -563,7 +562,7 @@ def test_failing_point_names_the_map_the_scalar_loops_name():
             dataclasses.replace(BOTH_FAIL, declared_l0=1.0), resolution=64
         ),
     ):
-        with pytest.raises(ExpressionEvaluationError, match=re.escape(f0_error)):
+        with pytest.raises(ExpressionEvaluationError, match=re.escape(f1_error)):
             analysis()
     for mode in ("CT", "DT"):
         outcome = _outcome(lambda: find_equilibria(BOTH_FAIL, mode=mode))
@@ -572,7 +571,33 @@ def test_failing_point_names_the_map_the_scalar_loops_name():
     for mode in ("UN", "AA", "AA1", "AA2"):
         outcome = _outcome(lambda: export_field(BOTH_FAIL, mode, U, resolution=9, g_a=0.3))
         assert outcome == _outcome(lambda: _loop_field(BOTH_FAIL, mode, U, 9, 0.3))
-        assert outcome[1].startswith("expression '2/(b1 - 0.5)'")
+        assert outcome[1].startswith(f1_error)
+
+
+@pytest.mark.parametrize(
+    "f0, f1, first",
+    [
+        ("1/(b1 - 0.25)", "2/(b1 - 0.5)", "1/(b1 - 0.25)"),  # f0 fails at an earlier point
+        ("1/(b1 - 0.5)", "2/(b1 - 0.25)", "2/(b1 - 0.25)"),  # f1 fails at an earlier point
+    ],
+)
+def test_every_analysis_names_the_first_failing_point(f0, f1, first):
+    """Whichever map fails first in point order is the one every analysis
+    and the DT engine name, whatever the other map does at later points."""
+    dyn = parse_dynamics(f0, f1, name="fails")
+    error = f"expression '{first}' at (b0, b1) = (0.0, 0.25): ZeroDivisionError"
+    analyses = [
+        lambda: estimate_contraction(dataclasses.replace(dyn), 64),
+        lambda: check_status_quo_bias(dataclasses.replace(dyn), 64),
+        lambda: dataclasses.replace(dyn, declared_l0=1.0).validate_declared(64),
+        lambda: find_equilibria(dyn, "CT"),
+        lambda: find_equilibria(dyn, "DT"),
+        lambda: dt_trajectory(PopulationState.of(0.25, 0.0, 0.3), "UN", U, dyn, 3),
+    ]
+    analyses += [lambda m=m: export_field(dyn, m, U, resolution=9, g_a=0.3) for m in ("UN", "AA", "AA1", "AA2")]
+    for analysis in analyses:
+        with pytest.raises(ExpressionEvaluationError, match=re.escape(error)):
+            analysis()
 
 
 def test_maps_are_called_with_python_floats():
@@ -643,11 +668,7 @@ def _triangle_points_off_the_axis(resolution):
 
 
 OFF_AXIS_96 = _triangle_points_off_the_axis(96)
-# The first such point is in the triangle's first 4096-point chunk, the last
-# in its second: f1 failing at the first and f0 at the last, sampling the
-# whole triangle names f1, and sampling the off-axis points alone names f0.
 FIRST_OFF_96, LAST_OFF_96 = OFF_AXIS_96[0][1], OFF_AXIS_96[-1][1]
-assert OFF_AXIS_96[0][0] < 4096 <= OFF_AXIS_96[-1][0]
 
 
 def _nan_at(fn, point):
@@ -692,6 +713,18 @@ def test_contraction_matches_the_full_triangle(dyn, resolution, declared):
     want = _outcome(lambda: _full_triangle_contraction(dyn, resolution))
     assert _outcome(lambda: estimate_contraction(dyn, resolution)) == want
     assert _outcome(lambda: estimate_contraction(dyn, resolution)) == want
+
+
+@pytest.mark.parametrize("fail0, fail1, first", [(LAST_OFF_96, FIRST_OFF_96, "f1"), (FIRST_OFF_96, LAST_OFF_96, "f0")])
+def test_an_off_grid_triangle_failure_is_the_whole_triangles_first(fail0, fail1, first):
+    """With one map failing at the first triangle point off the grid and the
+    other at the last, estimate_contraction, which samples only the off-grid
+    points, raises the error of sampling the whole triangle: the first
+    failing point's, in point order."""
+    dyn = _callback_spec((0.2, 0.1, 0.3, 0.4, 0.0, 0.5), fail0, fail1)
+    want = (ValueError, f"{first} of dynamics 'callback' is NaN at (b0, b1) = {FIRST_OFF_96!r}")
+    assert _outcome(lambda: _full_triangle_contraction(dataclasses.replace(dyn), 96)) == want
+    assert _outcome(lambda: estimate_contraction(dyn, 96)) == want
 
 
 def test_grid_analyses_call_each_map_once_per_grid_point():

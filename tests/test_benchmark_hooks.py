@@ -2,9 +2,11 @@
 by name: each must still exist, and uninstalling the tracer must put every
 original back."""
 
+import contextlib
 import importlib
 import sys
 import types
+import warnings
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -113,26 +115,44 @@ def test_stereotype_trajectory_calls_effective_policy_every_step(monkeypatch):
 
 
 def test_layer_probe_fills_every_per_layer_metric(monkeypatch, tmp_path):
-    """perfbench/run.py fills each per-layer rate a workload leaves unset
-    from the layer probe and prints null where the probe leaves it unset
-    too: the probe must set every one (dynamics.ct_gradient.us_per_call
-    comes only from export_field on a spec without array maps)."""
+    """A traced perfbench run reports every per-layer metric as a number.
+    perfbench/run.py fills each per-layer rate a workload leaves unset from
+    the layer probe and prints null where the probe leaves it unset too: so
+    the probe must set every one (dynamics.ct_gradient.us_per_call comes
+    only from export_field on a spec without array maps), and one traced
+    round of each workload, with its rates filled from the probe as run.py
+    fills them, must pass its checks and leave no metric unset."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as it is
     monkeypatch.syspath_prepend(str(TRACING.parent))
     try:
         import probe
+        import run
         import tracing
         import workloads
 
-        ctx = workloads.Context(root=TRACING.parents[1], work=tmp_path)
-        tracer = tracing.Tracer()
-        tracer.install()
-        try:
+        @contextlib.contextmanager
+        def traced():
+            tracer = tracing.Tracer()
+            tracer.install()
+            try:
+                yield tracer
+            finally:
+                tracer.uninstall()
+
+        ctx = workloads.Context(root=TRACING.parents[1], work=tmp_path / "probe")
+        with traced() as tracer:
             probe.layer_probe(ctx)
-        finally:
-            tracer.uninstall()
-        metrics = tracing.layer_metrics(tracer)
+        from_probe = tracing.layer_metrics(tracer)
+        assert [name for name, value in from_probe.items() if value is None] == []
+        for name in workloads.WORKLOADS:
+            workload = workloads.build(name, 1, TRACING.parents[1], tmp_path / name)
+            with warnings.catch_warnings(), traced() as tracer:
+                warnings.simplefilter("ignore", RuntimeWarning)  # as run.py: AA case-switch notices
+                results = [run.run_job(job, workload.ctx, tracer) for job in next(workload.rounds())]
+            assert [p for r in results for p in r.problems] == [], name
+            metrics = tracing.layer_metrics(tracer)
+            metrics = {key: from_probe[key] if value is None else value for key, value in metrics.items()}
+            assert [key for key, value in metrics.items() if value is None] == [], name
     finally:
-        for name in ("probe", "tracing", "workloads"):
+        for name in ("probe", "run", "tracing", "workloads"):
             sys.modules.pop(name, None)
-    assert [name for name, value in metrics.items() if value is None] == []

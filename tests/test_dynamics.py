@@ -318,6 +318,27 @@ def test_appendix_c_shape():
     assert dyn.affine is None
 
 
+def test_a_float32_callback_computes_with_its_float_values():
+    """A callback returning numpy float32 values gives the results of one
+    returning the same values as floats: f0_clamped and f1_clamped convert
+    them, so no scalar path computes in float32."""
+    from fairdyn import export_field, find_equilibria, un_map
+
+    base = appendix_c_dynamics()
+    as32 = [lambda b0, b1, f=f: np.float32(f(b0, b1)) for f in (base.f0, base.f1)]
+    as_float = [lambda b0, b1, f=f: float(f(b0, b1)) for f in as32]
+    single, double = DynamicsSpec(*as32, name="c"), DynamicsSpec(*as_float, name="c")
+    u, points = UtilitySpec(-1.0, 0.7), [(0.6, 0.4), (0.1, 0.9), (0.35, 0.35), (1.0, 0.0)]
+
+    def results(dyn):
+        gradients = [ct_gradient(pa, pb, 0.3, mode, u, dyn) for pa, pb in points for mode in ("UN", "AA")]
+        un = [un_map(dyn)(pi) for pi in (0.0, 0.2, 0.5, 0.9)]
+        atlases = [find_equilibria(dyn, mode) for mode in ("CT", "DT")]
+        return repr((gradients, un, atlases, export_field(dyn, "AA1", u, resolution=7, g_a=0.3)))
+
+    assert results(single) == results(double)
+
+
 # What a callback map returns at its drawn point (or at every point): a
 # value, or ZeroDivisionError, which the map raises.
 OUTCOMES = (
@@ -338,16 +359,13 @@ GRID8 = grid_axis(8)  # every grid_axis(8) point is a grid_axis(64) and a grid_a
 
 
 def _frozen_sample(dyn, b0, b1):
-    """DynamicsSpec.sample on a spec without array maps as it was before
-    _call_maps: per 4096-point chunk, f0_clamped at each point, then
-    f1_clamped at each."""
+    """DynamicsSpec.sample on a spec without array maps, point by point:
+    f1_clamped, then f0_clamped, at each point in order."""
     b0, b1 = np.broadcast_arrays(b0, b1)
-    x, y = b0.ravel(), b1.ravel()
-    f0, f1 = np.empty(x.size), np.empty(x.size)
-    for s in range(0, x.size, 4096):
-        cx, cy = x[s : s + 4096].tolist(), y[s : s + 4096].tolist()
-        values = list(map(dyn.f0_clamped, cx, cy)), list(map(dyn.f1_clamped, cx, cy))
-        f0[s : s + 4096], f1[s : s + 4096] = values
+    f0, f1 = np.empty(b0.size), np.empty(b0.size)
+    for n, (x, y) in enumerate(zip(b0.ravel().tolist(), b1.ravel().tolist())):
+        f1[n] = dyn.f1_clamped(x, y)
+        f0[n] = dyn.f0_clamped(x, y)
     return f0.reshape(b0.shape), f1.reshape(b0.shape)
 
 
@@ -424,7 +442,7 @@ def test_called_maps_match_the_per_point_path(coeffs, case0, case1, declared):
     analyses = {
         "sample": lambda dyn: dyn.sample(GRID8[:, None], GRID8),
         "status quo": lambda dyn: analysis.check_status_quo_bias(dyn, 64),
-        "declared": lambda dyn: dyn.validate_declared(64),  # 65**2 points: two chunks
+        "declared": lambda dyn: dyn.validate_declared(96),  # 97**2 points: two chunks
         "UN map scan": lambda dyn: (analysis._un_map_array(dyn, grid_axis(4096)),),
         "equilibria CT": lambda dyn: analysis.find_equilibria(dyn, "CT"),
         "equilibria DT": lambda dyn: analysis.find_equilibria(dyn, "DT"),

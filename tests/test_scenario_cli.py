@@ -4,10 +4,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairdyn import PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
+from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
 from fairdyn.cli import main
 from fairdyn.scenario import Scenario, ScenarioError, export_field
 
@@ -413,6 +414,31 @@ def test_analyze_subcommand(tmp_path):
     assert main(["analyze", str(path), "--out", str(tmp_path), "--resolution", "64"]) == 0
     report = (tmp_path / "demo_analysis.txt").read_text()
     assert "[theorem2]\nalpha = undefined\n\n[case_persistence]" in report
+
+
+def test_analyze_above_256_samples_one_grid(tmp_path, monkeypatch):
+    """analyze --resolution 512 samples one grid, the contraction's, and
+    its status-quo check reads that grid: the spec keeps one grid of 512."""
+    specs, grids = [], []
+    make, sample = Scenario.make_dynamics, DynamicsSpec.sample
+
+    def made(self):
+        specs.append(make(self))
+        return specs[-1]
+
+    def sampled(self, b0, b1):
+        shape = np.broadcast_shapes(np.shape(b0), np.shape(b1))
+        if len(shape) == 2:  # a grid; the triangle and the UN map scan are 1-D
+            grids.append(shape)
+        return sample(self, b0, b1)
+
+    monkeypatch.setattr(Scenario, "make_dynamics", made)
+    monkeypatch.setattr(DynamicsSpec, "sample", sampled)
+    path = SCENARIOS / "expression_ct.scn"
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--resolution", "512"]) == 0
+    assert grids == [(513, 513)]
+    assert {id(spec) for spec in specs} == {id(specs[0])} and list(specs[0]._grids) == [512]
+    assert "resolution = 512\n" in (tmp_path / "expression_ct_analysis.txt").read_text()
 
 
 def test_analyze_theorem2_tests_the_declared_upper_bound(tmp_path):
