@@ -3,7 +3,8 @@
 ct_loop runs a kernel generated from one template and compiled at its first
 use. The generator writes in the policy mode's closed form (policy.py's
 policy_source) and each map's form: an expression's scalar code, the affine
-tuple's three terms, or a call of the map. Numeric literals are kernel
+tuple's three terms, or a call of the map, with its clamp and checks unless
+the map's interval form certifies its range. Numeric literals are kernel
 arguments, so expressions that differ only in their numbers share a kernel.
 """
 
@@ -12,20 +13,29 @@ from __future__ import annotations
 import functools
 import math
 
-from .expr import EVAL_ERRORS, SCALAR_FUNCTIONS
+import numpy as np
+
+from .expr import EVAL_ERRORS, SCALAR_FUNCTIONS, affine_interval
 from .policy import AA1_TESTS, MODE_AA, indent, policy_source
 
 BACKEND = "python"
 
-# A map's form: (code, merged code, number of literals, checked). Both codes
+# A map's form: (code, merged code, number of literals, guard). Both codes
 # are str.format templates over {b0}, {b1} and {i}, the map's i-th literal;
-# the merged stages fill in 0.0 for b0. A checked map is an expression: a
-# stage where its code raises or gives a non-finite or complex value is run
-# again through the compiled maps, which raise the expression's own error.
-_AFFINE = ("{0} + {1} * {b0} + {2} * {b1}", "{0} + {2} * {b1}", 3, False)
+# the merged stages fill in 0.0 for b0. The guard says what the kernel does
+# with the map's value:
+# - "clamp": clamps it to [0, 1], counting the clamps (affine maps, calls).
+# - "check": an expression's value is also checked: a stage where its code
+#   raises or gives a non-finite or complex value is run again through the
+#   compiled maps, which raise the expression's own error.
+# - "certified": nothing. The map's interval form encloses its value over
+#   the cell [0, 1]^2 inside [0, 1], so the value never needs a clamp and
+#   the code never fails there (see ct_loop for when the rates lie there).
+_AFFINE = ("{0} + {1} * {b0} + {2} * {b1}", "{0} + {2} * {b1}", 3, "clamp")
+_AFFINE_CERTIFIED = (*_AFFINE[:3], "certified")
 _CALLS = (
-    ("f0({b0}, {b1})", "f0({b0}, {b1})", 0, False),
-    ("f1({b0}, {b1})", "f1({b0}, {b1})", 0, False),
+    ("f0({b0}, {b1})", "f0({b0}, {b1})", 0, "clamp"),
+    ("f1({b0}, {b1})", "f1({b0}, {b1})", 0, "clamp"),
 )
 
 # The CT field dx/dt = x*(f1 - 1) + (1 - x)*f0 of one group as source: each
@@ -73,24 +83,54 @@ def ct_loop(
     clamp_count gets this step's clamps once per remaining step. f0 and f1
     must be pure functions of (b0, b1), as they are called fewer times.
 
+    An affine map or an expression whose interval form encloses it inside
+    [0, 1] over the cell [0, 1]^2 is written without its clamp and checks.
+    That rests on two premises: every stage clamps its state x to [0, 1],
+    and the closed form's taus lie in [0, 1], so the rates tau0*(1 - x) and
+    tau1*x lie in [0, 1]. A NaN state passes the clamp, and a float32 state
+    or step computes the rates and maps in float32, which the float64
+    enclosure does not bound: the unchecked form is taken only when pa, pb
+    and h are finite floats or numpy float64s.
+
     Returns (samples, clamp_count, merge_step, stop_step) where samples is a
     list of (step_index, pa, pb); merge_step and stop_step are -1 when the
     corresponding event did not occur.
     """
+    in_cell = all(type(v) in _FLOATS and -math.inf < v < math.inf for v in (pa, pb, h))
     if affine is not None:
         a0, c0, d0, a1, c1, d1 = affine
-        forms, literals = (_AFFINE, _AFFINE), ((a0, c0, d0), (a1, c1, d1))
+        literals = ((a0, c0, d0), (a1, c1, d1))
+        forms = tuple(
+            _AFFINE_CERTIFIED if in_cell and _certified(affine_interval, values) else _AFFINE
+            for values in literals
+        )
     else:
         codes = getattr(f0, "scalar_code", None), getattr(f1, "scalar_code", None)
         if codes[0] is None or codes[1] is None:
             forms, literals = _CALLS, ((), ())
         else:
-            forms = tuple((code, code, len(values), True) for code, values in codes)
+            forms = tuple(
+                (code, code, len(values), "certified" if in_cell and _certified(f.interval) else "check")
+                for (code, values), f in zip(codes, (f0, f1))
+            )
             literals = tuple(values for _, values in codes)
     kernel = _kernel(mode, *forms)
     return kernel(
         pa, pb, ga, u0, u1, f0, f1, *literals, h, n_steps, sample_every, merge_tol, stop_tol
     )
+
+
+# The state types the certificate covers: a float32 state or step computes
+# the stages in float32.
+_FLOATS = (float, np.float64)
+_CELL = (0.0, 1.0)
+
+
+def _certified(interval, *literals) -> bool:
+    """Whether interval(*literals, cell, cell), a map's interval form over
+    the cell [0, 1]^2, lies in [0, 1]."""
+    bounds = interval(*literals, _CELL, _CELL)
+    return bounds is not None and 0.0 <= bounds[0] and bounds[1] <= 1.0
 
 
 class _Refused(ArithmeticError):
@@ -266,10 +306,12 @@ def _maps(values, forms, merged: bool) -> list[str]:
     the stage through the compiled maps."""
     code, clamps = [], []
     for name, i, b0, b1 in values:
-        template, merged_template, n_literals, checked = forms[i]
+        template, merged_template, n_literals, guard = forms[i]
         fields = (f"lit{i}_{j}" for j in range(n_literals))
         code.append(f"{name} = " + (merged_template if merged else template).format(*fields, b0=b0, b1=b1))
-        if not checked:
+        if guard == "certified":
+            continue
+        if guard == "clamp":
             clamps += [
                 f"if {name} < 0.0:", f"    {name} = 0.0", "    clamp_count += 1",
                 f"elif {name} > 1.0:", f"    {name} = 1.0", "    clamp_count += 1",
@@ -285,7 +327,7 @@ def _maps(values, forms, merged: bool) -> list[str]:
             f"    {name} = 0.0 if {name} < 0.0 else 1.0",
             "    clamp_count += 1",
         ]
-    if not any(form[3] for form in forms):
+    if not any(form[3] == "check" for form in forms):
         return code + clamps
     rerun = [f"f{i}({b0}, {b1})" for _, i, b0, b1 in values]
     return ["try:", *indent(code + clamps), "except EVAL_ERRORS:", *indent(rerun), "    raise"]

@@ -15,13 +15,13 @@ The parser builds only a tree of tuples. A node is an int i, the i-th
 numeric literal (a unary minus on a bare literal is folded into its
 value); "b0" or "b1"; or (kind, *children), with kind one of + - * / ^,
 "neg", "()" (the source's parentheses) or a function name. Each form of
-the expression is one table of a code template per kind, _SCALAR and
-_ARRAY, and _render fills them in over the tree, never reassociating or
-simplifying. The grammar's precedence and associativity are Python's own
-(unary minus binds looser than '^', which is right associative and takes
-a negated exponent), so the scalar function does the tree's IEEE
-operations in the tree's order, bit-reproducible on a given platform. An
-arithmetic error or a NaN, infinite or complex result raises
+the expression is one table of a code template per kind, _SCALAR, _ARRAY
+and _INTERVAL, and _render fills them in over the tree, never
+reassociating or simplifying. The grammar's precedence and associativity
+are Python's own (unary minus binds looser than '^', which is right
+associative and takes a negated exponent), so the scalar function does the
+tree's IEEE operations in the tree's order, bit-reproducible on a given
+platform. An arithmetic error or a NaN, infinite or complex result raises
 ExpressionEvaluationError naming the expression and the (b0, b1) point.
 The RK4 kernel inlines the scalar code (compile_expression's scalar_code).
 
@@ -30,10 +30,20 @@ Where the scalar function could raise at some point (a zero divisor, an
 element-wise call that raises, a complex power) it returns None instead,
 and a non-finite value it returns marks a point where the scalar function
 raises.
+
+The interval function (_INTERVAL, after Moore's interval arithmetic) takes
+a cell, a (lo, hi) pair for each rate, and returns a (lo, hi) pair of
+finite floats that holds the scalar function's value at every point of the
+cell, or None where it cannot: a divisor that may be 0, a '^' base that may
+be <= 0, an end or a literal that is not finite, or code too deeply nested
+to compile. Where it returns a pair, the scalar function cannot raise in
+the cell. The RK4 kernel drops its clamp and checks of a map whose
+enclosure over [0, 1]^2 lies inside [0, 1].
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -100,6 +110,21 @@ _ARRAY = {
     "min": "_min({}, {})", "max": "_max({}, {})",
 }
 
+# The interval form: each node's template calls a helper on (lo, hi) pairs
+# (below), and parentheses are the nesting of the calls.
+_INTERVAL = {
+    "+": "_iadd({}, {})", "-": "_isub({}, {})", "*": "_imul({}, {})", "/": "_idiv({}, {})",
+    "^": "_ipow({}, {})", "neg": "_ineg({})", "()": "{}",
+    "sin": "_isincos({})", "cos": "_isincos({})", "exp": "_iexp({})", "abs": "_iabs({})",
+    "min": "_imin({}, {})", "max": "_imax({}, {})",
+}
+# The deepest nesting the parser accepts: parentheses, function calls, unary
+# minuses and '^' exponents, one within another. The parser recurses at most
+# seven Python frames a level, so at this depth it needs under half of
+# CPython's default limit of 1,000 frames, whatever calls it; a level adds
+# one bracket to each form's code, where CPython's tokenizer allows 200.
+MAX_NESTING = 64
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -131,6 +156,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.i = 0
         self.literals: list[float] = []
+        self.depth = 0  # factors being parsed, one within another
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -142,7 +168,7 @@ class _Parser:
 
     def accept(self, ops: str) -> str | None:
         """The next token, consumed, if it is one of the operators `ops`."""
-        kind, value, _ = self.tokens[self.i]  # not peek(): a frame more moves the nesting limit
+        kind, value, _ = self.tokens[self.i]
         if kind == "op" and value in ops:
             self.i += 1
             return value
@@ -174,13 +200,21 @@ class _Parser:
         return tree
 
     def factor(self):
+        # Each nesting (parentheses, a function call, a unary minus, a '^'
+        # exponent) parses one more factor inside the current one.
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError("expression is nested too deeply", 0)
+        self.depth += 1
         if self.accept("-"):
             tree = self.factor()
             if type(tree) is int:  # a bare literal (never a '^' base here): fold the sign in
                 self.literals[tree] = -self.literals[tree]
-                return tree
-            return ("neg", tree)
-        return self.power()
+            else:
+                tree = ("neg", tree)
+        else:
+            tree = self.power()
+        self.depth -= 1
+        return tree
 
     def power(self):
         base = self.atom()
@@ -303,6 +337,123 @@ def _max(a, b):
     return np.where(b > a, b, a) if _is_array(a) or _is_array(b) else max(a, b)
 
 
+# The interval helpers take and return (lo, hi) pairs of finite floats that
+# hold every value of their operands' scalar code over a set of points, and
+# raise an ArithmeticError where they give no finite enclosure. + - * /
+# round each end outward by an ulp. exp and '^' call libm's exp and pow,
+# which are not correctly rounded (the glibc manual's "Known Maximum Errors
+# in Math Functions" lists up to 2 ulps for them), so they widen each end by
+# _LIBM_ULPS: the error of the end's own call plus that of the scalar code's
+# call. sin and cos give [-1, 1]; abs, min and max the hull.
+_LIBM_ULPS = 4
+
+
+def _enclose(lo: float, hi: float, ulps: int = 1) -> tuple[float, float]:
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if -math.inf < lo and hi < math.inf:  # False for NaN
+        return lo, hi
+    raise OverflowError("no finite enclosure")
+
+
+def _point(value: float) -> tuple[float, float]:
+    return _enclose(value, value, 0)
+
+
+def _iadd(a, b):
+    return _enclose(a[0] + b[0], a[1] + b[1])
+
+
+def _isub(a, b):
+    return _enclose(a[0] - b[1], a[1] - b[0])
+
+
+def _imul(a, b):
+    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _enclose(min(ends), max(ends))
+
+
+def _idiv(a, b):
+    if b[0] <= 0.0 <= b[1]:
+        raise ZeroDivisionError("the divisor may be 0")
+    ends = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return _enclose(min(ends), max(ends))
+
+
+def _ipow(a, b):
+    """x ** y over a positive base is monotone in x and in y: its ends are
+    at the corners."""
+    if a[0] <= 0.0:
+        raise ArithmeticError("the base may not be positive")
+    ends = (a[0] ** b[0], a[0] ** b[1], a[1] ** b[0], a[1] ** b[1])
+    return _enclose(min(ends), max(ends), _LIBM_ULPS)
+
+
+def _iexp(a):
+    return _enclose(math.exp(a[0]), math.exp(a[1]), _LIBM_ULPS)
+
+
+def _isincos(a):
+    return -1.0, 1.0
+
+
+def _ineg(a):
+    return -a[1], -a[0]
+
+
+def _iabs(a):
+    if a[0] >= 0.0:
+        return a
+    if a[1] <= 0.0:
+        return -a[1], -a[0]
+    return 0.0, max(-a[0], a[1])
+
+
+def _imin(a, b):
+    return min(a[0], b[0]), min(a[1], b[1])
+
+
+def _imax(a, b):
+    return max(a[0], b[0]), max(a[1], b[1])
+
+
+_INTERVAL_NAMES = {
+    "__builtins__": {}, "EVAL_ERRORS": EVAL_ERRORS, "_point": _point,
+    "_iadd": _iadd, "_isub": _isub, "_imul": _imul, "_idiv": _idiv, "_ipow": _ipow,
+    "_iexp": _iexp, "_isincos": _isincos, "_ineg": _ineg, "_iabs": _iabs,
+    "_imin": _imin, "_imax": _imax,
+}
+_INTERVAL_TEMPLATE = """\
+def compiled_interval(literals, b0, b1):
+    try:
+        return {interval}
+    except EVAL_ERRORS:
+        return None
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _interval_function(template: str, n_literals: int) -> Callable:
+    """The interval function of a tree rendered in _INTERVAL as `template`:
+    interval(literals, b0, b1) takes the literals' values and the (lo, hi)
+    pairs b0 and b1, and returns a (lo, hi) pair of finite floats that holds
+    the scalar code's value at every point of the cell b0 x b1, or None
+    where it gives no such enclosure (or the code does not compile). Trees
+    that differ only in their numbers share one function."""
+    fields = [f"_point(literals[{i}])" for i in range(n_literals)]
+    code = template.format(*fields, b0="b0", b1="b1")
+    namespace = dict(_INTERVAL_NAMES)
+    try:
+        eval(compile(_INTERVAL_TEMPLATE.format(interval=code), "<expression>", "exec"), namespace)
+    except (RecursionError, MemoryError, SyntaxError):  # a long chain nests a call per term
+        return lambda literals, b0, b1: None
+    return namespace["compiled_interval"]
+
+
+# The interval form of the affine tree a + c*b0 + d*b1, whose scalar code is
+# the RK4 kernel's affine code: affine_interval((a, c, d), b0, b1).
+affine_interval = _interval_function(_render(_Parser("0 + 0*b0 + 0*b1").parse(), _INTERVAL), 3)
+
 _ARRAY_NAMES = {
     "_map": _map, "_pow": operator.pow, "_div": _div, "_min": _min, "_max": _max,
     "_ndarray": np.ndarray, "_full": np.full,
@@ -326,7 +477,12 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     and returns the unchecked values at every point, bit for bit the scalar
     map's wherever that returns, or None when the scalar map might raise at
     some point. Evaluate it under np.errstate(all="ignore"); a non-finite
-    value marks a point where the scalar map raises."""
+    value marks a point where the scalar map raises.
+
+    The map's `interval` attribute is the interval form, compiled at its
+    first call: interval((lo0, hi0), (lo1, hi1)) returns a (lo, hi) pair
+    of finite floats holding the map's value at every point of that cell
+    of (b0, b1), or None."""
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)
 
@@ -350,6 +506,7 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     compiled = namespace["compiled"]
     compiled.scalar_code = (template, literals)
     compiled.array = _array_form(tree, numbers, namespace)
+    compiled.interval = _interval_form(tree, literals)
     return compiled
 
 
@@ -371,3 +528,17 @@ def _array_form(tree, numbers: list[str], namespace: dict) -> Callable:
         return fn(b0, b1)
 
     return array_form
+
+
+def _interval_form(tree, literals: tuple[float, ...]) -> Callable:
+    """The interval function of the tree at its literals' values, rendered
+    at its first call: interval(b0, b1)."""
+    template = None
+
+    def interval_form(b0, b1):
+        nonlocal template
+        if template is None:
+            template = _render(tree, _INTERVAL)
+        return _interval_function(template, len(literals))(literals, b0, b1)
+
+    return interval_form

@@ -4,6 +4,8 @@ original back."""
 
 import contextlib
 import importlib
+import json
+import math
 import sys
 import types
 import warnings
@@ -114,8 +116,14 @@ def test_stereotype_trajectory_calls_effective_policy_every_step(monkeypatch):
             assert len(calls) == steps + 1, (mode, eps)
 
 
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def test_layer_probe_fills_every_per_layer_metric(monkeypatch, tmp_path):
-    """A traced perfbench run reports every per-layer metric as a number.
+    """A traced perfbench run reports every per-layer metric as a finite
+    number: json.dumps writes None as null and NaN as NaN, and either makes
+    the run's result line unreadable to a strict JSON reader.
     perfbench/run.py fills each per-layer rate a workload leaves unset from
     the layer probe and prints null where the probe leaves it unset too: so
     the probe must set every one (dynamics.ct_gradient.us_per_call comes
@@ -143,7 +151,7 @@ def test_layer_probe_fills_every_per_layer_metric(monkeypatch, tmp_path):
         with traced() as tracer:
             probe.layer_probe(ctx)
         from_probe = tracing.layer_metrics(tracer)
-        assert [name for name, value in from_probe.items() if value is None] == []
+        assert [name for name, value in from_probe.items() if not _finite_number(value)] == []
         for name in workloads.WORKLOADS:
             workload = workloads.build(name, 1, TRACING.parents[1], tmp_path / name)
             with warnings.catch_warnings(), traced() as tracer:
@@ -152,7 +160,8 @@ def test_layer_probe_fills_every_per_layer_metric(monkeypatch, tmp_path):
             assert [p for r in results for p in r.problems] == [], name
             metrics = tracing.layer_metrics(tracer)
             metrics = {key: from_probe[key] if value is None else value for key, value in metrics.items()}
-            assert [key for key, value in metrics.items() if value is None] == [], name
+            assert [key for key, value in metrics.items() if not _finite_number(value)] == [], name
+            json.dumps(metrics, allow_nan=False)  # run.py's result line: no NaN, no null
     finally:
         for name in ("probe", "run", "tracing", "workloads"):
             sys.modules.pop(name, None)

@@ -15,6 +15,8 @@ from fairdyn import (
     compile_expression,
     parse_dynamics,
 )
+from fairdyn import _loops_py
+from fairdyn.expr import MAX_NESTING, affine_interval
 
 APPENDIX_F1 = "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
 APPENDIX_F0 = "(b1 + b1/5)/1.2 + 0.01"
@@ -336,3 +338,127 @@ def test_complex_power_has_no_array_value(source):
         assert compiled.array(b, b) is None
     with pytest.raises(ExpressionEvaluationError, match="complex value"):
         compiled(0.5, 0.5)
+
+
+# -- the interval form --------------------------------------------------------
+
+_CELL = (0.0, 1.0)
+# Points of the unit cell: its ends, signed zero, subnormals, the least normal
+# float and the float below 1.
+_UNIT = st.floats(0.0, 1.0) | st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 - 1e-16]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _TREES.map(lambda tree: tree[0]),
+    st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=12),
+    st.sampled_from([float, np.float64]),
+)
+@example("b0 - b1", [(-0.0, 1.0), (1.0, 0.0)], float)
+@example("min(b0, -b1) * 1e308 * 1e-300", [(0.0, 5e-324)], float)
+@example("2 ^ (b0 * 18) / exp(-b1)", [(1.0, 1.0), (5e-324, 0.0)], float)
+@example("(0.5 + b0) ^ -b1 - abs(b1 - 0.5)", [(0.0, 1.0), (1.0, 0.5)], np.float64)
+@example("cos(b0 * 1e308) / (2 - sin(b1))", [(1.0, -0.0)], float)
+@example("abs(b0 - 0.75) + abs(-b1)", [(0.0, 1.0)], float)
+@example("b1 / (b0 - 0.5)", [(0.5000000000000001, 1.0)], float)
+def test_interval_form_encloses_the_scalar_values(source, points, kind):
+    """Where the interval form gives an enclosure over the unit cell, the
+    scalar function returns a value inside it at every point of the cell,
+    for Python and numpy floats alike (the RK4 kernel's two state types)."""
+    compiled = compile_expression(source)
+    bounds = compiled.interval(_CELL, _CELL)
+    if bounds is None:
+        return
+    lo, hi = bounds
+    assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi, source
+    with np.errstate(all="ignore"):
+        for b0, b1 in points:
+            value = compiled(kind(b0), kind(b1))
+            assert lo <= value <= hi, (source, b0, b1)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "1/b0",  # a divisor that holds 0
+        "1/(b0 - 0.5)",
+        "(b0-0.5)^0.5",  # a base that may be negative
+        "b1^0.5",  # or 0
+        "exp(1000*b1)",  # overflows
+        "b0*1e308*10",  # an end that is not finite
+        "1e999 - 1e999*b1",  # a literal that is not finite
+        "min(1e999, b0)",
+        "+".join(["b0"] * 1000),  # a chain whose interval code nests too deeply
+    ],
+    ids=lambda source: source[:20],
+)
+def test_interval_form_gives_no_enclosure(source):
+    assert compile_expression(source).interval(_CELL, _CELL) is None
+
+
+def test_interval_form_of_the_affine_tree():
+    """The affine tuple's interval form is that of the tree a + c*b0 + d*b1,
+    whose scalar code is the RK4 kernel's affine code."""
+    compiled = compile_expression("0.1 + 0.05*b0 + 0.2*b1")
+    assert compiled.scalar_code[0] == _loops_py._AFFINE[0]
+    assert affine_interval((0.1, 0.05, 0.2), _CELL, _CELL) == compiled.interval(_CELL, _CELL)
+    assert affine_interval((0.1, math.nan, 0.2), _CELL, _CELL) is None
+
+
+# -- the nesting limit ------------------------------------------------------
+
+
+def _mixed(depth: int) -> str:
+    """A source nested `depth` deep in parentheses, unary minuses, function
+    calls and '^' exponents in turn."""
+    opens, closes = "", ""
+    for i in range(depth):
+        unit = ("(", "-", "sin(", "0.5^")[i % 4]
+        opens += unit
+        closes = (")" if unit.endswith("(") else "") + closes
+    return opens + "b1" + closes
+
+
+def _nested(depth: int) -> dict[str, str]:
+    """Sources nested `depth` deep, in each kind of nesting and mixed."""
+    return {
+        "parentheses": "(" * depth + "b0" + ")" * depth,
+        "functions": "sin(" * depth + "b0" + ")" * depth,
+        "unary minus": "-" * depth + "b0",
+        "powers": "0.5^" * depth + "b1",
+        "mixed": _mixed(depth),
+    }
+
+
+def _in_frames(frames: int, fn):
+    """fn() called from `frames` more Python frames."""
+    return fn() if frames == 0 else _in_frames(frames - 1, fn)
+
+
+@pytest.mark.parametrize("kind", list(_nested(4)))
+def test_nesting_limit_is_fixed(kind):
+    """Whether a source nests too deeply does not depend on the caller's
+    stack: at MAX_NESTING it compiles from 300 more frames in every form
+    (scalar, array, interval and the RK4 kernel that inlines it), and one
+    level deeper it is a syntax error from any depth."""
+    source = _nested(MAX_NESTING)[kind]
+    b = np.linspace(0.0, 1.0, 5)
+
+    def every_form():
+        compiled = compile_expression(source)
+        code, literals = compiled.scalar_code
+        form = (code, code, len(literals), "check")
+        kernel = _loops_py._kernel(0, form, form)
+        return compiled(0.5, 0.5), compiled.array(b, b), compiled.interval(_CELL, _CELL), kernel
+
+    value, array, bounds, kernel = _in_frames(300, every_form)
+    assert math.isfinite(value)
+    assert array is not None and bounds is not None
+    assert kernel is not _loops_py._kernel(0, *_loops_py._CALLS)
+    deeper = _nested(MAX_NESTING + 1)[kind]
+    for frames in (0, 300):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            _in_frames(frames, lambda: compile_expression(deeper))
+        assert str(exc.value) == "expression is nested too deeply (at position 0)"

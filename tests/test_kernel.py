@@ -10,6 +10,7 @@ raise the same errors.
 import dataclasses
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from fairdyn import (
     DynamicsSpec,
+    Scenario,
     UtilitySpec,
     ExpressionEvaluationError,
     affine_dynamics,
@@ -26,8 +28,10 @@ from fairdyn import (
     parse_dynamics,
 )
 from fairdyn import _kernels, _loops_py, dynamics
-from fairdyn.expr import compile_expression, ExpressionSyntaxError
+from fairdyn.expr import compile_expression, ExpressionSyntaxError, affine_interval
 from fairdyn.policy import policy_entries
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _reference_policy(mode, pa, pb, ga, u0, u1):
@@ -507,7 +511,7 @@ def test_too_deep_expression_integrates_through_calls():
     dyn = parse_dynamics("0.5", "-".join(["b1"] * lo))
     args = (0.9, 0.2, 0.5, -1.0, 1.0, 0, dyn.f0, dyn.f1, None, 0.1, 20, 1, 1e-10, 0.0)
     assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
-    forms = [(code, code, len(values), True) for code, values in (dyn.f0.scalar_code, dyn.f1.scalar_code)]
+    forms = [(code, code, len(values), "check") for code, values in (dyn.f0.scalar_code, dyn.f1.scalar_code)]
     assert _loops_py._kernel(0, *forms) is _loops_py._kernel(0, *_loops_py._CALLS)
 
 
@@ -519,3 +523,179 @@ def test_kernel_entry_point_contract():
         "pa", "pb", "ga", "u0", "u1", "mode", "f0", "f1", "affine",
         "h", "n_steps", "sample_every", "merge_tol", "stop_tol",
     ]
+
+
+# -- certified maps: the kernel without the maps' clamps and checks ---------
+
+# The states a stage can clamp its state to, with the edge cases of [0, 1]:
+# signed zero, the least subnormal and the float below 1.
+_CLAMPED = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1 - 1e-16])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pa=_CLAMPED,
+    pb=_CLAMPED,
+    tie=st.booleans(),
+    ga=st.floats(0.0, 1.0) | st.just(math.nan),
+    utility=st.tuples(st.floats(-2.0, 0.0), st.floats(0.0, 2.0)) | st.just((0.0, 0.0)),
+)
+@example(pa=1.0, pb=1 - 1e-16, tie=False, ga=0.5, utility=(-1.0, 1.0))
+@example(pa=5e-324, pb=-0.0, tie=False, ga=0.5, utility=(-1.0, 1.0))
+def test_rates_of_a_clamped_state_lie_in_the_unit_cell(pa, pb, tie, ga, utility):
+    """The premise of the certified kernel: at any state in [0, 1]^2, every
+    mode's taus lie in [0, 1], and so do the rates tau0*(1 - x) and tau1*x
+    as the kernel's stages compute them."""
+    pb = pa if tie else pb
+    for mode in (0, 1, 2, 3):
+        t1a, t0a, t1b, t0b, _ = policy_entries(mode, pa, pb, ga, *utility)
+        rates = (t0a * (1.0 - pa), t1a * pa, t0b * (1.0 - pb), t1b * pb)
+        for value in (t1a, t0a, t1b, t0b, *rates):
+            assert 0.0 <= value <= 1.0, (mode, pa, pb)
+
+
+def _certified_maps(dyn) -> bool:
+    """Whether both of dyn's maps are certified (an affine tuple's or an
+    expression's interval form lies in [0, 1] over the unit cell)."""
+    if dyn.affine is not None:
+        a0, c0, d0, a1, c1, d1 = dyn.affine
+        return all(_loops_py._certified(affine_interval, v) for v in ((a0, c0, d0), (a1, c1, d1)))
+    return all(_loops_py._certified(getattr(f, "interval", lambda b0, b1: None)) for f in (dyn.f0, dyn.f1))
+
+
+def _recorded_forms(monkeypatch, run) -> list[tuple]:
+    """The map forms (form0, form1) of every kernel run() asks _loops_py for."""
+    seen, kernel = [], _loops_py._kernel
+
+    def recording(mode, form0, form1):
+        seen.append((form0, form1))
+        return kernel(mode, form0, form1)
+
+    monkeypatch.setattr(_loops_py, "_kernel", recording)
+    run()
+    return seen
+
+
+_APPENDIX_C_EXPRESSIONS = (
+    "(b1 + b1/5)/1.2 + 0.01",
+    "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1",
+)
+
+
+@pytest.mark.parametrize(
+    "dyn, guards",
+    [
+        (parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1"), ("certified", "certified")),  # expression_ct
+        (affine_dynamics(0.1, 0.05, 0.2, 0.6, -0.1, 0.3), ("certified", "certified")),
+        (constant_dynamics(-0.5, 0.8), ("clamp", "certified")),
+        (parse_dynamics(*_APPENDIX_C_EXPRESSIONS), ("check", "check")),
+        (appendix_c_dynamics(), ("clamp", "clamp")),  # Python callbacks: called
+    ],
+    ids=["expression_ct", "affine", "constant", "appendixC expressions", "appendixC callbacks"],
+)
+def test_which_maps_are_certified(monkeypatch, dyn, guards):
+    args = (0.7, 0.2, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, dyn.affine, 0.01, 10, 1, 1e-10, 0.0)
+    forms = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
+    assert [(form0[3], form1[3]) for form0, form1 in forms] == [guards]
+    assert _certified_maps(dyn) == (guards == ("certified", "certified"))
+
+
+def test_shipped_ct_scenarios_kernel_forms(monkeypatch):
+    """expression_ct's maps are certified; three_equilibria_ct (appendixC's
+    callbacks) still calls its maps."""
+    scenario = Scenario.from_file(SCENARIOS / "expression_ct.scn")
+    forms = _recorded_forms(monkeypatch, scenario.run_trajectory)
+    assert {(form0[3], form1[3]) for form0, form1 in forms} == {("certified", "certified")}
+    scenario = Scenario.from_file(SCENARIOS / "three_equilibria_ct.scn")
+    assert set(_recorded_forms(monkeypatch, scenario.run_trajectory)) == {_loops_py._CALLS}
+
+
+@pytest.mark.parametrize(
+    "start",
+    [(math.nan, 0.2), (0.7, math.inf), (np.float32(0.7), 0.2), (0.7, 0.2, np.float32(0.01)), (1, 0.2)],
+    ids=["nan", "inf", "float32 state", "float32 step", "int"],
+)
+def test_uncertain_starts_keep_the_checked_kernel(monkeypatch, start):
+    """A NaN or infinite state passes the stage's clamp, and a float32 state
+    or step computes in float32: the maps keep their checks."""
+    dyn = parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1")
+    pa, pb, h = (*start, 0.01)[:3]
+    args = (pa, pb, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, None, h, 10, 1, 1e-10, 0.0)
+    forms = _recorded_forms(monkeypatch, lambda: _outcome(_loops_py.ct_loop, args))
+    assert [(form0[3], form1[3]) for form0, form1 in forms] == [("check", "check")]
+    assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
+
+
+# Maps that lie inside [0, 1] over the unit cell, with their literals: affine
+# tuples and expression shapes whose interval forms certify them.
+_SMALL = st.floats(-0.12, 0.12) | st.sampled_from([0.0, -0.0, 0.12])
+_LEVEL = st.floats(0.3, 0.7) | st.just(0.5)
+_CERTIFIED_SHAPES = [
+    "{0} + {1}*b0 + {2}*b1",
+    "{0} - {1}*b0*b1 + {2}*b1*b1",
+    "{0} + {1}*sin(18*(b0 + b1)) + {2}*exp(-b1)",
+    "min(0.6, max(0.4, {0} + {1}*b1)) + {2}*abs(b0 - b1)",
+    "({0} + {1}*b1)/(1.5 + {2}*b0)",
+    "{0} + {1}*cos({2}*b0) + {2}*(0.5 + b1)^0.5",
+]
+_CERTIFIED_EXPRESSIONS = st.builds(
+    lambda shape, level, small: shape.format(repr(level), *map(repr, small)),
+    st.sampled_from(_CERTIFIED_SHAPES),
+    _LEVEL,
+    st.lists(_SMALL, min_size=2, max_size=2),
+)
+_CERTIFIED_DYNAMICS = st.one_of(
+    st.builds(parse_dynamics, _CERTIFIED_EXPRESSIONS, _CERTIFIED_EXPRESSIONS),
+    st.builds(
+        lambda a0, a1, slopes: affine_dynamics(a0, slopes[0], slopes[1], a1, slopes[2], slopes[3]),
+        _LEVEL, _LEVEL, st.lists(_SMALL, min_size=4, max_size=4),
+    ),
+    st.builds(constant_dynamics, _LEVEL, _LEVEL),
+)
+_START = _CLAMPED | st.sampled_from([-0.25, 1.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dyn=_CERTIFIED_DYNAMICS,
+    state=st.tuples(_START, _START, st.floats(0.01, 0.99)),
+    kind=st.sampled_from([float, np.float64]),
+    equal_start=st.booleans(),
+    utility=st.tuples(st.floats(-2.0, 0.0), st.floats(0.0, 2.0)),
+    mode=st.sampled_from([0, 1, 2, 3]),
+    h=st.sampled_from([0.01, 0.1, 0.5, 1.5]),
+    n_steps=st.integers(0, 300),
+    sample_every=st.integers(1, 40),
+    merge_tol=st.sampled_from([0.0, 1e-10, 1e-3, 0.2]),
+    stop_tol=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+)
+@example(  # a NaN start passes every clamp: the maps keep their checks
+    dyn=parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1"), state=(math.nan, 0.2, 0.4),
+    kind=float, equal_start=False, utility=(-1.5, 1.0), mode=2, h=0.01, n_steps=20,
+    sample_every=1, merge_tol=1e-10, stop_tol=0.0,
+)
+@example(  # a float32 start computes in float32
+    dyn=parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1"), state=(0.7, 0.2, 0.4),
+    kind=np.float32, equal_start=False, utility=(-1.5, 1.0), mode=1, h=0.1, n_steps=50,
+    sample_every=3, merge_tol=1e-3, stop_tol=0.0,
+)
+@example(  # a numpy float64 start takes the certified kernel
+    dyn=affine_dynamics(0.1, 0.05, 0.2, 0.6, -0.1, 0.3), state=(0.9, 0.9, 0.5),
+    kind=np.float64, equal_start=True, utility=(-1.0, 1.0), mode=3, h=0.5, n_steps=300,
+    sample_every=7, merge_tol=1e-10, stop_tol=0.0,
+)
+def test_certified_kernel_matches_reference(
+    dyn, state, kind, equal_start, utility, mode, h, n_steps, sample_every, merge_tol, stop_tol,
+):
+    """Certified maps (the expressions and affine tuples drawn here always
+    are, at float and numpy float64 starts) run the kernel without their
+    clamps and checks: it gives the reference's samples, clamp count and
+    events, through merged starts, stationary stops and fixed-point exits."""
+    pa, pb, ga = (kind(v) for v in state)
+    pb = pa if equal_start else pb
+    args = (
+        pa, pb, ga, *utility, mode, dyn.f0, dyn.f1, dyn.affine,
+        h, n_steps, sample_every, merge_tol, stop_tol,
+    )
+    assert _certified_maps(dyn)
+    assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
