@@ -2,10 +2,12 @@
 
 ct_loop runs a kernel generated from one template and compiled at its first
 use. The generator writes in the policy mode's closed form (policy.py's
-policy_source) and each map's form: an expression's scalar code, the affine
-tuple's three terms, or a call of the map, with its clamp and checks unless
-the map's interval form certifies its range. Numeric literals are kernel
-arguments, so expressions that differ only in their numbers share a kernel.
+policy_source) and each map's form: an expression's tree (the affine
+tuple's is the tree a + c*b0 + d*b1) rendered as scalar code, or a call of
+the map, with its clamp and checks unless the map's interval form
+certifies its range. Numeric literals are kernel arguments, so expressions
+that differ only in their numbers share a kernel. A kernel whose maps are
+both certified is specialised on what that proves (see _kernel_source).
 """
 
 from __future__ import annotations
@@ -15,15 +17,16 @@ import math
 
 import numpy as np
 
-from .expr import EVAL_ERRORS, SCALAR_FUNCTIONS, affine_interval
-from .policy import AA1_TESTS, MODE_AA, indent, policy_source
+from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _render, affine_interval
+from .policy import AA1_TESTS, MODE_AA, MODE_AA1, MODE_AA2, aa_scores, indent, policy_source
 
 BACKEND = "python"
 
-# A map's form: (code, merged code, number of literals, guard). Both codes
-# are str.format templates over {b0}, {b1} and {i}, the map's i-th literal;
-# the merged stages fill in 0.0 for b0. The guard says what the kernel does
-# with the map's value:
+# A map's form: (tree, merged tree, number of literals, guard). The trees are
+# expr's trees of the map's code in the stages and in the merged stages,
+# which fill in 0.0 for b0; their literal i is the kernel's lit<map>_i. A
+# called map has no tree (None) and is called as f0 or f1. The guard says
+# what the kernel does with the map's value:
 # - "clamp": clamps it to [0, 1], counting the clamps (affine maps, calls).
 # - "check": an expression's value is also checked: a stage where its code
 #   raises or gives a non-finite or complex value is run again through the
@@ -31,12 +34,11 @@ BACKEND = "python"
 # - "certified": nothing. The map's interval form encloses its value over
 #   the cell [0, 1]^2 inside [0, 1], so the value never needs a clamp and
 #   the code never fails there (see ct_loop for when the rates lie there).
-_AFFINE = ("{0} + {1} * {b0} + {2} * {b1}", "{0} + {2} * {b1}", 3, "clamp")
+# The affine map's merged stages drop its c*b0 term: a + d*b1.
+_AFFINE = (AFFINE_TREE, ("+", 0, ("*", 2, "b1")), 3, "clamp")
 _AFFINE_CERTIFIED = (*_AFFINE[:3], "certified")
-_CALLS = (
-    ("f0({b0}, {b1})", "f0({b0}, {b1})", 0, "clamp"),
-    ("f1({b0}, {b1})", "f1({b0}, {b1})", 0, "clamp"),
-)
+_CALL = (None, None, 0, "clamp")
+_CALLS = (_CALL, _CALL)
 
 # The CT field dx/dt = x*(f1 - 1) + (1 - x)*f0 of one group as source: each
 # kernel stage writes it in, and ct_rate(x, f1, f0) (floats or arrays; f1
@@ -90,11 +92,18 @@ def ct_loop(
     tau1*x lie in [0, 1]. A NaN state passes the clamp, and a float32 state
     or step computes the rates and maps in float32, which the float64
     enclosure does not bound: the unchecked form is taken only when pa, pb
-    and h are finite floats or numpy float64s.
+    and h are finite floats or numpy float64s. When both maps are
+    certified, the kernel also folds the rates and computes the map terms
+    that the closed form fixes once per run (see _kernel_source).
+
+    Mode AA whose two AA tests (the AA1 case when A, and when B, is the
+    advantaged group) agree, as aa_scores computes them once per run, is
+    run by the AA1 or the AA2 kernel, whose closed form is then AA's.
 
     Returns (samples, clamp_count, merge_step, stop_step) where samples is a
-    list of (step_index, pa, pb); merge_step and stop_step are -1 when the
-    corresponding event did not occur.
+    list of (step_index, pa, pb) at step 0, every multiple of sample_every
+    (an int >= 1) and the last step; merge_step and stop_step are -1 when
+    the corresponding event did not occur.
     """
     in_cell = all(type(v) in _FLOATS and -math.inf < v < math.inf for v in (pa, pb, h))
     if affine is not None:
@@ -105,15 +114,19 @@ def ct_loop(
             for values in literals
         )
     else:
-        codes = getattr(f0, "scalar_code", None), getattr(f1, "scalar_code", None)
-        if codes[0] is None or codes[1] is None:
+        trees = getattr(f0, "tree", None), getattr(f1, "tree", None)
+        if trees[0] is None or trees[1] is None:
             forms, literals = _CALLS, ((), ())
         else:
+            literals = tuple(f.scalar_code[1] for f in (f0, f1))
             forms = tuple(
-                (code, code, len(values), "certified" if in_cell and _certified(f.interval) else "check")
-                for (code, values), f in zip(codes, (f0, f1))
+                (tree, tree, len(values), "certified" if in_cell and _certified(f.interval) else "check")
+                for tree, values, f in zip(trees, literals, (f0, f1))
             )
-            literals = tuple(values for _, values in codes)
+    if mode == MODE_AA:
+        aa1_a, aa1_b = (score < 0.0 for score in aa_scores(ga, u0, u1))
+        if aa1_a == aa1_b:
+            mode = MODE_AA1 if aa1_a else MODE_AA2
     kernel = _kernel(mode, *forms)
     return kernel(
         pa, pb, ga, u0, u1, f0, f1, *literals, h, n_steps, sample_every, merge_tol, stop_tol
@@ -171,9 +184,11 @@ def kernel(pa, pb, ga, u0, u1, f0, f1, literals0, literals1, h, n_steps, sample_
     samples = [(0, pa, pb)]
     half = 0.5 * h
     sixth = h / 6.0
+    below_tol = -merge_tol
+    next_sample = min(sample_every, n_steps)
     step = 0
     while step < n_steps:
-        if not merged and abs(pa - pb) < merge_tol:
+        if not merged and below_tol < pa - pb < merge_tol:
             merged = True
             merge_step = step
             pm = 0.5 * (pa + pb)
@@ -181,8 +196,7 @@ def kernel(pa, pb, ga, u0, u1, f0, f1, literals0, literals1, h, n_steps, sample_
             pb = pm
         pa0 = pa
         pb0 = pb
-        clamps0 = clamp_count
-        if merged:
+{keep_clamps}        if merged:
 {merged1}
             if stop_tol > 0.0 and abs(k1) < stop_tol:
                 stop_step = step
@@ -215,12 +229,14 @@ def kernel(pa, pb, ga, u0, u1, f0, f1, literals0, literals1, h, n_steps, sample_
             elif pb > 1.0:
                 pb = 1.0
         step += 1
-        if step % sample_every == 0 or step == n_steps:
+        if step == next_sample:  # a multiple of sample_every, or n_steps
             samples.append((step, pa, pb))
+            next_sample += sample_every
+            if next_sample > n_steps:
+                next_sample = n_steps
         if pa == pa0 and pb == pb0 and _same(pa, pa0) and _same(pb, pb0):
             # A fixed point of the step: every later step repeats this one.
-            clamp_count += (clamp_count - clamps0) * (n_steps - step)
-            first = step - step % sample_every + sample_every
+{repeat_clamps}            first = step - step % sample_every + sample_every
             samples.extend((s, pa, pb) for s in range(first, n_steps, sample_every))
             if step < n_steps:
                 samples.append((n_steps, pa, pb))
@@ -231,10 +247,53 @@ def kernel(pa, pb, ga, u0, u1, f0, f1, literals0, literals1, h, n_steps, sample_
 
     return samples, clamp_count, merge_step, stop_step
 """
+# The step's clamps, which the fixed-point exit counts once per remaining
+# step; a kernel whose maps are both certified has none to count.
+_KEEP_CLAMPS = "        clamps0 = clamp_count\n"
+_REPEAT_CLAMPS = "            clamp_count += (clamp_count - clamps0) * (n_steps - step)\n"
+# The kinds of node whose float operations cannot raise: a subtree of them
+# over literals, and over b0 where it is 0.0, has one value in a run.
+_CONSTANT_KINDS = ("+", "-", "*", "neg", "()")
 
 
 def _kernel_source(mode, form0, form1) -> str:
+    """The kernel of a policy mode and the forms of f0 and f1, as source.
+
+    When both maps are certified, the guard has proven that the start and
+    the step are finite floats or numpy float64s, so every stage state x is
+    a value in [0, 1] that is not NaN, and the source is specialised on it:
+    - A rate (0.0) * (1.0 - x) is +0.0, as 1.0 - x >= +0.0, and is written
+      0.0; a rate (1.0) * x is x, of its type and sign, and is written x.
+      Where x is a numpy float64, the 0.0 is a Python float of the same
+      value, and a map's value may then be a Python float too: the stage's
+      derivative x*(f1 - 1.0) + (1.0 - x)*f0 takes x's type all the same.
+    - Where every leaf of the mode's closed form selects no unqualified
+      individual (UN, AA1 and the merged stages), b0 is 0.0: the maps are
+      written with b0 bound to 0.0, and the stages store no b0.
+    - Each largest subtree of a map's tree over literals, and over b0 where
+      it is bound, joined by + - * or unary minus (_CONSTANT_KINDS) is
+      computed once, before the loop: the same IEEE operations on the same
+      operands, which cannot raise, moved out of it.
+    - No map clamps, so the step keeps no clamp count for the fixed-point
+      exit.
+    """
     forms = (form0, form1)
+    certified = form0[3] == form1[3] == "certified"
+    # each map's subtrees computed once, by their name in the kernel
+    frozen = ({}, {}) if certified else None
+    b0_zero = certified and _selects_no_unqualified(mode)
+    parts = {
+        "keep_clamps": "" if certified else _KEEP_CLAMPS,
+        "repeat_clamps": "" if certified else _REPEAT_CLAMPS,
+    }
+    for k, (xa, xb) in enumerate(
+        (("pa", "pb"), ("pa + half * k1a", "pb + half * k1b"),
+         ("pa + half * k2a", "pb + half * k2b"), ("pa + h * k3a", "pb + h * k3b")),
+        start=1,
+    ):
+        parts[f"stage{k}"] = "\n".join(indent(_stage(k, mode, xa, xb, forms, frozen, b0_zero), 3))
+    for k, x in enumerate(("pa", "pa + half * k1", "pa + half * k2", "pa + h * k3"), start=1):
+        parts[f"merged{k}"] = "\n".join(indent(_merged_stage(k, x, forms, frozen), 3))
     setup = [
         f"{''.join(f'lit{i}_{j}, ' for j in range(form[2]))}= literals{i}"
         for i, form in enumerate(forms)
@@ -242,30 +301,36 @@ def _kernel_source(mode, form0, form1) -> str:
     ]
     if mode == MODE_AA:  # the AA case of each advantaged group, once per run
         setup += [f"aa1_a = {AA1_TESTS[0]}", f"aa1_b = {AA1_TESTS[1]}"]
-    parts = {"setup": "\n".join(indent(setup or ["pass"]))}
-    for k, (xa, xb) in enumerate(
-        (("pa", "pb"), ("pa + half * k1a", "pb + half * k1b"),
-         ("pa + half * k2a", "pb + half * k2b"), ("pa + h * k3a", "pb + h * k3b")),
-        start=1,
-    ):
-        parts[f"stage{k}"] = "\n".join(indent(_stage(k, mode, xa, xb, forms), 3))
-    for k, x in enumerate(("pa", "pa + half * k1", "pa + half * k2", "pa + h * k3"), start=1):
-        parts[f"merged{k}"] = "\n".join(indent(_merged_stage(k, x, forms), 3))
+    for i, names in enumerate(frozen or ()):  # the frozen subtrees have b0 = 0.0 and no b1
+        setup += [f"{name} = {_code(tree, i, forms[i][2], '0.0', '', {})}" for tree, name in names.items()]
+    parts["setup"] = "\n".join(indent(setup or ["pass"]))
     return _TEMPLATE.format(**parts)
 
 
-def _stage(k: int, mode, xa: str, xb: str, forms) -> list[str]:
-    """RK4 stage k of both groups at the state (xa, xb), into (kka, kkb)."""
+def _selects_no_unqualified(mode) -> bool:
+    """Whether every leaf of mode's closed form has tau0 = 0.0 for both
+    groups, so that b0 is 0.0 in every unmerged stage."""
+    leaves = []
+    policy_source(mode, "xa", "xb", lambda entries, case: leaves.append(entries) or [])
+    return all(t0a == t0b == "0.0" for _, t0a, _, t0b in leaves)
+
+
+def _stage(k: int, mode, xa: str, xb: str, forms, frozen, b0_zero: bool) -> list[str]:
+    """RK4 stage k of both groups at the state (xa, xb), into (kka, kkb).
+    With `frozen` (both maps certified), the rates the closed form fixes at
+    0.0 or x are written as such; with b0_zero, no b0 is stored."""
+    fold = frozen is not None
 
     def rates(entries, case):
         t1a, t0a, t1b, t0b = entries
-        return [
-            f"b0a = ({t0a}) * (1.0 - xa)",
-            f"b1a = ({t1a}) * xa",
-            f"b0b = ({t0b}) * (1.0 - xb)",
-            f"b1b = ({t1b}) * xb",
-        ]
+        lines = []
+        for g, t1, t0 in (("a", t1a, t0a), ("b", t1b, t0b)):
+            if not b0_zero:
+                lines.append(f"b0{g} = " + ("0.0" if fold and t0 == "0.0" else f"({t0}) * (1.0 - x{g})"))
+            lines.append(f"b1{g} = " + (f"x{g}" if fold and t1 == "1.0" else f"({t1}) * x{g}"))
+        return lines
 
+    b0a, b0b = ("0.0", "0.0") if b0_zero else ("b0a", "b0b")
     return [
         f"xa = {xa}",
         f"xb = {xb}",
@@ -273,23 +338,25 @@ def _stage(k: int, mode, xa: str, xb: str, forms) -> list[str]:
         *_clamp_state("xb"),
         *policy_source(mode, "xa", "xb", rates, ("aa1_a", "aa1_b")),
         *_maps(
-            (("f1a", 1, "b0a", "b1a"), ("f0a", 0, "b0a", "b1a"),
-             ("f1b", 1, "b0b", "b1b"), ("f0b", 0, "b0b", "b1b")),
+            (("f1a", 1, b0a, "b1a"), ("f0a", 0, b0a, "b1a"),
+             ("f1b", 1, b0b, "b1b"), ("f0b", 0, b0b, "b1b")),
             forms,
-            merged=False,
+            False,
+            frozen,
+            b0_zero,
         ),
         f"k{k}a = " + CT_RATE.format(x="xa", f1="f1a", f0="f0a"),
         f"k{k}b = " + CT_RATE.format(x="xb", f1="f1b", f0="f0b"),
     ]
 
 
-def _merged_stage(k: int, x: str, forms) -> list[str]:
+def _merged_stage(k: int, x: str, forms, frozen) -> list[str]:
     """RK4 stage k of the merged trajectory at x, into kk. The policy of
     equal groups selects no unqualified individual: b0 = 0.0, b1 = x."""
     return [
         f"x = {x}",
         *_clamp_state("x"),
-        *_maps((("f1v", 1, "0.0", "x"), ("f0v", 0, "0.0", "x")), forms, merged=True),
+        *_maps((("f1v", 1, "0.0", "x"), ("f0v", 0, "0.0", "x")), forms, True, frozen, True),
         f"k{k} = " + CT_RATE.format(x="x", f1="f1v", f0="f0v"),
     ]
 
@@ -298,17 +365,25 @@ def _clamp_state(x: str) -> list[str]:
     return [f"if {x} < 0.0:", f"    {x} = 0.0", f"elif {x} > 1.0:", f"    {x} = 1.0"]
 
 
-def _maps(values, forms, merged: bool) -> list[str]:
+def _maps(values, forms, merged: bool, frozen, b0_bound: bool) -> list[str]:
     """The clamped map values `values`, (name, map index, b0, b1) each, in
     order. Called maps are all called before any is clamped, as a callback's
     exceptions come in call order; an expression is checked right after it
     is evaluated, as its compiled map would be, and a failed check reruns
-    the stage through the compiled maps."""
+    the stage through the compiled maps. With `frozen` (certified maps), a
+    map's constant subtrees are named by their values computed once, in
+    frozen[map index]; b0_bound says whether b0 is the constant 0.0."""
     code, clamps = [], []
     for name, i, b0, b1 in values:
-        template, merged_template, n_literals, guard = forms[i]
-        fields = (f"lit{i}_{j}" for j in range(n_literals))
-        code.append(f"{name} = " + (merged_template if merged else template).format(*fields, b0=b0, b1=b1))
+        tree, merged_tree, n_literals, guard = forms[i]
+        tree = merged_tree if merged else tree
+        if tree is None:
+            code.append(f"{name} = f{i}({b0}, {b1})")
+        elif frozen is None:
+            code.append(f"{name} = " + _code(tree, i, n_literals, b0, b1, {}))
+        else:
+            tree = _freeze(tree, b0_bound, frozen[i], f"c{i}_")
+            code.append(f"{name} = " + _code(tree, i, n_literals, b0, b1, frozen[i]))
         if guard == "certified":
             continue
         if guard == "clamp":
@@ -317,7 +392,7 @@ def _maps(values, forms, merged: bool) -> list[str]:
                 f"elif {name} > 1.0:", f"    {name} = 1.0", "    clamp_count += 1",
             ]
             continue
-        if "**" in template:  # numpy's complex128 compares with floats without raising
+        if "**" in code[-1]:  # numpy's complex128 compares with floats without raising
             code += [f"if _isinstance({name}, _complex):", "    raise _Refused"]
         # A Python complex raises TypeError here.
         code += [
@@ -331,3 +406,34 @@ def _maps(values, forms, merged: bool) -> list[str]:
         return code + clamps
     rerun = [f"f{i}({b0}, {b1})" for _, i, b0, b1 in values]
     return ["try:", *indent(code + clamps), "except EVAL_ERRORS:", *indent(rerun), "    raise"]
+
+
+def _code(tree, i: int, n_literals: int, b0: str, b1: str, frozen: dict) -> str:
+    """The scalar code of map i's tree at the rates b0 and b1, its literals
+    the kernel's lit<i>_<j> and its leaves named in `frozen` those names."""
+    fields = (f"lit{i}_{j}" for j in range(n_literals))
+    names = {name: name for name in frozen.values()}
+    return _render(tree, _SCALAR).format(*fields, b0=b0, b1=b1, **names)
+
+
+def _freeze(tree, b0_bound: bool, frozen: dict, prefix: str):
+    """The tree with each largest subtree of _CONSTANT_KINDS over literals
+    (and b0, where b0_bound) replaced by a leaf naming its value: frozen
+    maps each such subtree to that name, prefix and a number, new ones
+    added."""
+
+    def walk(node):  # (the node with its constant subtrees named, whether it is constant)
+        if type(node) is not tuple:
+            return node, type(node) is int or (b0_bound and node == "b0")
+        walked = tuple(map(walk, node[1:]))
+        if node[0] in _CONSTANT_KINDS and all(constant for _, constant in walked):
+            return node, True
+        return (node[0], *(name(child) if constant else child for child, constant in walked)), False
+
+    def name(node):  # a leaf stays: it is a literal's name or the 0.0 of b0
+        if type(node) is not tuple:
+            return node
+        return frozen.setdefault(node, f"{prefix}{len(frozen)}")
+
+    node, constant = walk(tree)
+    return name(node) if constant else node

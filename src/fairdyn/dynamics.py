@@ -560,26 +560,13 @@ def ct_integrate(
     The closed-form policy is recomputed at every stage evaluation. Once the
     groups come within 1e-10 of each other they are merged onto a shared
     trajectory. Cumulative utility is the composite trapezoid over stored
-    samples. With check_step_halving, the run is repeated at h/2 and the
-    endpoint difference above 1e-6 is flagged (or raised under strict).
+    samples. With check_step_halving, the run is repeated at h/2 for its
+    endpoint only (no record, so no warnings of its own), and the endpoint
+    difference above 1e-6 is flagged (or raised under strict).
     """
     n_steps, sample_every = ct_steps(t_end, h, sample_every)
-
-    samples, clamp_count, merge_step, stop_step = _kernels.ct_loop(
-        state0.pi_a.p1,
-        state0.pi_b.p1,
-        state0.g_a,
-        u.u0,
-        u.u1,
-        MODE_CODES[mode],
-        dyn.f0,
-        dyn.f1,
-        dyn.affine,
-        h,
-        n_steps,
-        sample_every,
-        MERGE_TOL,
-        stop_tol,
+    samples, clamp_count, merge_step, stop_step = _run_kernel(
+        state0, mode, u, dyn, h, n_steps, sample_every, stop_tol
     )
 
     events: list[tuple[float, str]] = []
@@ -600,14 +587,12 @@ def ct_integrate(
     record = _record(state0, mode, "CT", u, steps, h, pa, pb, policy, events, clamp_count)
 
     if check_step_halving:
-        fine = ct_integrate(
-            state0, mode, u, dyn, t_end, h=h / 2.0, sample_every=None,
-            check_step_halving=False, stop_tol=0.0,
-        )
-        diff = max(
-            abs(float(record.pi_a[-1]) - float(fine.pi_a[-1])),
-            abs(float(record.pi_b[-1]) - float(fine.pi_b[-1])),
-        )
+        n_fine = ct_steps(t_end, h / 2.0)[0]
+        # one sample stride: the samples are the start and the endpoint
+        _, a, b = _run_kernel(state0, mode, u, dyn, h / 2.0, n_fine, max(1, n_fine), 0.0)[0][-1]
+        if a != a or b != b:
+            raise _nan_state(a, b, f"at t={n_fine * (h / 2.0)} of the step-halving run")
+        diff = max(abs(float(record.pi_a[-1]) - float(a)), abs(float(record.pi_b[-1]) - float(b)))
         record.extras["step_halving_diff"] = diff
         record.extras["step_halving_ok"] = diff <= 1e-6
         if diff > 1e-6:
@@ -616,6 +601,27 @@ def ct_integrate(
                 raise StepHalvingError(message)
             warnings.warn(message, RuntimeWarning, stacklevel=2)
     return record
+
+
+def _run_kernel(state0, mode, u, dyn, h, n_steps, sample_every, stop_tol):
+    """The kernel's run of ct_integrate's arguments: (samples, clamp_count,
+    merge_step, stop_step)."""
+    return _kernels.ct_loop(
+        state0.pi_a.p1,
+        state0.pi_b.p1,
+        state0.g_a,
+        u.u0,
+        u.u1,
+        MODE_CODES[mode],
+        dyn.f0,
+        dyn.f1,
+        dyn.affine,
+        h,
+        n_steps,
+        sample_every,
+        MERGE_TOL,
+        stop_tol,
+    )
 
 
 def ct_gradient(

@@ -23,7 +23,8 @@ associative and takes a negated exponent), so the scalar function does the
 tree's IEEE operations in the tree's order, bit-reproducible on a given
 platform. An arithmetic error or a NaN, infinite or complex result raises
 ExpressionEvaluationError naming the expression and the (b0, b1) point.
-The RK4 kernel inlines the scalar code (compile_expression's scalar_code).
+The RK4 kernel inlines the scalar code, rendered from the tree
+(compile_expression's tree attribute) with _render over _SCALAR.
 
 The array function does the same IEEE operations on numpy float arrays.
 Where the scalar function could raise at some point (a zero divisor, an
@@ -37,8 +38,9 @@ finite floats that holds the scalar function's value at every point of the
 cell, or None where it cannot: a divisor that may be 0, a '^' base that may
 be <= 0, an end or a literal that is not finite, or code too deeply nested
 to compile. Where it returns a pair, the scalar function cannot raise in
-the cell. The RK4 kernel drops its clamp and checks of a map whose
-enclosure over [0, 1]^2 lies inside [0, 1].
+the cell, and the pair also holds the real values of the expression there.
+The RK4 kernel drops its clamp and checks of a map whose enclosure over
+[0, 1]^2 lies inside [0, 1].
 """
 
 from __future__ import annotations
@@ -339,13 +341,27 @@ def _max(a, b):
 
 # The interval helpers take and return (lo, hi) pairs of finite floats that
 # hold every value of their operands' scalar code over a set of points, and
-# raise an ArithmeticError where they give no finite enclosure. + - * /
-# round each end outward by an ulp. exp and '^' call libm's exp and pow,
-# which are not correctly rounded (the glibc manual's "Known Maximum Errors
-# in Math Functions" lists up to 2 ulps for them), so they widen each end by
-# _LIBM_ULPS: the error of the end's own call plus that of the scalar code's
-# call. sin and cos give [-1, 1]; abs, min and max the hull.
+# raise an ArithmeticError where they give no finite enclosure. + - * / take
+# the hull of their rounded values at the operands' ends: rounding to
+# nearest is monotone, so those bound every rounded value in between. An end
+# whose operation was inexact moves outward by an ulp, so that it bounds the
+# real value too; an exact one is the real value, and a map that reaches 0
+# or 1 exactly, such as 0.9*b1, keeps that end. exp and '^' call libm's exp
+# and pow, which are not correctly rounded (the glibc manual's "Known
+# Maximum Errors in Math Functions" lists up to 2 ulps for them), so they
+# widen each end by _LIBM_ULPS: the error of the end's own call plus that of
+# the scalar code's call. sin and cos give [-1, 1]; abs, min and max the
+# hull.
 _LIBM_ULPS = 4
+
+# x op y as an integer ratio (numerator, denominator), from the ratios
+# nx/dx and ny/dy of finite floats x and y.
+_RATIOS = {
+    operator.add: lambda nx, dx, ny, dy: (nx * dy + ny * dx, dx * dy),
+    operator.sub: lambda nx, dx, ny, dy: (nx * dy - ny * dx, dx * dy),
+    operator.mul: lambda nx, dx, ny, dy: (nx * ny, dx * dy),
+    operator.truediv: lambda nx, dx, ny, dy: (nx * dy, dx * ny),
+}
 
 
 def _enclose(lo: float, hi: float, ulps: int = 1) -> tuple[float, float]:
@@ -360,24 +376,45 @@ def _point(value: float) -> tuple[float, float]:
     return _enclose(value, value, 0)
 
 
+def _hull(op: Callable[[float, float], float], corners) -> tuple[float, float]:
+    """The least and the greatest of x op y over the (x, y) corners, each
+    moved outward by an ulp unless it is the exact value (an overflowed
+    one, inf, raises OverflowError). An operation with a zero operand (never
+    a divisor here) is exact."""
+    lo, hi = math.inf, -math.inf
+    ratio = _RATIOS[op]
+    for x, y in corners:
+        value = op(x, y)
+        if x == 0.0 or y == 0.0 or _is_ratio(value, *ratio(*x.as_integer_ratio(), *y.as_integer_ratio())):
+            lo, hi = min(lo, value), max(hi, value)
+        else:
+            lo = min(lo, math.nextafter(value, -math.inf))
+            hi = max(hi, math.nextafter(value, math.inf))
+    return _enclose(lo, hi, 0)
+
+
+def _is_ratio(value: float, n: int, d: int) -> bool:
+    """Whether the float value is exactly n / d."""
+    value_n, value_d = value.as_integer_ratio()
+    return value_n * d == n * value_d
+
+
 def _iadd(a, b):
-    return _enclose(a[0] + b[0], a[1] + b[1])
+    return _hull(operator.add, ((a[0], b[0]), (a[1], b[1])))
 
 
 def _isub(a, b):
-    return _enclose(a[0] - b[1], a[1] - b[0])
+    return _hull(operator.sub, ((a[0], b[1]), (a[1], b[0])))
 
 
 def _imul(a, b):
-    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _enclose(min(ends), max(ends))
+    return _hull(operator.mul, itertools.product(a, b))
 
 
 def _idiv(a, b):
     if b[0] <= 0.0 <= b[1]:
         raise ZeroDivisionError("the divisor may be 0")
-    ends = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    return _enclose(min(ends), max(ends))
+    return _hull(operator.truediv, itertools.product(a, b))
 
 
 def _ipow(a, b):
@@ -450,9 +487,10 @@ def _interval_function(template: str, n_literals: int) -> Callable:
     return namespace["compiled_interval"]
 
 
-# The interval form of the affine tree a + c*b0 + d*b1, whose scalar code is
-# the RK4 kernel's affine code: affine_interval((a, c, d), b0, b1).
-affine_interval = _interval_function(_render(_Parser("0 + 0*b0 + 0*b1").parse(), _INTERVAL), 3)
+# The affine tree a + c*b0 + d*b1, the RK4 kernel's affine map, and its
+# interval form: affine_interval((a, c, d), b0, b1).
+AFFINE_TREE = _Parser("0 + 0*b0 + 0*b1").parse()
+affine_interval = _interval_function(_render(AFFINE_TREE, _INTERVAL), 3)
 
 _ARRAY_NAMES = {
     "_map": _map, "_pow": operator.pow, "_div": _div, "_min": _min, "_max": _max,
@@ -470,7 +508,8 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     rates and {i} for the i-th numeric literal, and the literals' values.
     Expressions that differ only in their numbers share one template; filled
     in with the literals' values it is the code the map runs, which calls
-    the functions in SCALAR_FUNCTIONS by name.
+    the functions in SCALAR_FUNCTIONS by name. The map's `tree` attribute is
+    the parsed tree that template is rendered from (_render over _SCALAR).
 
     The map's `array` attribute is the expression's array form, compiled
     from the same parse: array(b0, b1) takes two float arrays of one shape
@@ -505,6 +544,7 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
     compiled = namespace["compiled"]
     compiled.scalar_code = (template, literals)
+    compiled.tree = tree
     compiled.array = _array_form(tree, numbers, namespace)
     compiled.interval = _interval_form(tree, literals)
     return compiled

@@ -155,6 +155,32 @@ def test_ct_step_halving_check_passes():
     assert rec.extras["step_halving_diff"] <= 1e-6
 
 
+def test_ct_step_halving_warns_each_case_switch_once():
+    """The h/2 run of the step-halving check gives its endpoint only: the
+    AA case switch near t = 19.5 warns once, as it does without the check,
+    and a NaN endpoint of the h/2 run still raises."""
+    state = PopulationState.of(0.1, 0.15, 0.7)
+    for halving in (False, True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = ct_integrate(
+                state, "AA", UtilitySpec(-1, 1), appendix_c_dynamics(), t_end=20, h=0.01,
+                check_step_halving=halving,
+            )
+        assert [str(w.message) for w in caught] == ["AA case switched near t=19.5"]
+    assert rec.extras["step_halving_ok"]
+    # f0 is NaN at one rate that only the h/2 run evaluates
+    seen = {0.5: set(), 1.0: set()}
+    for h in seen:
+        spy = DynamicsSpec(f0=lambda b0, b1, h=h: seen[h].add(b1) or 1.0, f1=lambda b0, b1: 1.0)
+        ct_integrate(PopulationState.of(0.1, 0.1, 0.5), "UN", U, spy, t_end=1.0, h=h)
+    only_fine = min(seen[0.5] - seen[1.0])
+    nan_once = DynamicsSpec(f0=lambda b0, b1: math.nan if b1 == only_fine else 1.0, f1=lambda b0, b1: 1.0)
+    with pytest.raises(ValueError, match=r"^NaN state \(piA, piB\) = \(nan, nan\) at t=1\.0 of the step-halving run"):
+        ct_integrate(PopulationState.of(0.1, 0.1, 0.5), "UN", U, nan_once, t_end=1.0, h=1.0,
+                     check_step_halving=True)
+
+
 def test_ct_merge_event_and_shared_trajectory():
     rec = ct_integrate(
         PopulationState.of(0.9, 0.1, 0.5), "UN", U, CONST, t_end=80.0, h=1e-2

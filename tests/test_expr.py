@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fairdyn import (
     compile_expression,
     parse_dynamics,
 )
-from fairdyn import _loops_py
+from fairdyn import _loops_py, expr
 from fairdyn.expr import MAX_NESTING, affine_interval
 
 APPENDIX_F1 = "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
@@ -398,11 +399,57 @@ def test_interval_form_gives_no_enclosure(source):
     assert compile_expression(source).interval(_CELL, _CELL) is None
 
 
+_END = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, 0.1, 0.2, 0.9, 5e-324, 1 - 1e-16])
+_OPERAND = st.tuples(_END, _END).map(lambda ends: tuple(sorted(ends)))
+_ARITHMETIC = [
+    (expr._iadd, operator.add), (expr._isub, operator.sub),
+    (expr._imul, operator.mul), (expr._idiv, operator.truediv),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERAND, _OPERAND)
+@example((0.9, 0.9), (0.0, 1.0))
+@example((0.1, 0.1), (0.0, 0.2))
+@example((1.0, 1.0), (5e-324, 1.0))
+def test_arithmetic_enclosures_hold_the_real_values(a, b):
+    """+ - * / hold the real value (by Fraction) at every pair of the
+    operands' ends, and so over the operand intervals, and each end lies
+    within about an ulp of the real one."""
+    for helper, op in _ARITHMETIC:
+        try:
+            lo, hi = helper(a, b)
+        except ZeroDivisionError:
+            assert op is operator.truediv and b[0] <= 0.0 <= b[1]
+            continue
+        except OverflowError:  # a quotient past the largest float
+            assert op is operator.truediv
+            continue
+        real = [op(Fraction(x), Fraction(y)) for x in a for y in b]
+        assert Fraction(lo) <= min(real) and max(real) <= Fraction(hi), (op, a, b)
+        assert Fraction(math.nextafter(math.nextafter(lo, math.inf), math.inf)) >= min(real)
+        assert Fraction(math.nextafter(math.nextafter(hi, -math.inf), -math.inf)) <= max(real)
+
+
+def test_exact_interval_ends_are_kept():
+    """An end that + - * / compute exactly is the real value and is kept, so
+    maps that reach 0 or 1 exactly certify; an inexact end still moves out
+    by an ulp."""
+    assert compile_expression("0.9*b1").interval(_CELL, _CELL) == (0.0, 0.9)
+    assert compile_expression("b1").interval(_CELL, _CELL) == (0.0, 1.0)
+    assert compile_expression("1 - b0*b1").interval(_CELL, _CELL) == (0.0, 1.0)
+    assert affine_interval((0.0, 0.0, 0.0), _CELL, _CELL) == (0.0, 0.0)  # constant_dynamics(0.0, 1.0)
+    assert affine_interval((1.0, 0.0, 0.0), _CELL, _CELL) == (1.0, 1.0)
+    assert compile_expression("0.1 + 0.2*b1").interval(_CELL, _CELL) == (
+        0.1, math.nextafter(0.1 + 0.2, math.inf)
+    )
+
+
 def test_interval_form_of_the_affine_tree():
     """The affine tuple's interval form is that of the tree a + c*b0 + d*b1,
-    whose scalar code is the RK4 kernel's affine code."""
+    the RK4 kernel's affine map."""
     compiled = compile_expression("0.1 + 0.05*b0 + 0.2*b1")
-    assert compiled.scalar_code[0] == _loops_py._AFFINE[0]
+    assert compiled.tree == _loops_py._AFFINE[0]
     assert affine_interval((0.1, 0.05, 0.2), _CELL, _CELL) == compiled.interval(_CELL, _CELL)
     assert affine_interval((0.1, math.nan, 0.2), _CELL, _CELL) is None
 
@@ -448,8 +495,7 @@ def test_nesting_limit_is_fixed(kind):
 
     def every_form():
         compiled = compile_expression(source)
-        code, literals = compiled.scalar_code
-        form = (code, code, len(literals), "check")
+        form = (compiled.tree, compiled.tree, len(compiled.scalar_code[1]), "check")
         kernel = _loops_py._kernel(0, form, form)
         return compiled(0.5, 0.5), compiled.array(b, b), compiled.interval(_CELL, _CELL), kernel
 

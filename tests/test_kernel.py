@@ -32,6 +32,10 @@ from fairdyn.expr import compile_expression, ExpressionSyntaxError, affine_inter
 from fairdyn.policy import policy_entries
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# The shipped expression_ct scenario's maps, and the affine tuple perfbench's
+# probe times: both maps of each are certified.
+_EXPRESSION_CT = parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1")
+_PROBE_AFFINE = affine_dynamics(0.1, 0.05, 0.2, 0.6, -0.1, 0.3)
 
 
 def _reference_policy(mode, pa, pb, ga, u0, u1):
@@ -208,6 +212,18 @@ def _reference_ct_loop(
     return samples, clamp_count, merge_step, stop_step
 
 
+def _examples(varying, **fixed):
+    """One hypothesis @example per dict of `varying` arguments, each with
+    the `fixed` ones."""
+
+    def decorate(test):
+        for args in reversed(varying):
+            test = example(**fixed, **args)(test)
+        return test
+
+    return decorate
+
+
 def _outcome(kernel, args):
     try:
         return repr(kernel(*args))
@@ -295,6 +311,11 @@ _PROB = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.5])
     dyn=parse_dynamics("0.5 + -0.7^2*b1 + 0.1*b0", "0.6 + -0.2*b1^-0.5"),
     state=(0.9, 0.2, 0.5), equal_start=False, numpy_state=False, utility=(-1.0, 1.0),
     mode=0, h=0.1, n_steps=20, sample_every=1, merge_tol=1e-10, stop_tol=0.0,
+)
+@_examples(  # mode AA with both AA tests true (AA1), both false (AA2) or one each
+    [dict(utility=u) for u in ((-1.0, 1.0), (-2.0, 0.1), (-1.0, 0.0), (-0.1, 2.0), (0.0, 1.0), (0.0, 0.0))],
+    dyn=_EXPRESSION_CT, state=(0.7, 0.2, 0.4), equal_start=False, numpy_state=False,
+    mode=1, h=0.1, n_steps=100, sample_every=3, merge_tol=1e-3, stop_tol=0.0,
 )
 def test_kernel_matches_reference(
     dyn, state, equal_start, numpy_state, utility, mode, h, n_steps, sample_every, merge_tol,
@@ -511,7 +532,7 @@ def test_too_deep_expression_integrates_through_calls():
     dyn = parse_dynamics("0.5", "-".join(["b1"] * lo))
     args = (0.9, 0.2, 0.5, -1.0, 1.0, 0, dyn.f0, dyn.f1, None, 0.1, 20, 1, 1e-10, 0.0)
     assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
-    forms = [(code, code, len(values), "check") for code, values in (dyn.f0.scalar_code, dyn.f1.scalar_code)]
+    forms = [(f.tree, f.tree, len(f.scalar_code[1]), "check") for f in (dyn.f0, dyn.f1)]
     assert _loops_py._kernel(0, *forms) is _loops_py._kernel(0, *_loops_py._CALLS)
 
 
@@ -585,19 +606,59 @@ _APPENDIX_C_EXPRESSIONS = (
 @pytest.mark.parametrize(
     "dyn, guards",
     [
-        (parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1"), ("certified", "certified")),  # expression_ct
-        (affine_dynamics(0.1, 0.05, 0.2, 0.6, -0.1, 0.3), ("certified", "certified")),
+        (_EXPRESSION_CT, ("certified", "certified")),
+        (_PROBE_AFFINE, ("certified", "certified")),
         (constant_dynamics(-0.5, 0.8), ("clamp", "certified")),
         (parse_dynamics(*_APPENDIX_C_EXPRESSIONS), ("check", "check")),
         (appendix_c_dynamics(), ("clamp", "clamp")),  # Python callbacks: called
+        # maps that reach the cell's edge exactly
+        (parse_dynamics("0.9*b1", "b1"), ("certified", "certified")),
+        (constant_dynamics(0.0, 1.0), ("certified", "certified")),
     ],
-    ids=["expression_ct", "affine", "constant", "appendixC expressions", "appendixC callbacks"],
+    ids=[
+        "expression_ct", "affine", "constant", "appendixC expressions", "appendixC callbacks",
+        "edge expressions", "edge constants",
+    ],
 )
 def test_which_maps_are_certified(monkeypatch, dyn, guards):
     args = (0.7, 0.2, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, dyn.affine, 0.01, 10, 1, 1e-10, 0.0)
     forms = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
     assert [(form0[3], form1[3]) for form0, form1 in forms] == [guards]
     assert _certified_maps(dyn) == (guards == ("certified", "certified"))
+
+
+def test_certified_kernels_fold_the_closed_form(monkeypatch):
+    """Kernels whose maps are both certified write no rate that the closed
+    form fixes at 0.0 or x, keep no clamp count, and test the merge without
+    abs(); under UN and AA1, where b0 is 0.0 in every stage, expression_ct's
+    f0 = 0.2 + 0.05*b0 is computed once, before the loop."""
+    for dyn in (_EXPRESSION_CT, _PROBE_AFFINE):
+        args = (0.7, 0.2, 0.4, -1.5, 1.0, 0, dyn.f0, dyn.f1, dyn.affine, 0.01, 10, 1, 1e-10, 0.0)
+        (forms,) = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
+        assert [form[3] for form in forms] == ["certified", "certified"]
+        for mode in (0, 1, 2, 3):
+            source = _loops_py._kernel_source(mode, *forms)
+            for unfolded in ("(0.0) * (1.0 - ", "(1.0) * ", "abs(pa - pb)", "clamps0"):
+                assert unfolded not in source, (mode, unfolded)
+            setup, loop = source.split("\n    while ")
+            if dyn is _EXPRESSION_CT and mode in (0, 2):
+                assert "= lit0_0 + lit0_1 * 0.0\n" in setup
+                assert "lit0_" not in loop and " b0a" not in loop
+
+
+@pytest.mark.parametrize(
+    "utility, kernel_mode",
+    [((-2.0, 0.1), 2), ((-1.0, 0.0), 2), ((-0.1, 2.0), 3), ((0.0, 0.0), 3), ((-1.0, 1.0), 1)],
+)
+def test_mode_aa_runs_the_kernel_of_its_agreeing_tests(monkeypatch, utility, kernel_mode):
+    """With gA = 0.4, mode AA whose two AA tests (score < 0 when A, and when
+    B, is the advantaged group) are both true runs the AA1 kernel, both
+    false the AA2 kernel (a score of 0 is not < 0), and one each its own."""
+    modes, kernel = [], _loops_py._kernel
+    monkeypatch.setattr(_loops_py, "_kernel", lambda mode, *forms: modes.append(mode) or kernel(mode, *forms))
+    for dyn in (_EXPRESSION_CT, appendix_c_dynamics()):
+        _loops_py.ct_loop(0.7, 0.2, 0.4, *utility, 1, dyn.f0, dyn.f1, dyn.affine, 0.01, 10, 1, 1e-10, 0.0)
+    assert modes == [kernel_mode, kernel_mode]
 
 
 def test_shipped_ct_scenarios_kernel_forms(monkeypatch):
@@ -618,7 +679,7 @@ def test_shipped_ct_scenarios_kernel_forms(monkeypatch):
 def test_uncertain_starts_keep_the_checked_kernel(monkeypatch, start):
     """A NaN or infinite state passes the stage's clamp, and a float32 state
     or step computes in float32: the maps keep their checks."""
-    dyn = parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1")
+    dyn = _EXPRESSION_CT
     pa, pb, h = (*start, 0.01)[:3]
     args = (pa, pb, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, None, h, 10, 1, 1e-10, 0.0)
     forms = _recorded_forms(monkeypatch, lambda: _outcome(_loops_py.ct_loop, args))
@@ -637,6 +698,10 @@ _CERTIFIED_SHAPES = [
     "min(0.6, max(0.4, {0} + {1}*b1)) + {2}*abs(b0 - b1)",
     "({0} + {1}*b1)/(1.5 + {2}*b0)",
     "{0} + {1}*cos({2}*b0) + {2}*(0.5 + b1)^0.5",
+    # terms that b0 = 0.0 makes constant: expression_ct's f0 becomes one
+    "{0} + {1}*b0",
+    "{1}*b0 + {0} + {2}*b1",
+    "{0} - {1}*b0 + {2}*b1",
 ]
 _CERTIFIED_EXPRESSIONS = st.builds(
     lambda shape, level, small: shape.format(repr(level), *map(repr, small)),
@@ -644,6 +709,10 @@ _CERTIFIED_EXPRESSIONS = st.builds(
     _LEVEL,
     st.lists(_SMALL, min_size=2, max_size=2),
 )
+# Signed zeros and halves: affine maps that reach 0 or 1 exactly, which the
+# interval form's exact ends certify.
+_ZERO = st.sampled_from([0.0, -0.0])
+_EDGE = st.sampled_from([0.0, -0.0, 0.5])
 _CERTIFIED_DYNAMICS = st.one_of(
     st.builds(parse_dynamics, _CERTIFIED_EXPRESSIONS, _CERTIFIED_EXPRESSIONS),
     st.builds(
@@ -651,6 +720,10 @@ _CERTIFIED_DYNAMICS = st.one_of(
         _LEVEL, _LEVEL, st.lists(_SMALL, min_size=4, max_size=4),
     ),
     st.builds(constant_dynamics, _LEVEL, _LEVEL),
+    st.builds(
+        lambda a0, c0, d0, c1, d1: affine_dynamics(a0, c0, d0, 1.0, -c1, -d1),
+        _ZERO, _EDGE, _EDGE, _EDGE, _EDGE,
+    ),
 )
 _START = _CLAMPED | st.sampled_from([-0.25, 1.5])
 
@@ -670,19 +743,39 @@ _START = _CLAMPED | st.sampled_from([-0.25, 1.5])
     stop_tol=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
 )
 @example(  # a NaN start passes every clamp: the maps keep their checks
-    dyn=parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1"), state=(math.nan, 0.2, 0.4),
+    dyn=_EXPRESSION_CT, state=(math.nan, 0.2, 0.4),
     kind=float, equal_start=False, utility=(-1.5, 1.0), mode=2, h=0.01, n_steps=20,
     sample_every=1, merge_tol=1e-10, stop_tol=0.0,
 )
 @example(  # a float32 start computes in float32
-    dyn=parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1"), state=(0.7, 0.2, 0.4),
+    dyn=_EXPRESSION_CT, state=(0.7, 0.2, 0.4),
     kind=np.float32, equal_start=False, utility=(-1.5, 1.0), mode=1, h=0.1, n_steps=50,
     sample_every=3, merge_tol=1e-3, stop_tol=0.0,
 )
 @example(  # a numpy float64 start takes the certified kernel
-    dyn=affine_dynamics(0.1, 0.05, 0.2, 0.6, -0.1, 0.3), state=(0.9, 0.9, 0.5),
+    dyn=_PROBE_AFFINE, state=(0.9, 0.9, 0.5),
     kind=np.float64, equal_start=True, utility=(-1.0, 1.0), mode=3, h=0.5, n_steps=300,
     sample_every=7, merge_tol=1e-10, stop_tol=0.0,
+)
+@example(  # f0 is -0.0 from piA = -0.0 in merged stages, which drop f0's c0*b0 term
+    dyn=affine_dynamics(-0.0, 0.0, 0.0, 1.0, 0.0, 0.0), state=(-0.0, -0.0, 0.5), kind=float,
+    equal_start=True, utility=(-1.0, 1.0), mode=0, h=0.1, n_steps=5, sample_every=1,
+    merge_tol=1e-10, stop_tol=0.0,
+)
+@example(  # the folded rate b0 = 0.0 is +0.0: with f0's a0 = -0.0 its sign reaches piA
+    dyn=affine_dynamics(-0.0, 0.5, 0.5, 1.0, 0.0, 0.0), state=(-0.0, -0.0, 0.5), kind=float,
+    equal_start=True, utility=(-1.0, 1.0), mode=3, h=0.1, n_steps=5, sample_every=1,
+    merge_tol=0.0, stop_tol=0.0,
+)
+@_examples(  # expression_ct's run under UN, AA1 and AA2, f0 constant while b0 is 0.0
+    [dict(mode=mode, kind=kind) for mode in (0, 2, 3) for kind in (float, np.float64)],
+    dyn=_EXPRESSION_CT, state=(0.7, 0.2, 0.4), equal_start=False, utility=(-1.5, 1.0),
+    h=0.01, n_steps=300, sample_every=7, merge_tol=1e-10, stop_tol=0.0,
+)
+@_examples(  # the probe's affine tuple, merged from the first step
+    [dict(mode=mode, kind=kind) for mode in (0, 1, 3) for kind in (float, np.float64)],
+    dyn=_PROBE_AFFINE, state=(0.9, 0.2, 0.5), equal_start=True, utility=(-1.0, 1.0),
+    h=0.05, n_steps=300, sample_every=50, merge_tol=1e-10, stop_tol=0.0,
 )
 def test_certified_kernel_matches_reference(
     dyn, state, kind, equal_start, utility, mode, h, n_steps, sample_every, merge_tol, stop_tol,
