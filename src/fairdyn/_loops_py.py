@@ -5,9 +5,11 @@ use. The generator writes in the policy mode's closed form (policy.py's
 policy_source) and each map's form: an expression's tree (the affine
 tuple's is the tree a + c*b0 + d*b1) rendered as scalar code, or a call of
 the map, with its clamp and checks unless the map's interval form
-certifies its range. Numeric literals are kernel arguments, so expressions
-that differ only in their numbers share a kernel. A kernel whose maps are
-both certified is specialised on what that proves (see _kernel_source).
+certifies its range (once per compiled map, and once per affine tuple's
+literals while they stay cached). Numeric literals are kernel arguments, so
+expressions that differ only in their numbers share a kernel. A kernel whose
+maps are both certified is specialised on what that proves (see
+_kernel_source).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def ct_loop(
         a0, c0, d0, a1, c1, d1 = affine
         literals = ((a0, c0, d0), (a1, c1, d1))
         forms = tuple(
-            _AFFINE_CERTIFIED if in_cell and _certified(affine_interval, values) else _AFFINE
+            _AFFINE_CERTIFIED if in_cell and _affine_certified(*values) else _AFFINE
             for values in literals
         )
     else:
@@ -120,7 +122,7 @@ def ct_loop(
         else:
             literals = tuple(f.scalar_code[1] for f in (f0, f1))
             forms = tuple(
-                (tree, tree, len(values), "certified" if in_cell and _certified(f.interval) else "check")
+                (tree, tree, len(values), "certified" if in_cell and _map_certified(f) else "check")
                 for tree, values, f in zip(trees, literals, (f0, f1))
             )
     if mode == MODE_AA:
@@ -144,6 +146,23 @@ def _certified(interval, *literals) -> bool:
     the cell [0, 1]^2, lies in [0, 1]."""
     bounds = interval(*literals, _CELL, _CELL)
     return bounds is not None and 0.0 <= bounds[0] and bounds[1] <= 1.0
+
+
+@functools.lru_cache(maxsize=64)
+def _affine_certified(a, c, d) -> bool:
+    """Whether the affine map a + c*b0 + d*b1 is certified. -0.0 and 0.0
+    share an entry, as they hash and compare equal; they certify alike, as
+    the interval form's ends differ at most in the sign of a zero."""
+    return _certified(affine_interval, (a, c, d))
+
+
+def _map_certified(f) -> bool:
+    """Whether the compiled expression f is certified: computed at its
+    first run, and kept on the map as its unit_certified attribute."""
+    certified = getattr(f, "unit_certified", None)
+    if certified is None:
+        certified = f.unit_certified = _certified(f.interval)
+    return certified
 
 
 class _Refused(ArithmeticError):

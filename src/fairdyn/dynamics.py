@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from ._loops_py import ct_rate
+from ._loops_py import CT_RATE, ct_rate
 from .core import PopulationState, QualificationProfile, UtilitySpec, clamp01
 from .expr import compile_expression
 from .policy import CASE_TAGS, CASE_UN, MODE_CODES, aa_scores, policy_entries, policy_entries_array
@@ -624,6 +624,10 @@ def _run_kernel(state0, mode, u, dyn, h, n_steps, sample_every, stop_tol):
     )
 
 
+# ct_gradient is compiled once, at import, with the CT field CT_RATE written
+# in for each group as the kernel's stages write it, rather than calling
+# ct_rate twice per point. It calls the maps f1 then f0, A then B.
+exec(compile(f'''\
 def ct_gradient(
     pa: float, pb: float, g_a: float, mode: str, u: UtilitySpec, dyn: DynamicsSpec
 ) -> tuple[float, float]:
@@ -632,9 +636,12 @@ def ct_gradient(
     t1a, t0a, t1b, t0b, _ = policy_entries(MODE_CODES[mode], pa, pb, g_a, u.u0, u.u1)
     b0a, b1a = t0a * (1.0 - pa), t1a * pa
     b0b, b1b = t0b * (1.0 - pb), t1b * pb
-    da = ct_rate(pa, dyn.f1_clamped(b0a, b1a), dyn.f0_clamped(b0a, b1a))
-    db = ct_rate(pb, dyn.f1_clamped(b0b, b1b), dyn.f0_clamped(b0b, b1b))
-    return da, db
+    f1a = dyn.f1_clamped(b0a, b1a)
+    f0a = dyn.f0_clamped(b0a, b1a)
+    f1b = dyn.f1_clamped(b0b, b1b)
+    f0b = dyn.f0_clamped(b0b, b1b)
+    return {CT_RATE.format(x="pa", f1="f1a", f0="f0a")}, {CT_RATE.format(x="pb", f1="f1b", f0="f0b")}
+''', "<ct_gradient>", "exec"), globals())
 
 
 def ct_field(

@@ -26,6 +26,14 @@ ExpressionEvaluationError naming the expression and the (b0, b1) point.
 The RK4 kernel inlines the scalar code, rendered from the tree
 (compile_expression's tree attribute) with _render over _SCALAR.
 
+No form writes a literal's value into its code: the scalar and array
+functions read the names lit0, lit1, ..., the kernel its arguments and the
+interval function its literals argument. So each shape, an expression up to
+its numbers, is compiled once per process in each form, and expressions of
+one shape run the same code on their own literals' values. Those are the
+same IEEE operations on the same doubles as code with the values written
+in: CPython folds a subtree of literals with the same float operations.
+
 The array function does the same IEEE operations on numpy float arrays.
 Where the scalar function could raise at some point (a zero divisor, an
 element-wise call that raises, a complex power) it returns None instead,
@@ -50,6 +58,7 @@ import itertools
 import math
 import operator
 import re
+from types import CodeType
 from typing import Callable
 
 import numpy as np
@@ -299,14 +308,6 @@ def compiled_array(b0, b1):
 EVAL_ERRORS = (ArithmeticError, TypeError, ValueError)
 
 
-def _literal_code(value: float) -> str:
-    """Python source of a literal's value: its repr, or +-1e999 for +-inf
-    (whose repr is a name)."""
-    if math.isfinite(value):
-        return repr(value)
-    return "1e999" if value > 0.0 else "-1e999"
-
-
 def _is_array(value) -> bool:
     return isinstance(value, np.ndarray)
 
@@ -492,10 +493,36 @@ def _interval_function(template: str, n_literals: int) -> Callable:
 AFFINE_TREE = _Parser("0 + 0*b0 + 0*b1").parse()
 affine_interval = _interval_function(_render(AFFINE_TREE, _INTERVAL), 3)
 
-_ARRAY_NAMES = {
+# The names every scalar and array function sees; each expression's own
+# namespace adds its literals, lit0, lit1, ..., and the _fail that names its
+# source. Neither form's code runs with builtins.
+_NAMES = {
+    **SCALAR_FUNCTIONS, "__builtins__": {}, "EVAL_ERRORS": EVAL_ERRORS,
+    "_isinstance": isinstance, "_complex": complex,
     "_map": _map, "_pow": operator.pow, "_div": _div, "_min": _min, "_max": _max,
     "_ndarray": np.ndarray, "_full": np.full,
 }
+# The code objects of the scalar and array functions, by their source text:
+# the literals are names, so expressions that differ only in their numbers
+# have one source and compile once per process. The oldest of more than
+# _CODES_SIZE goes first; a function keeps its code object all the same.
+# compile() is called where the text is written, without a frame around it:
+# CPython scales its compiler's nesting limit from the caller's stack depth,
+# and the kernel's fallback to calls rests on where that limit lies.
+_CODES: dict[str, CodeType] = {}
+_CODES_SIZE = 128
+
+
+def _keep(text: str, code: CodeType) -> CodeType:
+    """Keep code as the code object of the source text, and return it."""
+    if len(_CODES) >= _CODES_SIZE:
+        del _CODES[next(iter(_CODES))]
+    _CODES[text] = code
+    return code
+
+
+def _literal_names(n_literals: int) -> list[str]:
+    return [f"lit{i}" for i in range(n_literals)]
 
 
 def compile_expression(source: str) -> Callable[[float, float], float]:
@@ -506,17 +533,21 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     The map's `scalar_code` attribute is (template, literals): the scalar
     code as a str.format template with the fields {b0} and {b1} for the
     rates and {i} for the i-th numeric literal, and the literals' values.
-    Expressions that differ only in their numbers share one template; filled
-    in with the literals' values it is the code the map runs, which calls
-    the functions in SCALAR_FUNCTIONS by name. The map's `tree` attribute is
-    the parsed tree that template is rendered from (_render over _SCALAR).
+    Expressions that differ only in their numbers share one template. The
+    map runs it with the names lit0, lit1, ... in the literal fields, bound
+    to the literals' values, as the RK4 kernel does; it calls the functions
+    in SCALAR_FUNCTIONS by name. Each template is compiled once per process
+    (while its code object stays in a cache of _CODES_SIZE) and run in a
+    namespace of its own per expression. The map's `tree` attribute is the
+    parsed tree that template is rendered from (_render over _SCALAR).
 
     The map's `array` attribute is the expression's array form, compiled
-    from the same parse: array(b0, b1) takes two float arrays of one shape
-    and returns the unchecked values at every point, bit for bit the scalar
-    map's wherever that returns, or None when the scalar map might raise at
-    some point. Evaluate it under np.errstate(all="ignore"); a non-finite
-    value marks a point where the scalar map raises.
+    from the same parse, with its literals bound the same way: array(b0, b1)
+    takes two float arrays of one shape and returns the unchecked values at
+    every point, bit for bit the scalar map's wherever that returns, or None
+    when the scalar map might raise at some point. Evaluate it under
+    np.errstate(all="ignore"); a non-finite value marks a point where the
+    scalar map raises.
 
     The map's `interval` attribute is the interval form, compiled at its
     first call: interval((lo0, hi0), (lo1, hi1)) returns a (lo, hi) pair
@@ -525,43 +556,50 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)
 
-    # eval is safe here: the code is rendered only from the tree's literals,
-    # b0, b1 and the templates in _SCALAR and _ARRAY, and runs without
-    # builtins, seeing only the names below.
-    namespace = dict(SCALAR_FUNCTIONS)
-    namespace.update(__builtins__={}, EVAL_ERRORS=EVAL_ERRORS, _fail=fail)
-    namespace.update(_isinstance=isinstance, _complex=complex, **_ARRAY_NAMES)
     try:
         parser = _Parser(source)
         tree = parser.parse()
         literals = tuple(parser.literals)
-        numbers = [_literal_code(v) for v in literals]
+        names = _literal_names(len(literals))
         template = _render(tree, _SCALAR)
-        code = template.format(*numbers, b0="b0", b1="b1")
+        code = template.format(*names, b0="b0", b1="b1")
         real = " and not _isinstance(v, _complex)" if "**" in code else ""
-        eval(compile(_TEMPLATE.format(code=code, real=real), "<expression>", "exec"), namespace)
+        text = _TEMPLATE.format(code=code, real=real)
+        compiled_code = _CODES.get(text)
+        if compiled_code is None:
+            compiled_code = _keep(text, compile(text, "<expression>", "exec"))
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
+    # exec is safe here: the code is rendered only from the tree's literal
+    # names, b0, b1 and the templates in _SCALAR and _ARRAY, and runs
+    # without builtins, seeing only the names below.
+    namespace = dict(_NAMES, _fail=fail)
+    namespace.update(zip(names, literals))
+    exec(compiled_code, namespace)
     compiled = namespace["compiled"]
     compiled.scalar_code = (template, literals)
     compiled.tree = tree
-    compiled.array = _array_form(tree, numbers, namespace)
+    compiled.array = _array_form(tree, len(literals), namespace)
     compiled.interval = _interval_form(tree, literals)
     return compiled
 
 
-def _array_form(tree, numbers: list[str], namespace: dict) -> Callable:
-    """The array function of the tree, with the literals' code `numbers`,
-    rendered and compiled at its first call: the trajectory engines never
-    call it, and compiling costs as much as the scalar function did."""
+def _array_form(tree, n_literals: int, namespace: dict) -> Callable:
+    """The array function of the tree, run in the scalar function's
+    namespace, rendered at its first call: the trajectory engines never
+    call it, and compiling a new shape costs as much as the scalar
+    function does."""
 
     def array_form(b0, b1):
         fn = namespace.get("compiled_array")
         if fn is None:
             try:
-                array = _render(tree, _ARRAY).format(*numbers, b0="b0", b1="b1")
-                code = _ARRAY_TEMPLATE.format(array=array)
-                eval(compile(code, "<expression>", "exec"), namespace)
+                array = _render(tree, _ARRAY).format(*_literal_names(n_literals), b0="b0", b1="b1")
+                text = _ARRAY_TEMPLATE.format(array=array)
+                code = _CODES.get(text)
+                if code is None:
+                    code = _keep(text, compile(text, "<expression>", "exec"))
+                exec(code, namespace)
             except (RecursionError, MemoryError, SyntaxError):  # '/' and '^' nest deeper here
                 namespace["compiled_array"] = lambda b0, b1: None
             fn = namespace["compiled_array"]

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -339,6 +340,93 @@ def test_complex_power_has_no_array_value(source):
         assert compiled.array(b, b) is None
     with pytest.raises(ExpressionEvaluationError, match="complex value"):
         compiled(0.5, 0.5)
+
+
+# -- one code object per shape ------------------------------------------------
+
+
+def test_one_shape_shares_its_code():
+    """Expressions that differ only in their numbers run one scalar and one
+    array code object, each on its own literals."""
+    f, g = compile_expression("0.5*b0 + 0.25"), compile_expression("2*b0 + -1e999")
+    assert f.__code__ is g.__code__
+    b = np.array([0.0, 0.5])
+    with np.errstate(all="ignore"):
+        assert f.array(b, b).tolist() == [0.25, 0.5]
+        assert g.array(b, b).tolist() == [-math.inf, -math.inf]
+    assert f.__globals__["compiled_array"].__code__ is g.__globals__["compiled_array"].__code__
+    assert f(0.5, 0.0) == 0.5
+    with pytest.raises(ExpressionEvaluationError, match=r"'2\*b0 \+ -1e999'.*result -inf"):
+        g(0.5, 0.0)
+
+
+def _literal_source(value: float) -> str:
+    """A literal's value in the expression grammar: its repr, or 1e999 for
+    inf, with a leading '-' (folded into the literal) when it is negative."""
+    text = repr(abs(value)) if math.isfinite(value) else "1e999"
+    return "-" + text if math.copysign(1.0, value) < 0.0 else text
+
+
+def _reference_outcome(template: str, literals, b0: float, b1: float):
+    """The template evaluated with each literal written as its repr (+-1e999
+    for +-inf): the repr of its value, or None where the compiled map raises."""
+    numbers = [repr(v) if math.isfinite(v) else ("1e999" if v > 0.0 else "-1e999") for v in literals]
+    try:
+        value = eval(template.format(*numbers, b0="b0", b1="b1"), dict(expr.SCALAR_FUNCTIONS, b0=b0, b1=b1))
+    except expr.EVAL_ERRORS:
+        return None
+    return repr(value) if not isinstance(value, complex) and math.isfinite(value) else None
+
+
+# Any literal, stressing signed zero, subnormals and the ends of the range.
+_LITERAL = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _TREES.map(lambda tree: tree[0]),
+    st.lists(_LITERAL, min_size=24, max_size=24),  # _TREES has at most 24 leaves
+    st.lists(st.tuples(_RATE, _RATE), min_size=1, max_size=6),
+)
+@example("2 ^ -b0 - 1e308 * 10", [-0.0] * 24, [(0.5, 0.0)])
+def test_literals_bound_by_name_are_the_written_values(source, values, points):
+    """An expression of a tree's shape with any literals gives, in the scalar
+    and the array form, the bits of the template evaluated with the literals
+    written in as numbers: binding them by name changes no operation."""
+    template, literals = compile_expression(source).scalar_code
+    # a '^' base is an unsigned number in the grammar
+    bases = {int(i) for i in re.findall(r"\{(\d+)\} \*\*", template)}
+    literals = [abs(v) if i in bases else v for i, v in enumerate(values[: len(literals)])]
+    numbers = [_literal_source(v) for v in literals]
+    compiled = compile_expression(template.replace("**", "^").format(*numbers, b0="b0", b1="b1"))
+    assert compiled.scalar_code[0] == template
+    assert list(map(repr, compiled.scalar_code[1])) == list(map(repr, literals))
+
+    expected = [_reference_outcome(template, literals, b0, b1) for b0, b1 in points]
+    assert [_compiled_outcome(compiled, b0, b1) for b0, b1 in points] == [
+        ExpressionEvaluationError if e is None else e for e in expected
+    ], source
+    with np.errstate(all="ignore"):
+        values = compiled.array(*(np.array(axis) for axis in zip(*points)))
+    if values is not None:
+        for value, e in zip(values.tolist(), expected):
+            assert repr(value) == e if e is not None else not math.isfinite(value), source
+
+
+def test_code_cache_is_bounded():
+    """More shapes than the cache holds: the cache keeps at most its bound
+    of code objects, and every map compiled earlier still evaluates."""
+    sums = [compile_expression("b0" + " + b1" * k) for k in range(expr._CODES_SIZE + 10)]
+    b = np.array([0.25, 0.5])
+    for k, f in enumerate(sums):
+        total = 0.25
+        for _ in range(k):
+            total += 0.5
+        assert f(0.25, 0.5) == total
+        assert f.array(b, np.array([0.5, 0.5])).tolist() == [total, 0.5 + 0.5 * k]
+    assert len(expr._CODES) <= expr._CODES_SIZE
 
 
 # -- the interval form --------------------------------------------------------

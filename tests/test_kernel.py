@@ -627,6 +627,43 @@ def test_which_maps_are_certified(monkeypatch, dyn, guards):
     assert _certified_maps(dyn) == (guards == ("certified", "certified"))
 
 
+def test_each_map_is_certified_once(monkeypatch):
+    """ct_loop evaluates a compiled map's interval form at its first run
+    only, and an affine tuple's once per three literals; the start and the
+    step are still tested at every run."""
+    dyn = parse_dynamics("0.2 + 0.05*b0", _APPENDIX_C_EXPRESSIONS[1])  # f0 is certified, f1 is not
+    calls = []
+    for f in (dyn.f0, dyn.f1):
+        monkeypatch.setattr(f, "interval", lambda b0, b1, form=f.interval: calls.append(1) or form(b0, b1))
+    for pa in (0.7, 0.6, np.float32(0.6)):
+        args = (pa, 0.2, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, None, 0.01, 10, 1, 1e-10, 0.0)
+        forms = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
+        guards = ("check", "check") if type(pa) is np.float32 else ("certified", "check")
+        assert [(form0[3], form1[3]) for form0, form1 in forms] == [guards]
+    assert len(calls) == 2
+
+    _loops_py._affine_certified.cache_clear()
+    for values in ((0.1, 0.05, 0.2), (0.1, 0.05, 0.2), (1.5, 0.0, 0.0)):
+        args = (0.7, 0.2, 0.4, -1.5, 1.0, 2, None, None, values * 2, 0.01, 10, 1, 1e-10, 0.0)
+        _loops_py.ct_loop(*args)
+    info = _loops_py._affine_certified.cache_info()
+    assert (info.hits, info.misses) == (4, 2)  # both maps of a run share their tuple
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, -1e-300, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_SIGNED, _SIGNED, _SIGNED))
+def test_signed_zero_literals_certify_alike(values):
+    """An affine tuple with -0.0 in place of 0.0 (or the reverse) shares its
+    cached certificate, as the two hash equal: they certify alike."""
+    flipped = tuple(-v if v == 0.0 else v for v in values)
+    assert _loops_py._certified(affine_interval, values) == _loops_py._certified(affine_interval, flipped)
+    _loops_py._affine_certified.cache_clear()
+    assert _loops_py._affine_certified(*flipped) == _loops_py._certified(affine_interval, values)
+
+
 def test_certified_kernels_fold_the_closed_form(monkeypatch):
     """Kernels whose maps are both certified write no rate that the closed
     form fixes at 0.0 or x, keep no clamp count, and test the merge without
