@@ -35,6 +35,10 @@ same IEEE operations on the same doubles as code with the values written
 in: CPython folds a subtree of literals with the same float operations.
 
 The array function does the same IEEE operations on numpy float arrays.
+It calls sin, cos, exp and '^' (Python's pow) element by element on Python
+floats, as the scalar function does, and not numpy's ufuncs, which may round
+differently from libm; and it calls each once per distinct argument (per bit
+pattern, or pair of them), since grids pass the same arguments many times.
 Where the scalar function could raise at some point (a zero divisor, an
 element-wise call that raises, a complex power) it returns None instead,
 and a non-finite value it returns marks a point where the scalar function
@@ -107,8 +111,8 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., float]] = {
 }
 # The code template of each kind of node, one {} slot per child (a
 # function's arity). The array form calls Python's float functions element
-# by element where numpy's round differently (sin, cos, exp, np.power), and
-# does Python's min, max and '/' with their NaN, -0.0 and zero-divisor rules.
+# by element (_map) where numpy's round differently (sin, cos, exp, np.power),
+# and does Python's min, max and '/' with their NaN, -0.0 and zero-divisor rules.
 _SCALAR = {
     "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "{} ** {}",
     "neg": "-{}", "()": "({})",
@@ -137,27 +141,21 @@ _INTERVAL = {
 MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<op>[-+*/^(),])"
+    r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<bad>\S)"  # a character that starts no token
 )
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:  # after the whitespace at pos: the end or a bad character
-            rest = source[pos:].lstrip()
-            if not rest:
-                break
-            raise ExpressionSyntaxError(
-                f"unexpected character {rest[0]!r}", len(source) - len(rest)
-            )
-        kind = m.lastgroup  # "num", "ident" or "op"
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    """The (kind, text, position) tokens of source, found in one pass of
+    _TOKEN_RE over it, which skips the whitespace between them, and last
+    ("end", "", len(source))."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(source)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {value!r}", pos)
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -313,15 +311,42 @@ def _is_array(value) -> bool:
 
 
 def _map(fn: Callable[..., float], *args):
-    """fn element by element over the 1-D array arguments (a float argument
-    is the same at every point), on Python floats. A value that is not a
-    real number, such as the complex power of a negative base, raises
-    TypeError."""
+    """fn element by element over the float array arguments, of one 1-D or
+    2-D shape (a float argument is the same at every point), on Python
+    floats: numpy's ufuncs may round sin, cos, exp and power differently
+    from the libm functions the scalar code calls. fn runs once per distinct
+    argument, keyed by the arrays' bit patterns (an int64 view, which keeps
+    -0.0 apart from 0.0 and one NaN payload from another), or per distinct
+    tuple of them, and its value goes to every point with that argument. An
+    error of fn at any argument propagates; a value that is not a real
+    number, such as the complex power of a negative base, raises TypeError."""
     arrays = [a for a in args if _is_array(a)]
     if not arrays:
         return float(fn(*args))
-    columns = [a.tolist() if _is_array(a) else itertools.repeat(a) for a in args]
-    return np.fromiter(map(fn, *columns), float, count=arrays[0].size)
+    groups, first = _number(arrays[0].reshape(-1).view(np.int64))
+    for a in arrays[1:]:
+        more, more_first = _number(a.reshape(-1).view(np.int64))
+        groups, first = _number(groups * more_first.size + more)  # below size**2
+    columns = [a.reshape(-1)[first].tolist() if _is_array(a) else itertools.repeat(a) for a in args]
+    values = np.fromiter(map(fn, *columns), float, count=first.size)
+    return values[groups].reshape(arrays[0].shape)
+
+
+def _number(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(groups, first) for the 1-D int array keys: each point's number
+    among the distinct keys, counted in increasing order from 0, and, by
+    number, the index of a point with that key. The sort is numpy's stable
+    one, for 64-bit keys a timsort, which takes the ascending and descending
+    runs of the keys as they come: linear over the equilibrium scan, and
+    faster than the default sort over the grids' rows."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.empty(keys.size, bool)  # a point starts a group in key order
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    groups = np.empty(keys.size, np.intp)
+    groups[order] = new.cumsum() - 1
+    return groups, order[new]
 
 
 def _div(a, b):
@@ -513,6 +538,13 @@ _CODES: dict[str, CodeType] = {}
 _CODES_SIZE = 128
 
 
+# The array function of a shape whose array code is too deep to compile, kept
+# in _CODES in its place: it vouches for no point, and the points go through
+# the scalar function, which gives the same bits. The scalar code's failure
+# is not kept: CPython's nesting limit there follows the caller's stack depth.
+_NO_ARRAY = compile("def compiled_array(b0, b1):\n    return None\n", "<expression>", "exec")
+
+
 def _keep(text: str, code: CodeType) -> CodeType:
     """Keep code as the code object of the source text, and return it."""
     if len(_CODES) >= _CODES_SIZE:
@@ -588,20 +620,22 @@ def _array_form(tree, n_literals: int, namespace: dict) -> Callable:
     """The array function of the tree, run in the scalar function's
     namespace, rendered at its first call: the trajectory engines never
     call it, and compiling a new shape costs as much as the scalar
-    function does."""
+    function does. A shape whose array code does not compile gets
+    _NO_ARRAY, kept like any code object, so that it is not compiled again."""
 
     def array_form(b0, b1):
         fn = namespace.get("compiled_array")
         if fn is None:
-            try:
-                array = _render(tree, _ARRAY).format(*_literal_names(n_literals), b0="b0", b1="b1")
-                text = _ARRAY_TEMPLATE.format(array=array)
-                code = _CODES.get(text)
-                if code is None:
-                    code = _keep(text, compile(text, "<expression>", "exec"))
-                exec(code, namespace)
-            except (RecursionError, MemoryError, SyntaxError):  # '/' and '^' nest deeper here
-                namespace["compiled_array"] = lambda b0, b1: None
+            array = _render(tree, _ARRAY).format(*_literal_names(n_literals), b0="b0", b1="b1")
+            text = _ARRAY_TEMPLATE.format(array=array)
+            code = _CODES.get(text)
+            if code is None:
+                try:
+                    code = compile(text, "<expression>", "exec")
+                except (RecursionError, MemoryError, SyntaxError):  # '/' and '^' nest deeper here
+                    code = _NO_ARRAY
+                _keep(text, code)
+            exec(code, namespace)
             fn = namespace["compiled_array"]
         return fn(b0, b1)
 

@@ -289,35 +289,51 @@ def _scalar_outcome(fn, b0, b1):
         return exc
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    _TREES.map(lambda tree: tree[0]),
-    st.lists(st.tuples(_RATE, _RATE), min_size=1, max_size=12),
+# Points whose rates come from a small pool, so that points, and the rates
+# of points, repeat.
+_POOLED_POINTS = st.lists(_RATE | st.just(-0.0), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from(pool)), min_size=1, max_size=12
+    )
 )
-@example("min(1/b0, 2)", [(0.5, 0.0), (0.0, 0.25)])
-@example("max(2, (1e999-1e999)/b0)", [(0.5, 0.0), (0.0, 0.25)])
-@example("(b0-0.5)^0.5", [(1.0, 0.0), (0.25, 0.5)])
-@example("exp(800*b1)", [(0.0, 0.5), (0.0, 1.0)])
-@example("sin(1e999*b0)", [(0.0, 0.5), (0.5, 0.5)])
-@example("min(b0, -b1)", [(0.0, 0.0)])  # Python's min keeps 0.0, np.minimum gives -0.0
-@example("max(-b0, b1)", [(0.0, 0.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES.map(lambda tree: tree[0]), _POOLED_POINTS, st.booleans())
+@example("min(1/b0, 2)", [(0.5, 0.0), (0.0, 0.25)], False)
+@example("max(2, (1e999-1e999)/b0)", [(0.5, 0.0), (0.0, 0.25)], False)
+@example("(b0-0.5)^0.5", [(1.0, 0.0), (0.25, 0.5)], False)
+@example("exp(800*b1)", [(0.0, 0.5), (0.0, 1.0)], False)
+@example("sin(1e999*b0)", [(0.0, 0.5), (0.5, 0.5)], False)
+@example("min(b0, -b1)", [(0.0, 0.0)], False)  # Python's min keeps 0.0, np.minimum gives -0.0
+@example("max(-b0, b1)", [(0.0, 0.0)], False)
+# repeated arguments: signed zeros, an overflow, two array operands, 2-D
+@example("sin(b0)", [(-0.0, 0.5), (0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)], False)
+@example("exp(800*b1)", [(0.0, 0.5), (0.0, 1.0), (0.0, 0.5), (0.0, 1.0)], False)
+@example("b0^b1", [(0.5, 2.0), (0.5, 3.0), (0.25, 2.0), (0.5, 2.0), (2.0, 0.5)], False)
+@example("exp(-b0)*sin(18*(b0 + b1))", [(0.0, 0.5), (0.5, 0.0), (-0.0, 0.5), (0.25, 0.25)], True)
 # 1,000-term chains, 999 deep in the tree (test_long_sum_evaluates compiles
 # them under the default recursion limit, which Hypothesis raises)
-@example("+".join(["b0"] * 1000), [(0.1, 0.0), (0.3, 0.7)])
-@example("-".join(["b0"] * 1000), [(0.1, 0.0), (-1.5, 0.7)])
-@example("*".join(["b1"] * 1000), [(0.0, 0.999), (0.0, -1.001)])
-@example("/".join(["b1"] * 1000), [(0.0, 0.5), (0.0, 0.0)])
-def test_array_form_matches_scalar(source, points):
+@example("+".join(["b0"] * 1000), [(0.1, 0.0), (0.3, 0.7)], False)
+@example("-".join(["b0"] * 1000), [(0.1, 0.0), (-1.5, 0.7)], False)
+@example("*".join(["b1"] * 1000), [(0.0, 0.999), (0.0, -1.001)], False)
+@example("/".join(["b1"] * 1000), [(0.0, 0.5), (0.0, 0.0)], False)
+def test_array_form_matches_scalar(source, points, two_d):
     """Where the array form gives finite values they are the scalar
     function's bits; where the scalar function raises, sample raises the
-    same error as the point-by-point evaluation."""
+    same error as the point-by-point evaluation. With two_d the arrays have
+    two rows: the points, then the points reversed."""
     compiled = compile_expression(source)
     b0, b1 = (np.array(axis) for axis in zip(*points))
+    if two_d:
+        b0, b1 = (np.stack([axis, axis[::-1]]) for axis in (b0, b1))
+    points = list(zip(b0.ravel().tolist(), b1.ravel().tolist()))
     outcomes = [_scalar_outcome(compiled, x, y) for x, y in points]
     with np.errstate(all="ignore"):
         values = compiled.array(b0, b1)
     if values is not None and np.isfinite(values).all():
-        assert [repr(v) for v in values.tolist()] == outcomes, source
+        assert values.shape == b0.shape
+        assert [repr(v) for v in values.ravel().tolist()] == outcomes, source
 
     dyn = parse_dynamics(source, "0.5")
     errors = [o for o in outcomes if isinstance(o, ExpressionEvaluationError)]
@@ -327,7 +343,62 @@ def test_array_form_matches_scalar(source, points):
         assert str(exc.value) == str(errors[0])
     else:
         f0, _ = dyn.sample(b0, b1)
-        assert [repr(v) for v in f0.tolist()] == [repr(dyn.f0_clamped(x, y)) for x, y in points]
+        assert [repr(v) for v in f0.ravel().tolist()] == [repr(dyn.f0_clamped(x, y)) for x, y in points]
+
+
+def _bits(*values: float) -> tuple[int, ...]:
+    return tuple(np.array(values).view(np.int64).tolist())
+
+
+def test_element_wise_functions_run_once_per_distinct_argument(monkeypatch):
+    """The array form calls sin, cos, exp and '^' once per distinct bit
+    pattern of their argument, or pair of patterns for '^' of two arrays,
+    and gives the scalar function's bits at every point."""
+    f = compile_expression("sin(b0) + cos(b1) + exp(b0 - b1) + b1^b0")
+    b0 = np.array([[0.0, -0.0, 0.5, 0.0], [0.5, -0.0, 0.25, 0.0]])
+    b1 = np.array([[1.0, 1.0, 0.5, 0.25], [1.0, 1.0, 0.5, 0.5]])
+    expected = [[repr(f(x, y)) for x, y in zip(*row)] for row in zip(b0.tolist(), b1.tolist())]
+    arguments = {"sin": (b0,), "cos": (b1,), "exp": (b0 - b1,), "_pow": (b1, b0)}
+    calls = {name: [] for name in arguments}
+    for name, seen in calls.items():
+        fn = f.__globals__[name]
+        monkeypatch.setitem(
+            f.__globals__, name, lambda *args, fn=fn, seen=seen: seen.append(_bits(*args)) or fn(*args)
+        )
+    values = f.array(b0, b1)
+    for name, args in arguments.items():
+        distinct = set(zip(*(a.ravel().view(np.int64).tolist() for a in args)))
+        assert sorted(calls[name]) == sorted(distinct), name
+    assert len(calls["sin"]) == 4 and len(calls["_pow"]) == 7  # of 8 points; 0.0 and -0.0 apart
+    assert [[repr(v) for v in row] for row in values.tolist()] == expected
+
+
+def test_map_keys_points_by_bit_pattern():
+    """_map calls its function once per bit pattern: two NaN payloads, and
+    -0.0 and 0.0, are four arguments; each point gets its argument's value."""
+    a = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0, 1 << 63] * 3, np.uint64).view(float)
+    seen = []
+    values = expr._map(lambda x: seen.append(_bits(x)) or float(len(seen)), a)
+    assert sorted(seen) == sorted({_bits(x) for x in a.tolist()})
+    assert len(seen) == 4
+    for x, v in zip(a.view(np.int64).tolist(), values.tolist()):
+        assert seen[int(v) - 1] == (x,)
+
+
+def test_an_array_form_that_does_not_compile_is_not_compiled_again(monkeypatch):
+    """A shape whose array code is too deep to compile keeps that failure:
+    a second expression of the shape has no array form either, without a
+    compile, and its points take the scalar function."""
+    chain = "/".join(["b1"] * 999)
+    f, g = compile_expression(chain + "/2"), compile_expression(chain + "/4")
+    b = np.array([0.5, 1.0])
+    assert f.array(b, b) is None
+    compiles = []
+    monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args) or compile(*args), raising=False)
+    assert g.array(b, b) is None
+    assert compiles == []
+    dyn = parse_dynamics(chain + "/4", "0.5")
+    assert dyn.sample(b, b)[0].tolist() == [dyn.f0_clamped(x, x) for x in b.tolist()] == [1.0, 0.25]
 
 
 @pytest.mark.parametrize("source", ["b0 + (0-1)^0.5", "b0*(-0.5)^0.5", "(b0-2)^0.5"])

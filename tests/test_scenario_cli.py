@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
-from fairdyn.cli import main
+from fairdyn.cli import APPENDIX_C_F0, APPENDIX_C_F1, main
 from fairdyn.scenario import Scenario, ScenarioError, export_field
 
 DEMO = """\
@@ -334,6 +334,59 @@ def test_benchmark_pins_the_same_csv_digests():
     csv = {key: digest for key, digest in shipped.items() if not key.startswith("analyze/")}
     assert len(csv) == 9
     assert bench == csv
+
+
+# A CT scenario whose maps are the Appendix C formulas written as
+# expressions: its grid analyses and field call sin and exp element-wise in
+# the maps' array form, which no shipped scenario does.
+APPENDIX_C_EXPRESSION = f"""\
+[scenario]
+name = appendix_c_expression
+mode = AA1
+time = CT
+t_end = 20
+h = 0.01
+outputs = trajectory
+
+[dynamics]
+f0 = {APPENDIX_C_F0}
+f1 = {APPENDIX_C_F1}
+
+[state]
+piA = 0.9
+piB = 0.1
+gA = 0.5
+
+[utility]
+u0 = -1
+u1 = 1
+"""
+# sha256 of its outputs, recorded before the array form's element-wise
+# calls were grouped by argument; regenerate only for a change meant to
+# alter the bytes. The analyze reports are three_equilibria_ct's: that
+# scenario runs the native appendixC maps, which give the same bits, at the
+# same gA, u0 and u1.
+APPENDIX_C_EXPRESSION_DIGESTS = {
+    "analyze/appendix_c_expression": "b797b6b7d30d7ce9da930279f9504dbd66defd604524a6ff82df0f6330e1f0b3",
+    "analyze/appendix_c_expression@96": "efa7f7cd84f720f4dcde987987b6dcd2057d62b88cbf2405e5031337bb9c2afe",
+    "field/appendix_c_expression": "059e59bf1d1f4728b1cfbd71faadccd7df527bc92e2cc151d128c49080e4ce57",
+}
+
+
+def test_appendix_c_expression_outputs_are_byte_identical(tmp_path):
+    path = tmp_path / "appendix_c_expression.scn"
+    path.write_text(APPENDIX_C_EXPRESSION)
+    digests = {}
+    for cmd, suffix, args in (
+        ("analyze", "analysis.txt", []),
+        ("analyze", "analysis.txt", ["--resolution", "96"]),
+        ("field", "field.csv", []),
+    ):
+        assert main([cmd, str(path), "--out", str(tmp_path), *args]) == 0
+        data = (tmp_path / f"appendix_c_expression_{suffix}").read_bytes()
+        key = f"{cmd}/appendix_c_expression" + (f"@{args[1]}" if args else "")
+        digests[key] = hashlib.sha256(data).hexdigest()
+    assert digests == APPENDIX_C_EXPRESSION_DIGESTS
 
 
 def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):
