@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -538,8 +539,8 @@ def ct_steps(t_end: float, h: float, sample_every: int | None = None) -> tuple[i
         )
     if sample_every is None:
         return n_steps, max(1, n_steps // 2000)
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+    if not isinstance(sample_every, numbers.Integral) or sample_every < 1:  # the kernel counts steps in ints
+        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
     return n_steps, sample_every
 
 

@@ -29,10 +29,11 @@ The RK4 kernel inlines the scalar code, rendered from the tree
 No form writes a literal's value into its code: the scalar and array
 functions read the names lit0, lit1, ..., the kernel its arguments and the
 interval function its literals argument. So each shape, an expression up to
-its numbers, is compiled once per process in each form, and expressions of
-one shape run the same code on their own literals' values. Those are the
-same IEEE operations on the same doubles as code with the values written
-in: CPython folds a subtree of literals with the same float operations.
+its numbers, is rendered and compiled once per process in each form (_Shape),
+and expressions of one shape run the same code on their own literals' values.
+Those are the same IEEE operations on the same doubles as code with the
+values written in: CPython folds a subtree of literals with the same float
+operations.
 
 The array function does the same IEEE operations on numpy float arrays.
 It calls sin, cos, exp and '^' (Python's pow) element by element on Python
@@ -297,7 +298,7 @@ def compiled(b0, b1):
 _ARRAY_TEMPLATE = """\
 def compiled_array(b0, b1):
     try:
-        v = {array}
+        v = {code}
     except EVAL_ERRORS:
         return None
     return v if _isinstance(v, _ndarray) else _full(b0.shape, v)
@@ -489,34 +490,10 @@ _INTERVAL_NAMES = {
 _INTERVAL_TEMPLATE = """\
 def compiled_interval(literals, b0, b1):
     try:
-        return {interval}
+        return {code}
     except EVAL_ERRORS:
         return None
 """
-
-
-@functools.lru_cache(maxsize=64)
-def _interval_function(template: str, n_literals: int) -> Callable:
-    """The interval function of a tree rendered in _INTERVAL as `template`:
-    interval(literals, b0, b1) takes the literals' values and the (lo, hi)
-    pairs b0 and b1, and returns a (lo, hi) pair of finite floats that holds
-    the scalar code's value at every point of the cell b0 x b1, or None
-    where it gives no such enclosure (or the code does not compile). Trees
-    that differ only in their numbers share one function."""
-    fields = [f"_point(literals[{i}])" for i in range(n_literals)]
-    code = template.format(*fields, b0="b0", b1="b1")
-    namespace = dict(_INTERVAL_NAMES)
-    try:
-        eval(compile(_INTERVAL_TEMPLATE.format(interval=code), "<expression>", "exec"), namespace)
-    except (RecursionError, MemoryError, SyntaxError):  # a long chain nests a call per term
-        return lambda literals, b0, b1: None
-    return namespace["compiled_interval"]
-
-
-# The affine tree a + c*b0 + d*b1, the RK4 kernel's affine map, and its
-# interval form: affine_interval((a, c, d), b0, b1).
-AFFINE_TREE = _Parser("0 + 0*b0 + 0*b1").parse()
-affine_interval = _interval_function(_render(AFFINE_TREE, _INTERVAL), 3)
 
 # The names every scalar and array function sees; each expression's own
 # namespace adds its literals, lit0, lit1, ..., and the _fail that names its
@@ -527,34 +504,76 @@ _NAMES = {
     "_map": _map, "_pow": operator.pow, "_div": _div, "_min": _min, "_max": _max,
     "_ndarray": np.ndarray, "_full": np.full,
 }
-# The code objects of the scalar and array functions, by their source text:
-# the literals are names, so expressions that differ only in their numbers
-# have one source and compile once per process. The oldest of more than
-# _CODES_SIZE goes first; a function keeps its code object all the same.
-# compile() is called where the text is written, without a frame around it:
-# CPython scales its compiler's nesting limit from the caller's stack depth,
-# and the kernel's fallback to calls rests on where that limit lies.
-_CODES: dict[str, CodeType] = {}
-_CODES_SIZE = 128
-
-
-# The array function of a shape whose array code is too deep to compile, kept
-# in _CODES in its place: it vouches for no point, and the points go through
-# the scalar function, which gives the same bits. The scalar code's failure
-# is not kept: CPython's nesting limit there follows the caller's stack depth.
+# The array code of a shape too deep to compile: it vouches for no point,
+# and the points go through the scalar function, which gives the same bits.
 _NO_ARRAY = compile("def compiled_array(b0, b1):\n    return None\n", "<expression>", "exec")
 
 
-def _keep(text: str, code: CodeType) -> CodeType:
-    """Keep code as the code object of the source text, and return it."""
-    if len(_CODES) >= _CODES_SIZE:
-        del _CODES[next(iter(_CODES))]
-    _CODES[text] = code
-    return code
+class _Shape:
+    """The compiled forms of one shape: its tree, its number of literals and
+    its scalar code object, and the array code and the interval function,
+    each rendered from the tree and compiled at its first use. Array code
+    too deep to compile is kept as _NO_ARRAY, and interval code as a
+    function that gives no enclosure; a scalar code object that does not
+    compile is not kept, as CPython's nesting limit there follows the
+    caller's stack depth."""
+
+    def __init__(self, tree, n_literals: int, code: CodeType | None):
+        self.tree = tree
+        self.n_literals = n_literals
+        self.code = code
+        self.array_code: CodeType | None = None
+        self.interval_function: Callable | None = None
+
+    def array(self, namespace: dict, b0, b1):
+        """The array function of the expression whose scalar function runs
+        in namespace, run in that namespace on the float arrays b0 and b1."""
+        fn = namespace.get("compiled_array")
+        if fn is None:
+            if self.array_code is None:
+                names = [f"lit{i}" for i in range(self.n_literals)]
+                self.array_code = self._compile(_ARRAY, _ARRAY_TEMPLATE, names) or _NO_ARRAY
+            exec(self.array_code, namespace)
+            fn = namespace["compiled_array"]
+        return fn(b0, b1)
+
+    def interval(self, literals: tuple[float, ...], b0, b1):
+        """The interval form at the literals' values: a (lo, hi) pair of
+        finite floats that holds the scalar code's value at every point of
+        the cell b0 x b1 of (lo, hi) pairs, or None where it gives no such
+        enclosure."""
+        if self.interval_function is None:
+            namespace = dict(_INTERVAL_NAMES, compiled_interval=lambda literals, b0, b1: None)
+            fields = [f"_point(literals[{i}])" for i in range(self.n_literals)]
+            code = self._compile(_INTERVAL, _INTERVAL_TEMPLATE, fields)
+            if code is not None:
+                exec(code, namespace)
+            self.interval_function = namespace["compiled_interval"]
+        return self.interval_function(literals, b0, b1)
+
+    def _compile(self, form: dict[str, str], template: str, fields: list[str]) -> CodeType | None:
+        """The tree rendered in form, with fields in its literals' places,
+        in template, compiled; None where that is too deep to compile (a
+        long chain of '/' or '^', or of any operation in the interval form,
+        nests a call per term)."""
+        code = _render(self.tree, form).format(*fields, b0="b0", b1="b1")
+        try:
+            return compile(template.format(code=code), "<expression>", "exec")
+        except (RecursionError, MemoryError, SyntaxError):
+            return None
 
 
-def _literal_names(n_literals: int) -> list[str]:
-    return [f"lit{i}" for i in range(n_literals)]
+# The affine tree a + c*b0 + d*b1, the RK4 kernel's affine map, and its
+# interval form: affine_interval((a, c, d), b0, b1). The kernel renders the
+# tree itself, so this shape has no scalar code.
+AFFINE_TREE = _Parser("0 + 0*b0 + 0*b1").parse()
+affine_interval = _Shape(AFFINE_TREE, 3, None).interval
+
+# The shapes by the source text of their scalar function, which names the
+# shape, as the literals are names. The oldest of more than _SHAPES_SIZE
+# goes first; a compiled map keeps its shape all the same.
+_SHAPES: dict[str, _Shape] = {}
+_SHAPES_SIZE = 128
 
 
 def compile_expression(source: str) -> Callable[[float, float], float]:
@@ -568,23 +587,22 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     Expressions that differ only in their numbers share one template. The
     map runs it with the names lit0, lit1, ... in the literal fields, bound
     to the literals' values, as the RK4 kernel does; it calls the functions
-    in SCALAR_FUNCTIONS by name. Each template is compiled once per process
-    (while its code object stays in a cache of _CODES_SIZE) and run in a
-    namespace of its own per expression. The map's `tree` attribute is the
-    parsed tree that template is rendered from (_render over _SCALAR).
+    in SCALAR_FUNCTIONS by name. Each template is one shape, whose forms
+    compile once per process (while it stays in a cache of _SHAPES_SIZE
+    shapes) and run on each expression's own literals. The map's `tree`
+    attribute is the parsed tree that template is rendered from.
 
     The map's `array` attribute is the expression's array form, compiled
-    from the same parse, with its literals bound the same way: array(b0, b1)
+    from the shape's tree, with its literals bound the same way: array(b0, b1)
     takes two float arrays of one shape and returns the unchecked values at
     every point, bit for bit the scalar map's wherever that returns, or None
     when the scalar map might raise at some point. Evaluate it under
     np.errstate(all="ignore"); a non-finite value marks a point where the
     scalar map raises.
 
-    The map's `interval` attribute is the interval form, compiled at its
-    first call: interval((lo0, hi0), (lo1, hi1)) returns a (lo, hi) pair
-    of finite floats holding the map's value at every point of that cell
-    of (b0, b1), or None."""
+    The map's `interval` attribute is the interval form: interval((lo0,
+    hi0), (lo1, hi1)) returns a (lo, hi) pair of finite floats holding the
+    map's value at every point of that cell of (b0, b1), or None."""
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)
 
@@ -592,14 +610,20 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
         parser = _Parser(source)
         tree = parser.parse()
         literals = tuple(parser.literals)
-        names = _literal_names(len(literals))
+        names = [f"lit{i}" for i in range(len(literals))]
         template = _render(tree, _SCALAR)
         code = template.format(*names, b0="b0", b1="b1")
         real = " and not _isinstance(v, _complex)" if "**" in code else ""
         text = _TEMPLATE.format(code=code, real=real)
-        compiled_code = _CODES.get(text)
-        if compiled_code is None:
-            compiled_code = _keep(text, compile(text, "<expression>", "exec"))
+        shape = _SHAPES.get(text)
+        if shape is None:
+            # compile() is called in this frame: CPython scales its compiler's
+            # nesting limit from the caller's stack depth, and the kernel's
+            # fallback to calls rests on where that limit lies.
+            shape = _Shape(tree, len(literals), compile(text, "<expression>", "exec"))
+            if len(_SHAPES) >= _SHAPES_SIZE:
+                del _SHAPES[next(iter(_SHAPES))]
+            _SHAPES[text] = shape
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
     # exec is safe here: the code is rendered only from the tree's literal
@@ -607,50 +631,10 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     # without builtins, seeing only the names below.
     namespace = dict(_NAMES, _fail=fail)
     namespace.update(zip(names, literals))
-    exec(compiled_code, namespace)
+    exec(shape.code, namespace)
     compiled = namespace["compiled"]
     compiled.scalar_code = (template, literals)
     compiled.tree = tree
-    compiled.array = _array_form(tree, len(literals), namespace)
-    compiled.interval = _interval_form(tree, literals)
+    compiled.array = functools.partial(shape.array, namespace)
+    compiled.interval = functools.partial(shape.interval, literals)
     return compiled
-
-
-def _array_form(tree, n_literals: int, namespace: dict) -> Callable:
-    """The array function of the tree, run in the scalar function's
-    namespace, rendered at its first call: the trajectory engines never
-    call it, and compiling a new shape costs as much as the scalar
-    function does. A shape whose array code does not compile gets
-    _NO_ARRAY, kept like any code object, so that it is not compiled again."""
-
-    def array_form(b0, b1):
-        fn = namespace.get("compiled_array")
-        if fn is None:
-            array = _render(tree, _ARRAY).format(*_literal_names(n_literals), b0="b0", b1="b1")
-            text = _ARRAY_TEMPLATE.format(array=array)
-            code = _CODES.get(text)
-            if code is None:
-                try:
-                    code = compile(text, "<expression>", "exec")
-                except (RecursionError, MemoryError, SyntaxError):  # '/' and '^' nest deeper here
-                    code = _NO_ARRAY
-                _keep(text, code)
-            exec(code, namespace)
-            fn = namespace["compiled_array"]
-        return fn(b0, b1)
-
-    return array_form
-
-
-def _interval_form(tree, literals: tuple[float, ...]) -> Callable:
-    """The interval function of the tree at its literals' values, rendered
-    at its first call: interval(b0, b1)."""
-    template = None
-
-    def interval_form(b0, b1):
-        nonlocal template
-        if template is None:
-            template = _render(tree, _INTERVAL)
-        return _interval_function(template, len(literals))(literals, b0, b1)
-
-    return interval_form

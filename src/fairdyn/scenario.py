@@ -186,6 +186,9 @@ class Scenario:
     def validate(self) -> None:
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name {self.name!r} in [scenario] must be a plain file name")
+        if self.name != self.name.strip() or any(c in self.name for c in "\n\r;"):
+            # to_text could not write it back: from_text strips a value and ends it at ';'
+            raise ScenarioError(f"name {self.name!r} in [scenario] has surrounding whitespace, a line break or ';'")
         if self.mode not in MODE_CODES:
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if self.time_mode not in ("DT", "CT"):
@@ -307,7 +310,7 @@ class Scenario:
 
     @staticmethod
     def from_text(text: str) -> "Scenario":
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)  # '%' is a character
         cp.optionxform = str  # keep key case (piA vs pia)
         try:
             cp.read_string(text)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import Policy, PopulationState, UtilitySpec, clamp01
 from .dynamics import DynamicsSpec, TrajectoryRecord, dt_trajectory
-from .policy import CASE_AA1, CASE_AA2, CASE_UN, MODE_CODES, determine_aa_case, policy_entries
+from .policy import CASE_TAGS, MODE_CODES, determine_aa_case, policy_entries
 
 
 class StereotypeValidityError(ValueError):
@@ -135,7 +135,7 @@ def stereotype_trajectory(
                 f"{steps} steps need steps + 1 = {steps + 1}"
             )
     g_a = state0.g_a
-    case_code = {"UN": CASE_UN, "AA1": CASE_AA1, "AA2": CASE_AA2}
+    case_code = {tag: code for code, tag in CASE_TAGS.items()}
 
     def policy_fn(pa: float, pb: float, step: int):
         # effective_policy takes the resolved case as its mode: one case per step

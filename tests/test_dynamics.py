@@ -138,6 +138,10 @@ def test_ct_rejects_bad_arguments():
         ({"h": math.inf}, "h must"),
         ({"sample_every": 0}, "sample_every must"),
         ({"sample_every": -3}, "sample_every must"),
+        ({"sample_every": 2.5}, "sample_every must be an integer"),
+        ({"sample_every": 2.0}, "sample_every must be an integer"),
+        ({"sample_every": math.nan}, "sample_every must be an integer"),
+        ({"sample_every": math.inf}, "sample_every must be an integer"),
         # not a whole number of steps: the run would end at t = 1.0, or at t = 0
         ({"t_end": 1.05, "h": 0.1}, r"t_end = 1\.05 is not a whole number of steps h = 0\.1"),
         ({"t_end": 0.04, "h": 0.1}, r"t_end = 0\.04 is not a whole number of steps h = 0\.1"),

@@ -416,9 +416,13 @@ def test_complex_power_has_no_array_value(source):
 # -- one code object per shape ------------------------------------------------
 
 
-def test_one_shape_shares_its_code():
+def test_one_shape_shares_its_code(monkeypatch):
     """Expressions that differ only in their numbers run one scalar and one
-    array code object, each on its own literals."""
+    array code object and one interval function, compiled once, each on its
+    own literals."""
+    compiles = []
+    monkeypatch.setattr(expr, "_SHAPES", {})
+    monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args) or compile(*args), raising=False)
     f, g = compile_expression("0.5*b0 + 0.25"), compile_expression("2*b0 + -1e999")
     assert f.__code__ is g.__code__
     b = np.array([0.0, 0.5])
@@ -426,9 +430,30 @@ def test_one_shape_shares_its_code():
         assert f.array(b, b).tolist() == [0.25, 0.5]
         assert g.array(b, b).tolist() == [-math.inf, -math.inf]
     assert f.__globals__["compiled_array"].__code__ is g.__globals__["compiled_array"].__code__
+    assert f.interval(_CELL, _CELL) == (0.25, 0.75)
+    assert g.interval(_CELL, _CELL) is None
+    assert len(expr._SHAPES) == 1
+    assert len(compiles) == 3  # the scalar, the array and the interval code, once each
     assert f(0.5, 0.0) == 0.5
     with pytest.raises(ExpressionEvaluationError, match=r"'2\*b0 \+ -1e999'.*result -inf"):
         g(0.5, 0.0)
+
+
+def test_a_compiled_shape_renders_only_the_scalar_form(monkeypatch):
+    """A second expression of a compiled shape renders its scalar code, which
+    names the shape, and no array or interval code at its first array and
+    interval calls."""
+    source = APPENDIX_F1.replace("18", "17")
+    f = compile_expression(source)
+    b = np.array([0.25, 0.5])
+    f.array(b, b), f.interval(_CELL, _CELL)
+    forms = []
+    render = expr._render
+    monkeypatch.setattr(expr, "_render", lambda node, form: forms.append(form) or render(node, form))
+    g = compile_expression(source.replace("17", "19"))
+    assert g.array(b, b).tolist() == [g(x, x) for x in b.tolist()]
+    assert g.interval(_CELL, _CELL) is not None
+    assert forms and all(form is expr._SCALAR for form in forms)
 
 
 def _literal_source(value: float) -> str:
@@ -488,8 +513,10 @@ def test_literals_bound_by_name_are_the_written_values(source, values, points):
 
 def test_code_cache_is_bounded():
     """More shapes than the cache holds: the cache keeps at most its bound
-    of code objects, and every map compiled earlier still evaluates."""
-    sums = [compile_expression("b0" + " + b1" * k) for k in range(expr._CODES_SIZE + 10)]
+    of shapes, and the scalar, array and interval forms of every map
+    compiled earlier still evaluate."""
+    sums = [compile_expression("b0" + " + b1" * k) for k in range(expr._SHAPES_SIZE + 10)]
+    assert len(expr._SHAPES) == expr._SHAPES_SIZE
     b = np.array([0.25, 0.5])
     for k, f in enumerate(sums):
         total = 0.25
@@ -497,7 +524,9 @@ def test_code_cache_is_bounded():
             total += 0.5
         assert f(0.25, 0.5) == total
         assert f.array(b, np.array([0.5, 0.5])).tolist() == [total, 0.5 + 0.5 * k]
-    assert len(expr._CODES) <= expr._CODES_SIZE
+        lo, hi = f.interval((0.25, 0.25), (0.5, 0.5))
+        assert lo <= total <= hi
+    assert len(expr._SHAPES) == expr._SHAPES_SIZE
 
 
 # -- the interval form --------------------------------------------------------
