@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _render, affine_interval
+from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _fold, _render, affine_interval
 from .policy import AA1_TESTS, MODE_AA, MODE_AA1, MODE_AA2, aa_scores, indent, policy_source
 
 BACKEND = "python"
@@ -401,7 +401,7 @@ def _maps(values, forms, merged: bool, frozen, b0_bound: bool) -> list[str]:
         elif frozen is None:
             code.append(f"{name} = " + _code(tree, i, n_literals, b0, b1, {}))
         else:
-            tree = _freeze(tree, b0_bound, frozen[i], f"c{i}_")
+            tree = _freeze(tree, n_literals, b0_bound, frozen[i], f"c{i}_")
             code.append(f"{name} = " + _code(tree, i, n_literals, b0, b1, frozen[i]))
         if guard == "certified":
             continue
@@ -435,24 +435,22 @@ def _code(tree, i: int, n_literals: int, b0: str, b1: str, frozen: dict) -> str:
     return _render(tree, _SCALAR).format(*fields, b0=b0, b1=b1, **names)
 
 
-def _freeze(tree, b0_bound: bool, frozen: dict, prefix: str):
-    """The tree with each largest subtree of _CONSTANT_KINDS over literals
-    (and b0, where b0_bound) replaced by a leaf naming its value: frozen
-    maps each such subtree to that name, prefix and a number, new ones
-    added."""
+def _freeze(tree, n_literals: int, b0_bound: bool, frozen: dict, prefix: str):
+    """The tree, of n_literals literals, with each largest subtree of
+    _CONSTANT_KINDS over literals (and b0, where b0_bound) replaced by a
+    leaf naming its value: frozen maps each such subtree to that name,
+    prefix and a number, new ones added."""
 
-    def walk(node):  # (the node with its constant subtrees named, whether it is constant)
-        if type(node) is not tuple:
-            return node, type(node) is int or (b0_bound and node == "b0")
-        walked = tuple(map(walk, node[1:]))
-        if node[0] in _CONSTANT_KINDS and all(constant for _, constant in walked):
-            return node, True
-        return (node[0], *(name(child) if constant else child for child, constant in walked)), False
+    def join(kind, *walked):  # (the node with its constant subtrees named, whether it is constant)
+        if kind in _CONSTANT_KINDS and all(constant for _, constant in walked):
+            return (kind, *(child for child, _ in walked)), True
+        return (kind, *(name(child) if constant else child for child, constant in walked)), False
 
     def name(node):  # a leaf stays: it is a literal's name or the 0.0 of b0
         if type(node) is not tuple:
             return node
         return frozen.setdefault(node, f"{prefix}{len(frozen)}")
 
-    node, constant = walk(tree)
+    leaves = {i: (i, True) for i in range(n_literals)} | {"b0": ("b0", b0_bound), "b1": ("b1", False)}
+    node, constant = _fold(tree, {kind: functools.partial(join, kind) for kind in _SCALAR}, leaves)
     return name(node) if constant else node

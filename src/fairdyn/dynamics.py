@@ -485,8 +485,7 @@ def dt_trajectory(
     final time is the one that would be applied next; cumulative utility
     sums the utilities of applied policies only.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    step_count("steps", steps, 0)
     code = MODE_CODES[mode] if policy_fn is None else None
     ga, u0, u1 = state0.g_a, u.u0, u.u1
     pa, pb = state0.pi_a.p1, state0.pi_b.p1
@@ -539,9 +538,15 @@ def ct_steps(t_end: float, h: float, sample_every: int | None = None) -> tuple[i
         )
     if sample_every is None:
         return n_steps, max(1, n_steps // 2000)
-    if not isinstance(sample_every, numbers.Integral) or sample_every < 1:  # the kernel counts steps in ints
-        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
-    return n_steps, sample_every
+    return n_steps, step_count("sample_every", sample_every, 1)
+
+
+def step_count(name: str, value, least: int) -> int:
+    """value, a count of steps: an integer >= least, as the engines count
+    steps in ints; otherwise a ValueError naming it."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def ct_integrate(

@@ -15,9 +15,10 @@ The parser builds only a tree of tuples. A node is an int i, the i-th
 numeric literal (a unary minus on a bare literal is folded into its
 value); "b0" or "b1"; or (kind, *children), with kind one of + - * / ^,
 "neg", "()" (the source's parentheses) or a function name. Each form of
-the expression is one table of a code template per kind, _SCALAR, _ARRAY
-and _INTERVAL, and _render fills them in over the tree, never
-reassociating or simplifying. The grammar's precedence and associativity
+the expression is one table keyed by kind, which one fold (_fold) applies
+over the tree, never reassociating or simplifying: _SCALAR and _ARRAY hold
+code templates, which _render fills in, and _INTERVAL the interval
+helpers, which interval() calls. The grammar's precedence and associativity
 are Python's own (unary minus binds looser than '^', which is right
 associative and takes a negated exponent), so the scalar function does the
 tree's IEEE operations in the tree's order, bit-reproducible on a given
@@ -27,10 +28,10 @@ The RK4 kernel inlines the scalar code, rendered from the tree
 (compile_expression's tree attribute) with _render over _SCALAR.
 
 No form writes a literal's value into its code: the scalar and array
-functions read the names lit0, lit1, ..., the kernel its arguments and the
-interval function its literals argument. So each shape, an expression up to
-its numbers, is rendered and compiled once per process in each form (_Shape),
-and expressions of one shape run the same code on their own literals' values.
+functions read the names lit0, lit1, ..., and the kernel its arguments. So
+each shape, an expression up to its numbers, is compiled once per process,
+its scalar and array functions in one code object (_SHAPES), and
+expressions of one shape run the same code on their own literals' values.
 Those are the same IEEE operations on the same doubles as code with the
 values written in: CPython folds a subtree of literals with the same float
 operations.
@@ -45,13 +46,14 @@ element-wise call that raises, a complex power) it returns None instead,
 and a non-finite value it returns marks a point where the scalar function
 raises.
 
-The interval function (_INTERVAL, after Moore's interval arithmetic) takes
-a cell, a (lo, hi) pair for each rate, and returns a (lo, hi) pair of
-finite floats that holds the scalar function's value at every point of the
-cell, or None where it cannot: a divisor that may be 0, a '^' base that may
-be <= 0, an end or a literal that is not finite, or code too deeply nested
-to compile. Where it returns a pair, the scalar function cannot raise in
-the cell, and the pair also holds the real values of the expression there.
+The interval form (interval(), after Moore's interval arithmetic) walks
+the tree; it is not compiled. It takes a cell, a (lo, hi) pair for each
+rate, and returns a (lo, hi) pair of finite floats that holds the scalar
+function's value at every point of the cell, or None where it cannot: a
+divisor that may be 0, a '^' base that may be <= 0, or an end or a literal
+that is not finite. Where it returns a pair, the scalar function cannot
+raise in the cell, and the pair also holds the real values of the
+expression there.
 The RK4 kernel drops its clamp and checks of a map whose enclosure over
 [0, 1]^2 lies inside [0, 1].
 """
@@ -111,9 +113,10 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., float]] = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs, "min": min, "max": max,
 }
 # The code template of each kind of node, one {} slot per child (a
-# function's arity). The array form calls Python's float functions element
-# by element (_map) where numpy's round differently (sin, cos, exp, np.power),
-# and does Python's min, max and '/' with their NaN, -0.0 and zero-divisor rules.
+# function's arity), as its bound str.format. The array form calls Python's
+# float functions element by element (_map) where numpy's round differently
+# (sin, cos, exp, np.power), and does Python's min, max and '/' with their
+# NaN, -0.0 and zero-divisor rules.
 _SCALAR = {
     "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "{} ** {}",
     "neg": "-{}", "()": "({})",
@@ -121,19 +124,13 @@ _SCALAR = {
     "min": "min({}, {})", "max": "max({}, {})",
 }
 _ARRAY = {
-    **_SCALAR, "/": "_div({}, {})", "^": "_map(_pow, {}, {})",
+    **_SCALAR, "/": "{} / _nonzero({})", "^": "_map(_pow, {}, {})",
     "sin": "_map(sin, {})", "cos": "_map(cos, {})", "exp": "_map(exp, {})",
     "min": "_min({}, {})", "max": "_max({}, {})",
 }
-
-# The interval form: each node's template calls a helper on (lo, hi) pairs
-# (below), and parentheses are the nesting of the calls.
-_INTERVAL = {
-    "+": "_iadd({}, {})", "-": "_isub({}, {})", "*": "_imul({}, {})", "/": "_idiv({}, {})",
-    "^": "_ipow({}, {})", "neg": "_ineg({})", "()": "{}",
-    "sin": "_isincos({})", "cos": "_isincos({})", "exp": "_iexp({})", "abs": "_iabs({})",
-    "min": "_imin({}, {})", "max": "_imax({}, {})",
-}
+_SCALAR, _ARRAY = (
+    {kind: template.format for kind, template in form.items()} for form in (_SCALAR, _ARRAY)
+)
 # The deepest nesting the parser accepts: parentheses, function calls, unary
 # minuses and '^' exponents, one within another. The parser recurses at most
 # seven Python frames a level, so at this depth it needs under half of
@@ -239,7 +236,7 @@ class _Parser:
             if self.accept("("):
                 if value not in SCALAR_FUNCTIONS:
                     raise UnknownIdentifierError(f"unknown function {value!r}", pos)
-                arity = _SCALAR[value].count("{}")
+                arity = _SCALAR[value].__self__.count("{}")  # its template's slots
                 args = [self.expr()]
                 while self.accept(","):
                     args.append(self.expr())
@@ -259,32 +256,54 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected {value or 'end'!r}", pos)
 
 
-def _render(node, form: dict[str, str]) -> str:
-    """The code of a tree in one form, as a str.format template: {b0} and
-    {b1} for the rates, {i} for the i-th literal, and each node its kind's
-    template in `form` filled with its children's code. A left-nested chain
-    of + - * / (a 1,000-term sum nests 999 deep) is rendered in a loop."""
+def _fold(node, table: dict[str, Callable], leaves):
+    """The tree folded bottom-up: a leaf's value is leaves[leaf], and a
+    node's is table[kind] called on its children's values, which are folded
+    left to right. A left-nested chain of + - * / (a 1,000-term sum nests
+    999 deep) is folded in a loop; any other node takes one frame, fewer
+    than the parser takes: what parses folds."""
     chain = []
     while type(node) is tuple and node[0] in "+-*/":
         chain.append(node)
         node = node[1]
-    if type(node) is not tuple:  # a leaf
-        code = f"{{{node}}}"
-    elif len(node) == 2:  # one frame per level, fewer than the parser's: what parses renders
-        code = form[node[0]].format(_render(node[1], form))
+    if type(node) is not tuple:
+        value = leaves[node]
+    elif len(node) == 2:
+        value = table[node[0]](_fold(node[1], table, leaves))
     else:
-        code = form[node[0]].format(_render(node[1], form), _render(node[2], form))
+        value = table[node[0]](_fold(node[1], table, leaves), _fold(node[2], table, leaves))
     for kind, _, right in reversed(chain):
-        code = form[kind].format(code, _render(right, form))
-    return code
+        value = table[kind](value, _fold(right, table, leaves))
+    return value
 
 
-# The whole expression becomes one scalar and one array function. In the
-# scalar one, the chained comparison is False for NaN and +-inf and raises
-# TypeError for a Python complex value. Only '**' turns real operands complex,
-# and numpy's complex128 compares without raising, so code with '**' also
-# checks the type. In the array one a subtree is a Python float when it has
-# no b0 or b1 in it, else a float array of the points' shape.
+class _Fields(dict):
+    """The str.format field of each leaf: {i} for the i-th literal and
+    {name} for a name, made at its first use and kept: _render looks each
+    leaf up rather than formatting its field again."""
+
+    def __missing__(self, leaf) -> str:
+        field = self[leaf] = f"{{{leaf}}}"
+        return field
+
+
+_FIELDS = _Fields()
+
+
+def _render(node, form: dict[str, Callable[..., str]]) -> str:
+    """The code of a tree in one form, as a str.format template: {b0} and
+    {b1} for the rates, {i} for the i-th literal, and each node its kind's
+    template in `form` filled with its children's code."""
+    return _fold(node, form, _FIELDS)
+
+
+# The whole expression becomes one scalar and one array function, compiled
+# together. In the scalar one, the chained comparison is False for NaN and
+# +-inf and raises TypeError for a Python complex value. Only '**' turns real
+# operands complex, and numpy's complex128 compares without raising, so code
+# with '**' also checks the type. In the array one a subtree is a Python
+# float when it has no b0 or b1 in it, else a float array of the points'
+# shape.
 _TEMPLATE = """\
 def compiled(b0, b1):
     try:
@@ -294,11 +313,11 @@ def compiled(b0, b1):
     except EVAL_ERRORS as exc:
         v = exc
     _fail(b0, b1, v)
-"""
-_ARRAY_TEMPLATE = """\
+
+
 def compiled_array(b0, b1):
     try:
-        v = {code}
+        v = {array_code}
     except EVAL_ERRORS:
         return None
     return v if _isinstance(v, _ndarray) else _full(b0.shape, v)
@@ -350,10 +369,12 @@ def _number(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return groups, order[new]
 
 
-def _div(a, b):
-    if np.any(b == 0.0):  # Python raises where numpy returns inf or NaN
+def _nonzero(b):
+    """The divisor b, where none of its values is 0: Python raises where
+    numpy returns inf or NaN."""
+    if np.any(b == 0.0):
         raise ZeroDivisionError("division by zero")
-    return a / b
+    return b
 
 
 def _min(a, b):
@@ -481,19 +502,23 @@ def _imax(a, b):
     return max(a[0], b[0]), max(a[1], b[1])
 
 
-_INTERVAL_NAMES = {
-    "__builtins__": {}, "EVAL_ERRORS": EVAL_ERRORS, "_point": _point,
-    "_iadd": _iadd, "_isub": _isub, "_imul": _imul, "_idiv": _idiv, "_ipow": _ipow,
-    "_iexp": _iexp, "_isincos": _isincos, "_ineg": _ineg, "_iabs": _iabs,
-    "_imin": _imin, "_imax": _imax,
+# The interval helper of each kind of node; parentheses keep the pair.
+_INTERVAL = {
+    "+": _iadd, "-": _isub, "*": _imul, "/": _idiv, "^": _ipow, "neg": _ineg, "()": tuple,
+    "sin": _isincos, "cos": _isincos, "exp": _iexp, "abs": _iabs, "min": _imin, "max": _imax,
 }
-_INTERVAL_TEMPLATE = """\
-def compiled_interval(literals, b0, b1):
+
+
+def interval(tree, literals: tuple[float, ...], b0, b1) -> tuple[float, float] | None:
+    """The interval form of tree at the literals' values: a (lo, hi) pair of
+    finite floats that holds the tree's scalar code's value at every point
+    of the cell b0 x b1 of (lo, hi) pairs, or None where it gives no such
+    enclosure."""
     try:
-        return {code}
+        return _fold(tree, _INTERVAL, dict(enumerate(map(_point, literals)), b0=b0, b1=b1))
     except EVAL_ERRORS:
         return None
-"""
+
 
 # The names every scalar and array function sees; each expression's own
 # namespace adds its literals, lit0, lit1, ..., and the _fail that names its
@@ -501,78 +526,19 @@ def compiled_interval(literals, b0, b1):
 _NAMES = {
     **SCALAR_FUNCTIONS, "__builtins__": {}, "EVAL_ERRORS": EVAL_ERRORS,
     "_isinstance": isinstance, "_complex": complex,
-    "_map": _map, "_pow": operator.pow, "_div": _div, "_min": _min, "_max": _max,
+    "_map": _map, "_pow": operator.pow, "_nonzero": _nonzero, "_min": _min, "_max": _max,
     "_ndarray": np.ndarray, "_full": np.full,
 }
-# The array code of a shape too deep to compile: it vouches for no point,
-# and the points go through the scalar function, which gives the same bits.
-_NO_ARRAY = compile("def compiled_array(b0, b1):\n    return None\n", "<expression>", "exec")
-
-
-class _Shape:
-    """The compiled forms of one shape: its tree, its number of literals and
-    its scalar code object, and the array code and the interval function,
-    each rendered from the tree and compiled at its first use. Array code
-    too deep to compile is kept as _NO_ARRAY, and interval code as a
-    function that gives no enclosure; a scalar code object that does not
-    compile is not kept, as CPython's nesting limit there follows the
-    caller's stack depth."""
-
-    def __init__(self, tree, n_literals: int, code: CodeType | None):
-        self.tree = tree
-        self.n_literals = n_literals
-        self.code = code
-        self.array_code: CodeType | None = None
-        self.interval_function: Callable | None = None
-
-    def array(self, namespace: dict, b0, b1):
-        """The array function of the expression whose scalar function runs
-        in namespace, run in that namespace on the float arrays b0 and b1."""
-        fn = namespace.get("compiled_array")
-        if fn is None:
-            if self.array_code is None:
-                names = [f"lit{i}" for i in range(self.n_literals)]
-                self.array_code = self._compile(_ARRAY, _ARRAY_TEMPLATE, names) or _NO_ARRAY
-            exec(self.array_code, namespace)
-            fn = namespace["compiled_array"]
-        return fn(b0, b1)
-
-    def interval(self, literals: tuple[float, ...], b0, b1):
-        """The interval form at the literals' values: a (lo, hi) pair of
-        finite floats that holds the scalar code's value at every point of
-        the cell b0 x b1 of (lo, hi) pairs, or None where it gives no such
-        enclosure."""
-        if self.interval_function is None:
-            namespace = dict(_INTERVAL_NAMES, compiled_interval=lambda literals, b0, b1: None)
-            fields = [f"_point(literals[{i}])" for i in range(self.n_literals)]
-            code = self._compile(_INTERVAL, _INTERVAL_TEMPLATE, fields)
-            if code is not None:
-                exec(code, namespace)
-            self.interval_function = namespace["compiled_interval"]
-        return self.interval_function(literals, b0, b1)
-
-    def _compile(self, form: dict[str, str], template: str, fields: list[str]) -> CodeType | None:
-        """The tree rendered in form, with fields in its literals' places,
-        in template, compiled; None where that is too deep to compile (a
-        long chain of '/' or '^', or of any operation in the interval form,
-        nests a call per term)."""
-        code = _render(self.tree, form).format(*fields, b0="b0", b1="b1")
-        try:
-            return compile(template.format(code=code), "<expression>", "exec")
-        except (RecursionError, MemoryError, SyntaxError):
-            return None
-
 
 # The affine tree a + c*b0 + d*b1, the RK4 kernel's affine map, and its
-# interval form: affine_interval((a, c, d), b0, b1). The kernel renders the
-# tree itself, so this shape has no scalar code.
+# interval form: affine_interval((a, c, d), b0, b1).
 AFFINE_TREE = _Parser("0 + 0*b0 + 0*b1").parse()
-affine_interval = _Shape(AFFINE_TREE, 3, None).interval
+affine_interval = functools.partial(interval, AFFINE_TREE)
 
-# The shapes by the source text of their scalar function, which names the
-# shape, as the literals are names. The oldest of more than _SHAPES_SIZE
-# goes first; a compiled map keeps its shape all the same.
-_SHAPES: dict[str, _Shape] = {}
+# The code object of each shape, by its scalar code, which names the shape,
+# as the literals are names. The oldest of more than _SHAPES_SIZE goes
+# first; a compiled map keeps its functions all the same.
+_SHAPES: dict[str, CodeType] = {}
 _SHAPES_SIZE = 128
 
 
@@ -587,22 +553,23 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     Expressions that differ only in their numbers share one template. The
     map runs it with the names lit0, lit1, ... in the literal fields, bound
     to the literals' values, as the RK4 kernel does; it calls the functions
-    in SCALAR_FUNCTIONS by name. Each template is one shape, whose forms
-    compile once per process (while it stays in a cache of _SHAPES_SIZE
-    shapes) and run on each expression's own literals. The map's `tree`
-    attribute is the parsed tree that template is rendered from.
+    in SCALAR_FUNCTIONS by name. Each template is one shape, whose scalar
+    and array functions compile together, once per process (while it stays
+    in a cache of _SHAPES_SIZE shapes), and run on each expression's own
+    literals. The map's `tree` attribute is the parsed tree that template is
+    rendered from.
 
-    The map's `array` attribute is the expression's array form, compiled
-    from the shape's tree, with its literals bound the same way: array(b0, b1)
-    takes two float arrays of one shape and returns the unchecked values at
-    every point, bit for bit the scalar map's wherever that returns, or None
-    when the scalar map might raise at some point. Evaluate it under
-    np.errstate(all="ignore"); a non-finite value marks a point where the
-    scalar map raises.
+    The map's `array` attribute is the expression's array function, with its
+    literals bound the same way: array(b0, b1) takes two float arrays of one
+    shape and returns the unchecked values at every point, bit for bit the
+    scalar map's wherever that returns, or None when the scalar map might
+    raise at some point. Evaluate it under np.errstate(all="ignore"); a
+    non-finite value marks a point where the scalar map raises.
 
-    The map's `interval` attribute is the interval form: interval((lo0,
-    hi0), (lo1, hi1)) returns a (lo, hi) pair of finite floats holding the
-    map's value at every point of that cell of (b0, b1), or None."""
+    The map's `interval` attribute is the interval form, which walks the
+    tree: interval((lo0, hi0), (lo1, hi1)) returns a (lo, hi) pair of finite
+    floats holding the map's value at every point of that cell of (b0, b1),
+    or None."""
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)
 
@@ -613,17 +580,18 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
         names = [f"lit{i}" for i in range(len(literals))]
         template = _render(tree, _SCALAR)
         code = template.format(*names, b0="b0", b1="b1")
-        real = " and not _isinstance(v, _complex)" if "**" in code else ""
-        text = _TEMPLATE.format(code=code, real=real)
-        shape = _SHAPES.get(text)
+        shape = _SHAPES.get(code)
         if shape is None:
+            real = " and not _isinstance(v, _complex)" if "**" in code else ""
+            array_code = _render(tree, _ARRAY).format(*names, b0="b0", b1="b1")
+            text = _TEMPLATE.format(code=code, real=real, array_code=array_code)
             # compile() is called in this frame: CPython scales its compiler's
             # nesting limit from the caller's stack depth, and the kernel's
             # fallback to calls rests on where that limit lies.
-            shape = _Shape(tree, len(literals), compile(text, "<expression>", "exec"))
+            shape = compile(text, "<expression>", "exec")
             if len(_SHAPES) >= _SHAPES_SIZE:
                 del _SHAPES[next(iter(_SHAPES))]
-            _SHAPES[text] = shape
+            _SHAPES[code] = shape
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
     # exec is safe here: the code is rendered only from the tree's literal
@@ -631,10 +599,10 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     # without builtins, seeing only the names below.
     namespace = dict(_NAMES, _fail=fail)
     namespace.update(zip(names, literals))
-    exec(shape.code, namespace)
+    exec(shape, namespace)
     compiled = namespace["compiled"]
     compiled.scalar_code = (template, literals)
     compiled.tree = tree
-    compiled.array = functools.partial(shape.array, namespace)
-    compiled.interval = functools.partial(shape.interval, literals)
+    compiled.array = namespace["compiled_array"]
+    compiled.interval = functools.partial(interval, tree, literals)
     return compiled

@@ -33,6 +33,7 @@ from .dynamics import (
     grid_axis,
     make_builtin,
     parse_dynamics,
+    step_count,
 )
 from .expr import ExpressionError, compile_expression
 from .policy import MODE_CODES
@@ -186,22 +187,24 @@ class Scenario:
     def validate(self) -> None:
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name {self.name!r} in [scenario] must be a plain file name")
-        if self.name != self.name.strip() or any(c in self.name for c in "\n\r;"):
-            # to_text could not write it back: from_text strips a value and ends it at ';'
-            raise ScenarioError(f"name {self.name!r} in [scenario] has surrounding whitespace, a line break or ';'")
         if self.mode not in MODE_CODES:
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if self.time_mode not in ("DT", "CT"):
             raise ScenarioError(f"unknown time mode {self.time_mode!r}")
-        if self.steps < 0:
-            raise ScenarioError("steps must be >= 0")
         try:
+            step_count("steps", self.steps, 0)
             ct_steps(self.t_end, self.h, self.sample_every)
         except ValueError as exc:
             raise ScenarioError(f"[scenario] {exc}") from exc
         if (self.dynamics_builtin is None) == (self.expr_f0 is None):
             raise ScenarioError("specify exactly one of builtin dynamics or expressions")
-        scenario_format(self.dynamics_builtin)  # rejects an unknown builtin
+        for section, key, attr, kind in scenario_format(self.dynamics_builtin):  # rejects an unknown builtin
+            value = getattr(self, attr) if kind is _STR else None
+            if isinstance(value, str) and (value != value.strip() or any(c in value for c in "\n\r;")):
+                # to_text could not write it back: from_text strips a value and ends it at ';'
+                raise ScenarioError(
+                    f"{key} {value!r} in [{section}] has surrounding whitespace, a line break or ';'"
+                )
         if self.expr_f0 is not None and self.expr_f1 is None:
             raise ScenarioError("expression dynamics need both f0 and f1")
         if self.dynamics_builtin is not None and (
@@ -215,6 +218,7 @@ class Scenario:
             self.initial_state()
             self.utility_spec()
             self.make_dynamics()
+            self.stereotype_spec()
         except KeyError as exc:  # the builtin is known, so a parameter is missing
             raise ScenarioError(
                 f"missing key {exc.args[0]!r} in [dynamics] for builtin = {self.dynamics_builtin}"
@@ -262,12 +266,19 @@ class Scenario:
         return UtilitySpec(u0=self.u0, u1=self.u1)
 
     def stereotype_spec(self) -> StereotypeSpec | None:
+        """The [stereotype] schedules, or None where there are none. They
+        apply to DT runs only (else ScenarioError), and a per-step schedule
+        needs an entry for each of the steps + 1 samples (else ValueError)."""
         if self.eps_a is None and self.eps_b is None:
             return None
-        return StereotypeSpec(
+        if self.time_mode != "DT":
+            raise ScenarioError("stereotype schedules are supported in DT only")
+        spec = StereotypeSpec(
             eps_a=0.0 if self.eps_a is None else self.eps_a,
             eps_b=0.0 if self.eps_b is None else self.eps_b,
         )
+        spec.check_steps(self.steps)
+        return spec
 
     def run_trajectory(self, strict: bool = False) -> TrajectoryRecord:
         return self._trajectory(self.mode, self.make_dynamics(), self.stereotype_spec(), strict)
@@ -277,9 +288,7 @@ class Scenario:
     ) -> TrajectoryRecord:
         state0 = self.initial_state()
         u = self.utility_spec()
-        if eps is not None:
-            if self.time_mode != "DT":
-                raise ScenarioError("stereotype schedules are supported in DT only")
+        if eps is not None:  # a DT run (stereotype_spec)
             return stereotype_trajectory(state0, mode, u, dyn, eps, self.steps, strict=strict)
         if self.time_mode == "DT":
             return dt_trajectory(state0, mode, u, dyn, self.steps, strict=strict)

@@ -29,6 +29,16 @@ class StereotypeSpec:
         eb = self.eps_b if isinstance(self.eps_b, (int, float)) else self.eps_b[step]
         return float(ea), float(eb)
 
+    def check_steps(self, steps: int) -> None:
+        """Raise ValueError where a per-step schedule has fewer entries than
+        the steps + 1 samples of a run of `steps` steps."""
+        for name, key, schedule in (("eps_a", "epsA", self.eps_a), ("eps_b", "epsB", self.eps_b)):
+            if not isinstance(schedule, (int, float)) and len(schedule) < steps + 1:
+                raise ValueError(
+                    f"the {name} ({key}) schedule has {len(schedule)} entries; "
+                    f"{steps} steps need steps + 1 = {steps + 1}"
+                )
+
     def validate_for(self, state: PopulationState, step: int = 0) -> None:
         ea, eb = self.at(step)
         pa, pb = state.pi_a.p1, state.pi_b.p1
@@ -126,14 +136,9 @@ def stereotype_trajectory(
     substituted; additionally records the per-evaluation v=1 rate gap
     |beta(1;A) - beta(1;B)| per step in extras["rate_gap_v1"]. A per-step
     schedule needs an entry for each of the steps + 1 samples; a shorter one
-    raises ValueError before the first step.
+    raises ValueError before the first step (StereotypeSpec.check_steps).
     """
-    for name, key, schedule in (("eps_a", "epsA", eps.eps_a), ("eps_b", "epsB", eps.eps_b)):
-        if not isinstance(schedule, (int, float)) and len(schedule) < steps + 1:
-            raise ValueError(
-                f"the {name} ({key}) schedule has {len(schedule)} entries; "
-                f"{steps} steps need steps + 1 = {steps + 1}"
-            )
+    eps.check_steps(steps)
     g_a = state0.g_a
     case_code = {tag: code for code, tag in CASE_TAGS.items()}
 

@@ -148,6 +148,9 @@ def test_ct_rejects_bad_arguments():
     ):
         with pytest.raises(ValueError, match=named):
             ct_integrate(state, "UN", U, CONST, **{"t_end": 1.0, "h": 0.01, **bad})
+    for steps in (-1, 2.5, 2.0, math.nan, math.inf):  # dt_trajectory's count of steps
+        with pytest.raises(ValueError, match=f"steps must be an integer >= 0, got {steps!r}"):
+            dt_trajectory(state, "UN", U, CONST, steps)
 
 
 def test_ct_step_halving_check_passes():

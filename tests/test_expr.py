@@ -1,7 +1,11 @@
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,20 +389,14 @@ def test_map_keys_points_by_bit_pattern():
         assert seen[int(v) - 1] == (x,)
 
 
-def test_an_array_form_that_does_not_compile_is_not_compiled_again(monkeypatch):
-    """A shape whose array code is too deep to compile keeps that failure:
-    a second expression of the shape has no array form either, without a
-    compile, and its points take the scalar function."""
-    chain = "/".join(["b1"] * 999)
-    f, g = compile_expression(chain + "/2"), compile_expression(chain + "/4")
-    b = np.array([0.5, 1.0])
-    assert f.array(b, b) is None
-    compiles = []
-    monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args) or compile(*args), raising=False)
-    assert g.array(b, b) is None
-    assert compiles == []
-    dyn = parse_dynamics(chain + "/4", "0.5")
-    assert dyn.sample(b, b)[0].tolist() == [dyn.f0_clamped(x, x) for x in b.tolist()] == [1.0, 0.25]
+def test_a_long_division_chain_has_an_array_form():
+    """A 999-term '/' chain's array code nests no deeper than its scalar
+    code: its values are the scalar function's bits, and a zero divisor
+    anywhere still gives None."""
+    f = compile_expression("/".join(["b1"] * 998) + "/4")
+    b = np.array([0.5, 1.0, 1.001, -0.999])
+    assert [repr(v) for v in f.array(b, b).tolist()] == [repr(f(x, x)) for x in b.tolist()]
+    assert f.array(b, np.array([0.5, 0.0, 1.0, 1.0])) is None
 
 
 @pytest.mark.parametrize("source", ["b0 + (0-1)^0.5", "b0*(-0.5)^0.5", "(b0-2)^0.5"])
@@ -417,9 +415,9 @@ def test_complex_power_has_no_array_value(source):
 
 
 def test_one_shape_shares_its_code(monkeypatch):
-    """Expressions that differ only in their numbers run one scalar and one
-    array code object and one interval function, compiled once, each on its
-    own literals."""
+    """Expressions that differ only in their numbers run one code object,
+    which holds their scalar and array functions and is compiled once, each
+    on its own literals; the interval form compiles nothing."""
     compiles = []
     monkeypatch.setattr(expr, "_SHAPES", {})
     monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args) or compile(*args), raising=False)
@@ -433,10 +431,19 @@ def test_one_shape_shares_its_code(monkeypatch):
     assert f.interval(_CELL, _CELL) == (0.25, 0.75)
     assert g.interval(_CELL, _CELL) is None
     assert len(expr._SHAPES) == 1
-    assert len(compiles) == 3  # the scalar, the array and the interval code, once each
+    assert len(compiles) == 1
     assert f(0.5, 0.0) == 0.5
     with pytest.raises(ExpressionEvaluationError, match=r"'2\*b0 \+ -1e999'.*result -inf"):
         g(0.5, 0.0)
+
+
+def test_nothing_compiles_at_import():
+    """Importing the command line compiles no expression shape and no RK4
+    kernel: both compile at their first use."""
+    code = "import fairdyn.cli\nfrom fairdyn import _loops_py, expr\nprint(len(expr._SHAPES), _loops_py._kernel.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(expr.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0", "0"]
 
 
 def test_a_compiled_shape_renders_only_the_scalar_form(monkeypatch):
@@ -579,7 +586,6 @@ def test_interval_form_encloses_the_scalar_values(source, points, kind):
         "b0*1e308*10",  # an end that is not finite
         "1e999 - 1e999*b1",  # a literal that is not finite
         "min(1e999, b0)",
-        "+".join(["b0"] * 1000),  # a chain whose interval code nests too deeply
     ],
     ids=lambda source: source[:20],
 )
@@ -617,6 +623,12 @@ def test_arithmetic_enclosures_hold_the_real_values(a, b):
         assert Fraction(lo) <= min(real) and max(real) <= Fraction(hi), (op, a, b)
         assert Fraction(math.nextafter(math.nextafter(lo, math.inf), math.inf)) >= min(real)
         assert Fraction(math.nextafter(math.nextafter(hi, -math.inf), -math.inf)) <= max(real)
+
+
+def test_a_long_sum_has_an_enclosure():
+    """The interval form walks a chain in a loop, as _render does: a
+    1,000-term sum of exact terms encloses exactly."""
+    assert compile_expression("+".join(["b0"] * 1000)).interval(_CELL, _CELL) == (0.0, 1000.0)
 
 
 def test_exact_interval_ends_are_kept():

@@ -650,6 +650,20 @@ def test_each_map_is_certified_once(monkeypatch):
     assert (info.hits, info.misses) == (4, 2)  # both maps of a run share their tuple
 
 
+@pytest.mark.parametrize("terms", [300, 1000])
+def test_a_long_certified_chain_runs_the_certified_kernel(monkeypatch, terms):
+    """The interval form and the kernel's constant folding walk a chain in a
+    loop: a long sum is certified, the kernel inlines it without checks,
+    and it gives the reference's samples."""
+    dyn = parse_dynamics("0.2 + 0.1*b0", "+".join([f"{0.9 / terms!r}*b1"] * terms))
+    args = (0.7, 0.2, 0.4, -1.5, 1.0, 1, dyn.f0, dyn.f1, None, 0.01, 60, 7, 1e-10, 0.0)
+    (forms,) = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
+    assert [form[3] for form in forms] == ["certified", "certified"]
+    assert dyn.f1.unit_certified is True
+    assert _loops_py._kernel(1, *forms) is not _loops_py._kernel(1, *_loops_py._CALLS)
+    assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
+
+
 _SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, -1e-300, 5e-324])
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
-from fairdyn.cli import APPENDIX_C_F0, APPENDIX_C_F1, main
+from fairdyn.cli import APPENDIX_C_F0, APPENDIX_C_F1, SCENARIO_COMMANDS, main
 from fairdyn.scenario import Scenario, ScenarioError, export_field
 
 DEMO = """\
@@ -86,8 +86,11 @@ _DYNAMICS_FORMS = st.one_of(
     }),
     st.fixed_dictionaries({"dynamics_builtin": st.just("appendixC")}),
     st.fixed_dictionaries({
-        "expr_f0": st.sampled_from(["0.2 + 0.05*b0", "(b1 + b1/5)/1.2 + 0.01", "min(b0, 0.3)"]),
-        "expr_f1": st.sampled_from(["0.8 - 0.02*b1", "exp(-b0)*sin(b1) + 0.5", "0.7"]),
+        # with surrounding whitespace or a line break, which to_text cannot write back
+        "expr_f0": st.sampled_from(
+            ["0.2 + 0.05*b0", "(b1 + b1/5)/1.2 + 0.01", "min(b0, 0.3)", " 0.5 + 0.1*b0", "0.5\n+0.1*b0"]
+        ),
+        "expr_f1": st.sampled_from(["0.8 - 0.02*b1", "exp(-b0)*sin(b1) + 0.5", "0.7", "0.7 ", "0.7\n"]),
         "declared_l0": st.none() | _finite(0, 100),
         "declared_l1": st.none() | _finite(0, 100),
     }),
@@ -121,12 +124,20 @@ _SCENARIOS = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(_SCENARIOS)
 def test_to_text_round_trip_property(scenario):
-    """A drawn scenario is rejected only for a name that to_text could not
-    write back, and otherwise reads back as itself."""
+    """A drawn scenario is rejected only for a name or an expression that
+    to_text could not write back, or for a stereotype schedule that a CT
+    run, or a DT run of its steps, cannot take; otherwise it reads back as
+    itself."""
     try:
         scenario.validate()
     except ScenarioError as exc:
-        assert str(exc).startswith(f"name {scenario.name!r} in [scenario]")
+        message = str(exc)
+        written = [(key, value) for key, value in (("f0", scenario.expr_f0), ("f1", scenario.expr_f1)) if value]
+        assert (
+            any(message.startswith(f"{key} {value!r} in [") for key, value in [("name", scenario.name), *written])
+            or message == "stereotype schedules are supported in DT only"
+            or re.match(r"the eps_[ab] \(eps[AB]\) schedule has", message)
+        ), message
         return
     text = scenario.to_text()
     again = Scenario.from_text(text)
@@ -220,6 +231,19 @@ BAD_VALUES = [
 ]
 
 
+# (Scenario fields, what validate's error names): values that the file format
+# cannot hold, or could not write back.
+BAD_FIELDS = [
+    ({"steps": 2.5}, "[scenario] steps must be an integer >= 0, got 2.5"),
+    ({"steps": math.nan}, "[scenario] steps must be an integer >= 0, got nan"),
+    ({"steps": -1}, "[scenario] steps must be an integer >= 0, got -1"),
+    ({"expr_f0": " 0.5 + 0.1*b0"}, "f0 ' 0.5 + 0.1*b0' in [dynamics] has surrounding whitespace"),
+    ({"expr_f0": "0.5\n+0.1*b0"}, "f0 '0.5\\n+0.1*b0' in [dynamics] has surrounding whitespace"),
+    ({"expr_f1": "0.8;"}, "f1 '0.8;' in [dynamics] has surrounding whitespace"),
+    ({"name": "demo "}, "name 'demo ' in [scenario] has surrounding whitespace"),
+]
+
+
 def test_invalid_scenarios_rejected():
     with pytest.raises(ScenarioError):
         Scenario.from_text(DEMO.replace("mode = AA", "mode = XX"))
@@ -235,6 +259,10 @@ def test_invalid_scenarios_rejected():
         assert old in DEMO
         with pytest.raises(ScenarioError, match=re.escape(named)):
             Scenario.from_text(DEMO.replace(old, new))
+    for fields, named in BAD_FIELDS:
+        scenario = Scenario(**{"name": "x", "expr_f0": "0.2", "expr_f1": "0.8", **fields})
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            scenario.validate()
 
 
 def test_scenario_name_cannot_escape_out_dir(tmp_path):
@@ -275,7 +303,7 @@ def test_readme_scenario_example_parses():
     assert (scenario.name, scenario.mode, scenario.time_mode) == ("example", "AA", "CT")
     assert scenario.expr_f0 == "0.2 + 0.05*b0" and scenario.expr_f1 == "0.8 - 0.02*b1"
     assert (scenario.declared_l0, scenario.declared_l1) == (0.05, 0.02)
-    assert (scenario.eps_a, scenario.eps_b) == (0.0, -0.05)
+    assert (scenario.eps_a, scenario.eps_b) == (None, None)  # [stereotype] is for DT scenarios
 
 
 def test_trajectory_row_count_dt(tmp_path):
@@ -728,6 +756,25 @@ def test_short_stereotype_schedule_exits_2(tmp_path, capsys):
     path.write_text(text + ",".join(["0.01"] * 7) + "\n")
     assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "demo_trajectory.csv").read_text().splitlines()) == 1 + 6
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("time = DT", "time = CT\nt_end = 1\nh = 0.01", "stereotype schedules are supported in DT only"),
+        ("steps = 20", "steps = 5", "the eps_b (epsB) schedule has 2 entries; 5 steps need steps + 1 = 6"),
+    ],
+    ids=["CT", "short schedule"],
+)
+def test_stereotype_rules_exit_2_on_every_subcommand(tmp_path, capsys, old, new, message):
+    """A stereotype schedule that the scenario's run cannot take is invalid
+    input when the file is read, whichever subcommand reads it."""
+    path = tmp_path / "demo.scn"
+    path.write_text(DEMO.replace(old, new) + "\n[stereotype]\nepsB = -0.05,0.0\n")
+    for command in SCENARIO_COMMANDS:
+        assert main([command, str(path), "--out", str(tmp_path)]) == 2, command
+        assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_verify_subcommand(capsys):
