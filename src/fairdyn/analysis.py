@@ -16,7 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PopulationState, UtilitySpec
-from .dynamics import DynamicsSpec, TrajectoryRecord, ct_integrate, dt_map, grid_axis, max_grid_slope
+from .dynamics import (
+    DynamicsSpec,
+    TrajectoryRecord,
+    ct_integrate,
+    dt_map,
+    grid_axis,
+    max_grid_slope,
+    step_count,
+    un_map,
+)
 from .policy import aa_scores
 
 CONTRACTIVITY_MARGIN = 1e-6
@@ -73,8 +82,7 @@ def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> Contractio
     declared Lipschitz constant replaces its sampled slope once
     dyn.check_declared has passed it (ValueError if not).
     """
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
+    step_count("resolution", resolution, 64)
     xs, f0, f1 = dyn.sample_grid(resolution)
     l0, l1 = max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1])
     dyn.check_declared(l0, l1)
@@ -130,8 +138,7 @@ def check_status_quo_bias(dyn: DynamicsSpec, resolution: int = 256) -> StatusQuo
     """Verify f1 >= f0 - 1e-12 on dyn.sample_grid(resolution), the grid the
     spec keeps; the counterexample is the first failing point in row-major
     order."""
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
+    step_count("resolution", resolution, 64)
     xs, f0, f1 = dyn.sample_grid(resolution)
     bad = np.flatnonzero(f1 < f0 - 1e-12)
     if not bad.size:
@@ -180,15 +187,6 @@ class EquilibriumAtlas:
 def _delimiters(unstable: list[float]) -> list[float]:
     """0, the unstable points strictly inside (0, 1) in order, then 1."""
     return [0.0] + sorted(d for d in unstable if 0.0 < d < 1.0) + [1.0]
-
-
-def un_map(dyn: DynamicsSpec):
-    """The one-dimensional profile map induced by the unconstrained policy."""
-
-    def f(pi: float) -> float:
-        return min(1.0, max(0.0, dt_map(pi, dyn.f1_clamped(0.0, pi), dyn.f0_clamped(0.0, pi))))
-
-    return f
 
 
 def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray:
@@ -300,6 +298,9 @@ def delta_bounds(
     contraction: float, delta0: float, t: float, mode: str
 ) -> tuple[float, float]:
     """Two-sided gap envelope: CT exponential pair, DT geometric upper bound."""
+    for name, value in (("contraction", contraction), ("delta0", delta0), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 <= contraction < 1.0):
         raise ValueError("contraction constant must lie in [0, 1)")
     if t < 0.0:

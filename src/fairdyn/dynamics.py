@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import struct
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -19,11 +20,126 @@ import numpy as np
 
 from . import _kernels
 from ._loops_py import CT_RATE, ct_rate
-from .core import PopulationState, QualificationProfile, UtilitySpec, clamp01
+from .core import CLAMP01, PopulationState, QualificationProfile, UtilitySpec, clamp01
 from .expr import compile_expression
-from .policy import CASE_TAGS, CASE_UN, MODE_CODES, aa_scores, policy_entries, policy_entries_array
+from .policy import (
+    CASE_TAGS,
+    CASE_UN,
+    MODE_CODES,
+    aa_scores,
+    indent,
+    mode_code,
+    policy_entries,
+    policy_entries_array,
+    unknown_mode,
+)
 
 MERGE_TOL = 1e-10
+
+# The DT profile map, unclamped, at qualified fraction x and clamped map
+# values f1, f0, as source: un_map writes it in, and dt_map(x, f1, f0)
+# (floats or arrays; f1 first, as the maps are called) is compiled from it.
+DT_MAP = "{x} * {f1} + (1.0 - {x}) * {f0}"
+dt_map = eval(compile("lambda x, f1, f0: " + DT_MAP.format(x="x", f1="f1", f0="f0"), "<dt_map>", "eval"))
+
+# The map-value rule as source: {v} becomes the value of the map {which},
+# called as {f}({b0}, {b1}), of the spec {dyn}. A float in [0, 1] is used as
+# is (-0.0 stays -0.0). Any other float is clamped to [0, 1], and a NaN
+# raises a ValueError naming the map and the point. Any other value goes
+# through float() once (which may raise), then the same rule. This is the
+# rule's one source: f0_clamped/f1_clamped, ct_gradient, un_map and the
+# per-point tier of DynamicsSpec.sample have it written in (_SITES), so a
+# float costs no function call. The RK4 kernel's call form and the DT
+# engine use a callback's values as returned.
+MAP_VALUE = """\
+{v} = {f}({b0}, {b1})
+if type({v}) is not float:
+    {v} = float({v})
+if not 0.0 <= {v} <= 1.0:
+    if {v} < 0.0:
+        {v} = 0.0
+    elif {v} > 1.0:
+        {v} = 1.0
+    else:
+        raise _nan_value({which!r}, {dyn}, {b0}, {b1})"""
+
+
+def _nan_value(which: str, dyn: DynamicsSpec, b0: float, b1: float) -> ValueError:
+    point = (float(b0), float(b1))
+    return ValueError(f"{which} of dynamics {dyn.name!r} is NaN at (b0, b1) = {point!r}")
+
+
+def _value(depth: int, v: str, f: str, b0: str, b1: str, dyn: str = "dyn") -> str:
+    """MAP_VALUE for the map named by f's last two characters, indented."""
+    rule = MAP_VALUE.format(v=v, f=f, b0=b0, b1=b1, which=f[-2:], dyn=dyn)
+    return "\n".join(indent(rule.splitlines(), depth))
+
+
+# Every site of MAP_VALUE, compiled once, at import. The maps are called f1
+# then f0 at each point, A then B.
+_SITES: dict = {}
+exec(compile(f'''\
+def f0_clamped(self, b0: float, b1: float) -> float:
+    """f0 at (b0, b1), clamped to [0, 1] by the map-value rule (MAP_VALUE)."""
+{_value(1, "value", "self.f0", "b0", "b1", "self")}
+    return value
+
+
+def f1_clamped(self, b0: float, b1: float) -> float:
+    """f1 at (b0, b1), clamped to [0, 1] by the map-value rule (MAP_VALUE)."""
+{_value(1, "value", "self.f1", "b0", "b1", "self")}
+    return value
+
+
+def _sample_points(dyn: DynamicsSpec, xs: list, ys: list) -> tuple[list, list]:
+    """The clamped maps (f0, f1) at the points (xs[n], ys[n]) in order, f1
+    then f0 at each: the first failing point raises its error."""
+    f0, f1, f0s, f1s = dyn.f0, dyn.f1, [], []
+    for b0, b1 in zip(xs, ys):
+{_value(2, "v1", "f1", "b0", "b1")}
+{_value(2, "v0", "f0", "b0", "b1")}
+        f1s.append(v1)
+        f0s.append(v0)
+    return f0s, f1s
+
+
+def ct_gradient(
+    pa: float, pb: float, g_a: float, mode: str, u: UtilitySpec, dyn: DynamicsSpec
+) -> tuple[float, float]:
+    """CT derivative (dpi_a/dt, dpi_b/dt) at one point under a policy mode,
+    with the CT field CT_RATE written in for each group as the kernel's
+    stages write it."""
+    try:
+        code = MODE_CODES[mode]
+    except KeyError:
+        raise unknown_mode(mode) from None
+    pa, pb = {CLAMP01.format(x="pa")}, {CLAMP01.format(x="pb")}
+    t1a, t0a, t1b, t0b, _ = policy_entries(code, pa, pb, g_a, u.u0, u.u1)
+    b0a, b1a = t0a * (1.0 - pa), t1a * pa
+    b0b, b1b = t0b * (1.0 - pb), t1b * pb
+    f0, f1 = dyn.f0, dyn.f1
+{_value(1, "f1a", "f1", "b0a", "b1a")}
+{_value(1, "f0a", "f0", "b0a", "b1a")}
+{_value(1, "f1b", "f1", "b0b", "b1b")}
+{_value(1, "f0b", "f0", "b0b", "b1b")}
+    return {CT_RATE.format(x="pa", f1="f1a", f0="f0a")}, {CT_RATE.format(x="pb", f1="f1b", f0="f0b")}
+
+
+def un_map(dyn: DynamicsSpec):
+    """The one-dimensional profile map induced by the unconstrained policy:
+    pi -> the DT map at the rates (0, pi), clamped to [0, 1]."""
+    f0, f1 = dyn.f0, dyn.f1
+
+    def f(pi: float) -> float:
+{_value(2, "v1", "f1", "0.0", "pi")}
+{_value(2, "v0", "f0", "0.0", "pi")}
+        x = {DT_MAP.format(x="pi", f1="v1", f0="v0")}
+        x = x if x > 0.0 else 0.0  # max(0.0, x)
+        return x if x < 1.0 else 1.0  # min(1.0, x)
+
+    return f
+''', "<map values>", "exec"), globals(), _SITES)
+ct_gradient, un_map, _sample_points = _SITES["ct_gradient"], _SITES["un_map"], _SITES["_sample_points"]
 
 
 class CaseSwitchError(RuntimeError):
@@ -72,22 +188,8 @@ class DynamicsSpec:
     array_maps: tuple[Callable, Callable] | None = None
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def f0_clamped(self, b0: float, b1: float) -> float:
-        value = self.f0(b0, b1)
-        return value if type(value) is float and 0.0 <= value <= 1.0 else self._clamp("f0", value, b0, b1)
-
-    def f1_clamped(self, b0: float, b1: float) -> float:
-        value = self.f1(b0, b1)
-        return value if type(value) is float and 0.0 <= value <= 1.0 else self._clamp("f1", value, b0, b1)
-
-    def _clamp(self, which: str, value, b0: float, b1: float) -> float:
-        """clamp01 of a map value that is not a float in [0, 1], converted by
-        float() first; a NaN raises ValueError."""
-        value = float(value)
-        if value != value:
-            point = (float(b0), float(b1))
-            raise ValueError(f"{which} of dynamics {self.name!r} is NaN at (b0, b1) = {point!r}")
-        return clamp01(value)
+    f0_clamped = _SITES["f0_clamped"]
+    f1_clamped = _SITES["f1_clamped"]
 
     def array_sample(self, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The clamped maps (f0, f1) at every point of the float arrays b0,
@@ -114,10 +216,10 @@ class DynamicsSpec:
         The points go in chunks of 8192 through array_sample. A chunk it
         cannot vouch for (and every chunk of a spec without an array form)
         goes through _call_maps, which calls each map once per point. A
-        chunk that fails there goes point by point, in order, calling
-        f1_clamped then f0_clamped at each point with Python floats as the
-        engines do: the first failing point raises its error, naming the
-        map and the point."""
+        chunk that fails there goes point by point through _sample_points,
+        in order, f1 then f0 at each point with Python floats as the
+        engines call them, by the map-value rule: the first failing point
+        raises its error, naming the map and the point."""
         b0, b1 = np.broadcast_arrays(b0, b1)
         x, y = b0.ravel(), b1.ravel()
         f0, f1 = np.empty(x.size), np.empty(x.size)
@@ -125,11 +227,7 @@ class DynamicsSpec:
         for s in range(0, x.size, chunk):
             cx, cy = x[s : s + chunk], y[s : s + chunk]
             values = self.array_sample(cx, cy) or self._call_maps(cx, cy)
-            if values is None:
-                points = zip(cx.tolist(), cy.tolist())
-                v1, v0 = zip(*[(self.f1_clamped(p, q), self.f0_clamped(p, q)) for p, q in points])
-                values = v0, v1
-            f0[s : s + chunk], f1[s : s + chunk] = values
+            f0[s : s + chunk], f1[s : s + chunk] = values or _sample_points(self, cx.tolist(), cy.tolist())
         return f0.reshape(b0.shape), f1.reshape(b0.shape)
 
     def _call_maps(self, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -139,12 +237,12 @@ class DynamicsSpec:
         _plain_array refuses its values; sample then goes point by point."""
         x, y = b0.tolist(), b1.tolist()
         try:
-            f0, f1 = (_plain_array(list(map(fn, x, y))) for fn in (self.f0, self.f1))
+            values = _plain_array([*map(self.f0, x, y), *map(self.f1, x, y)])
         except Exception:  # per point, a call raises its error again; an int may overflow
             return None
-        if f0 is None or f1 is None:
+        if values is None:
             return None
-        return _clamp01_array(f0), _clamp01_array(f1)
+        return _clamp01_array(values[: len(x)]), _clamp01_array(values[len(x) :])
 
     def check_declared(self, l0_sampled: float, l1_sampled: float) -> None:
         """Raise ValueError when a sampled slope exceeds its declared
@@ -184,10 +282,13 @@ class DynamicsSpec:
 
 
 def _plain_array(values: list) -> np.ndarray | None:
-    """values as a float64 array; None when one is NaN or not a float, a numpy float64 or an int."""
+    """values as a float64 array; None when one is NaN or not a float, a numpy float64 or an int.
+
+    struct's "d" reads a float (a numpy float64 is one) as is and converts
+    an int as float() does, raising OverflowError where float() does."""
     if not {*map(type, values)} <= {float, np.float64, int}:
         return None
-    array = np.fromiter(values, float, len(values))
+    array = np.frombuffer(struct.pack(f"{len(values)}d", *values))
     return None if np.isnan(array).any() else array
 
 
@@ -351,12 +452,6 @@ def _dt_step_raw(p1: float, b0: float, b1: float, dyn: DynamicsSpec) -> tuple[fl
     return clamp01(dt_map(p1, clamp01(raw1), clamp01(raw0))), clamps
 
 
-def dt_map(x, f1, f0):
-    """The DT profile map, unclamped, at qualified fraction x and clamped map
-    values f1, f0 (floats or arrays): f1 first, as the maps are called."""
-    return x * f1 + (1.0 - x) * f0
-
-
 PolicyFn = Callable[[float, float, int], tuple[float, float, float, float, int]]
 # (pi_a, pi_b, step) -> (tau1_a, tau0_a, tau1_b, tau0_b, case_code)
 
@@ -483,10 +578,12 @@ def dt_trajectory(
     switch warns (or raises CaseSwitchError under strict) at the step where
     it happens, before the next step is taken. The policy recorded at the
     final time is the one that would be applied next; cumulative utility
-    sums the utilities of applied policies only.
+    sums the utilities of applied policies only. mode must be a policy mode
+    (UN, AA, AA1 or AA2) also where policy_fn is given: any other raises
+    ValueError naming it.
     """
     step_count("steps", steps, 0)
-    code = MODE_CODES[mode] if policy_fn is None else None
+    code = mode_code(mode)
     ga, u0, u1 = state0.g_a, u.u0, u.u1
     pa, pb = state0.pi_a.p1, state0.pi_b.p1
     states, policies, clamps = [], [], []
@@ -570,9 +667,10 @@ def ct_integrate(
     endpoint only (no record, so no warnings of its own), and the endpoint
     difference above 1e-6 is flagged (or raised under strict).
     """
+    code = mode_code(mode)
     n_steps, sample_every = ct_steps(t_end, h, sample_every)
     samples, clamp_count, merge_step, stop_step = _run_kernel(
-        state0, mode, u, dyn, h, n_steps, sample_every, stop_tol
+        state0, code, u, dyn, h, n_steps, sample_every, stop_tol
     )
 
     events: list[tuple[float, str]] = []
@@ -581,7 +679,7 @@ def ct_integrate(
     if stop_step >= 0:
         events.append((stop_step * h, "stationary_stop"))
     steps, pa, pb = _columns(samples, 3)
-    policy = policy_entries_array(MODE_CODES[mode], pa, pb, state0.g_a, u.u0, u.u1)
+    policy = policy_entries_array(code, pa, pb, state0.g_a, u.u0, u.u1)
     # Walk the samples with a NaN state or a case switch in order; the
     # kernel's own objects name the state (a numpy float reprs differently).
     for i in np.flatnonzero(np.isnan(pa) | np.isnan(pb) | _case_switches(policy[4])).tolist():
@@ -595,7 +693,7 @@ def ct_integrate(
     if check_step_halving:
         n_fine = ct_steps(t_end, h / 2.0)[0]
         # one sample stride: the samples are the start and the endpoint
-        _, a, b = _run_kernel(state0, mode, u, dyn, h / 2.0, n_fine, max(1, n_fine), 0.0)[0][-1]
+        _, a, b = _run_kernel(state0, code, u, dyn, h / 2.0, n_fine, max(1, n_fine), 0.0)[0][-1]
         if a != a or b != b:
             raise _nan_state(a, b, f"at t={n_fine * (h / 2.0)} of the step-halving run")
         diff = max(abs(float(record.pi_a[-1]) - float(a)), abs(float(record.pi_b[-1]) - float(b)))
@@ -609,16 +707,16 @@ def ct_integrate(
     return record
 
 
-def _run_kernel(state0, mode, u, dyn, h, n_steps, sample_every, stop_tol):
-    """The kernel's run of ct_integrate's arguments: (samples, clamp_count,
-    merge_step, stop_step)."""
+def _run_kernel(state0, code, u, dyn, h, n_steps, sample_every, stop_tol):
+    """The kernel's run of ct_integrate's arguments, with the mode's code:
+    (samples, clamp_count, merge_step, stop_step)."""
     return _kernels.ct_loop(
         state0.pi_a.p1,
         state0.pi_b.p1,
         state0.g_a,
         u.u0,
         u.u1,
-        MODE_CODES[mode],
+        code,
         dyn.f0,
         dyn.f1,
         dyn.affine,
@@ -630,26 +728,6 @@ def _run_kernel(state0, mode, u, dyn, h, n_steps, sample_every, stop_tol):
     )
 
 
-# ct_gradient is compiled once, at import, with the CT field CT_RATE written
-# in for each group as the kernel's stages write it, rather than calling
-# ct_rate twice per point. It calls the maps f1 then f0, A then B.
-exec(compile(f'''\
-def ct_gradient(
-    pa: float, pb: float, g_a: float, mode: str, u: UtilitySpec, dyn: DynamicsSpec
-) -> tuple[float, float]:
-    """CT derivative (dpi_a/dt, dpi_b/dt) at one point under a policy mode."""
-    pa, pb = clamp01(pa), clamp01(pb)
-    t1a, t0a, t1b, t0b, _ = policy_entries(MODE_CODES[mode], pa, pb, g_a, u.u0, u.u1)
-    b0a, b1a = t0a * (1.0 - pa), t1a * pa
-    b0b, b1b = t0b * (1.0 - pb), t1b * pb
-    f1a = dyn.f1_clamped(b0a, b1a)
-    f0a = dyn.f0_clamped(b0a, b1a)
-    f1b = dyn.f1_clamped(b0b, b1b)
-    f0b = dyn.f0_clamped(b0b, b1b)
-    return {CT_RATE.format(x="pa", f1="f1a", f0="f0a")}, {CT_RATE.format(x="pb", f1="f1b", f0="f0b")}
-''', "<ct_gradient>", "exec"), globals())
-
-
 def ct_field(
     pa: np.ndarray, pb: np.ndarray, g_a: float, mode: str, u: UtilitySpec, dyn: DynamicsSpec
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -657,7 +735,7 @@ def ct_field(
     as arrays with the same bits; None when dyn.array_sample cannot vouch
     for every point, and the points must go through ct_gradient."""
     pa, pb = _clamp01_array(pa), _clamp01_array(pb)
-    t1a, t0a, t1b, t0b, _ = policy_entries_array(MODE_CODES[mode], pa, pb, g_a, u.u0, u.u1)
+    t1a, t0a, t1b, t0b, _ = policy_entries_array(mode_code(mode), pa, pb, g_a, u.u0, u.u1)
     maps_a = dyn.array_sample(t0a * (1.0 - pa), t1a * pa)
     maps_b = dyn.array_sample(t0b * (1.0 - pb), t1b * pb)
     if maps_a is None or maps_b is None:

@@ -22,6 +22,20 @@ MODE_AA2 = 3
 
 MODE_CODES = {"UN": MODE_UN, "AA": MODE_AA, "AA1": MODE_AA1, "AA2": MODE_AA2}
 
+
+def unknown_mode(mode) -> ValueError:
+    """The error for a policy mode that is not a MODE_CODES key."""
+    return ValueError(f"unknown policy mode {mode!r}: expected one of {', '.join(MODE_CODES)}")
+
+
+def mode_code(mode: str) -> int:
+    """MODE_CODES[mode]; unknown_mode's ValueError for any other mode."""
+    try:
+        return MODE_CODES[mode]
+    except KeyError:
+        raise unknown_mode(mode) from None
+
+
 CASE_UN = 0
 CASE_AA1 = 1
 CASE_AA2 = 2

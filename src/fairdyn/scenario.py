@@ -389,6 +389,8 @@ def export_field(
     through ct_gradient, with the same bits either way."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if not 0.0 < g_a < 1.0:
+        raise ValueError(f"g_a must lie in (0, 1), got {g_a!r}")
     axis = grid_axis(resolution - 1)
     pa, pb = np.tile(axis, resolution), np.repeat(axis, resolution)
     field = ct_field(pa, pb, g_a, mode, u, dyn)

@@ -3,6 +3,7 @@ when it acts on biased estimates of the qualification profiles."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,21 +20,23 @@ class StereotypeValidityError(ValueError):
 
 @dataclass(frozen=True)
 class StereotypeSpec:
-    """Per-group estimation errors, constant or tabulated per step."""
+    """Per-group estimation errors, each a real number (numbers.Real, so a
+    numpy float or int too), constant at every step, or a sequence of them
+    tabulated per step."""
 
     eps_a: float | Sequence[float]
     eps_b: float | Sequence[float]
 
     def at(self, step: int) -> tuple[float, float]:
-        ea = self.eps_a if isinstance(self.eps_a, (int, float)) else self.eps_a[step]
-        eb = self.eps_b if isinstance(self.eps_b, (int, float)) else self.eps_b[step]
+        ea = self.eps_a if _constant(self.eps_a) else self.eps_a[step]
+        eb = self.eps_b if _constant(self.eps_b) else self.eps_b[step]
         return float(ea), float(eb)
 
     def check_steps(self, steps: int) -> None:
         """Raise ValueError where a per-step schedule has fewer entries than
         the steps + 1 samples of a run of `steps` steps."""
         for name, key, schedule in (("eps_a", "epsA", self.eps_a), ("eps_b", "epsB", self.eps_b)):
-            if not isinstance(schedule, (int, float)) and len(schedule) < steps + 1:
+            if not _constant(schedule) and len(schedule) < steps + 1:
                 raise ValueError(
                     f"the {name} ({key}) schedule has {len(schedule)} entries; "
                     f"{steps} steps need steps + 1 = {steps + 1}"
@@ -56,6 +59,12 @@ class StereotypeSpec:
             raise StereotypeValidityError(
                 "errors large enough to flip the perceived advantaged group"
             )
+
+
+def _constant(eps) -> bool:
+    """Whether eps is one error for every step: a real number, tested as a
+    float or int first, as numbers.Real's test is slower."""
+    return type(eps) in (float, int) or isinstance(eps, numbers.Real)
 
 
 def _by_advantage(pa: float, pb: float, ea: float, eb: float):

@@ -228,6 +228,34 @@ def test_delta_bounds_examples():
         delta_bounds(1.0, 0.5, 1.0, "CT")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_delta_bounds_rejects_values_that_are_not_finite(bad, position):
+    args = [0.5, 0.5, 1.0]
+    args[position] = bad
+    name = ("contraction", "delta0", "t")[position]
+    for mode in ("CT", "DT"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+            delta_bounds(*args, mode)
+
+
+def test_grid_analyses_reject_a_resolution_that_is_not_an_integer():
+    for check in (estimate_contraction, check_status_quo_bias):
+        for bad in (64.5, 96.0, "96"):
+            with pytest.raises(ValueError, match=re.escape(f"resolution must be an integer >= 64, got {bad!r}")):
+                check(CONST, resolution=bad)
+        with pytest.raises(ValueError, match="resolution must be an integer >= 64, got 32"):
+            check(CONST, resolution=32)
+        check(CONST, resolution=np.int64(64))  # a numpy integer is an integer
+
+
+def test_export_field_rejects_a_group_share_outside_the_open_unit_interval():
+    for g_a in (1.5, 1.0, 0.0, -0.25, math.nan):
+        for dyn in (CONST, appendix_c_dynamics()):
+            with pytest.raises(ValueError, match=re.escape(f"g_a must lie in (0, 1), got {g_a!r}")):
+                export_field(dyn, "AA1", U, resolution=3, g_a=g_a)
+
+
 def test_theorem2_arithmetic():
     v = theorem2_verdict(0.9, 0.65, 0.5, UtilitySpec(u0=-1.0, u1=1.0))
     assert v.alpha == pytest.approx(1.0 / 3.0)

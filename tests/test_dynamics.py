@@ -298,6 +298,21 @@ def test_nan_from_callback_dynamics_is_rejected():
         stereotype_trajectory(state, "UN", U, nan_above, StereotypeSpec(0.0, 0.0), 5)
 
 
+def test_an_unknown_policy_mode_is_a_value_error_naming_the_modes():
+    from fairdyn import export_field
+
+    state, named = PopulationState.of(0.7, 0.3, 0.5), re.escape("unknown policy mode 'XX': expected one of UN, AA, AA1, AA2")
+    for dyn in (CONST, appendix_c_dynamics()):  # export_field's array and per-point paths
+        for run in (
+            lambda: dt_trajectory(state, "XX", U, dyn, 3),
+            lambda: ct_integrate(state, "XX", U, dyn, t_end=0.1, h=0.01),
+            lambda: ct_gradient(0.7, 0.3, 0.5, "XX", U, dyn),
+            lambda: export_field(dyn, "XX", U, resolution=3),
+        ):
+            with pytest.raises(ValueError, match=named):
+                run()
+
+
 def test_parse_dynamics_produces_working_spec():
     dyn = parse_dynamics("0.2", "0.8")
     rec = ct_integrate(PopulationState.of(0.9, 0.9, 0.5), "UN", U, dyn, t_end=2.0, h=1e-2)

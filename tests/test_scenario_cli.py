@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +424,84 @@ def test_appendix_c_expression_outputs_are_byte_identical(tmp_path):
         key = f"{cmd}/appendix_c_expression" + (f"@{args[1]}" if args else "")
         digests[key] = hashlib.sha256(data).hexdigest()
     assert digests == APPENDIX_C_EXPRESSION_DIGESTS
+
+
+# A CT scenario on the builtin appendixC callbacks, in each policy mode:
+# their grid analyses and field take the callback paths, where f1 leaves
+# [0, 1] at about a third of the points.
+APPENDIX_C_CALLBACKS = """\
+[scenario]
+name = appendix_c_{mode}
+mode = {mode}
+time = CT
+t_end = 20
+h = 0.01
+outputs = trajectory
+
+[dynamics]
+builtin = appendixC
+
+[state]
+piA = 0.8
+piB = 0.3
+gA = 0.4
+
+[utility]
+u0 = -1
+u1 = 0.8
+"""
+# sha256 of its analyze and field outputs at resolutions 64, 96 and 128,
+# recorded before the map-value rule was compiled into ct_gradient, un_map
+# and the per-point sampler; regenerate only for a change meant to alter
+# the bytes.
+APPENDIX_C_CALLBACK_DIGESTS = {
+    "analyze/UN@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
+    "field/UN@64": "2f046dcdf52f7e22b6b86bcd263162ff7f89679a68265d3c310b40b81379f685",
+    "analyze/UN@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
+    "field/UN@96": "4457db0a345c6d0cb6b3543a560dd79f420c6c674fcceeae83bf247c0688df9a",
+    "analyze/UN@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
+    "field/UN@128": "e37b1f84644fa461064af537ddf3dfd8df54ec1bf0e85322780c082b0103f8e2",
+    "analyze/AA@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
+    "field/AA@64": "462ee0716a0de085fb2ff3ffe3fd496bd1e345cbbeaec2c56ca1c4dd62588aa9",
+    "analyze/AA@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
+    "field/AA@96": "1ea0d88bdd15b59dd83c4589aa9c0e4d5a55793acf798c1b28ebb2e588b9f12f",
+    "analyze/AA@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
+    "field/AA@128": "6615fcd4c3bd169938a780cd92846227458f3ee651d625719e6aae7c88e8ecad",
+    "analyze/AA1@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
+    "field/AA1@64": "b708dd0d600eb2e5d293d50eaa4a282cfe580d079afeb677386d97174c661c48",
+    "analyze/AA1@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
+    "field/AA1@96": "1de8f7d77c59d6bc52ebbebd5c1127f8a175aecae3618a9aee35f8f463924ab3",
+    "analyze/AA1@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
+    "field/AA1@128": "eb74da99dd187aa74981367a4d90b56a2b334d4f1b0bc6695f4ac0c92e208c46",
+    "analyze/AA2@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
+    "field/AA2@64": "eb1aa98382b1b7d973ce422f215826d01e49cf94be818115911e1d5fbf67d71e",
+    "analyze/AA2@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
+    "field/AA2@96": "cfcb253764658cb3bfcb05b4669e8eb0fbab01d4f60edaf72fc17e5e31f3fdd9",
+    "analyze/AA2@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
+    "field/AA2@128": "98c2ff6cf8ff2d047a5dccf3aca5faec13c53050687ca819ff5e7d13dca3e678",
+}
+
+
+def test_appendix_c_callback_outputs_are_byte_identical(tmp_path):
+    digests = {}
+    for mode in ("UN", "AA", "AA1", "AA2"):
+        path = tmp_path / f"appendix_c_{mode}.scn"
+        path.write_text(APPENDIX_C_CALLBACKS.format(mode=mode))
+        for resolution in ("64", "96", "128"):
+            for cmd, suffix in (("analyze", "analysis.txt"), ("field", "field.csv")):
+                assert main([cmd, str(path), "--out", str(tmp_path), "--resolution", resolution]) == 0
+                data = (tmp_path / f"appendix_c_{mode}_{suffix}").read_bytes()
+                digests[f"{cmd}/{mode}@{resolution}"] = hashlib.sha256(data).hexdigest()
+    assert digests == APPENDIX_C_CALLBACK_DIGESTS
+
+
+def test_python_m_fairdyn_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "fairdyn", "--version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "fairdyn 1.0.0\n")
 
 
 def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):

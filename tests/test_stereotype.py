@@ -234,6 +234,20 @@ def test_nonzero_eps_matches_reference(pa, pb, ga, utility, errors):
             assert ours == _outcome(_reference_effective_policy, mode, state, u, *unsigned)
 
 
+def test_any_real_scalar_is_a_constant_error():
+    """An error given as a numpy float32 or int64, or an int, is one error
+    for every step, and gives the record of float(eps)."""
+    state = PopulationState.of(0.6, 0.3, 0.5)
+    for eps in (np.float32(0.01), np.int64(0), 0, np.float64(-0.02)):
+        spec = StereotypeSpec(eps, 0.0)
+        spec.check_steps(3)
+        assert spec.at(2) == (float(eps), 0.0)
+        for mode in ("UN", "AA1"):
+            got = stereotype_trajectory(state, mode, U_AA1, CONST, spec, 3)
+            want = stereotype_trajectory(state, mode, U_AA1, CONST, StereotypeSpec(float(eps), 0.0), 3)
+            assert repr(vars(got)) == repr(vars(want)), (eps, mode)
+
+
 def test_negative_stereotype_with_empty_group_rejected():
     state = PopulationState.of(0.5, 0.0, 0.5)
     with pytest.raises(StereotypeValidityError):
