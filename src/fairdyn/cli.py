@@ -12,6 +12,7 @@ file, 3 warning escalated under --strict, 4 stereotype validity violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -138,10 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main parses with, built on the first call: parsing
+    keeps no state in it, and building one costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import Policy, PopulationState, UtilitySpec, clamp01
 from .dynamics import DynamicsSpec, TrajectoryRecord, dt_trajectory
-from .policy import CASE_TAGS, MODE_CODES, determine_aa_case, policy_entries
+from .policy import CASE_TAGS, MODE_CODES, determine_aa_case, policy_entries, unknown_mode
 
 
 class StereotypeValidityError(ValueError):
@@ -113,7 +113,7 @@ def effective_policy(
     pa, pb = state.pi_a.p1, state.pi_b.p1
     case = _resolved_case(mode, state, u)
     if case not in ("UN", "AA1", "AA2"):
-        raise ValueError(f"unknown policy mode {mode!r}")
+        raise unknown_mode(mode)
     if ea == 0.0 and eb == 0.0:
         return Policy(*policy_entries(MODE_CODES[case], pa, pb, state.g_a, u.u0, u.u1)[:4])
     if case == "UN":

@@ -495,6 +495,69 @@ def test_appendix_c_callback_outputs_are_byte_identical(tmp_path):
     assert digests == APPENDIX_C_CALLBACK_DIGESTS
 
 
+def field_digests(out: Path) -> dict[str, str]:
+    """sha256 of the field CSV of every shipped scenario, in each policy
+    mode (a copy of the scenario with its mode line replaced), at
+    --resolution 1, 31 and 100, keyed "<scenario>/<mode>@<resolution>"."""
+    digests = {}
+    for scenario in sorted(SCENARIOS.glob("*.scn")):
+        for mode in ("UN", "AA", "AA1", "AA2"):
+            text, count = re.subn(r"^mode = \w+$", f"mode = {mode}", scenario.read_text(), flags=re.M)
+            assert count == 1
+            path = out / scenario.name
+            path.write_text(text)
+            for resolution in ("1", "31", "100"):
+                assert main(["field", str(path), "--out", str(out), "--resolution", resolution]) == 0
+                data = (out / f"{scenario.stem}_field.csv").read_bytes()
+                digests[f"{scenario.stem}/{mode}@{resolution}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+# field_digests, recorded before the field writer formatted each distinct
+# number once; regenerate only for a change meant to alter the bytes.
+FIELD_DIGESTS = {
+    "constant_dt/UN@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
+    "constant_dt/UN@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
+    "constant_dt/UN@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
+    "constant_dt/AA@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
+    "constant_dt/AA@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
+    "constant_dt/AA@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
+    "constant_dt/AA1@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
+    "constant_dt/AA1@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
+    "constant_dt/AA1@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
+    "constant_dt/AA2@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
+    "constant_dt/AA2@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
+    "constant_dt/AA2@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
+    "expression_ct/UN@1": "ed91c0364996c9b9a906a29484faa21ec328b1c2ead9f0305e6f40d7621e00a7",
+    "expression_ct/UN@31": "2b5386e468d829546bcdd8decc3541f8fcec89fdf8e4976beadc78525d4c439c",
+    "expression_ct/UN@100": "5cdffd43171a0452974107045ed5332f0e2b0d0c8b06201f011a7de09f97185e",
+    "expression_ct/AA@1": "768e9512f79a70a1988ccd40b49e5c4145b034bef3ec6efba9923abcd282100f",
+    "expression_ct/AA@31": "d4c3a11ebaca712c296cfd979c0cfc28822966412a1aeb810f05994ce3f0190e",
+    "expression_ct/AA@100": "dd3ddb3aefabf8f915cd28b96f0ea03c327913e14c908f822abd23c997d803b0",
+    "expression_ct/AA1@1": "768e9512f79a70a1988ccd40b49e5c4145b034bef3ec6efba9923abcd282100f",
+    "expression_ct/AA1@31": "d4c3a11ebaca712c296cfd979c0cfc28822966412a1aeb810f05994ce3f0190e",
+    "expression_ct/AA1@100": "dd3ddb3aefabf8f915cd28b96f0ea03c327913e14c908f822abd23c997d803b0",
+    "expression_ct/AA2@1": "61882de06a7ddac0355fc43263745fc4303e784a0e95d247d488ed9b8cda702b",
+    "expression_ct/AA2@31": "cc7fc8972f70ea8958507559ee618a6a8de0857544b53ca436aef6f9eb00ff7d",
+    "expression_ct/AA2@100": "43214b167cadc8632e1c3dc144e6979fc72ca9139a2e92e1bf483521bb196bea",
+    "three_equilibria_ct/UN@1": "a01c917feb2d41ca877e8e5f246fd7b7741e2856d38a4d49fb6c9c9e55daf36c",
+    "three_equilibria_ct/UN@31": "024fd5ca0872a62b5c3292c11f2fb5f8773c0778a56cee88186e773ba74961f7",
+    "three_equilibria_ct/UN@100": "8bf96865cff34bc223dc6ed698737695798889ed24fdcccf10d506720415e930",
+    "three_equilibria_ct/AA@1": "a01c917feb2d41ca877e8e5f246fd7b7741e2856d38a4d49fb6c9c9e55daf36c",
+    "three_equilibria_ct/AA@31": "928e441e9a0a9fb119e80b947f35d32bba6b1b72101fb0551d7d096d4a432d5d",
+    "three_equilibria_ct/AA@100": "8673c75ed7f92295fdf76b968bedfe471887446040fd5efa9b62e3812199ecb1",
+    "three_equilibria_ct/AA1@1": "6920de8eb8899fdd74d8ae79c5ce6b6c03c64cbf64ff31d5ac8e0d61d6e1e2be",
+    "three_equilibria_ct/AA1@31": "1cdee58d8f34e6e3b9aa937ee1c36d1a6552e588ec2ae1b3dd0f2d4ae0acf0bf",
+    "three_equilibria_ct/AA1@100": "092f424eab3bf1db07c65f788ab9396f64d92a4b55f6f3e9adac242d50cb8df2",
+    "three_equilibria_ct/AA2@1": "a01c917feb2d41ca877e8e5f246fd7b7741e2856d38a4d49fb6c9c9e55daf36c",
+    "three_equilibria_ct/AA2@31": "928e441e9a0a9fb119e80b947f35d32bba6b1b72101fb0551d7d096d4a432d5d",
+    "three_equilibria_ct/AA2@100": "8673c75ed7f92295fdf76b968bedfe471887446040fd5efa9b62e3812199ecb1",
+}
+
+
+def test_field_outputs_beyond_the_default_grid_are_byte_identical(tmp_path):
+    assert field_digests(tmp_path) == FIELD_DIGESTS
+
 def test_python_m_fairdyn_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -569,6 +632,33 @@ def test_version(capsys):
     assert 'dynamic = ["version"]' in pyproject
     assert 'version = {attr = "fairdyn.__version__"}' in pyproject
 
+
+def test_main_reuses_one_parser_without_state(tmp_path, capsys):
+    """main parses every call with one parser per process, and no call
+    leaves anything in it that the next one reads; build_parser still
+    builds a new parser."""
+    from fairdyn import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+    scenario = str(SCENARIOS / "three_equilibria_ct.scn")
+    out = ["--out", str(tmp_path)]
+    report = tmp_path / "three_equilibria_ct_analysis.txt"
+    assert main(["analyze", scenario, *out, "--resolution", "96"]) == 0
+    assert "\nresolution = 96\n" in report.read_text()
+    assert main(["analyze", scenario, *out]) == 0
+    assert "\nresolution = 256\n" in report.read_text()
+    assert main(["field", scenario, *out, "--resolution", "0"]) == 2
+    assert main(["field", scenario, *out]) == 0
+    data = (tmp_path / "three_equilibria_ct_field.csv").read_bytes()
+    pinned = json.loads(SHIPPED_DIGESTS.read_text())["field/three_equilibria_ct"]
+    assert hashlib.sha256(data).hexdigest() == pinned
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == "fairdyn 1.0.0\n"
+    for _ in range(2):
+        assert main([]) == 2
 
 def test_analyze_subcommand(tmp_path):
     path = tmp_path / "demo.scn"

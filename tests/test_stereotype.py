@@ -61,7 +61,7 @@ def _reference_effective_policy(mode, state, u, ea, eb):
         return Policy(*_reference_un_entries(pa, ea), *_reference_un_entries(pb, eb))
     case = determine_aa_case(state, u).resolved_tag() if mode == "AA" else mode
     if case not in ("AA1", "AA2"):
-        raise ValueError(f"unknown policy mode {mode!r}")
+        raise ValueError(f"unknown policy mode {mode!r}: expected one of UN, AA, AA1, AA2")
 
     adv_is_a = pa >= pb
     pi_adv, pi_dis = (pa, pb) if adv_is_a else (pb, pa)
@@ -232,6 +232,19 @@ def test_nonzero_eps_matches_reference(pa, pb, ga, utility, errors):
         for mode in ("UN", "AA", "AA1", "AA2", "XX"):
             ours = _outcome(effective_policy, mode, state, u, StereotypeSpec(*eps))
             assert ours == _outcome(_reference_effective_policy, mode, state, u, *unsigned)
+
+
+def test_unknown_mode_names_every_mode():
+    """An unknown mode's error names the four modes, as dt_trajectory's
+    does, with the errors zero or not; errors outside their range are still
+    reported first."""
+    state = PopulationState.of(0.6, 0.3, 0.5)
+    message = r"^unknown policy mode 'XX': expected one of UN, AA, AA1, AA2$"
+    for eps in (StereotypeSpec(0.0, 0.0), StereotypeSpec(0.01, -0.02)):
+        with pytest.raises(ValueError, match=message):
+            effective_policy("XX", state, U_AA1, eps)
+    with pytest.raises(StereotypeValidityError):
+        effective_policy("XX", state, U_AA1, StereotypeSpec(0.5, 0.0))
 
 
 def test_any_real_scalar_is_a_constant_error():
