@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import random
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .core import PopulationState, UtilitySpec, utility
-from .dynamics import CaseSwitchError, StepHalvingError, appendix_c_dynamics
+from .dynamics import APPENDIX_C_F0, APPENDIX_C_F1, CaseSwitchError, StepHalvingError
 from .expr import ExpressionError, compile_expression
 from .policy import aa_policy, lp_oracle, unconstrained_policy
 from .scenario import (
@@ -34,11 +35,6 @@ from .scenario import (
     write_output,
 )
 from .stereotype import StereotypeValidityError
-
-APPENDIX_C_F1 = (
-    "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
-)
-APPENDIX_C_F0 = "(b1 + b1/5)/1.2 + 0.01"
 
 # Scenario subcommand -> (artifact kind it writes, help text, --resolution's minimum or None).
 SCENARIO_COMMANDS = {
@@ -79,14 +75,17 @@ def _verify_policy_oracle(rng: random.Random, n: int) -> tuple[int, int]:
 
 
 def _verify_parser(n: int) -> tuple[int, int]:
-    dyn = appendix_c_dynamics()
+    """The parsed appendixC sources against the same maps written in Python,
+    at n points of the unit square."""
     f0 = compile_expression(APPENDIX_C_F0)
     f1 = compile_expression(APPENDIX_C_F1)
     xs = ((np.arange(n) * 0.7548776662466927) % 1.0).tolist()
     ys = ((np.arange(n) * 0.5698402909980532) % 1.0).tolist()
     failures = 0
     for x, y in zip(xs, ys):
-        if abs(f0(x, y) - dyn.f0(x, y)) > 1e-12 or abs(f1(x, y) - dyn.f1(x, y)) > 1e-12:
+        native0 = (y + y / 5.0) / 1.2 + 0.01
+        native1 = 0.5 * (y + y / 5.0) / 1.4 + math.exp(-1e-9 * (x + y)) * math.sin(18.0 * (x + y)) + 0.1
+        if abs(f0(x, y) - native0) > 1e-12 or abs(f1(x, y) - native1) > 1e-12:
             failures += 1
     return n, failures
 

@@ -36,6 +36,10 @@ from .policy import (
 
 MERGE_TOL = 1e-10
 
+# The builtin appendixC dynamics (appendix_c_dynamics) as expression sources.
+APPENDIX_C_F0 = "(b1 + b1/5)/1.2 + 0.01"
+APPENDIX_C_F1 = "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
+
 # The DT profile map, unclamped, at qualified fraction x and clamped map
 # values f1, f0, as source: un_map writes it in, and dt_map(x, f1, f0)
 # (floats or arrays; f1 first, as the maps are called) is compiled from it.
@@ -160,18 +164,18 @@ class DynamicsSpec:
     inline (on the merged trajectory, where b0 = 0, a + d*b1) and never
     calls f0 or f1, the way it inlines the code of compiled expressions.
     Without it, maps that are not both compiled expressions are called.
+    affine is a stored copy of the maps: dataclasses.replace with new f0
+    and f1 keeps it, and CT runs then use the old maps; replace it too.
 
-    array_maps, when set, is the array form (f0, f1) of the maps: each takes
-    two float arrays of one shape and returns the unclamped map at every
-    point, bit for bit the scalar map's wherever that is finite, or None when
-    it cannot vouch for every point (see array_sample). Expressions and the
-    affine and constant builtins have one; Python callbacks do not, and the
-    grid analyses call them once per point (see sample). A chunk with a
-    failing point is evaluated again point by point, so maps must be pure.
-
-    affine and array_maps must describe f0 and f1. dataclasses.replace with
-    new f0 and f1 keeps the old affine and array_maps, and then CT runs and
-    the grid analyses use the old maps; replace those fields too.
+    The array form of the maps is their .array attribute, read off f0 and
+    f1 at each use, so a replaced spec cannot keep a stale one: a function
+    that takes two float arrays of one shape and returns the unclamped map
+    at every point, bit for bit the scalar map's wherever that is finite,
+    or None when it cannot vouch for every point (see array_sample).
+    Compiled expressions (appendixC's too) and the affine and constant
+    builtins' closures have one; Python callbacks do not, and the grid
+    analyses call them once per point (see sample). A chunk with a failing
+    point is evaluated again point by point, so maps must be pure.
 
     The spec keeps the last grid that sample_grid sampled, for the grid
     analyses of one resolution to share: the axis and two float arrays of
@@ -185,7 +189,6 @@ class DynamicsSpec:
     declared_l0: float | None = None
     declared_l1: float | None = None
     affine: tuple[float, float, float, float, float, float] | None = None
-    array_maps: tuple[Callable, Callable] | None = None
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     f0_clamped = _SITES["f0_clamped"]
@@ -194,16 +197,17 @@ class DynamicsSpec:
     def array_sample(self, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The clamped maps (f0, f1) at every point of the float arrays b0,
         b1 of one shape, evaluated as arrays with the bits f0_clamped and
-        f1_clamped give there. None when the spec has no array form, or
-        when some point has to go through the scalar maps: an evaluation
-        raised, a divisor was zero, a power was complex or a raw value is
-        not finite. The caller then evaluates those points one at a time,
+        f1_clamped give there. None when f0 or f1 has no array form
+        (.array), or when some point has to go through the scalar maps: an
+        evaluation raised, a divisor was zero, a power was complex or a raw
+        value is not finite. The caller then evaluates those points one at a time,
         which raises the per-point error (or, say, clamps an infinite affine
         value)."""
-        if self.array_maps is None:
+        arrays = getattr(self.f0, "array", None), getattr(self.f1, "array", None)
+        if arrays[0] is None or arrays[1] is None:
             return None
         with np.errstate(all="ignore"):
-            values = [fn(b0, b1) for fn in self.array_maps]
+            values = [fn(b0, b1) for fn in arrays]
             if any(v is None or not np.isfinite(v).all() for v in values):
                 return None
             f0, f1 = map(_clamp01_array, values)
@@ -332,6 +336,8 @@ def affine_dynamics(
     def f1(b0: float, b1: float, _a=a1, _c=c1, _d=d1) -> float:
         return _a + _c * b0 + _d * b1
 
+    # The same closures on float arrays do the same IEEE operations.
+    f0.array, f1.array = f0, f1
     return DynamicsSpec(
         f0=f0,
         f1=f1,
@@ -339,22 +345,13 @@ def affine_dynamics(
         declared_l0=max(abs(c0), abs(d0)),
         declared_l1=max(abs(c1), abs(d1)),
         affine=(a0, c0, d0, a1, c1, d1),
-        # The same closures on float arrays do the same IEEE operations.
-        array_maps=(f0, f1),
     )
 
 
 def appendix_c_dynamics() -> DynamicsSpec:
-    """Built-in three-equilibrium example dynamics."""
-
-    def f1(b0: float, b1: float) -> float:
-        s = b0 + b1
-        return 0.5 * (b1 + b1 / 5.0) / 1.4 + math.exp(-1e-9 * s) * math.sin(18.0 * s) + 0.1
-
-    def f0(b0: float, b1: float) -> float:
-        return (b1 + b1 / 5.0) / 1.2 + 0.01
-
-    return DynamicsSpec(f0=f0, f1=f1, name="appendixC")
+    """Built-in three-equilibrium example dynamics: the expressions
+    APPENDIX_C_F0 and APPENDIX_C_F1."""
+    return parse_dynamics(APPENDIX_C_F0, APPENDIX_C_F1, name="appendixC")
 
 
 # Parameters of each builtin dynamics, by name. constant needs both; affine
@@ -394,14 +391,12 @@ def parse_dynamics(
     declared_l1: float | None = None,
 ) -> DynamicsSpec:
     """Build a DynamicsSpec from two expression sources over b0, b1."""
-    f0, f1 = compile_expression(expr_f0), compile_expression(expr_f1)
     return DynamicsSpec(
-        f0=f0,
-        f1=f1,
+        f0=compile_expression(expr_f0),
+        f1=compile_expression(expr_f1),
         name=name,
         declared_l0=declared_l0,
         declared_l1=declared_l1,
-        array_maps=(f0.array, f1.array),
     )
 
 

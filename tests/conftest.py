@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from fairdyn import PopulationState, UtilitySpec, affine_dynamics
+from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, affine_dynamics
 
 
 @pytest.fixture
@@ -33,3 +34,18 @@ def random_contractive_affine(rng, slope=0.05):
         rng.uniform(-slope, slope),
         rng.uniform(-slope, slope),
     )
+
+
+def appendix_c_callbacks() -> DynamicsSpec:
+    """appendixC's maps written as plain Python closures, with no array form
+    (.array): the engines and the grid analyses call them as Python
+    callbacks, where the builtin appendix_c_dynamics() is two expressions."""
+
+    def f1(b0: float, b1: float) -> float:
+        s = b0 + b1
+        return 0.5 * (b1 + b1 / 5.0) / 1.4 + math.exp(-1e-9 * s) * math.sin(18.0 * s) + 0.1
+
+    def f0(b0: float, b1: float) -> float:
+        return (b1 + b1 / 5.0) / 1.2 + 0.01
+
+    return DynamicsSpec(f0=f0, f1=f1, name="appendixC")

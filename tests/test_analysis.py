@@ -109,7 +109,8 @@ def test_upper_bounds_bound_the_fine_estimates(p0, p1):
     res-64 upper bounds are at least the res-1024 grid estimates."""
     f0, f1 = _affine_sin(*p0), _affine_sin(*p1)
     declared = [max(abs(c), abs(d)) + abs(e) * w for _, c, d, e, w in (p0, p1)]
-    dyn = DynamicsSpec(f0, f1, declared_l0=declared[0], declared_l1=declared[1], array_maps=(f0, f1))
+    f0.array, f1.array = f0, f1  # the same closures on float arrays
+    dyn = DynamicsSpec(f0, f1, declared_l0=declared[0], declared_l1=declared[1])
     coarse = estimate_contraction(dyn, resolution=64)
     fine = estimate_contraction(dyn, resolution=1024)
     assert coarse.l_un_upper >= fine.l_un

@@ -74,7 +74,8 @@ def test_export_field_calls_ct_gradient_for_callback_maps(monkeypatch):
     """perfbench's dynamics.ct_gradient.us_per_call times ct_gradient, which
     only export_field calls on a spec without array maps: once per grid
     point for UN, and again for the UN difference under a constrained mode."""
-    from fairdyn import UtilitySpec, appendix_c_dynamics, dynamics, scenario
+    from conftest import appendix_c_callbacks
+    from fairdyn import UtilitySpec, dynamics, scenario
 
     calls, original = [], dynamics.ct_gradient
 
@@ -85,8 +86,8 @@ def test_export_field_calls_ct_gradient_for_callback_maps(monkeypatch):
     for (module, key), value in _fairdyn_bindings().items():  # rebound as the tracer does
         if value is original and "." not in key:
             monkeypatch.setattr(sys.modules[module], key, counted)
-    dyn, u = appendix_c_dynamics(), UtilitySpec(-1.0, 1.0)
-    assert dyn.array_maps is None
+    dyn, u = appendix_c_callbacks(), UtilitySpec(-1.0, 1.0)
+    assert getattr(dyn.f0, "array", None) is None
     for mode, per_point in (("UN", 1), ("AA1", 2)):
         calls.clear()
         rows = scenario.export_field(dyn, mode, u, resolution=6)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -27,7 +28,7 @@ from fairdyn import (
 )
 from fairdyn import _loops_py, analysis
 from fairdyn.dynamics import DynamicsSpec, grid_axis
-from conftest import random_contractive_affine
+from conftest import appendix_c_callbacks, random_contractive_affine
 
 U = UtilitySpec(u0=-1.0, u1=1.0)
 CONST = constant_dynamics(0.2, 0.8)
@@ -302,7 +303,7 @@ def test_an_unknown_policy_mode_is_a_value_error_naming_the_modes():
     from fairdyn import export_field
 
     state, named = PopulationState.of(0.7, 0.3, 0.5), re.escape("unknown policy mode 'XX': expected one of UN, AA, AA1, AA2")
-    for dyn in (CONST, appendix_c_dynamics()):  # export_field's array and per-point paths
+    for dyn in (CONST, appendix_c_callbacks()):  # export_field's array and per-point paths
         for run in (
             lambda: dt_trajectory(state, "XX", U, dyn, 3),
             lambda: ct_integrate(state, "XX", U, dyn, t_end=0.1, h=0.01),
@@ -364,6 +365,28 @@ def test_appendix_c_shape():
     assert dyn.f0(0.0, 0.0) == pytest.approx(0.01)
     assert dyn.f1(0.0, 0.0) == pytest.approx(0.1)
     assert dyn.affine is None
+
+
+def test_a_replaced_spec_reads_its_new_maps():
+    """dataclasses.replace with new f0 and f1 keeps no array form of the old
+    maps: the grid analyses and the field read the new ones, here Python
+    callbacks, called once per point."""
+    from fairdyn import export_field
+
+    def g0(b0, b1):
+        return 0.3 + 0.1 * b1
+
+    def g1(b0, b1):
+        return 0.6 - 0.2 * b0
+
+    dyn = dataclasses.replace(parse_dynamics("0.2 + 0.1*b0", "0.7 - 0.1*b1", name="new"), f0=g0, f1=g1)
+    fresh = DynamicsSpec(g0, g1, name="new")
+    xs, f0, f1 = dyn.sample_grid(8)
+    assert f0.tolist() == [[g0(x, y) for y in xs.tolist()] for x in xs.tolist()]
+    assert f1.tolist() == [[g1(x, y) for y in xs.tolist()] for x in xs.tolist()]
+    assert estimate_contraction(dyn, 64) == estimate_contraction(fresh, 64)
+    for mode in ("UN", "AA1"):
+        assert export_field(dyn, mode, U, resolution=5) == export_field(fresh, mode, U, resolution=5)
 
 
 def test_a_float32_callback_computes_with_its_float_values():

@@ -23,6 +23,7 @@ from fairdyn import (
 )
 from fairdyn import _loops_py, expr
 from fairdyn.expr import MAX_NESTING, affine_interval
+from conftest import appendix_c_callbacks
 
 APPENDIX_F1 = "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
 APPENDIX_F0 = "(b1 + b1/5)/1.2 + 0.01"
@@ -83,15 +84,19 @@ def test_functions():
 
 
 def test_appendix_formulas_match_builtin():
-    dyn = appendix_c_dynamics()
+    """The parsed appendixC sources, and the builtin's maps, against the
+    same maps written in Python."""
+    native = appendix_c_callbacks()
+    builtin = appendix_c_dynamics()
     f0 = compile_expression(APPENDIX_F0)
     f1 = compile_expression(APPENDIX_F1)
     n = 10_000
     for i in range(n):
         x = (i * 0.7548776662466927) % 1.0
         y = (i * 0.5698402909980532) % 1.0
-        assert abs(f0(x, y) - dyn.f0(x, y)) <= 1e-12
-        assert abs(f1(x, y) - dyn.f1(x, y)) <= 1e-12
+        for g0, g1 in ((f0, f1), (builtin.f0, builtin.f1)):
+            assert abs(g0(x, y) - native.f0(x, y)) <= 1e-12
+            assert abs(g1(x, y) - native.f1(x, y)) <= 1e-12
 
 
 def test_simple_constant_pair_matches_builtin():

@@ -30,6 +30,7 @@ from fairdyn import (
 from fairdyn import _kernels, _loops_py, dynamics
 from fairdyn.expr import compile_expression, ExpressionSyntaxError, affine_interval
 from fairdyn.policy import policy_entries
+from conftest import appendix_c_callbacks
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # The shipped expression_ct scenario's maps, and the affine tuple perfbench's
@@ -263,7 +264,7 @@ def _callback(coef):
 
 
 def _mixed(source):
-    return DynamicsSpec(f0=compile_expression(source), f1=appendix_c_dynamics().f1)
+    return DynamicsSpec(f0=compile_expression(source), f1=appendix_c_callbacks().f1)
 
 
 _OTHER_DYNAMICS = st.one_of(
@@ -271,6 +272,7 @@ _OTHER_DYNAMICS = st.one_of(
     st.lists(_COEF, min_size=6, max_size=6).map(_callback),
     st.tuples(_COEF, _COEF).map(lambda v: constant_dynamics(*v)),
     st.just(appendix_c_dynamics()),
+    st.just(appendix_c_callbacks()),
     _EXPRESSIONS.map(_mixed),
 )
 # half of them parsed expressions, the form with the most generated code
@@ -610,7 +612,7 @@ _APPENDIX_C_EXPRESSIONS = (
         (_PROBE_AFFINE, ("certified", "certified")),
         (constant_dynamics(-0.5, 0.8), ("clamp", "certified")),
         (parse_dynamics(*_APPENDIX_C_EXPRESSIONS), ("check", "check")),
-        (appendix_c_dynamics(), ("clamp", "clamp")),  # Python callbacks: called
+        (appendix_c_callbacks(), ("clamp", "clamp")),  # Python callbacks: called
         # maps that reach the cell's edge exactly
         (parse_dynamics("0.9*b1", "b1"), ("certified", "certified")),
         (constant_dynamics(0.0, 1.0), ("certified", "certified")),
@@ -713,13 +715,14 @@ def test_mode_aa_runs_the_kernel_of_its_agreeing_tests(monkeypatch, utility, ker
 
 
 def test_shipped_ct_scenarios_kernel_forms(monkeypatch):
-    """expression_ct's maps are certified; three_equilibria_ct (appendixC's
-    callbacks) still calls its maps."""
+    """expression_ct's maps are certified; three_equilibria_ct's (appendixC's
+    expressions, which leave [0, 1]) are inlined with their checks."""
     scenario = Scenario.from_file(SCENARIOS / "expression_ct.scn")
     forms = _recorded_forms(monkeypatch, scenario.run_trajectory)
     assert {(form0[3], form1[3]) for form0, form1 in forms} == {("certified", "certified")}
     scenario = Scenario.from_file(SCENARIOS / "three_equilibria_ct.scn")
-    assert set(_recorded_forms(monkeypatch, scenario.run_trajectory)) == {_loops_py._CALLS}
+    forms = _recorded_forms(monkeypatch, scenario.run_trajectory)
+    assert {(form0[3], form1[3]) for form0, form1 in forms} == {("check", "check")}
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from fairdyn import (
 )
 from fairdyn import _kernels, dynamics
 from fairdyn.policy import CASE_TAGS, CASE_UN, MODE_CODES, policy_entries
+from conftest import appendix_c_callbacks
 
 
 def _reference_recorder(state0, mode, time_mode, u, events, strict, policy_fn=None):
@@ -226,6 +227,7 @@ _DYNAMICS = st.one_of(
     ),
     st.tuples(_COEF, _COEF).map(lambda v: constant_dynamics(*v)),
     st.just(appendix_c_dynamics()),
+    st.just(appendix_c_callbacks()),
     st.tuples(_COEF, _COEF, _COEF).map(
         lambda c: parse_dynamics(f"{c[0]!r} + {c[1]!r}*b0", f"0.6 + {c[2]!r}*sin(9*(b0 + b1))")
     ),

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
+from fairdyn import cli
 from fairdyn.cli import APPENDIX_C_F0, APPENDIX_C_F1, SCENARIO_COMMANDS, main
 from fairdyn.scenario import Scenario, ScenarioError, export_field
+from conftest import appendix_c_callbacks
 
 DEMO = """\
 [scenario]
@@ -401,8 +403,8 @@ u1 = 1
 # sha256 of its outputs, recorded before the array form's element-wise
 # calls were grouped by argument; regenerate only for a change meant to
 # alter the bytes. The analyze reports are three_equilibria_ct's: that
-# scenario runs the native appendixC maps, which give the same bits, at the
-# same gA, u0 and u1.
+# scenario runs the builtin appendixC (these expressions; the callbacks it
+# was written as give the same bits), at the same gA, u0 and u1.
 APPENDIX_C_EXPRESSION_DIGESTS = {
     "analyze/appendix_c_expression": "b797b6b7d30d7ce9da930279f9504dbd66defd604524a6ff82df0f6330e1f0b3",
     "analyze/appendix_c_expression@96": "efa7f7cd84f720f4dcde987987b6dcd2057d62b88cbf2405e5031337bb9c2afe",
@@ -426,9 +428,10 @@ def test_appendix_c_expression_outputs_are_byte_identical(tmp_path):
     assert digests == APPENDIX_C_EXPRESSION_DIGESTS
 
 
-# A CT scenario on the builtin appendixC callbacks, in each policy mode:
-# their grid analyses and field take the callback paths, where f1 leaves
-# [0, 1] at about a third of the points.
+# A CT scenario on the builtin appendixC, in each policy mode, where f1
+# leaves [0, 1] at about a third of the points. The builtin is two
+# expressions; run with appendixC's maps as Python callbacks in its place,
+# the grid analyses and the field take the callback paths.
 APPENDIX_C_CALLBACKS = """\
 [scenario]
 name = appendix_c_{mode}
@@ -451,9 +454,9 @@ u0 = -1
 u1 = 0.8
 """
 # sha256 of its analyze and field outputs at resolutions 64, 96 and 128,
-# recorded before the map-value rule was compiled into ct_gradient, un_map
-# and the per-point sampler; regenerate only for a change meant to alter
-# the bytes.
+# recorded on the callbacks before the map-value rule was compiled into
+# ct_gradient, un_map and the per-point sampler; regenerate only for a
+# change meant to alter the bytes.
 APPENDIX_C_CALLBACK_DIGESTS = {
     "analyze/UN@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
     "field/UN@64": "2f046dcdf52f7e22b6b86bcd263162ff7f89679a68265d3c310b40b81379f685",
@@ -482,7 +485,7 @@ APPENDIX_C_CALLBACK_DIGESTS = {
 }
 
 
-def test_appendix_c_callback_outputs_are_byte_identical(tmp_path):
+def appendix_c_digests(tmp_path: Path) -> dict[str, str]:
     digests = {}
     for mode in ("UN", "AA", "AA1", "AA2"):
         path = tmp_path / f"appendix_c_{mode}.scn"
@@ -492,7 +495,16 @@ def test_appendix_c_callback_outputs_are_byte_identical(tmp_path):
                 assert main([cmd, str(path), "--out", str(tmp_path), "--resolution", resolution]) == 0
                 data = (tmp_path / f"appendix_c_{mode}_{suffix}").read_bytes()
                 digests[f"{cmd}/{mode}@{resolution}"] = hashlib.sha256(data).hexdigest()
-    assert digests == APPENDIX_C_CALLBACK_DIGESTS
+    return digests
+
+
+def test_appendix_c_callback_outputs_are_byte_identical(tmp_path):
+    assert appendix_c_digests(tmp_path) == APPENDIX_C_CALLBACK_DIGESTS
+
+
+def test_appendix_c_as_python_callbacks_gives_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr("fairdyn.dynamics.appendix_c_dynamics", appendix_c_callbacks)
+    assert appendix_c_digests(tmp_path) == APPENDIX_C_CALLBACK_DIGESTS
 
 
 def field_digests(out: Path) -> dict[str, str]:
@@ -952,6 +964,17 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--seed", "1", "--resolution", "200"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "FAIL" not in out
+
+
+def test_verify_fails_on_a_parser_mismatch(monkeypatch, capsys):
+    """verify checks the parsed appendixC sources against the maps written
+    in Python, not against the builtin (the same parsed sources): a source
+    off by 1e-9 fails it at every point, also where the builtin has it."""
+    off = cli.APPENDIX_C_F1 + " + 0.000000001"
+    monkeypatch.setattr(cli, "APPENDIX_C_F1", off)
+    monkeypatch.setattr("fairdyn.dynamics.APPENDIX_C_F1", off)
+    assert main(["verify", "--seed", "1", "--resolution", "1"]) == 1
+    assert "[FAIL] expression parser vs builtin dynamics: 0/10000" in capsys.readouterr().out
 
 
 def test_run_scenario_writes_requested_artifacts(tmp_path):
