@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
     bad = fail
     total, fail = _verify_parser(10_000)
     status = "PASS" if fail == 0 else "FAIL"
-    print(f"[{status}] expression parser vs builtin dynamics: {total - fail}/{total}")
+    print(f"[{status}] expression parser vs appendixC in Python: {total - fail}/{total}")
     bad += fail
     return EXIT_OK if bad == 0 else 1
 

@@ -26,7 +26,6 @@ from .policy import (
     CASE_TAGS,
     CASE_UN,
     MODE_CODES,
-    aa_scores,
     indent,
     mode_code,
     policy_entries,
@@ -737,49 +736,3 @@ def ct_field(
         return None
     (f0a, f1a), (f0b, f1b) = maps_a, maps_b
     return ct_rate(pa, f1a, f0a), ct_rate(pb, f1b, f0b)
-
-
-@dataclass(frozen=True)
-class TailBracket:
-    """Infinite-horizon cumulative-utility bracket for an equalizing CT run."""
-
-    finite: float
-    delta_tail: tuple[float, float]
-    interval: tuple[float, float]
-
-
-def cumulative_utility_with_tail(
-    record: TrajectoryRecord,
-    contraction: float,
-    u: UtilitySpec,
-    g_a: float,
-) -> TailBracket:
-    """Bracket the infinite-horizon integral of the utility.
-
-    The finite-horizon part is the record's trapezoid integral. Past t_end,
-    only the gap-dependent utility terms are bracketed, using the two-sided
-    exponential envelopes on the group gap integrated analytically; the
-    gap-independent baseline is common across modes once both groups sit at
-    the shared limit and is excluded from the tail.
-    """
-    if not (0.0 <= contraction < 1.0):
-        raise ValueError("tail bounds require a contraction estimate in [0, 1)")
-    final_delta = float(record.delta[-1])
-    d = abs(final_delta)
-    lo = d / (1.0 + contraction)
-    hi = d / (1.0 - contraction)
-
-    tag = record.case_tags[-1]
-    g_adv = g_a if final_delta >= 0.0 else 1.0 - g_a
-    if tag == "UN":
-        coeff = g_adv * u.u1
-    elif tag == "AA1":
-        coeff = 0.0
-    else:  # AA2
-        coeff = aa_scores(g_a, u.u0, u.u1)[final_delta < 0.0]
-    finite = record.cumulative_utility
-    if coeff >= 0.0:
-        interval = (finite + coeff * lo, finite + coeff * hi)
-    else:
-        interval = (finite + coeff * hi, finite + coeff * lo)
-    return TailBracket(finite=finite, delta_tail=(lo, hi), interval=interval)

@@ -389,8 +389,7 @@ def export_field(
     axis: grid_axis(resolution - 1). The grid is evaluated as arrays by
     dynamics.ct_field when it can vouch for every point, else point by point
     through ct_gradient, with the same bits either way."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    step_count("resolution", resolution, 2)
     if not 0.0 < g_a < 1.0:
         raise ValueError(f"g_a must lie in (0, 1), got {g_a!r}")
     axis = grid_axis(resolution - 1)

@@ -257,6 +257,12 @@ def test_export_field_rejects_a_group_share_outside_the_open_unit_interval():
                 export_field(dyn, "AA1", U, resolution=3, g_a=g_a)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, 1])
+def test_export_field_rejects_a_resolution_that_is_not_an_integer_of_at_least_2(bad):
+    with pytest.raises(ValueError, match=re.escape(f"resolution must be an integer >= 2, got {bad!r}")):
+        export_field(CONST, "AA1", U, resolution=bad)
+
+
 def test_theorem2_arithmetic():
     v = theorem2_verdict(0.9, 0.65, 0.5, UtilitySpec(u0=-1.0, u1=1.0))
     assert v.alpha == pytest.approx(1.0 / 3.0)

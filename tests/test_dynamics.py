@@ -20,7 +20,6 @@ from fairdyn import (
     constant_dynamics,
     ct_gradient,
     ct_integrate,
-    cumulative_utility_with_tail,
     dt_step,
     dt_trajectory,
     estimate_contraction,
@@ -319,45 +318,6 @@ def test_parse_dynamics_produces_working_spec():
     rec = ct_integrate(PopulationState.of(0.9, 0.9, 0.5), "UN", U, dyn, t_end=2.0, h=1e-2)
     ref = ct_integrate(PopulationState.of(0.9, 0.9, 0.5), "UN", U, CONST, t_end=2.0, h=1e-2)
     assert np.array_equal(rec.pi_a, ref.pi_a)
-
-
-def test_tail_point_interval_at_zero_delta():
-    rec = ct_integrate(
-        PopulationState.of(0.7, 0.7, 0.5), "UN", U, CONST, t_end=5.0, h=1e-2
-    )
-    bracket = cumulative_utility_with_tail(rec, 0.6, U, 0.5)
-    lo, hi = bracket.interval
-    assert lo == pytest.approx(hi, abs=1e-15)
-    assert lo == pytest.approx(rec.cumulative_utility, abs=1e-12)
-
-
-def test_tail_envelope_arithmetic():
-    rec = ct_integrate(
-        PopulationState.of(0.9, 0.1, 0.5), "UN", U, CONST, t_end=2.0, h=1e-2
-    )
-    d = abs(rec.delta[-1])
-    bracket = cumulative_utility_with_tail(rec, 0.6, U, 0.5)
-    assert bracket.delta_tail[0] == pytest.approx(d / 1.6, rel=1e-12)
-    assert bracket.delta_tail[1] == pytest.approx(d / 0.4, rel=1e-12)
-    # UN tail coefficient is g_adv * u1 = 0.5
-    assert bracket.interval[1] - bracket.finite == pytest.approx(0.5 * d / 0.4, rel=1e-12)
-
-
-def test_tail_degenerate_utility():
-    u = UtilitySpec(u0=0.0, u1=0.0)
-    rec = ct_integrate(
-        PopulationState.of(0.9, 0.1, 0.5), "UN", u, CONST, t_end=2.0, h=1e-2
-    )
-    bracket = cumulative_utility_with_tail(rec, 0.6, u, 0.5)
-    assert bracket.interval == (rec.cumulative_utility, rec.cumulative_utility)
-
-
-def test_tail_rejects_non_contractive():
-    rec = ct_integrate(
-        PopulationState.of(0.9, 0.1, 0.5), "UN", U, CONST, t_end=1.0, h=1e-2
-    )
-    with pytest.raises(ValueError):
-        cumulative_utility_with_tail(rec, 1.0, U, 0.5)
 
 
 def test_appendix_c_shape():

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
 from fairdyn import cli
-from fairdyn.cli import APPENDIX_C_F0, APPENDIX_C_F1, SCENARIO_COMMANDS, main
+from fairdyn.cli import SCENARIO_COMMANDS, main
 from fairdyn.scenario import Scenario, ScenarioError, export_field
 from conftest import appendix_c_callbacks
+import goldens
 
 DEMO = """\
 [scenario]
@@ -41,9 +42,6 @@ u1 = 1
 """
 CONSTANT_DYNAMICS = "builtin = constant\nf0 = 0.2\nf1 = 0.8"
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-# sha256 of every output below, recorded before the grid analyses gained
-# their array form; regenerate only for a change meant to alter the bytes.
-SHIPPED_DIGESTS = Path(__file__).with_name("shipped_digests.json")
 
 
 def test_round_trip_is_identity():
@@ -339,236 +337,51 @@ def test_determinism_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def shipped_output_digests(out: Path) -> dict[str, str]:
-    """sha256 of the simulate, compare, field and analyze outputs of every
-    shipped scenario, written into out with default arguments, and of the
-    analyze reports at resolutions 96 and 100 (grids whose step is not a
-    power of two), keyed "analyze/<scenario>@<resolution>"."""
-    digests = {}
-    for cmd, suffix, args in (
-        ("simulate", "trajectory.csv", []),
-        ("compare", "compare.csv", []),
-        ("field", "field.csv", []),
-        ("analyze", "analysis.txt", []),
-        ("analyze", "analysis.txt", ["--resolution", "96"]),
-        ("analyze", "analysis.txt", ["--resolution", "100"]),
-    ):
-        for scenario in sorted(SCENARIOS.glob("*.scn")):
-            assert main([cmd, str(scenario), "--out", str(out), *args]) == 0
-            data = (out / f"{scenario.stem}_{suffix}").read_bytes()
-            key = f"{cmd}/{scenario.stem}" + (f"@{args[1]}" if args else "")
-            digests[key] = hashlib.sha256(data).hexdigest()
-    return digests
+GOLDENS = json.loads(goldens.TABLE.read_text())
+
+
+def assert_goldens(tmp_path: Path, group: str) -> None:
+    """The rows of goldens.CASES[group], produced at this commit, are the
+    table's: an analyze report as its full text, a CSV as its sha256."""
+    for key, row in goldens.produce(goldens.CASES[group], tmp_path).items():
+        assert row == GOLDENS[key], key
+
+
+def test_the_goldens_have_one_row_per_case():
+    keys = [case.key for cases in goldens.CASES.values() for case in cases]
+    assert sorted(keys) == sorted(GOLDENS)
 
 
 def test_shipped_outputs_are_byte_identical(tmp_path):
-    assert shipped_output_digests(tmp_path) == json.loads(SHIPPED_DIGESTS.read_text())
+    assert_goldens(tmp_path, "shipped")
 
 
 def test_benchmark_pins_the_same_csv_digests():
     """The benchmark checks the shipped scenarios' CSVs against its own
-    copy of their digests: it must hold the ones pinned here."""
-    shipped = json.loads(SHIPPED_DIGESTS.read_text())
+    copy of their digests, keyed "<subcommand>/<scenario>": it must hold
+    the ones pinned here."""
     bench = json.loads((SCENARIOS.parent / "perfbench" / "digests.json").read_text())
-    csv = {key: digest for key, digest in shipped.items() if not key.startswith("analyze/")}
+    csv = {f"{c.command}/{c.variant}": GOLDENS[c.key] for c in goldens.CASES["shipped"] if c.command != "analyze"}
     assert len(csv) == 9
     assert bench == csv
 
 
-# A CT scenario whose maps are the Appendix C formulas written as
-# expressions: its grid analyses and field call sin and exp element-wise in
-# the maps' array form, which no shipped scenario does.
-APPENDIX_C_EXPRESSION = f"""\
-[scenario]
-name = appendix_c_expression
-mode = AA1
-time = CT
-t_end = 20
-h = 0.01
-outputs = trajectory
-
-[dynamics]
-f0 = {APPENDIX_C_F0}
-f1 = {APPENDIX_C_F1}
-
-[state]
-piA = 0.9
-piB = 0.1
-gA = 0.5
-
-[utility]
-u0 = -1
-u1 = 1
-"""
-# sha256 of its outputs, recorded before the array form's element-wise
-# calls were grouped by argument; regenerate only for a change meant to
-# alter the bytes. The analyze reports are three_equilibria_ct's: that
-# scenario runs the builtin appendixC (these expressions; the callbacks it
-# was written as give the same bits), at the same gA, u0 and u1.
-APPENDIX_C_EXPRESSION_DIGESTS = {
-    "analyze/appendix_c_expression": "b797b6b7d30d7ce9da930279f9504dbd66defd604524a6ff82df0f6330e1f0b3",
-    "analyze/appendix_c_expression@96": "efa7f7cd84f720f4dcde987987b6dcd2057d62b88cbf2405e5031337bb9c2afe",
-    "field/appendix_c_expression": "059e59bf1d1f4728b1cfbd71faadccd7df527bc92e2cc151d128c49080e4ce57",
-}
-
-
 def test_appendix_c_expression_outputs_are_byte_identical(tmp_path):
-    path = tmp_path / "appendix_c_expression.scn"
-    path.write_text(APPENDIX_C_EXPRESSION)
-    digests = {}
-    for cmd, suffix, args in (
-        ("analyze", "analysis.txt", []),
-        ("analyze", "analysis.txt", ["--resolution", "96"]),
-        ("field", "field.csv", []),
-    ):
-        assert main([cmd, str(path), "--out", str(tmp_path), *args]) == 0
-        data = (tmp_path / f"appendix_c_expression_{suffix}").read_bytes()
-        key = f"{cmd}/appendix_c_expression" + (f"@{args[1]}" if args else "")
-        digests[key] = hashlib.sha256(data).hexdigest()
-    assert digests == APPENDIX_C_EXPRESSION_DIGESTS
-
-
-# A CT scenario on the builtin appendixC, in each policy mode, where f1
-# leaves [0, 1] at about a third of the points. The builtin is two
-# expressions; run with appendixC's maps as Python callbacks in its place,
-# the grid analyses and the field take the callback paths.
-APPENDIX_C_CALLBACKS = """\
-[scenario]
-name = appendix_c_{mode}
-mode = {mode}
-time = CT
-t_end = 20
-h = 0.01
-outputs = trajectory
-
-[dynamics]
-builtin = appendixC
-
-[state]
-piA = 0.8
-piB = 0.3
-gA = 0.4
-
-[utility]
-u0 = -1
-u1 = 0.8
-"""
-# sha256 of its analyze and field outputs at resolutions 64, 96 and 128,
-# recorded on the callbacks before the map-value rule was compiled into
-# ct_gradient, un_map and the per-point sampler; regenerate only for a
-# change meant to alter the bytes.
-APPENDIX_C_CALLBACK_DIGESTS = {
-    "analyze/UN@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
-    "field/UN@64": "2f046dcdf52f7e22b6b86bcd263162ff7f89679a68265d3c310b40b81379f685",
-    "analyze/UN@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
-    "field/UN@96": "4457db0a345c6d0cb6b3543a560dd79f420c6c674fcceeae83bf247c0688df9a",
-    "analyze/UN@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
-    "field/UN@128": "e37b1f84644fa461064af537ddf3dfd8df54ec1bf0e85322780c082b0103f8e2",
-    "analyze/AA@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
-    "field/AA@64": "462ee0716a0de085fb2ff3ffe3fd496bd1e345cbbeaec2c56ca1c4dd62588aa9",
-    "analyze/AA@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
-    "field/AA@96": "1ea0d88bdd15b59dd83c4589aa9c0e4d5a55793acf798c1b28ebb2e588b9f12f",
-    "analyze/AA@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
-    "field/AA@128": "6615fcd4c3bd169938a780cd92846227458f3ee651d625719e6aae7c88e8ecad",
-    "analyze/AA1@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
-    "field/AA1@64": "b708dd0d600eb2e5d293d50eaa4a282cfe580d079afeb677386d97174c661c48",
-    "analyze/AA1@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
-    "field/AA1@96": "1de8f7d77c59d6bc52ebbebd5c1127f8a175aecae3618a9aee35f8f463924ab3",
-    "analyze/AA1@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
-    "field/AA1@128": "eb74da99dd187aa74981367a4d90b56a2b334d4f1b0bc6695f4ac0c92e208c46",
-    "analyze/AA2@64": "8e32bdc668de85565a2473273e5a194468400f09f538fe61d9d50ad5ff0e256a",
-    "field/AA2@64": "eb1aa98382b1b7d973ce422f215826d01e49cf94be818115911e1d5fbf67d71e",
-    "analyze/AA2@96": "f8a238b3e42ae7d40e9be4366639212bafa022a598e2b09b819c9f829373e595",
-    "field/AA2@96": "cfcb253764658cb3bfcb05b4669e8eb0fbab01d4f60edaf72fc17e5e31f3fdd9",
-    "analyze/AA2@128": "e643e90b3a747d01bd21658c716c3865e1caa4bce4a6141056f4b6afea4afbc3",
-    "field/AA2@128": "98c2ff6cf8ff2d047a5dccf3aca5faec13c53050687ca819ff5e7d13dca3e678",
-}
-
-
-def appendix_c_digests(tmp_path: Path) -> dict[str, str]:
-    digests = {}
-    for mode in ("UN", "AA", "AA1", "AA2"):
-        path = tmp_path / f"appendix_c_{mode}.scn"
-        path.write_text(APPENDIX_C_CALLBACKS.format(mode=mode))
-        for resolution in ("64", "96", "128"):
-            for cmd, suffix in (("analyze", "analysis.txt"), ("field", "field.csv")):
-                assert main([cmd, str(path), "--out", str(tmp_path), "--resolution", resolution]) == 0
-                data = (tmp_path / f"appendix_c_{mode}_{suffix}").read_bytes()
-                digests[f"{cmd}/{mode}@{resolution}"] = hashlib.sha256(data).hexdigest()
-    return digests
+    assert_goldens(tmp_path, "appendix_c_expression")
 
 
 def test_appendix_c_callback_outputs_are_byte_identical(tmp_path):
-    assert appendix_c_digests(tmp_path) == APPENDIX_C_CALLBACK_DIGESTS
+    assert_goldens(tmp_path, "appendix_c_modes")
 
 
 def test_appendix_c_as_python_callbacks_gives_the_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr("fairdyn.dynamics.appendix_c_dynamics", appendix_c_callbacks)
-    assert appendix_c_digests(tmp_path) == APPENDIX_C_CALLBACK_DIGESTS
-
-
-def field_digests(out: Path) -> dict[str, str]:
-    """sha256 of the field CSV of every shipped scenario, in each policy
-    mode (a copy of the scenario with its mode line replaced), at
-    --resolution 1, 31 and 100, keyed "<scenario>/<mode>@<resolution>"."""
-    digests = {}
-    for scenario in sorted(SCENARIOS.glob("*.scn")):
-        for mode in ("UN", "AA", "AA1", "AA2"):
-            text, count = re.subn(r"^mode = \w+$", f"mode = {mode}", scenario.read_text(), flags=re.M)
-            assert count == 1
-            path = out / scenario.name
-            path.write_text(text)
-            for resolution in ("1", "31", "100"):
-                assert main(["field", str(path), "--out", str(out), "--resolution", resolution]) == 0
-                data = (out / f"{scenario.stem}_field.csv").read_bytes()
-                digests[f"{scenario.stem}/{mode}@{resolution}"] = hashlib.sha256(data).hexdigest()
-    return digests
-
-
-# field_digests, recorded before the field writer formatted each distinct
-# number once; regenerate only for a change meant to alter the bytes.
-FIELD_DIGESTS = {
-    "constant_dt/UN@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
-    "constant_dt/UN@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
-    "constant_dt/UN@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
-    "constant_dt/AA@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
-    "constant_dt/AA@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
-    "constant_dt/AA@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
-    "constant_dt/AA1@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
-    "constant_dt/AA1@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
-    "constant_dt/AA1@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
-    "constant_dt/AA2@1": "47fdc340f03d4689ba8a54178d5993bc04c3a3dc366f35a67db1fbbc29fb3aaf",
-    "constant_dt/AA2@31": "07095b05b9447197bb647286412090b0cc59112c5df3872af7ff8c910041933b",
-    "constant_dt/AA2@100": "116f25cc88d2b515a8fa9abf2cf8a42792f85d7b6d329fd8240c178cac3a690b",
-    "expression_ct/UN@1": "ed91c0364996c9b9a906a29484faa21ec328b1c2ead9f0305e6f40d7621e00a7",
-    "expression_ct/UN@31": "2b5386e468d829546bcdd8decc3541f8fcec89fdf8e4976beadc78525d4c439c",
-    "expression_ct/UN@100": "5cdffd43171a0452974107045ed5332f0e2b0d0c8b06201f011a7de09f97185e",
-    "expression_ct/AA@1": "768e9512f79a70a1988ccd40b49e5c4145b034bef3ec6efba9923abcd282100f",
-    "expression_ct/AA@31": "d4c3a11ebaca712c296cfd979c0cfc28822966412a1aeb810f05994ce3f0190e",
-    "expression_ct/AA@100": "dd3ddb3aefabf8f915cd28b96f0ea03c327913e14c908f822abd23c997d803b0",
-    "expression_ct/AA1@1": "768e9512f79a70a1988ccd40b49e5c4145b034bef3ec6efba9923abcd282100f",
-    "expression_ct/AA1@31": "d4c3a11ebaca712c296cfd979c0cfc28822966412a1aeb810f05994ce3f0190e",
-    "expression_ct/AA1@100": "dd3ddb3aefabf8f915cd28b96f0ea03c327913e14c908f822abd23c997d803b0",
-    "expression_ct/AA2@1": "61882de06a7ddac0355fc43263745fc4303e784a0e95d247d488ed9b8cda702b",
-    "expression_ct/AA2@31": "cc7fc8972f70ea8958507559ee618a6a8de0857544b53ca436aef6f9eb00ff7d",
-    "expression_ct/AA2@100": "43214b167cadc8632e1c3dc144e6979fc72ca9139a2e92e1bf483521bb196bea",
-    "three_equilibria_ct/UN@1": "a01c917feb2d41ca877e8e5f246fd7b7741e2856d38a4d49fb6c9c9e55daf36c",
-    "three_equilibria_ct/UN@31": "024fd5ca0872a62b5c3292c11f2fb5f8773c0778a56cee88186e773ba74961f7",
-    "three_equilibria_ct/UN@100": "8bf96865cff34bc223dc6ed698737695798889ed24fdcccf10d506720415e930",
-    "three_equilibria_ct/AA@1": "a01c917feb2d41ca877e8e5f246fd7b7741e2856d38a4d49fb6c9c9e55daf36c",
-    "three_equilibria_ct/AA@31": "928e441e9a0a9fb119e80b947f35d32bba6b1b72101fb0551d7d096d4a432d5d",
-    "three_equilibria_ct/AA@100": "8673c75ed7f92295fdf76b968bedfe471887446040fd5efa9b62e3812199ecb1",
-    "three_equilibria_ct/AA1@1": "6920de8eb8899fdd74d8ae79c5ce6b6c03c64cbf64ff31d5ac8e0d61d6e1e2be",
-    "three_equilibria_ct/AA1@31": "1cdee58d8f34e6e3b9aa937ee1c36d1a6552e588ec2ae1b3dd0f2d4ae0acf0bf",
-    "three_equilibria_ct/AA1@100": "092f424eab3bf1db07c65f788ab9396f64d92a4b55f6f3e9adac242d50cb8df2",
-    "three_equilibria_ct/AA2@1": "a01c917feb2d41ca877e8e5f246fd7b7741e2856d38a4d49fb6c9c9e55daf36c",
-    "three_equilibria_ct/AA2@31": "928e441e9a0a9fb119e80b947f35d32bba6b1b72101fb0551d7d096d4a432d5d",
-    "three_equilibria_ct/AA2@100": "8673c75ed7f92295fdf76b968bedfe471887446040fd5efa9b62e3812199ecb1",
-}
+    assert_goldens(tmp_path, "appendix_c_modes")
 
 
 def test_field_outputs_beyond_the_default_grid_are_byte_identical(tmp_path):
-    assert field_digests(tmp_path) == FIELD_DIGESTS
+    assert_goldens(tmp_path, "field_modes")
+
 
 def test_python_m_fairdyn_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -663,8 +476,7 @@ def test_main_reuses_one_parser_without_state(tmp_path, capsys):
     assert main(["field", scenario, *out, "--resolution", "0"]) == 2
     assert main(["field", scenario, *out]) == 0
     data = (tmp_path / "three_equilibria_ct_field.csv").read_bytes()
-    pinned = json.loads(SHIPPED_DIGESTS.read_text())["field/three_equilibria_ct"]
-    assert hashlib.sha256(data).hexdigest() == pinned
+    assert hashlib.sha256(data).hexdigest() == GOLDENS["three_equilibria_ct/field"]
     capsys.readouterr()
     for _ in range(2):
         assert main(["--version"]) == 0
@@ -974,7 +786,7 @@ def test_verify_fails_on_a_parser_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(cli, "APPENDIX_C_F1", off)
     monkeypatch.setattr("fairdyn.dynamics.APPENDIX_C_F1", off)
     assert main(["verify", "--seed", "1", "--resolution", "1"]) == 1
-    assert "[FAIL] expression parser vs builtin dynamics: 0/10000" in capsys.readouterr().out
+    assert "[FAIL] expression parser vs appendixC in Python: 0/10000" in capsys.readouterr().out
 
 
 def test_run_scenario_writes_requested_artifacts(tmp_path):
