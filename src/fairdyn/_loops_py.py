@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _fold, _render, affine_interval
+from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _fold, affine_interval
 from .policy import AA1_TESTS, MODE_AA, MODE_AA1, MODE_AA2, aa_scores, indent, policy_source
 
 BACKEND = "python"
@@ -120,7 +120,7 @@ def ct_loop(
         if trees[0] is None or trees[1] is None:
             forms, literals = _CALLS, ((), ())
         else:
-            literals = tuple(f.scalar_code[1] for f in (f0, f1))
+            literals = f0.literals, f1.literals
             forms = tuple(
                 (tree, tree, len(values), "certified" if in_cell and _map_certified(f) else "check")
                 for tree, values, f in zip(trees, literals, (f0, f1))
@@ -430,9 +430,9 @@ def _maps(values, forms, merged: bool, frozen, b0_bound: bool) -> list[str]:
 def _code(tree, i: int, n_literals: int, b0: str, b1: str, frozen: dict) -> str:
     """The scalar code of map i's tree at the rates b0 and b1, its literals
     the kernel's lit<i>_<j> and its leaves named in `frozen` those names."""
-    fields = (f"lit{i}_{j}" for j in range(n_literals))
-    names = {name: name for name in frozen.values()}
-    return _render(tree, _SCALAR).format(*fields, b0=b0, b1=b1, **names)
+    leaves = {j: f"lit{i}_{j}" for j in range(n_literals)}
+    leaves.update({name: name for name in frozen.values()}, b0=b0, b1=b1)
+    return _fold(tree, _SCALAR, leaves)
 
 
 def _freeze(tree, n_literals: int, b0_bound: bool, frozen: dict, prefix: str):

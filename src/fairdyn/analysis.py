@@ -218,7 +218,7 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
     """Locate and classify fixed points of the UN-induced profile map, from
     one scan of it on grid_axis(4096)."""
     if mode not in ("DT", "CT"):
-        raise ValueError("mode must be 'DT' or 'CT'")
+        raise ValueError(f"mode must be 'DT' or 'CT', got {mode!r}")
     f = un_map(dyn)
     g = lambda pi: f(pi) - pi
     xs = grid_axis(4096)
@@ -302,11 +302,11 @@ def delta_bounds(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 <= contraction < 1.0):
-        raise ValueError("contraction constant must lie in [0, 1)")
+        raise ValueError(f"contraction constant must lie in [0, 1), got {contraction!r}")
     if t < 0.0:
-        raise ValueError("t must be >= 0")
+        raise ValueError(f"t must be >= 0, got {t!r}")
     if delta0 < 0.0:
-        raise ValueError("delta0 must be >= 0")
+        raise ValueError(f"delta0 must be >= 0, got {delta0!r}")
     if mode == "CT":
         return (
             delta0 * math.exp(-t * (1.0 + contraction)),
@@ -314,7 +314,7 @@ def delta_bounds(
         )
     if mode == "DT":
         return (0.0, 2.0 * delta0 * contraction**t)
-    raise ValueError("mode must be 'DT' or 'CT'")
+    raise ValueError(f"mode must be 'DT' or 'CT', got {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ and write one artifact (see scenario.write_output) into --out (default: the
 working directory); they take --strict, analyze and field --resolution too.
 verify runs the randomized self-check suites; it takes --seed and
 --resolution. Exit codes: 0 success, 1 a verify self-check failed, 2 invalid
-scenario, arguments (a --resolution below its minimum too) or unreadable
-file, 3 warning escalated under --strict, 4 stereotype validity violation.
+scenario, arguments (a --resolution below its minimum too), unreadable file
+or a run out of memory, 3 warning escalated under --strict, 4 stereotype
+validity violation.
 """
 
 from __future__ import annotations
@@ -163,6 +164,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except OSError as exc:  # names the file, e.g. a missing or directory path
         print(f"cannot read or write file: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("out of memory: lower steps, t_end / h or --resolution", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -17,15 +17,16 @@ value); "b0" or "b1"; or (kind, *children), with kind one of + - * / ^,
 "neg", "()" (the source's parentheses) or a function name. Each form of
 the expression is one table keyed by kind, which one fold (_fold) applies
 over the tree, never reassociating or simplifying: _SCALAR and _ARRAY hold
-code templates, which _render fills in, and _INTERVAL the interval
-helpers, which interval() calls. The grammar's precedence and associativity
+code templates, filled in with the code of the children and of the leaves,
+whose names each caller gives, and _INTERVAL the interval helpers, which
+interval() calls. The grammar's precedence and associativity
 are Python's own (unary minus binds looser than '^', which is right
 associative and takes a negated exponent), so the scalar function does the
 tree's IEEE operations in the tree's order, bit-reproducible on a given
 platform. An arithmetic error or a NaN, infinite or complex result raises
 ExpressionEvaluationError naming the expression and the (b0, b1) point.
-The RK4 kernel inlines the scalar code, rendered from the tree
-(compile_expression's tree attribute) with _render over _SCALAR.
+The RK4 kernel inlines the scalar code, folded from the tree
+(compile_expression's tree attribute) over _SCALAR with its own names.
 
 No form writes a literal's value into its code: the scalar and array
 functions read the names lit0, lit1, ..., and the kernel its arguments. So
@@ -275,26 +276,6 @@ def _fold(node, table: dict[str, Callable], leaves):
     for kind, _, right in reversed(chain):
         value = table[kind](value, _fold(right, table, leaves))
     return value
-
-
-class _Fields(dict):
-    """The str.format field of each leaf: {i} for the i-th literal and
-    {name} for a name, made at its first use and kept: _render looks each
-    leaf up rather than formatting its field again."""
-
-    def __missing__(self, leaf) -> str:
-        field = self[leaf] = f"{{{leaf}}}"
-        return field
-
-
-_FIELDS = _Fields()
-
-
-def _render(node, form: dict[str, Callable[..., str]]) -> str:
-    """The code of a tree in one form, as a str.format template: {b0} and
-    {b1} for the rates, {i} for the i-th literal, and each node its kind's
-    template in `form` filled with its children's code."""
-    return _fold(node, form, _FIELDS)
 
 
 # The whole expression becomes one scalar and one array function, compiled
@@ -547,17 +528,15 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     raises ExpressionEvaluationError instead of returning a NaN, infinite or
     complex value.
 
-    The map's `scalar_code` attribute is (template, literals): the scalar
-    code as a str.format template with the fields {b0} and {b1} for the
-    rates and {i} for the i-th numeric literal, and the literals' values.
-    Expressions that differ only in their numbers share one template. The
-    map runs it with the names lit0, lit1, ... in the literal fields, bound
-    to the literals' values, as the RK4 kernel does; it calls the functions
-    in SCALAR_FUNCTIONS by name. Each template is one shape, whose scalar
-    and array functions compile together, once per process (while it stays
-    in a cache of _SHAPES_SIZE shapes), and run on each expression's own
-    literals. The map's `tree` attribute is the parsed tree that template is
-    rendered from.
+    The map's `tree` attribute is the parsed tree and its `literals`
+    attribute the values of the tree's numeric literals: leaf i is
+    literals[i]. Expressions that differ only in their numbers share one
+    tree. The map runs the tree's scalar code with the names lit0, lit1,
+    ... bound to the literals' values; the RK4 kernel folds its own code
+    from the tree, with its own names. The code calls the functions in
+    SCALAR_FUNCTIONS by name. Each tree is one shape, whose scalar and array
+    functions compile together, once per process (while it stays in a cache
+    of _SHAPES_SIZE shapes), and run on each expression's own literals.
 
     The map's `array` attribute is the expression's array function, with its
     literals bound the same way: array(b0, b1) takes two float arrays of one
@@ -578,12 +557,12 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
         tree = parser.parse()
         literals = tuple(parser.literals)
         names = [f"lit{i}" for i in range(len(literals))]
-        template = _render(tree, _SCALAR)
-        code = template.format(*names, b0="b0", b1="b1")
+        leaves = dict(enumerate(names), b0="b0", b1="b1")
+        code = _fold(tree, _SCALAR, leaves)
         shape = _SHAPES.get(code)
         if shape is None:
             real = " and not _isinstance(v, _complex)" if "**" in code else ""
-            array_code = _render(tree, _ARRAY).format(*names, b0="b0", b1="b1")
+            array_code = _fold(tree, _ARRAY, leaves)
             text = _TEMPLATE.format(code=code, real=real, array_code=array_code)
             # compile() is called in this frame: CPython scales its compiler's
             # nesting limit from the caller's stack depth, and the kernel's
@@ -601,7 +580,7 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     namespace.update(zip(names, literals))
     exec(shape, namespace)
     compiled = namespace["compiled"]
-    compiled.scalar_code = (template, literals)
+    compiled.literals = literals
     compiled.tree = tree
     compiled.array = namespace["compiled_array"]
     compiled.interval = functools.partial(interval, tree, literals)

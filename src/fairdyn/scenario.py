@@ -190,9 +190,11 @@ class Scenario:
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name {self.name!r} in [scenario] must be a plain file name")
         if self.mode not in MODE_CODES:
-            raise ScenarioError(f"unknown mode {self.mode!r}")
+            raise ScenarioError(
+                f"unknown mode {self.mode!r} in [scenario]; allowed: {', '.join(MODE_CODES)}"
+            )
         if self.time_mode not in ("DT", "CT"):
-            raise ScenarioError(f"unknown time mode {self.time_mode!r}")
+            raise ScenarioError(f"unknown time {self.time_mode!r} in [scenario]; allowed: DT, CT")
         try:
             step_count("steps", self.steps, 0)
             ct_steps(self.t_end, self.h, self.sample_every)
@@ -216,6 +218,13 @@ class Scenario:
         for key, declared in (("l0", self.declared_l0), ("l1", self.declared_l1)):
             if declared is not None and not (math.isfinite(declared) and declared >= 0.0):
                 raise ScenarioError(f"{key} in [dynamics] must be finite and >= 0, got {declared!r}")
+        for key, value, inside, bounds in (
+            ("piA", self.pi_a, 0.0 <= self.pi_a <= 1.0, "[0, 1]"),
+            ("piB", self.pi_b, 0.0 <= self.pi_b <= 1.0, "[0, 1]"),
+            ("gA", self.g_a, 0.0 < self.g_a < 1.0, "(0, 1)"),
+        ):
+            if not inside:  # NaN is in no range
+                raise ScenarioError(f"{key} = {value!r} in [state] must lie in {bounds}")
         try:
             self.initial_state()
             self.utility_spec()
@@ -229,7 +238,9 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
         unknown = set(self.outputs) - set(OUTPUT_FILES)
         if unknown:
-            raise ScenarioError(f"unknown outputs: {sorted(unknown)}")
+            raise ScenarioError(
+                f"unknown outputs {sorted(unknown)} in [scenario]; allowed: {', '.join(OUTPUT_FILES)}"
+            )
 
     def make_dynamics(self) -> DynamicsSpec:
         """The scenario's dynamics, built once per set of dynamics fields: a

@@ -225,8 +225,21 @@ def test_delta_bounds_examples():
     lo, hi = delta_bounds(0.6, 0.5, 3.0, "DT")
     assert lo == 0.0
     assert hi == pytest.approx(2 * 0.5 * 0.6**3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("contraction constant must lie in [0, 1), got 1.0")):
         delta_bounds(1.0, 0.5, 1.0, "CT")
+    with pytest.raises(ValueError, match=re.escape("contraction constant must lie in [0, 1), got -0.5")):
+        delta_bounds(-0.5, 0.5, 1.0, "DT")
+    with pytest.raises(ValueError, match=re.escape("t must be >= 0, got -1.0")):
+        delta_bounds(0.5, 0.5, -1.0, "CT")
+    with pytest.raises(ValueError, match=re.escape("delta0 must be >= 0, got -0.5")):
+        delta_bounds(0.5, -0.5, 1.0, "DT")
+    with pytest.raises(ValueError, match=re.escape("mode must be 'DT' or 'CT', got 'XT'")):
+        delta_bounds(0.5, 0.5, 1.0, "XT")
+
+
+def test_find_equilibria_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match=re.escape("mode must be 'DT' or 'CT', got 'UN'")):
+        find_equilibria(CONST, mode="UN")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -61,15 +61,21 @@ def test_arithmetic_and_precedence():
         assert compile_expression(source)(b0, b1) == expected, source
 
 
-def test_scalar_code_shares_a_template_across_numbers():
+def test_expressions_that_differ_in_their_numbers_share_a_shape():
     """A unary minus on a bare literal is folded into the literal, so
-    expressions that differ only in their numbers have one template; a
-    minus on a power stays, as in -2^2 = -(2^2)."""
-    forms = [compile_expression(s).scalar_code for s in ("0.1 + -0.2*b0", "7 + 0.2*b0", "3 + --4*b0")]
-    assert {template for template, _ in forms} == {"{0} + {1} * {b0}"}
-    assert [literals for _, literals in forms] == [(0.1, -0.2), (7.0, 0.2), (3.0, 4.0)]
-    assert compile_expression("-2^2*b1").scalar_code == ("-{0} ** {1} * {b1}", (2.0, 2.0))
-    assert compile_expression("(-2)^2 - -1e999").scalar_code == ("({0}) ** {1} - {2}", (-2.0, 2.0, -math.inf))
+    expressions that differ only in their numbers run one compiled shape on
+    their own literals; a minus on a power stays, as in -2^2 = -(2^2)."""
+    maps = [compile_expression(s) for s in ("0.1 + -0.2*b0", "7 + 0.2*b0", "3 + --4*b0")]
+    assert all(f.__code__ is maps[0].__code__ for f in maps)
+    assert all(f.array.__code__ is maps[0].array.__code__ for f in maps)
+    assert maps[0].tree == ("+", 0, ("*", 1, "b0"))
+    assert [f.literals for f in maps] == [(0.1, -0.2), (7.0, 0.2), (3.0, 4.0)]
+    assert [f(1.0, 0.0) for f in maps] == [0.1 + -0.2, 7.0 + 0.2, 3.0 + 4.0]
+    f = compile_expression("-2^2*b1")
+    assert (f.tree, f.literals) == (("*", ("neg", ("^", 0, 1)), "b1"), (2.0, 2.0))
+    assert f.__code__ is not maps[0].__code__
+    f = compile_expression("(-2)^2 - -1e999")
+    assert (f.tree, f.literals) == (("-", ("^", ("()", 0), 1), 2), (-2.0, 2.0, -math.inf))
 
 
 def test_functions():
@@ -451,21 +457,21 @@ def test_nothing_compiles_at_import():
     assert run.stdout.split() == ["0", "0"]
 
 
-def test_a_compiled_shape_renders_only_the_scalar_form(monkeypatch):
-    """A second expression of a compiled shape renders its scalar code, which
-    names the shape, and no array or interval code at its first array and
-    interval calls."""
+def test_a_compiled_shape_folds_only_the_scalar_form(monkeypatch):
+    """A second expression of a compiled shape folds its scalar code, which
+    names the shape, and no array code at its first array call; its interval
+    form walks the tree with the interval helpers."""
     source = APPENDIX_F1.replace("18", "17")
     f = compile_expression(source)
     b = np.array([0.25, 0.5])
     f.array(b, b), f.interval(_CELL, _CELL)
-    forms = []
-    render = expr._render
-    monkeypatch.setattr(expr, "_render", lambda node, form: forms.append(form) or render(node, form))
+    tables = []
+    fold = expr._fold
+    monkeypatch.setattr(expr, "_fold", lambda node, table, leaves: tables.append(table) or fold(node, table, leaves))
     g = compile_expression(source.replace("17", "19"))
     assert g.array(b, b).tolist() == [g(x, x) for x in b.tolist()]
     assert g.interval(_CELL, _CELL) is not None
-    assert forms and all(form is expr._SCALAR for form in forms)
+    assert {id(table) for table in tables} == {id(expr._SCALAR), id(expr._INTERVAL)}
 
 
 def _literal_source(value: float) -> str:
@@ -473,6 +479,13 @@ def _literal_source(value: float) -> str:
     inf, with a leading '-' (folded into the literal) when it is negative."""
     text = repr(abs(value)) if math.isfinite(value) else "1e999"
     return "-" + text if math.copysign(1.0, value) < 0.0 else text
+
+
+def _template(f) -> str:
+    """The compiled map f's scalar code as a str.format template: {b0} and
+    {b1} for the rates and {i} for the i-th literal."""
+    fields = {i: f"{{{i}}}" for i in range(len(f.literals))}
+    return expr._fold(f.tree, expr._SCALAR, dict(fields, b0="{b0}", b1="{b1}"))
 
 
 def _reference_outcome(template: str, literals, b0: float, b1: float):
@@ -503,14 +516,15 @@ def test_literals_bound_by_name_are_the_written_values(source, values, points):
     """An expression of a tree's shape with any literals gives, in the scalar
     and the array form, the bits of the template evaluated with the literals
     written in as numbers: binding them by name changes no operation."""
-    template, literals = compile_expression(source).scalar_code
+    shape = compile_expression(source)
+    template = _template(shape)
     # a '^' base is an unsigned number in the grammar
     bases = {int(i) for i in re.findall(r"\{(\d+)\} \*\*", template)}
-    literals = [abs(v) if i in bases else v for i, v in enumerate(values[: len(literals)])]
+    literals = [abs(v) if i in bases else v for i, v in enumerate(values[: len(shape.literals)])]
     numbers = [_literal_source(v) for v in literals]
     compiled = compile_expression(template.replace("**", "^").format(*numbers, b0="b0", b1="b1"))
-    assert compiled.scalar_code[0] == template
-    assert list(map(repr, compiled.scalar_code[1])) == list(map(repr, literals))
+    assert compiled.tree == shape.tree and compiled.__code__ is shape.__code__
+    assert list(map(repr, compiled.literals)) == list(map(repr, literals))
 
     expected = [_reference_outcome(template, literals, b0, b1) for b0, b1 in points]
     assert [_compiled_outcome(compiled, b0, b1) for b0, b1 in points] == [
@@ -631,7 +645,7 @@ def test_arithmetic_enclosures_hold_the_real_values(a, b):
 
 
 def test_a_long_sum_has_an_enclosure():
-    """The interval form walks a chain in a loop, as _render does: a
+    """The interval form walks a chain in a loop, as every fold does: a
     1,000-term sum of exact terms encloses exactly."""
     assert compile_expression("+".join(["b0"] * 1000)).interval(_CELL, _CELL) == (0.0, 1000.0)
 
@@ -700,7 +714,7 @@ def test_nesting_limit_is_fixed(kind):
 
     def every_form():
         compiled = compile_expression(source)
-        form = (compiled.tree, compiled.tree, len(compiled.scalar_code[1]), "check")
+        form = (compiled.tree, compiled.tree, len(compiled.literals), "check")
         kernel = _loops_py._kernel(0, form, form)
         return compiled(0.5, 0.5), compiled.array(b, b), compiled.interval(_CELL, _CELL), kernel
 

@@ -534,7 +534,7 @@ def test_too_deep_expression_integrates_through_calls():
     dyn = parse_dynamics("0.5", "-".join(["b1"] * lo))
     args = (0.9, 0.2, 0.5, -1.0, 1.0, 0, dyn.f0, dyn.f1, None, 0.1, 20, 1, 1e-10, 0.0)
     assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
-    forms = [(f.tree, f.tree, len(f.scalar_code[1]), "check") for f in (dyn.f0, dyn.f1)]
+    forms = [(f.tree, f.tree, len(f.literals), "check") for f in (dyn.f0, dyn.f1)]
     assert _loops_py._kernel(0, *forms) is _loops_py._kernel(0, *_loops_py._CALLS)
 
 

@@ -231,6 +231,16 @@ BAD_VALUES = [
     (CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8\nl1 = inf", "l1 in [dynamics]"),
     ("u1 = 1", "u1 = inf", "utility u1 must be finite"),
     (CONSTANT_DYNAMICS, "builtin = affine\na0 = 0.2\nc0 = nan", "c0 of builtin affine"),
+    ("piA = 0.8", "piA = 1.5", "piA = 1.5 in [state] must lie in [0, 1]"),
+    ("piA = 0.8", "piA = nan", "piA = nan in [state] must lie in [0, 1]"),
+    ("piB = 0.3", "piB = -0.1", "piB = -0.1 in [state] must lie in [0, 1]"),
+    ("gA = 0.5", "gA = 1.0", "gA = 1.0 in [state] must lie in (0, 1)"),
+    ("gA = 0.5", "gA = 0", "gA = 0.0 in [state] must lie in (0, 1)"),
+    ("gA = 0.5", "gA = nan", "gA = nan in [state] must lie in (0, 1)"),
+    ("mode = AA", "mode = XX", "unknown mode 'XX' in [scenario]; allowed: UN, AA, AA1, AA2"),
+    ("time = DT", "time = XT", "unknown time 'XT' in [scenario]; allowed: DT, CT"),
+    ("outputs = trajectory", "outputs = plot",
+     "unknown outputs ['plot'] in [scenario]; allowed: trajectory, analysis, compare, field"),
 ]
 
 
@@ -266,6 +276,22 @@ def test_invalid_scenarios_rejected():
         scenario = Scenario(**{"name": "x", "expr_f0": "0.2", "expr_f1": "0.8", **fields})
         with pytest.raises(ScenarioError, match=re.escape(named)):
             scenario.validate()
+
+
+def test_a_run_out_of_memory_exits_2_naming_the_size_inputs(tmp_path, capsys, monkeypatch):
+    """A MemoryError from a subcommand is invalid input, exit code 2, not
+    the 1 of a failed verify, and the message names what sets the size."""
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "write_output", out_of_memory)
+    scn = tmp_path / "demo.scn"
+    scn.write_text(DEMO)
+    capsys.readouterr()
+    assert main(["simulate", str(scn), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "out of memory: lower steps, t_end / h or --resolution\n"
+    assert captured.out == ""
 
 
 def test_scenario_name_cannot_escape_out_dir(tmp_path):
