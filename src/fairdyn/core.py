@@ -10,10 +10,9 @@ import math
 from dataclasses import dataclass
 
 
-# x clamped to [0, 1] as source: code compiled from templates writes it in,
-# and clamp01 is compiled from it. The comparisons keep -0.0 and NaN.
-CLAMP01 = "(0.0 if {x} < 0.0 else (1.0 if {x} > 1.0 else {x}))"
-clamp01 = eval(compile("lambda x: " + CLAMP01.format(x="x"), "<clamp01>", "eval"))
+def clamp01(x: float) -> float:
+    """x clamped to [0, 1]. The comparisons keep -0.0 and NaN."""
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
 @dataclass(frozen=True)

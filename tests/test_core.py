@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,9 +13,32 @@ from fairdyn import (
     selection_rates,
     utility,
 )
+from fairdyn.core import clamp01
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 shares = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (-0.0, -0.0),  # kept by sign: the comparisons see no negative number
+        (0.0, 0.0),
+        (0.25, 0.25),
+        (1.0, 1.0),
+        (5e-324, 5e-324),
+        (-5e-324, 0.0),
+        (1.0000000000000002, 1.0),
+        (math.inf, 1.0),
+        (-math.inf, 0.0),
+        (5.0, 1.0),
+        (-5.0, 0.0),
+        (math.nan, math.nan),  # kept: NaN fails both comparisons
+    ],
+)
+def test_clamp01_pins_its_bits(x, want):
+    got = clamp01(x)
+    assert type(got) is float and struct.pack("d", got) == struct.pack("d", want)
 
 
 def test_profile_bounds():

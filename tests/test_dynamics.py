@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import struct
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -26,7 +27,7 @@ from fairdyn import (
     parse_dynamics,
 )
 from fairdyn import _loops_py, analysis
-from fairdyn.dynamics import DynamicsSpec, grid_axis
+from fairdyn.dynamics import DynamicsSpec, dt_map, grid_axis
 from conftest import appendix_c_callbacks, random_contractive_affine
 
 U = UtilitySpec(u0=-1.0, u1=1.0)
@@ -349,6 +350,37 @@ def test_a_replaced_spec_reads_its_new_maps():
         assert export_field(dyn, mode, U, resolution=5) == export_field(fresh, mode, U, resolution=5)
 
 
+@pytest.mark.parametrize("resolution", [0, -3, 2.5, "8", None])
+def test_sample_grid_rejects_a_bad_resolution(resolution):
+    """sample_grid and validate_declared (with or without declared
+    constants) name a resolution that is not an integer >= 1, rather than
+    fail inside numpy or pass it unread."""
+    dyn = parse_dynamics("0.2 + 0.1*b0", "0.7 - 0.1*b1", declared_l0=1.0, declared_l1=1.0)
+    message = re.escape(f"resolution must be an integer >= 1, got {resolution!r}")
+    with pytest.raises(ValueError, match=message):
+        dyn.sample_grid(resolution)
+    for spec in (dyn, dataclasses.replace(dyn, declared_l0=None, declared_l1=None)):
+        with pytest.raises(ValueError, match=message):
+            spec.validate_declared(resolution)
+    assert dyn.sample_grid(1)[0].tolist() == [0.0, 1.0]
+
+
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, 5e-324, -5e-324])
+
+
+@given(x=FLOATS, f1=FLOATS, f0=FLOATS)
+def test_dt_map_is_its_formula_on_floats_and_arrays(x, f1, f0):
+    """dt_map gives the bits of x*f1 + (1.0-x)*f0, on floats and on float
+    arrays (a NaN as a NaN, whatever its payload)."""
+    want = x * f1 + (1.0 - x) * f0
+    got = dt_map(x, f1, f0)
+    with np.errstate(all="ignore"):
+        array = dt_map(*(np.array([v]) for v in (x, f1, f0)))
+    assert type(got) is float and array.dtype == np.float64
+    for value in (got, float(array[0])):
+        assert struct.pack("d", value) == struct.pack("d", want) or (math.isnan(value) and math.isnan(want))
+
+
 def test_a_float32_callback_computes_with_its_float_values():
     """A callback returning numpy float32 values gives the results of one
     returning the same values as floats: f0_clamped and f1_clamped convert
@@ -401,8 +433,8 @@ def _frozen_sample(dyn, b0, b1):
 
 
 def _frozen_un_map_array(dyn, pis):
-    """analysis._un_map_array on a spec without array maps as it was before
-    _call_maps: un_map point by point."""
+    """analysis._un_map_array on a spec without array maps, written as
+    un_map point by point."""
     return np.array(list(map(analysis.un_map(dyn), pis.tolist())))
 
 
@@ -454,8 +486,9 @@ AFFINE = (0.2, 0.1, 0.3, 0.4, 0.0, 0.5)
 def test_called_maps_match_the_per_point_path(coeffs, case0, case1, declared):
     """Each grid analysis of a callback spec gives the bytes, repr or error
     (class and message) of the per-point path, whatever the maps return at
-    one point or at every point; and where _call_maps takes every value, each
-    map is called as often as the per-point path calls it, once per point.
+    one point or at every point; and where every value is a float (not NaN)
+    or an int, each map is called as often as the per-point path calls it,
+    once per point.
     Each run gets fresh maps, counters and spec: a spec keeps its grid."""
     a0, c0, d0, a1, c1, d1 = coeffs
     bases = (lambda b0, b1: a0 + c0 * b0 + d0 * b1, lambda b0, b1: a1 + c1 * b0 + d1 * b1)

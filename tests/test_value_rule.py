@@ -1,7 +1,7 @@
-"""The map-value rule (dynamics.MAP_VALUE) at every site compiled from it:
-f0_clamped/f1_clamped, ct_gradient, un_map, and DynamicsSpec.sample through
-its _call_maps tier and its per-point tier. Each must give the bits, or the
-error class and message, of a reference copy of the rule kept here."""
+"""The map-value rule (dynamics.map_value) at every site that applies it:
+map_value itself, f0_clamped/f1_clamped, ct_gradient, un_map, and
+DynamicsSpec.sample through its per-point tier. Each must give the bits, or
+the error class and message, of a reference copy of the rule kept here."""
 
 import math
 import struct
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairdyn import UtilitySpec, un_map
-from fairdyn.dynamics import DynamicsSpec, _sample_points, ct_gradient
+from fairdyn.dynamics import DynamicsSpec, _sample_points, ct_gradient, map_value
 from fairdyn.policy import MODE_CODES, policy_entries
 
 
@@ -124,20 +124,6 @@ def _spec(map0, map1) -> DynamicsSpec:
     return DynamicsSpec(f0=_map(*map0), f1=_map(*map1), name="rule")
 
 
-def _plain(values) -> bool:
-    """Whether _call_maps takes every one of values: a float, numpy float64
-    or int, not NaN, within the float range."""
-    for value in values:
-        if type(value) not in (float, np.float64, int):
-            return False
-        try:
-            if float(value) != float(value):
-                return False
-        except OverflowError:
-            return False
-    return True
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     map0=MAP,
@@ -162,15 +148,11 @@ def test_every_site_follows_the_value_rule(map0, map1, pa, pb, g_a, mode, u):
         assert _outcome(un_map(dyn), pi) == _outcome(_reference_un_map, dyn, pi)
     for which in ("f0", "f1"):
         assert _outcome(getattr(dyn, f"{which}_clamped"), pa, pb) == _outcome(_reference_value, which, dyn, pa, pb)
+        value = lambda: map_value(getattr(dyn, which)(pa, pb), which, dyn, pa, pb)  # noqa: E731
+        assert _outcome(value) == _outcome(_reference_value, which, dyn, pa, pb)
 
     xs = np.array([pa, pb, 0.0, 0.5, pa, 1.0])
     ys = np.array([pb, pa, 0.5, 0.0, 1.0, pb])
     want = _outcome(_reference_sample, dyn, xs.tolist(), ys.tolist())
     assert _outcome(_sample_points, dyn, xs.tolist(), ys.tolist()) == want  # the per-point tier
-    called = dyn._call_maps(xs, ys)  # the _call_maps tier: every value, or None
-    returned = [_returned(*m, x, y) for m in (map0, map1) for x, y in zip(xs.tolist(), ys.tolist())]
-    if any(value is RAISES for value in returned) or not _plain(returned):
-        assert called is None
-    else:
-        assert _outcome(lambda: called) == want
     assert _outcome(dyn.sample, xs, ys) == want
