@@ -5,11 +5,10 @@ use. The generator writes in the policy mode's closed form (policy.py's
 policy_source) and each map's form: an expression's tree (the affine
 tuple's is the tree a + c*b0 + d*b1) rendered as scalar code, or a call of
 the map, with its clamp and checks unless the map's interval form
-certifies its range (once per compiled map, and once per affine tuple's
-literals while they stay cached). Numeric literals are kernel arguments, so
-expressions that differ only in their numbers share a kernel. A kernel whose
-maps are both certified is specialised on what that proves (see
-_kernel_source).
+certifies its range (once per tree and literals while they stay cached).
+Numeric literals are kernel arguments, so expressions that differ only in
+their numbers share a kernel. A kernel whose maps are both certified is
+specialised on what that proves (see _kernel_source).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 
 import numpy as np
 
-from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _fold, affine_interval
+from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _fold, interval
 from .policy import AA1_TESTS, MODE_AA, MODE_AA1, MODE_AA2, aa_scores, indent, policy_source
 
 BACKEND = "python"
@@ -38,7 +37,6 @@ BACKEND = "python"
 #   the code never fails there (see ct_loop for when the rates lie there).
 # The affine map's merged stages drop its c*b0 term: a + d*b1.
 _AFFINE = (AFFINE_TREE, ("+", 0, ("*", 2, "b1")), 3, "clamp")
-_AFFINE_CERTIFIED = (*_AFFINE[:3], "certified")
 _CALL = (None, None, 0, "clamp")
 _CALLS = (_CALL, _CALL)
 
@@ -112,7 +110,7 @@ def ct_loop(
         a0, c0, d0, a1, c1, d1 = affine
         literals = ((a0, c0, d0), (a1, c1, d1))
         forms = tuple(
-            _AFFINE_CERTIFIED if in_cell and _affine_certified(*values) else _AFFINE
+            (*_AFFINE[:3], "certified" if in_cell and _certified(AFFINE_TREE, values) else "clamp")
             for values in literals
         )
     else:
@@ -122,8 +120,8 @@ def ct_loop(
         else:
             literals = f0.literals, f1.literals
             forms = tuple(
-                (tree, tree, len(values), "certified" if in_cell and _map_certified(f) else "check")
-                for tree, values, f in zip(trees, literals, (f0, f1))
+                (tree, tree, len(values), "certified" if in_cell and _certified(tree, values) else "check")
+                for tree, values in zip(trees, literals)
             )
     if mode == MODE_AA:
         aa1_a, aa1_b = (score < 0.0 for score in aa_scores(ga, u0, u1))
@@ -141,28 +139,16 @@ _FLOATS = (float, np.float64)
 _CELL = (0.0, 1.0)
 
 
-def _certified(interval, *literals) -> bool:
-    """Whether interval(*literals, cell, cell), a map's interval form over
-    the cell [0, 1]^2, lies in [0, 1]."""
-    bounds = interval(*literals, _CELL, _CELL)
-    return bounds is not None and 0.0 <= bounds[0] and bounds[1] <= 1.0
-
-
 @functools.lru_cache(maxsize=64)
-def _affine_certified(a, c, d) -> bool:
-    """Whether the affine map a + c*b0 + d*b1 is certified. -0.0 and 0.0
-    share an entry, as they hash and compare equal; they certify alike, as
-    the interval form's ends differ at most in the sign of a zero."""
-    return _certified(affine_interval, (a, c, d))
-
-
-def _map_certified(f) -> bool:
-    """Whether the compiled expression f is certified: computed at its
-    first run, and kept on the map as its unit_certified attribute."""
-    certified = getattr(f, "unit_certified", None)
-    if certified is None:
-        certified = f.unit_certified = _certified(f.interval)
-    return certified
+def _certified(tree, literals) -> bool:
+    """Whether the map of tree at the literals' values is certified: its
+    interval form over the cell [0, 1]^2 lies in [0, 1]. A verdict is
+    computed once per (tree, literals) while it stays cached, so a map
+    parsed again reuses it. A literal -0.0 and 0.0 share an entry, as they
+    hash and compare equal; they certify alike, as the interval form's ends
+    then differ at most in the sign of a zero."""
+    bounds = interval(tree, literals, _CELL, _CELL)
+    return bounds is not None and 0.0 <= bounds[0] and bounds[1] <= 1.0
 
 
 class _Refused(ArithmeticError):

@@ -456,21 +456,29 @@ def _record(
     the case tags. Each sample where the AA case switched, the advantaged
     group swapped or (where clamped is given) a map value was clamped gets
     those events in that order, flagged on the sample and appended to events
-    at time step*h. Warns and raises nothing: the engines check the samples
-    first."""
+    at time step*h. The engines check the samples first; a running utility
+    that is not finite (its sum overflowed) raises ValueError naming u0, u1
+    and the time of the first such sample."""
     ga, gb, u0, u1 = state0.g_a, state0.g_b, u.u0, u.u1
     t1a, t0a, t1b, t0b, cases = policy
     b0a, b1a = t0a * (1.0 - pa), t1a * pa
     b0b, b1b = t0b * (1.0 - pb), t1b * pb
     utils = ga * (u1 * b1a + u0 * b0a) + gb * (u1 * b1b + u0 * b0b)
     times = steps * h
-    if time_mode == "DT":
-        running = np.cumsum(utils)
-        cumulative = float(running[-1] - utils[-1])
-    else:
-        increments = 0.5 * (utils[1:] + utils[:-1]) * np.diff(times)
-        running = np.concatenate(([0.0], np.cumsum(increments)))
-        cumulative = float(running[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        if time_mode == "DT":
+            running = np.cumsum(utils)
+            cumulative = float(running[-1] - utils[-1])
+        else:
+            increments = 0.5 * (utils[1:] + utils[:-1]) * np.diff(times)
+            running = np.concatenate(([0.0], np.cumsum(increments)))
+            cumulative = float(running[-1])
+    if not math.isfinite(running[-1]):  # a sum stays inf or NaN once it is
+        t = float(times[np.flatnonzero(~np.isfinite(running))[0]])
+        raise ValueError(
+            f"running utility is not finite from t = {t!r} (u0 = {u0!r}, u1 = {u1!r}): "
+            "the sum of the step utilities overflows"
+        )
 
     delta = pa - pb
     marks = [

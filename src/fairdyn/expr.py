@@ -311,6 +311,11 @@ def _is_array(value) -> bool:
     return isinstance(value, np.ndarray)
 
 
+# The distinct keys of a 1-D array, the index of each one's first point and
+# each point's number among them.
+_unique = functools.partial(np.unique, return_index=True, return_inverse=True)
+
+
 def _map(fn: Callable[..., float], *args):
     """fn element by element over the float array arguments, of one 1-D or
     2-D shape (a float argument is the same at every point), on Python
@@ -318,36 +323,22 @@ def _map(fn: Callable[..., float], *args):
     from the libm functions the scalar code calls. fn runs once per distinct
     argument, keyed by the arrays' bit patterns (an int64 view, which keeps
     -0.0 apart from 0.0 and one NaN payload from another), or per distinct
-    tuple of them, and its value goes to every point with that argument. An
-    error of fn at any argument propagates; a value that is not a real
-    number, such as the complex power of a negative base, raises TypeError."""
+    tuple of them, at the first point with that argument, and its value
+    goes to every point with that argument. np.unique numbers the keys of
+    each array, and a pair of numberings is numbered again as one key (a
+    number below size**2). An error of fn at any argument propagates; a
+    value that is not a real number, such as the complex power of a
+    negative base, raises TypeError."""
     arrays = [a for a in args if _is_array(a)]
     if not arrays:
         return float(fn(*args))
-    groups, first = _number(arrays[0].reshape(-1).view(np.int64))
+    _, first, groups = _unique(arrays[0].reshape(-1).view(np.int64))
     for a in arrays[1:]:
-        more, more_first = _number(a.reshape(-1).view(np.int64))
-        groups, first = _number(groups * more_first.size + more)  # below size**2
+        _, more_first, more = _unique(a.reshape(-1).view(np.int64))
+        _, first, groups = _unique(groups * more_first.size + more)
     columns = [a.reshape(-1)[first].tolist() if _is_array(a) else itertools.repeat(a) for a in args]
     values = np.fromiter(map(fn, *columns), float, count=first.size)
     return values[groups].reshape(arrays[0].shape)
-
-
-def _number(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(groups, first) for the 1-D int array keys: each point's number
-    among the distinct keys, counted in increasing order from 0, and, by
-    number, the index of a point with that key. The sort is numpy's stable
-    one, for 64-bit keys a timsort, which takes the ascending and descending
-    runs of the keys as they come: linear over the equilibrium scan, and
-    faster than the default sort over the grids' rows."""
-    order = keys.argsort(kind="stable")
-    ordered = keys[order]
-    new = np.empty(keys.size, bool)  # a point starts a group in key order
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    groups = np.empty(keys.size, np.intp)
-    groups[order] = new.cumsum() - 1
-    return groups, order[new]
 
 
 def _nonzero(b):
@@ -511,15 +502,16 @@ _NAMES = {
     "_ndarray": np.ndarray, "_full": np.full,
 }
 
-# The affine tree a + c*b0 + d*b1, the RK4 kernel's affine map, and its
-# interval form: affine_interval((a, c, d), b0, b1).
+# The affine tree a + c*b0 + d*b1, the RK4 kernel's affine map.
 AFFINE_TREE = _Parser("0 + 0*b0 + 0*b1").parse()
-affine_interval = functools.partial(interval, AFFINE_TREE)
 
-# The code object of each shape, by its scalar code, which names the shape,
-# as the literals are names. The oldest of more than _SHAPES_SIZE goes
-# first; a compiled map keeps its functions all the same.
-_SHAPES: dict[str, CodeType] = {}
+# The code object and the tree of each shape, by its scalar code, which
+# names the shape, as the literals are names. Maps of one shape share the
+# tree object, so the caches keyed by trees find a map parsed again by
+# identity: comparing two equal trees of a chain 1,000 deep would exceed
+# the recursion limit. The oldest of more than _SHAPES_SIZE goes first; a
+# compiled map keeps its functions and tree all the same.
+_SHAPES: dict[str, tuple[CodeType, object]] = {}
 _SHAPES_SIZE = 128
 
 
@@ -531,9 +523,10 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     The map's `tree` attribute is the parsed tree and its `literals`
     attribute the values of the tree's numeric literals: leaf i is
     literals[i]. Expressions that differ only in their numbers share one
-    tree. The map runs the tree's scalar code with the names lit0, lit1,
-    ... bound to the literals' values; the RK4 kernel folds its own code
-    from the tree, with its own names. The code calls the functions in
+    tree, the same object while their shape stays cached. The map runs the
+    tree's scalar code with the names lit0, lit1, ... bound to the
+    literals' values; the RK4 kernel folds its own code from the tree, with
+    its own names. The code calls the functions in
     SCALAR_FUNCTIONS by name. Each tree is one shape, whose scalar and array
     functions compile together, once per process (while it stays in a cache
     of _SHAPES_SIZE shapes), and run on each expression's own literals.
@@ -559,8 +552,7 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
         names = [f"lit{i}" for i in range(len(literals))]
         leaves = dict(enumerate(names), b0="b0", b1="b1")
         code = _fold(tree, _SCALAR, leaves)
-        shape = _SHAPES.get(code)
-        if shape is None:
+        if code not in _SHAPES:
             real = " and not _isinstance(v, _complex)" if "**" in code else ""
             array_code = _fold(tree, _ARRAY, leaves)
             text = _TEMPLATE.format(code=code, real=real, array_code=array_code)
@@ -570,7 +562,8 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
             shape = compile(text, "<expression>", "exec")
             if len(_SHAPES) >= _SHAPES_SIZE:
                 del _SHAPES[next(iter(_SHAPES))]
-            _SHAPES[code] = shape
+            _SHAPES[code] = shape, tree
+        shape, tree = _SHAPES[code]
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
     # exec is safe here: the code is rendered only from the tree's literal

@@ -200,7 +200,8 @@ class Scenario:
             ct_steps(self.t_end, self.h, self.sample_every)
         except ValueError as exc:
             raise ScenarioError(f"[scenario] {exc}") from exc
-        if (self.dynamics_builtin is None) == (self.expr_f0 is None):
+        expressions = self.expr_f0 is not None or self.expr_f1 is not None
+        if (self.dynamics_builtin is not None) == expressions:
             raise ScenarioError("specify exactly one of builtin dynamics or expressions")
         for section, key, attr, kind in scenario_format(self.dynamics_builtin):  # rejects an unknown builtin
             value = getattr(self, attr) if kind is _STR else None
@@ -209,7 +210,7 @@ class Scenario:
                 raise ScenarioError(
                     f"{key} {value!r} in [{section}] has surrounding whitespace, a line break or ';'"
                 )
-        if self.expr_f0 is not None and self.expr_f1 is None:
+        if (self.expr_f0 is None) != (self.expr_f1 is None):
             raise ScenarioError("expression dynamics need both f0 and f1")
         if self.dynamics_builtin is not None and (
             self.declared_l0 is not None or self.declared_l1 is not None

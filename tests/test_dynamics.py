@@ -299,6 +299,24 @@ def test_nan_from_callback_dynamics_is_rejected():
         stereotype_trajectory(state, "UN", U, nan_above, StereotypeSpec(0.0, 0.0), 5)
 
 
+def test_an_overflowing_running_utility_names_the_utilities_and_the_time():
+    """Each step utility is finite, but their running sum can overflow: the
+    engines raise, naming u0, u1 and the first time whose running utility
+    is not finite, and numpy warns of no overflow (a warning would fail
+    here, as the test settings make it an error)."""
+    dt_overflow = re.escape("running utility is not finite from t = 3.0 (u0 = -1.0, u1 = 1e+308)")
+    with pytest.raises(ValueError, match=dt_overflow):
+        dt_trajectory(PopulationState.of(0.8, 0.3, 0.5), "AA", UtilitySpec(-1.0, 1e308), CONST, 50)
+    assert dt_trajectory(PopulationState.of(0.8, 0.3, 0.5), "AA", UtilitySpec(-1.0, 1e308), CONST, 2)
+    ct_overflow = re.escape("running utility is not finite from t = 4.92 (u0 = -1e+308, u1 = 1e+308)")
+    expression_ct = parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1")
+    state = PopulationState.of(0.7, 0.2, 0.4)
+    with pytest.raises(ValueError, match=ct_overflow):
+        ct_integrate(state, "AA1", UtilitySpec(-1e308, 1e308), expression_ct, t_end=10.0, h=0.001)
+    record = ct_integrate(state, "AA1", UtilitySpec(-1e308, 1e308), expression_ct, t_end=4.0, h=0.001)
+    assert math.isfinite(record.cumulative_utility)
+
+
 def test_an_unknown_policy_mode_is_a_value_error_naming_the_modes():
     from fairdyn import export_field
 

@@ -22,7 +22,7 @@ from fairdyn import (
     parse_dynamics,
 )
 from fairdyn import _loops_py, expr
-from fairdyn.expr import MAX_NESTING, affine_interval
+from fairdyn.expr import AFFINE_TREE, MAX_NESTING, interval
 from conftest import appendix_c_callbacks
 
 APPENDIX_F1 = "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
@@ -69,6 +69,7 @@ def test_expressions_that_differ_in_their_numbers_share_a_shape():
     assert all(f.__code__ is maps[0].__code__ for f in maps)
     assert all(f.array.__code__ is maps[0].array.__code__ for f in maps)
     assert maps[0].tree == ("+", 0, ("*", 1, "b0"))
+    assert all(f.tree is maps[0].tree for f in maps)  # one tree object per cached shape
     assert [f.literals for f in maps] == [(0.1, -0.2), (7.0, 0.2), (3.0, 4.0)]
     assert [f(1.0, 0.0) for f in maps] == [0.1 + -0.2, 7.0 + 0.2, 3.0 + 4.0]
     f = compile_expression("-2^2*b1")
@@ -657,8 +658,8 @@ def test_exact_interval_ends_are_kept():
     assert compile_expression("0.9*b1").interval(_CELL, _CELL) == (0.0, 0.9)
     assert compile_expression("b1").interval(_CELL, _CELL) == (0.0, 1.0)
     assert compile_expression("1 - b0*b1").interval(_CELL, _CELL) == (0.0, 1.0)
-    assert affine_interval((0.0, 0.0, 0.0), _CELL, _CELL) == (0.0, 0.0)  # constant_dynamics(0.0, 1.0)
-    assert affine_interval((1.0, 0.0, 0.0), _CELL, _CELL) == (1.0, 1.0)
+    assert interval(AFFINE_TREE, (0.0, 0.0, 0.0), _CELL, _CELL) == (0.0, 0.0)  # constant_dynamics(0.0, 1.0)
+    assert interval(AFFINE_TREE, (1.0, 0.0, 0.0), _CELL, _CELL) == (1.0, 1.0)
     assert compile_expression("0.1 + 0.2*b1").interval(_CELL, _CELL) == (
         0.1, math.nextafter(0.1 + 0.2, math.inf)
     )
@@ -668,9 +669,9 @@ def test_interval_form_of_the_affine_tree():
     """The affine tuple's interval form is that of the tree a + c*b0 + d*b1,
     the RK4 kernel's affine map."""
     compiled = compile_expression("0.1 + 0.05*b0 + 0.2*b1")
-    assert compiled.tree == _loops_py._AFFINE[0]
-    assert affine_interval((0.1, 0.05, 0.2), _CELL, _CELL) == compiled.interval(_CELL, _CELL)
-    assert affine_interval((0.1, math.nan, 0.2), _CELL, _CELL) is None
+    assert compiled.tree == AFFINE_TREE and _loops_py._AFFINE[0] is AFFINE_TREE
+    assert interval(AFFINE_TREE, (0.1, 0.05, 0.2), _CELL, _CELL) == compiled.interval(_CELL, _CELL)
+    assert interval(AFFINE_TREE, (0.1, math.nan, 0.2), _CELL, _CELL) is None
 
 
 # -- the nesting limit ------------------------------------------------------

@@ -28,7 +28,8 @@ from fairdyn import (
     parse_dynamics,
 )
 from fairdyn import _kernels, _loops_py, dynamics
-from fairdyn.expr import compile_expression, ExpressionSyntaxError, affine_interval
+from fairdyn import expr
+from fairdyn.expr import AFFINE_TREE, compile_expression, ExpressionSyntaxError, interval
 from fairdyn.policy import policy_entries
 from conftest import appendix_c_callbacks
 
@@ -582,8 +583,13 @@ def _certified_maps(dyn) -> bool:
     expression's interval form lies in [0, 1] over the unit cell)."""
     if dyn.affine is not None:
         a0, c0, d0, a1, c1, d1 = dyn.affine
-        return all(_loops_py._certified(affine_interval, v) for v in ((a0, c0, d0), (a1, c1, d1)))
-    return all(_loops_py._certified(getattr(f, "interval", lambda b0, b1: None)) for f in (dyn.f0, dyn.f1))
+        return all(_in_unit(AFFINE_TREE, v) for v in ((a0, c0, d0), (a1, c1, d1)))
+    return all(hasattr(f, "tree") and _in_unit(f.tree, f.literals) for f in (dyn.f0, dyn.f1))
+
+
+def _in_unit(tree, literals) -> bool:
+    bounds = interval(tree, literals, (0.0, 1.0), (0.0, 1.0))
+    return bounds is not None and 0.0 <= bounds[0] and bounds[1] <= 1.0
 
 
 def _recorded_forms(monkeypatch, run) -> list[tuple]:
@@ -630,54 +636,82 @@ def test_which_maps_are_certified(monkeypatch, dyn, guards):
 
 
 def test_each_map_is_certified_once(monkeypatch):
-    """ct_loop evaluates a compiled map's interval form at its first run
-    only, and an affine tuple's once per three literals; the start and the
-    step are still tested at every run."""
+    """ct_loop folds the interval form of a map's tree and literals once
+    while its verdict stays cached, an affine tuple's as the affine tree's;
+    the start and the step are still tested at every run."""
+    _loops_py._certified.cache_clear()
+    folded = []
+    monkeypatch.setattr(_loops_py, "interval", lambda *args: folded.append(args[1]) or interval(*args))
     dyn = parse_dynamics("0.2 + 0.05*b0", _APPENDIX_C_EXPRESSIONS[1])  # f0 is certified, f1 is not
-    calls = []
-    for f in (dyn.f0, dyn.f1):
-        monkeypatch.setattr(f, "interval", lambda b0, b1, form=f.interval: calls.append(1) or form(b0, b1))
     for pa in (0.7, 0.6, np.float32(0.6)):
         args = (pa, 0.2, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, None, 0.01, 10, 1, 1e-10, 0.0)
         forms = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
         guards = ("check", "check") if type(pa) is np.float32 else ("certified", "check")
         assert [(form0[3], form1[3]) for form0, form1 in forms] == [guards]
-    assert len(calls) == 2
+    assert folded == [dyn.f0.literals, dyn.f1.literals]
 
-    _loops_py._affine_certified.cache_clear()
     for values in ((0.1, 0.05, 0.2), (0.1, 0.05, 0.2), (1.5, 0.0, 0.0)):
         args = (0.7, 0.2, 0.4, -1.5, 1.0, 2, None, None, values * 2, 0.01, 10, 1, 1e-10, 0.0)
         _loops_py.ct_loop(*args)
-    info = _loops_py._affine_certified.cache_info()
-    assert (info.hits, info.misses) == (4, 2)  # both maps of a run share their tuple
+    assert folded[2:] == [(0.1, 0.05, 0.2), (1.5, 0.0, 0.0)]  # both maps of a run share their tuple
+    info = _loops_py._certified.cache_info()
+    assert (info.hits, info.misses) == (6, 4)
+
+
+def test_a_map_parsed_again_reuses_its_certificate(monkeypatch):
+    """The certificate is a function of a map's tree and literals: the same
+    sources parsed again, as each fairdyn command parses its scenario, fold
+    their interval form no more, run the certified kernel and gain no
+    attribute."""
+    folds = []
+    imul = expr._INTERVAL["*"]
+    monkeypatch.setitem(expr._INTERVAL, "*", lambda a, b: folds.append(1) or imul(a, b))
+    text = (SCENARIOS / "expression_ct.scn").read_text().replace("t_end = 40", "t_end = 1")
+    maps = []
+    for parse in range(2):
+        scenario = Scenario.from_text(text)
+        dyn = scenario.make_dynamics()
+        maps += [(f, dict(vars(f))) for f in (dyn.f0, dyn.f1)]
+        before = len(folds)
+        forms = _recorded_forms(monkeypatch, scenario.run_trajectory)
+        assert {(form0[3], form1[3]) for form0, form1 in forms} == {("certified", "certified")}
+        assert len(folds) == before or not parse
+    assert [vars(f) for f, _ in maps] == [attributes for _, attributes in maps]
 
 
 @pytest.mark.parametrize("terms", [300, 1000])
 def test_a_long_certified_chain_runs_the_certified_kernel(monkeypatch, terms):
     """The interval form and the kernel's constant folding walk a chain in a
     loop: a long sum is certified, the kernel inlines it without checks,
-    and it gives the reference's samples."""
-    dyn = parse_dynamics("0.2 + 0.1*b0", "+".join([f"{0.9 / terms!r}*b1"] * terms))
-    args = (0.7, 0.2, 0.4, -1.5, 1.0, 1, dyn.f0, dyn.f1, None, 0.01, 60, 7, 1e-10, 0.0)
-    (forms,) = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
-    assert [form[3] for form in forms] == ["certified", "certified"]
-    assert dyn.f1.unit_certified is True
-    assert _loops_py._kernel(1, *forms) is not _loops_py._kernel(1, *_loops_py._CALLS)
-    assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
+    and it gives the reference's samples. Parsed again, it runs the same
+    kernel: the caches keyed by its tree find the one tree of its shape."""
+    source = "+".join([f"{0.9 / terms!r}*b1"] * terms)
+    for _ in range(2):
+        dyn = parse_dynamics("0.2 + 0.1*b0", source)
+        args = (0.7, 0.2, 0.4, -1.5, 1.0, 1, dyn.f0, dyn.f1, None, 0.01, 60, 7, 1e-10, 0.0)
+        (forms,) = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
+        assert [form[3] for form in forms] == ["certified", "certified"]
+        assert _loops_py._kernel(1, *forms) is not _loops_py._kernel(1, *_loops_py._CALLS)
+        assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
 
 
 _SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, -1e-300, 5e-324])
+# A tree with a literal in each kind of interval helper that a zero can reach.
+_ZERO_TREE = compile_expression("abs(0 - 0*b0) + min(0*b1, 0/2) + max(-(0), 0*exp(0*b1))").tree
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(_SIGNED, _SIGNED, _SIGNED))
-def test_signed_zero_literals_certify_alike(values):
-    """An affine tuple with -0.0 in place of 0.0 (or the reverse) shares its
+@given(st.sampled_from([AFFINE_TREE, _ZERO_TREE]), st.lists(_SIGNED, min_size=8, max_size=8))
+def test_signed_zero_literals_certify_alike(tree, values):
+    """Literals with -0.0 in place of 0.0 (or the reverse) share their
     cached certificate, as the two hash equal: they certify alike."""
+    values = tuple(values[: 3 if tree is AFFINE_TREE else 8])
     flipped = tuple(-v if v == 0.0 else v for v in values)
-    assert _loops_py._certified(affine_interval, values) == _loops_py._certified(affine_interval, flipped)
-    _loops_py._affine_certified.cache_clear()
-    assert _loops_py._affine_certified(*flipped) == _loops_py._certified(affine_interval, values)
+    assert _in_unit(tree, values) == _in_unit(tree, flipped)
+    _loops_py._certified.cache_clear()
+    _loops_py._certified(tree, flipped)
+    assert _loops_py._certified(tree, values) == _in_unit(tree, values)
+    assert _loops_py._certified.cache_info().hits == 1
 
 
 def test_certified_kernels_fold_the_closed_form(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -102,6 +103,17 @@ def test_degenerate_profiles():
     state = PopulationState.of(1.0, 1.0, 0.5)
     sol = aa_policy(state, UtilitySpec(u0=-1.0, u1=2.0))
     assert sol.policy.tau0_b == 0.0
+    # where pa or pb is 0 or 1 a parity coefficient is 0, and the oracle
+    # takes both bounds of that free coordinate: it agrees with the closed form
+    edges = (0.0, 0.25, 0.5, 0.75, 1.0)
+    utilities = [UtilitySpec(u0, u1) for u0, u1 in (
+        (-1.0, 1.0), (-2.0, 1.0), (-1.0, 2.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 0.0),
+    )]
+    for pa, pb, ga, u in itertools.product(edges, edges, (0.2, 0.5, 0.8), utilities):
+        state = PopulationState.of(pa, pb, ga)
+        oracle = lp_oracle(state, u, parity_constrained=True)
+        assert selection_rates(state, oracle.policy).parity_residual <= 1e-12
+        assert abs(aa_policy(state, u).achieved_utility - oracle.achieved_utility) <= 1e-12
 
 
 def test_oracle_unconstrained_agrees_exactly(rng):

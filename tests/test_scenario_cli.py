@@ -226,6 +226,8 @@ BAD_VALUES = [
     ("name = demo", "name = ..", "name '..' in [scenario]"),
     ("name = demo", "name = .", "name '.' in [scenario]"),
     ("name = demo", "name =", "name '' in [scenario]"),
+    (CONSTANT_DYNAMICS, "f1 = 0.8", "expression dynamics need both f0 and f1"),
+    (CONSTANT_DYNAMICS, "f0 = 0.2", "expression dynamics need both f0 and f1"),
     (CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8\nl0 = -1", "l0 in [dynamics]"),
     (CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8\nl1 = nan", "l1 in [dynamics]"),
     (CONSTANT_DYNAMICS, "f0 = 0.2\nf1 = 0.8\nl1 = inf", "l1 in [dynamics]"),
@@ -254,6 +256,13 @@ BAD_FIELDS = [
     ({"expr_f0": "0.5\n+0.1*b0"}, "f0 '0.5\\n+0.1*b0' in [dynamics] has surrounding whitespace"),
     ({"expr_f1": "0.8;"}, "f1 '0.8;' in [dynamics] has surrounding whitespace"),
     ({"name": "demo "}, "name 'demo ' in [scenario] has surrounding whitespace"),
+    ({"dynamics_builtin": "appendixC", "expr_f0": None},
+     "specify exactly one of builtin dynamics or expressions"),
+    ({"dynamics_builtin": "appendixC", "expr_f1": None},
+     "specify exactly one of builtin dynamics or expressions"),
+    ({"expr_f0": None, "expr_f1": None}, "specify exactly one of builtin dynamics or expressions"),
+    ({"expr_f0": None}, "expression dynamics need both f0 and f1"),
+    ({"expr_f1": None}, "expression dynamics need both f0 and f1"),
 ]
 
 
@@ -682,6 +691,13 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["compare", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, "builtin = affine\nc0 = nan"))
     assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+    # utilities whose running sum overflows, named with the time it does
+    bad.write_text(DEMO.replace("u1 = 1", "u1 = 1e308"))
+    for cmd in ("simulate", "compare"):
+        capsys.readouterr()
+        assert main([cmd, str(bad), "--out", str(tmp_path / "overflow")]) == 2
+        assert "is not finite from t = 3.0 (u0 = -1.0, u1 = 1e+308)" in capsys.readouterr().err
+    assert not list((tmp_path / "overflow").iterdir())  # no CSV written
     # declared constants below the sampled slopes are not reported as bounds
     capsys.readouterr()
     bad.write_text(DEMO.replace(CONSTANT_DYNAMICS, "f0 = 0.2+0.9*b0\nf1 = 0.8\nl0 = 0.0001"))
