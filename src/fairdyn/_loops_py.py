@@ -2,13 +2,13 @@
 
 ct_loop runs a kernel generated from one template and compiled at its first
 use. The generator writes in the policy mode's closed form (policy.py's
-policy_source) and each map's form: an expression's tree (the affine
-tuple's is the tree a + c*b0 + d*b1) rendered as scalar code, or a call of
-the map, with its clamp and checks unless the map's interval form
-certifies its range (once per tree and literals while they stay cached).
-Numeric literals are kernel arguments, so expressions that differ only in
-their numbers share a kernel. A kernel whose maps are both certified is
-specialised on what that proves (see _kernel_source).
+policy_source) and each map's form: an expression's shape (the affine
+tuple's is expr.AFFINE_SHAPE, a + c*b0 + d*b1) with its tree rendered as
+scalar code, or a call of the map, with its clamp and checks unless the
+map's interval form certifies its range (once per shape and literals while
+they stay cached). Numeric literals are kernel arguments, so expressions
+that differ only in their numbers share a kernel. A kernel whose maps are
+both certified is specialised on what that proves (see _kernel_source).
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ import math
 
 import numpy as np
 
-from .expr import AFFINE_TREE, EVAL_ERRORS, SCALAR_FUNCTIONS, _SCALAR, _fold, interval
+from .expr import AFFINE_SHAPE, EVAL_ERRORS, SCALAR_FUNCTIONS, Shape, _SCALAR, _fold, interval
 from .policy import AA1_TESTS, MODE_AA, MODE_AA1, MODE_AA2, aa_scores, indent, policy_source
 
 BACKEND = "python"
 
-# A map's form: (tree, merged tree, number of literals, guard). The trees are
-# expr's trees of the map's code in the stages and in the merged stages,
-# which fill in 0.0 for b0; their literal i is the kernel's lit<map>_i. A
-# called map has no tree (None) and is called as f0 or f1. The guard says
-# what the kernel does with the map's value:
+# A map's form: (shape, guard). The shape is expr's Shape of the map, whose
+# tree is the map's code, with literal i the kernel's lit<map>_i. A called
+# map has no shape (None) and is called as f0 or f1. The guard says what the
+# kernel does with the map's value:
 # - "clamp": clamps it to [0, 1], counting the clamps (affine maps, calls).
 # - "check": an expression's value is also checked: a stage where its code
 #   raises or gives a non-finite or complex value is run again through the
@@ -35,10 +34,9 @@ BACKEND = "python"
 # - "certified": nothing. The map's interval form encloses its value over
 #   the cell [0, 1]^2 inside [0, 1], so the value never needs a clamp and
 #   the code never fails there (see ct_loop for when the rates lie there).
-# The affine map's merged stages drop its c*b0 term: a + d*b1.
-_AFFINE = (AFFINE_TREE, ("+", 0, ("*", 2, "b1")), 3, "clamp")
-_CALL = (None, None, 0, "clamp")
-_CALLS = (_CALL, _CALL)
+# The merged stages fill in 0.0 for b0; the affine map's drop c*b0: a + d*b1.
+_AFFINE_MERGED = ("+", 0, ("*", 2, "b1"))
+_CALLS = ((None, "clamp"),) * 2
 
 # The CT field dx/dt = x*(f1 - 1) + (1 - x)*f0 of one group as source: each
 # kernel stage writes it in, and ct_rate(x, f1, f0) (floats or arrays; f1
@@ -75,6 +73,7 @@ def ct_loop(
     calls with inline affine evaluation. Otherwise maps compiled by
     compile_expression are inlined when both are, and called otherwise, so
     a Python callback's exceptions come in the order the maps are called.
+    The kernel and the certificates are cached by the maps' Shapes.
 
     A step that leaves (pa, pb) as it was, of the same type and bit for bit
     (-0.0 is not 0.0 and NaN never matches), is a fixed point: the step
@@ -108,21 +107,17 @@ def ct_loop(
     in_cell = all(type(v) in _FLOATS and -math.inf < v < math.inf for v in (pa, pb, h))
     if affine is not None:
         a0, c0, d0, a1, c1, d1 = affine
-        literals = ((a0, c0, d0), (a1, c1, d1))
+        shapes, literals, guard = (AFFINE_SHAPE, AFFINE_SHAPE), ((a0, c0, d0), (a1, c1, d1)), "clamp"
+    else:
+        shapes, guard = (getattr(f0, "shape", None), getattr(f1, "shape", None)), "check"
+        literals = getattr(f0, "literals", ()), getattr(f1, "literals", ())
+    if isinstance(shapes[0], Shape) and isinstance(shapes[1], Shape):
         forms = tuple(
-            (*_AFFINE[:3], "certified" if in_cell and _certified(AFFINE_TREE, values) else "clamp")
-            for values in literals
+            (shape, "certified" if in_cell and _certified(shape, values) else guard)
+            for shape, values in zip(shapes, literals)
         )
     else:
-        trees = getattr(f0, "tree", None), getattr(f1, "tree", None)
-        if trees[0] is None or trees[1] is None:
-            forms, literals = _CALLS, ((), ())
-        else:
-            literals = f0.literals, f1.literals
-            forms = tuple(
-                (tree, tree, len(values), "certified" if in_cell and _certified(tree, values) else "check")
-                for tree, values in zip(trees, literals)
-            )
+        forms, literals = _CALLS, ((), ())
     if mode == MODE_AA:
         aa1_a, aa1_b = (score < 0.0 for score in aa_scores(ga, u0, u1))
         if aa1_a == aa1_b:
@@ -140,14 +135,15 @@ _CELL = (0.0, 1.0)
 
 
 @functools.lru_cache(maxsize=64)
-def _certified(tree, literals) -> bool:
-    """Whether the map of tree at the literals' values is certified: its
+def _certified(shape, literals) -> bool:
+    """Whether the map of shape at the literals' values is certified: its
     interval form over the cell [0, 1]^2 lies in [0, 1]. A verdict is
-    computed once per (tree, literals) while it stays cached, so a map
-    parsed again reuses it. A literal -0.0 and 0.0 share an entry, as they
-    hash and compare equal; they certify alike, as the interval form's ends
-    then differ at most in the sign of a zero."""
-    bounds = interval(tree, literals, _CELL, _CELL)
+    computed once per (shape, literals) while it stays cached, so a map
+    parsed again, of the same Shape while expr caches it, reuses it. A
+    literal -0.0 and 0.0 share an entry, as they hash and compare equal;
+    they certify alike, as the interval form's ends then differ at most in
+    the sign of a zero."""
+    bounds = interval(shape.tree, literals, _CELL, _CELL)
     return bounds is not None and 0.0 <= bounds[0] and bounds[1] <= 1.0
 
 
@@ -165,9 +161,9 @@ def _same(x, y) -> bool:
 
 @functools.lru_cache(maxsize=32)
 def _kernel(mode, form0, form1):
-    """The kernel for a policy mode and the forms of f0 and f1, compiled on
-    first use; with the maps called instead when the inlined code is too
-    deeply nested for CPython's compiler."""
+    """The kernel for a policy mode and the forms of f0 and f1, whose Shapes
+    key it by identity, compiled on first use; with the maps called instead
+    when the inlined code is too deeply nested for CPython's compiler."""
     namespace = dict(SCALAR_FUNCTIONS, EVAL_ERRORS=EVAL_ERRORS, _Refused=_Refused)
     namespace.update(_isinstance=isinstance, _complex=complex, _same=_same)
     try:
@@ -283,7 +279,7 @@ def _kernel_source(mode, form0, form1) -> str:
       exit.
     """
     forms = (form0, form1)
-    certified = form0[3] == form1[3] == "certified"
+    certified = form0[1] == form1[1] == "certified"
     # each map's subtrees computed once, by their name in the kernel
     frozen = ({}, {}) if certified else None
     b0_zero = certified and _selects_no_unqualified(mode)
@@ -300,14 +296,14 @@ def _kernel_source(mode, form0, form1) -> str:
     for k, x in enumerate(("pa", "pa + half * k1", "pa + half * k2", "pa + h * k3"), start=1):
         parts[f"merged{k}"] = "\n".join(indent(_merged_stage(k, x, forms, frozen), 3))
     setup = [
-        f"{''.join(f'lit{i}_{j}, ' for j in range(form[2]))}= literals{i}"
-        for i, form in enumerate(forms)
-        if form[2]
+        f"{''.join(f'lit{i}_{j}, ' for j in range(shape.n_literals))}= literals{i}"
+        for i, (shape, _) in enumerate(forms)
+        if shape is not None and shape.n_literals
     ]
     if mode == MODE_AA:  # the AA case of each advantaged group, once per run
         setup += [f"aa1_a = {AA1_TESTS[0]}", f"aa1_b = {AA1_TESTS[1]}"]
     for i, names in enumerate(frozen or ()):  # the frozen subtrees have b0 = 0.0 and no b1
-        setup += [f"{name} = {_code(tree, i, forms[i][2], '0.0', '', {})}" for tree, name in names.items()]
+        setup += [f"{name} = {_code(tree, i, forms[i][0].n_literals, '0.0', '', {})}" for tree, name in names.items()]
     parts["setup"] = "\n".join(indent(setup or ["pass"]))
     return _TEMPLATE.format(**parts)
 
@@ -380,15 +376,15 @@ def _maps(values, forms, merged: bool, frozen, b0_bound: bool) -> list[str]:
     frozen[map index]; b0_bound says whether b0 is the constant 0.0."""
     code, clamps = [], []
     for name, i, b0, b1 in values:
-        tree, merged_tree, n_literals, guard = forms[i]
-        tree = merged_tree if merged else tree
+        shape, guard = forms[i]
+        tree = _AFFINE_MERGED if merged and shape is AFFINE_SHAPE else getattr(shape, "tree", None)
         if tree is None:
             code.append(f"{name} = f{i}({b0}, {b1})")
         elif frozen is None:
-            code.append(f"{name} = " + _code(tree, i, n_literals, b0, b1, {}))
+            code.append(f"{name} = " + _code(tree, i, shape.n_literals, b0, b1, {}))
         else:
-            tree = _freeze(tree, n_literals, b0_bound, frozen[i], f"c{i}_")
-            code.append(f"{name} = " + _code(tree, i, n_literals, b0, b1, frozen[i]))
+            tree = _freeze(tree, shape.n_literals, b0_bound, frozen[i], f"c{i}_")
+            code.append(f"{name} = " + _code(tree, i, shape.n_literals, b0, b1, frozen[i]))
         if guard == "certified":
             continue
         if guard == "clamp":
@@ -407,7 +403,7 @@ def _maps(values, forms, merged: bool, frozen, b0_bound: bool) -> list[str]:
             f"    {name} = 0.0 if {name} < 0.0 else 1.0",
             "    clamp_count += 1",
         ]
-    if not any(form[3] == "check" for form in forms):
+    if not any(guard == "check" for _, guard in forms):
         return code + clamps
     rerun = [f"f{i}({b0}, {b1})" for _, i, b0, b1 in values]
     return ["try:", *indent(code + clamps), "except EVAL_ERRORS:", *indent(rerun), "    raise"]

@@ -26,13 +26,13 @@ tree's IEEE operations in the tree's order, bit-reproducible on a given
 platform. An arithmetic error or a NaN, infinite or complex result raises
 ExpressionEvaluationError naming the expression and the (b0, b1) point.
 The RK4 kernel inlines the scalar code, folded from the tree
-(compile_expression's tree attribute) over _SCALAR with its own names.
+(compile_expression's shape attribute) over _SCALAR with its own names.
 
 No form writes a literal's value into its code: the scalar and array
 functions read the names lit0, lit1, ..., and the kernel its arguments. So
-each shape, an expression up to its numbers, is compiled once per process,
-its scalar and array functions in one code object (_SHAPES), and
-expressions of one shape run the same code on their own literals' values.
+each shape, an expression up to its numbers, is compiled once per process
+into a Shape (_SHAPES): its tree and one code object of its scalar and
+array functions, which expressions of the shape run on their literals.
 Those are the same IEEE operations on the same doubles as code with the
 values written in: CPython folds a subtree of literals with the same float
 operations.
@@ -502,16 +502,25 @@ _NAMES = {
     "_ndarray": np.ndarray, "_full": np.full,
 }
 
-# The affine tree a + c*b0 + d*b1, the RK4 kernel's affine map.
-AFFINE_TREE = _Parser("0 + 0*b0 + 0*b1").parse()
 
-# The code object and the tree of each shape, by its scalar code, which
-# names the shape, as the literals are names. Maps of one shape share the
-# tree object, so the caches keyed by trees find a map parsed again by
-# identity: comparing two equal trees of a chain 1,000 deep would exceed
-# the recursion limit. The oldest of more than _SHAPES_SIZE goes first; a
-# compiled map keeps its functions and tree all the same.
-_SHAPES: dict[str, tuple[CodeType, object]] = {}
+class Shape:
+    """One expression shape: its tree, its number of literals and the code
+    object of its scalar and array functions (None for AFFINE_SHAPE). It
+    hashes and compares by identity: a cache keyed by it walks no tree."""
+
+    __slots__ = ("tree", "n_literals", "code")
+
+    def __init__(self, tree, n_literals: int, code: CodeType | None):
+        self.tree, self.n_literals, self.code = tree, n_literals, code
+
+
+# The affine map a + c*b0 + d*b1, the RK4 kernel's affine map.
+AFFINE_SHAPE = Shape(_Parser("0 + 0*b0 + 0*b1").parse(), 3, None)
+
+# The Shape of each shape, by its scalar code, which names it, as the
+# literals are names. The oldest of more than _SHAPES_SIZE goes first; its
+# maps keep it all the same, and the shape parsed again is a new Shape.
+_SHAPES: dict[str, Shape] = {}
 _SHAPES_SIZE = 128
 
 
@@ -520,28 +529,23 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     raises ExpressionEvaluationError instead of returning a NaN, infinite or
     complex value.
 
-    The map's `tree` attribute is the parsed tree and its `literals`
-    attribute the values of the tree's numeric literals: leaf i is
-    literals[i]. Expressions that differ only in their numbers share one
-    tree, the same object while their shape stays cached. The map runs the
-    tree's scalar code with the names lit0, lit1, ... bound to the
-    literals' values; the RK4 kernel folds its own code from the tree, with
-    its own names. The code calls the functions in
-    SCALAR_FUNCTIONS by name. Each tree is one shape, whose scalar and array
-    functions compile together, once per process (while it stays in a cache
-    of _SHAPES_SIZE shapes), and run on each expression's own literals.
+    The map's `shape` attribute is its Shape, whose `tree` is the parsed
+    tree, and its `literals` attribute the values of the tree's numeric
+    literals: leaf i is literals[i]. Expressions that differ only in their
+    numbers share one Shape while it stays in a cache of _SHAPES_SIZE
+    shapes; its scalar and array functions compile together, once, and run
+    on each expression's own literals. The map runs the tree's scalar code
+    with the names lit0, lit1, ... bound to the literals' values; the RK4
+    kernel folds its own code from the tree, with its own names. The code
+    calls the functions in SCALAR_FUNCTIONS by name. interval(shape.tree,
+    literals, b0, b1) is the map's interval form.
 
     The map's `array` attribute is the expression's array function, with its
     literals bound the same way: array(b0, b1) takes two float arrays of one
     shape and returns the unchecked values at every point, bit for bit the
     scalar map's wherever that returns, or None when the scalar map might
     raise at some point. Evaluate it under np.errstate(all="ignore"); a
-    non-finite value marks a point where the scalar map raises.
-
-    The map's `interval` attribute is the interval form, which walks the
-    tree: interval((lo0, hi0), (lo1, hi1)) returns a (lo, hi) pair of finite
-    floats holding the map's value at every point of that cell of (b0, b1),
-    or None."""
+    non-finite value marks a point where the scalar map raises."""
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)
 
@@ -552,18 +556,18 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
         names = [f"lit{i}" for i in range(len(literals))]
         leaves = dict(enumerate(names), b0="b0", b1="b1")
         code = _fold(tree, _SCALAR, leaves)
-        if code not in _SHAPES:
+        shape = _SHAPES.get(code)
+        if shape is None:
             real = " and not _isinstance(v, _complex)" if "**" in code else ""
             array_code = _fold(tree, _ARRAY, leaves)
             text = _TEMPLATE.format(code=code, real=real, array_code=array_code)
             # compile() is called in this frame: CPython scales its compiler's
             # nesting limit from the caller's stack depth, and the kernel's
             # fallback to calls rests on where that limit lies.
-            shape = compile(text, "<expression>", "exec")
+            shape = Shape(tree, len(literals), compile(text, "<expression>", "exec"))
             if len(_SHAPES) >= _SHAPES_SIZE:
                 del _SHAPES[next(iter(_SHAPES))]
-            _SHAPES[code] = shape, tree
-        shape, tree = _SHAPES[code]
+            _SHAPES[code] = shape
     except (RecursionError, MemoryError, SyntaxError):  # nesting limits
         raise ExpressionSyntaxError("expression is nested too deeply", 0) from None
     # exec is safe here: the code is rendered only from the tree's literal
@@ -571,10 +575,9 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     # without builtins, seeing only the names below.
     namespace = dict(_NAMES, _fail=fail)
     namespace.update(zip(names, literals))
-    exec(shape, namespace)
+    exec(shape.code, namespace)
     compiled = namespace["compiled"]
     compiled.literals = literals
-    compiled.tree = tree
+    compiled.shape = shape
     compiled.array = namespace["compiled_array"]
-    compiled.interval = functools.partial(interval, tree, literals)
     return compiled

@@ -33,7 +33,9 @@ ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
-from fairdyn import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from fairdyn import _loops_py, affine_dynamics, cli, constant_dynamics, parse_dynamics  # noqa: E402
 from fairdyn.dynamics import APPENDIX_C_F0, APPENDIX_C_F1  # noqa: E402
 
 TABLE = Path(__file__).with_name("goldens.json")
@@ -157,10 +159,45 @@ def produce(cases: list[Case], out: Path) -> dict[str, str]:
     return rows
 
 
+# The row of the RK4 kernel sources, and the dynamics it runs: certified,
+# clamped, checked and edge maps, as expressions, affine tuples and a
+# 300-term sum.
+KERNEL_SOURCES = "ct_loop/kernel_sources"
+KERNEL_DYNAMICS = (
+    lambda: parse_dynamics("0.2 + 0.05*b0", "0.8 - 0.02*b1"),  # expression_ct
+    lambda: affine_dynamics(0.1, 0.05, 0.2, 0.6, -0.1, 0.3),  # perfbench's probe
+    lambda: constant_dynamics(-0.5, 0.8),
+    lambda: constant_dynamics(0.0, 1.0),
+    lambda: parse_dynamics(APPENDIX_C_F0, APPENDIX_C_F1),
+    lambda: parse_dynamics("0.9*b1", "b1"),
+    lambda: parse_dynamics("0.2 + 0.1*b0", "+".join([f"{0.9 / 300!r}*b1"] * 300)),
+)
+
+
+def kernel_sources() -> str:
+    """The sha256 of the kernel sources ct_loop generates, in order, after
+    its kernel cache is cleared, for each of KERNEL_DYNAMICS in each mode,
+    from a float and a float32 start."""
+    runs = [dyn() for dyn in KERNEL_DYNAMICS]
+    sources, generate = [], _loops_py._kernel_source
+    _loops_py._kernel.cache_clear()
+    _loops_py._kernel_source = lambda *args: sources.append(generate(*args)) or sources[-1]
+    try:
+        for dyn in runs:
+            for mode in range(4):
+                for pa in (0.7, np.float32(0.7)):
+                    args = (pa, 0.2, 0.4, -1.5, 1.0, mode, dyn.f0, dyn.f1, dyn.affine, 0.01, 10, 1, 1e-10, 0.0)
+                    _loops_py.ct_loop(*args)
+    finally:
+        _loops_py._kernel_source = generate
+    return hashlib.sha256("".join(sources).encode()).hexdigest()
+
+
 def main() -> None:
     old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as out:
         new = produce([case for cases in CASES.values() for case in cases], Path(out))
+    new[KERNEL_SOURCES] = kernel_sources()
     TABLE.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     changed = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
     for key in changed:

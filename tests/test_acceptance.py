@@ -159,6 +159,9 @@ def test_criterion_5_theorem1():
         state = PopulationState.of(rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.5), 0.5)
         un = ct_integrate(state, "UN", U11, dyn, t_end=100.0, h=1e-2)
         aa1 = ct_integrate(state, "AA1", U11, dyn, t_end=100.0, h=1e-2)
+        if abs(un.delta[-1]) >= 1e-6:
+            ok, detail = False, f"UN failed to equalize: |delta|={abs(un.delta[-1]):.2e}"
+            break
         if abs(aa1.delta[-1]) >= 1e-6:
             ok, detail = False, f"AA1 failed to equalize: |delta|={abs(aa1.delta[-1]):.2e}"
             break
@@ -171,7 +174,7 @@ def test_criterion_5_theorem1():
             break
         checked += 1
     report(
-        "criterion 5 (Theorem 1: AA1 equalizes, UN dominates per step)",
+        "criterion 5 (Theorem 1: UN and AA1 equalize, UN dominates per step)",
         ok,
         detail or f"{checked} contractive dynamics checked",
     )

@@ -22,7 +22,7 @@ from fairdyn import (
     parse_dynamics,
 )
 from fairdyn import _loops_py, expr
-from fairdyn.expr import AFFINE_TREE, MAX_NESTING, interval
+from fairdyn.expr import AFFINE_SHAPE, MAX_NESTING, interval
 from conftest import appendix_c_callbacks
 
 APPENDIX_F1 = "0.5*(b1 + b1/5)/1.4 + exp(-0.000000001*(b0+b1))*sin(18*(b0+b1)) + 0.1"
@@ -68,15 +68,15 @@ def test_expressions_that_differ_in_their_numbers_share_a_shape():
     maps = [compile_expression(s) for s in ("0.1 + -0.2*b0", "7 + 0.2*b0", "3 + --4*b0")]
     assert all(f.__code__ is maps[0].__code__ for f in maps)
     assert all(f.array.__code__ is maps[0].array.__code__ for f in maps)
-    assert maps[0].tree == ("+", 0, ("*", 1, "b0"))
-    assert all(f.tree is maps[0].tree for f in maps)  # one tree object per cached shape
+    assert maps[0].shape.tree == ("+", 0, ("*", 1, "b0"))
+    assert all(f.shape is maps[0].shape for f in maps)  # one Shape per cached shape
     assert [f.literals for f in maps] == [(0.1, -0.2), (7.0, 0.2), (3.0, 4.0)]
     assert [f(1.0, 0.0) for f in maps] == [0.1 + -0.2, 7.0 + 0.2, 3.0 + 4.0]
     f = compile_expression("-2^2*b1")
-    assert (f.tree, f.literals) == (("*", ("neg", ("^", 0, 1)), "b1"), (2.0, 2.0))
+    assert (f.shape.tree, f.literals) == (("*", ("neg", ("^", 0, 1)), "b1"), (2.0, 2.0))
     assert f.__code__ is not maps[0].__code__
     f = compile_expression("(-2)^2 - -1e999")
-    assert (f.tree, f.literals) == (("-", ("^", ("()", 0), 1), 2), (-2.0, 2.0, -math.inf))
+    assert (f.shape.tree, f.literals) == (("-", ("^", ("()", 0), 1), 2), (-2.0, 2.0, -math.inf))
 
 
 def test_functions():
@@ -440,8 +440,8 @@ def test_one_shape_shares_its_code(monkeypatch):
         assert f.array(b, b).tolist() == [0.25, 0.5]
         assert g.array(b, b).tolist() == [-math.inf, -math.inf]
     assert f.__globals__["compiled_array"].__code__ is g.__globals__["compiled_array"].__code__
-    assert f.interval(_CELL, _CELL) == (0.25, 0.75)
-    assert g.interval(_CELL, _CELL) is None
+    assert _interval(f) == (0.25, 0.75)
+    assert _interval(g) is None
     assert len(expr._SHAPES) == 1
     assert len(compiles) == 1
     assert f(0.5, 0.0) == 0.5
@@ -465,13 +465,13 @@ def test_a_compiled_shape_folds_only_the_scalar_form(monkeypatch):
     source = APPENDIX_F1.replace("18", "17")
     f = compile_expression(source)
     b = np.array([0.25, 0.5])
-    f.array(b, b), f.interval(_CELL, _CELL)
+    f.array(b, b), _interval(f)
     tables = []
     fold = expr._fold
     monkeypatch.setattr(expr, "_fold", lambda node, table, leaves: tables.append(table) or fold(node, table, leaves))
     g = compile_expression(source.replace("17", "19"))
     assert g.array(b, b).tolist() == [g(x, x) for x in b.tolist()]
-    assert g.interval(_CELL, _CELL) is not None
+    assert _interval(g) is not None
     assert {id(table) for table in tables} == {id(expr._SCALAR), id(expr._INTERVAL)}
 
 
@@ -486,7 +486,7 @@ def _template(f) -> str:
     """The compiled map f's scalar code as a str.format template: {b0} and
     {b1} for the rates and {i} for the i-th literal."""
     fields = {i: f"{{{i}}}" for i in range(len(f.literals))}
-    return expr._fold(f.tree, expr._SCALAR, dict(fields, b0="{b0}", b1="{b1}"))
+    return expr._fold(f.shape.tree, expr._SCALAR, dict(fields, b0="{b0}", b1="{b1}"))
 
 
 def _reference_outcome(template: str, literals, b0: float, b1: float):
@@ -524,7 +524,7 @@ def test_literals_bound_by_name_are_the_written_values(source, values, points):
     literals = [abs(v) if i in bases else v for i, v in enumerate(values[: len(shape.literals)])]
     numbers = [_literal_source(v) for v in literals]
     compiled = compile_expression(template.replace("**", "^").format(*numbers, b0="b0", b1="b1"))
-    assert compiled.tree == shape.tree and compiled.__code__ is shape.__code__
+    assert compiled.shape is shape.shape and compiled.__code__ is shape.__code__
     assert list(map(repr, compiled.literals)) == list(map(repr, literals))
 
     expected = [_reference_outcome(template, literals, b0, b1) for b0, b1 in points]
@@ -551,7 +551,7 @@ def test_code_cache_is_bounded():
             total += 0.5
         assert f(0.25, 0.5) == total
         assert f.array(b, np.array([0.5, 0.5])).tolist() == [total, 0.5 + 0.5 * k]
-        lo, hi = f.interval((0.25, 0.25), (0.5, 0.5))
+        lo, hi = _interval(f, (0.25, 0.25), (0.5, 0.5))
         assert lo <= total <= hi
     assert len(expr._SHAPES) == expr._SHAPES_SIZE
 
@@ -559,6 +559,12 @@ def test_code_cache_is_bounded():
 # -- the interval form --------------------------------------------------------
 
 _CELL = (0.0, 1.0)
+
+
+def _interval(f, b0=_CELL, b1=_CELL):
+    """The compiled map f's interval form over the cell b0 x b1."""
+    return interval(f.shape.tree, f.literals, b0, b1)
+
 # Points of the unit cell: its ends, signed zero, subnormals, the least normal
 # float and the float below 1.
 _UNIT = st.floats(0.0, 1.0) | st.sampled_from(
@@ -584,7 +590,7 @@ def test_interval_form_encloses_the_scalar_values(source, points, kind):
     scalar function returns a value inside it at every point of the cell,
     for Python and numpy floats alike (the RK4 kernel's two state types)."""
     compiled = compile_expression(source)
-    bounds = compiled.interval(_CELL, _CELL)
+    bounds = _interval(compiled)
     if bounds is None:
         return
     lo, hi = bounds
@@ -610,7 +616,7 @@ def test_interval_form_encloses_the_scalar_values(source, points, kind):
     ids=lambda source: source[:20],
 )
 def test_interval_form_gives_no_enclosure(source):
-    assert compile_expression(source).interval(_CELL, _CELL) is None
+    assert _interval(compile_expression(source)) is None
 
 
 _END = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, 0.1, 0.2, 0.9, 5e-324, 1 - 1e-16])
@@ -648,19 +654,19 @@ def test_arithmetic_enclosures_hold_the_real_values(a, b):
 def test_a_long_sum_has_an_enclosure():
     """The interval form walks a chain in a loop, as every fold does: a
     1,000-term sum of exact terms encloses exactly."""
-    assert compile_expression("+".join(["b0"] * 1000)).interval(_CELL, _CELL) == (0.0, 1000.0)
+    assert _interval(compile_expression("+".join(["b0"] * 1000))) == (0.0, 1000.0)
 
 
 def test_exact_interval_ends_are_kept():
     """An end that + - * / compute exactly is the real value and is kept, so
     maps that reach 0 or 1 exactly certify; an inexact end still moves out
     by an ulp."""
-    assert compile_expression("0.9*b1").interval(_CELL, _CELL) == (0.0, 0.9)
-    assert compile_expression("b1").interval(_CELL, _CELL) == (0.0, 1.0)
-    assert compile_expression("1 - b0*b1").interval(_CELL, _CELL) == (0.0, 1.0)
-    assert interval(AFFINE_TREE, (0.0, 0.0, 0.0), _CELL, _CELL) == (0.0, 0.0)  # constant_dynamics(0.0, 1.0)
-    assert interval(AFFINE_TREE, (1.0, 0.0, 0.0), _CELL, _CELL) == (1.0, 1.0)
-    assert compile_expression("0.1 + 0.2*b1").interval(_CELL, _CELL) == (
+    assert _interval(compile_expression("0.9*b1")) == (0.0, 0.9)
+    assert _interval(compile_expression("b1")) == (0.0, 1.0)
+    assert _interval(compile_expression("1 - b0*b1")) == (0.0, 1.0)
+    assert interval(AFFINE_SHAPE.tree, (0.0, 0.0, 0.0), _CELL, _CELL) == (0.0, 0.0)  # constant_dynamics(0.0, 1.0)
+    assert interval(AFFINE_SHAPE.tree, (1.0, 0.0, 0.0), _CELL, _CELL) == (1.0, 1.0)
+    assert _interval(compile_expression("0.1 + 0.2*b1")) == (
         0.1, math.nextafter(0.1 + 0.2, math.inf)
     )
 
@@ -669,9 +675,10 @@ def test_interval_form_of_the_affine_tree():
     """The affine tuple's interval form is that of the tree a + c*b0 + d*b1,
     the RK4 kernel's affine map."""
     compiled = compile_expression("0.1 + 0.05*b0 + 0.2*b1")
-    assert compiled.tree == AFFINE_TREE and _loops_py._AFFINE[0] is AFFINE_TREE
-    assert interval(AFFINE_TREE, (0.1, 0.05, 0.2), _CELL, _CELL) == compiled.interval(_CELL, _CELL)
-    assert interval(AFFINE_TREE, (0.1, math.nan, 0.2), _CELL, _CELL) is None
+    assert compiled.shape.tree == AFFINE_SHAPE.tree
+    assert compiled.shape.n_literals == AFFINE_SHAPE.n_literals == 3
+    assert interval(AFFINE_SHAPE.tree, (0.1, 0.05, 0.2), _CELL, _CELL) == _interval(compiled)
+    assert interval(AFFINE_SHAPE.tree, (0.1, math.nan, 0.2), _CELL, _CELL) is None
 
 
 # -- the nesting limit ------------------------------------------------------
@@ -715,9 +722,9 @@ def test_nesting_limit_is_fixed(kind):
 
     def every_form():
         compiled = compile_expression(source)
-        form = (compiled.tree, compiled.tree, len(compiled.literals), "check")
+        form = (compiled.shape, "check")
         kernel = _loops_py._kernel(0, form, form)
-        return compiled(0.5, 0.5), compiled.array(b, b), compiled.interval(_CELL, _CELL), kernel
+        return compiled(0.5, 0.5), compiled.array(b, b), _interval(compiled), kernel
 
     value, array, bounds, kernel = _in_frames(300, every_form)
     assert math.isfinite(value)

@@ -9,6 +9,7 @@ raise the same errors.
 
 import dataclasses
 import inspect
+import json
 import math
 from pathlib import Path
 
@@ -29,9 +30,10 @@ from fairdyn import (
 )
 from fairdyn import _kernels, _loops_py, dynamics
 from fairdyn import expr
-from fairdyn.expr import AFFINE_TREE, compile_expression, ExpressionSyntaxError, interval
+from fairdyn.expr import AFFINE_SHAPE, compile_expression, ExpressionSyntaxError, interval
 from fairdyn.policy import policy_entries
 from conftest import appendix_c_callbacks
+import goldens
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # The shipped expression_ct scenario's maps, and the affine tuple perfbench's
@@ -535,8 +537,15 @@ def test_too_deep_expression_integrates_through_calls():
     dyn = parse_dynamics("0.5", "-".join(["b1"] * lo))
     args = (0.9, 0.2, 0.5, -1.0, 1.0, 0, dyn.f0, dyn.f1, None, 0.1, 20, 1, 1e-10, 0.0)
     assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
-    forms = [(f.tree, f.tree, len(f.literals), "check") for f in (dyn.f0, dyn.f1)]
+    forms = [(f.shape, "check") for f in (dyn.f0, dyn.f1)]
     assert _loops_py._kernel(0, *forms) is _loops_py._kernel(0, *_loops_py._CALLS)
+
+
+def test_kernel_sources_are_the_goldens():
+    """The kernel sources ct_loop generates for goldens.KERNEL_DYNAMICS in
+    every mode, from float and float32 starts, are byte for byte the ones
+    pinned in goldens.json."""
+    assert goldens.kernel_sources() == json.loads(goldens.TABLE.read_text())[goldens.KERNEL_SOURCES]
 
 
 def test_kernel_entry_point_contract():
@@ -583,8 +592,8 @@ def _certified_maps(dyn) -> bool:
     expression's interval form lies in [0, 1] over the unit cell)."""
     if dyn.affine is not None:
         a0, c0, d0, a1, c1, d1 = dyn.affine
-        return all(_in_unit(AFFINE_TREE, v) for v in ((a0, c0, d0), (a1, c1, d1)))
-    return all(hasattr(f, "tree") and _in_unit(f.tree, f.literals) for f in (dyn.f0, dyn.f1))
+        return all(_in_unit(AFFINE_SHAPE.tree, v) for v in ((a0, c0, d0), (a1, c1, d1)))
+    return all(hasattr(f, "shape") and _in_unit(f.shape.tree, f.literals) for f in (dyn.f0, dyn.f1))
 
 
 def _in_unit(tree, literals) -> bool:
@@ -629,9 +638,12 @@ _APPENDIX_C_EXPRESSIONS = (
     ],
 )
 def test_which_maps_are_certified(monkeypatch, dyn, guards):
+    """Each form is a map's Shape (None for a called map) and its guard:
+    the kernel cache's keys hold no tree."""
     args = (0.7, 0.2, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, dyn.affine, 0.01, 10, 1, 1e-10, 0.0)
     forms = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
-    assert [(form0[3], form1[3]) for form0, form1 in forms] == [guards]
+    assert [(form0[1], form1[1]) for form0, form1 in forms] == [guards]
+    assert all(type(shape) in (expr.Shape, type(None)) for pair in forms for shape, _ in pair)
     assert _certified_maps(dyn) == (guards == ("certified", "certified"))
 
 
@@ -647,7 +659,7 @@ def test_each_map_is_certified_once(monkeypatch):
         args = (pa, 0.2, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, None, 0.01, 10, 1, 1e-10, 0.0)
         forms = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
         guards = ("check", "check") if type(pa) is np.float32 else ("certified", "check")
-        assert [(form0[3], form1[3]) for form0, form1 in forms] == [guards]
+        assert [(form0[1], form1[1]) for form0, form1 in forms] == [guards]
     assert folded == [dyn.f0.literals, dyn.f1.literals]
 
     for values in ((0.1, 0.05, 0.2), (0.1, 0.05, 0.2), (1.5, 0.0, 0.0)):
@@ -674,43 +686,49 @@ def test_a_map_parsed_again_reuses_its_certificate(monkeypatch):
         maps += [(f, dict(vars(f))) for f in (dyn.f0, dyn.f1)]
         before = len(folds)
         forms = _recorded_forms(monkeypatch, scenario.run_trajectory)
-        assert {(form0[3], form1[3]) for form0, form1 in forms} == {("certified", "certified")}
+        assert {(form0[1], form1[1]) for form0, form1 in forms} == {("certified", "certified")}
         assert len(folds) == before or not parse
     assert [vars(f) for f, _ in maps] == [attributes for _, attributes in maps]
 
 
-@pytest.mark.parametrize("terms", [300, 1000])
-def test_a_long_certified_chain_runs_the_certified_kernel(monkeypatch, terms):
+@pytest.mark.parametrize(
+    "terms, evict", [(300, False), (1000, False), (1000, True)], ids=["300", "1000", "1000-evicted"]
+)
+def test_a_long_certified_chain_runs_the_certified_kernel(monkeypatch, terms, evict):
     """The interval form and the kernel's constant folding walk a chain in a
     loop: a long sum is certified, the kernel inlines it without checks,
     and it gives the reference's samples. Parsed again, it runs the same
-    kernel: the caches keyed by its tree find the one tree of its shape."""
+    kernel: the caches keyed by its shape find it by identity, and after
+    its shape has left expr's cache (evict) they compare no trees."""
     source = "+".join([f"{0.9 / terms!r}*b1"] * terms)
-    for _ in range(2):
+    for parse in range(2):
+        if parse and evict:
+            for k in range(expr._SHAPES_SIZE + 1):
+                compile_expression("b0" + " + b1" * k)
         dyn = parse_dynamics("0.2 + 0.1*b0", source)
         args = (0.7, 0.2, 0.4, -1.5, 1.0, 1, dyn.f0, dyn.f1, None, 0.01, 60, 7, 1e-10, 0.0)
         (forms,) = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
-        assert [form[3] for form in forms] == ["certified", "certified"]
+        assert [form[1] for form in forms] == ["certified", "certified"]
         assert _loops_py._kernel(1, *forms) is not _loops_py._kernel(1, *_loops_py._CALLS)
         assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
 
 
 _SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, -1e-300, 5e-324])
-# A tree with a literal in each kind of interval helper that a zero can reach.
-_ZERO_TREE = compile_expression("abs(0 - 0*b0) + min(0*b1, 0/2) + max(-(0), 0*exp(0*b1))").tree
+# A shape with a literal in each kind of interval helper that a zero can reach.
+_ZERO_SHAPE = compile_expression("abs(0 - 0*b0) + min(0*b1, 0/2) + max(-(0), 0*exp(0*b1))").shape
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([AFFINE_TREE, _ZERO_TREE]), st.lists(_SIGNED, min_size=8, max_size=8))
-def test_signed_zero_literals_certify_alike(tree, values):
+@given(st.sampled_from([AFFINE_SHAPE, _ZERO_SHAPE]), st.lists(_SIGNED, min_size=8, max_size=8))
+def test_signed_zero_literals_certify_alike(shape, values):
     """Literals with -0.0 in place of 0.0 (or the reverse) share their
     cached certificate, as the two hash equal: they certify alike."""
-    values = tuple(values[: 3 if tree is AFFINE_TREE else 8])
+    values = tuple(values[: shape.n_literals])
     flipped = tuple(-v if v == 0.0 else v for v in values)
-    assert _in_unit(tree, values) == _in_unit(tree, flipped)
+    assert _in_unit(shape.tree, values) == _in_unit(shape.tree, flipped)
     _loops_py._certified.cache_clear()
-    _loops_py._certified(tree, flipped)
-    assert _loops_py._certified(tree, values) == _in_unit(tree, values)
+    _loops_py._certified(shape, flipped)
+    assert _loops_py._certified(shape, values) == _in_unit(shape.tree, values)
     assert _loops_py._certified.cache_info().hits == 1
 
 
@@ -722,7 +740,7 @@ def test_certified_kernels_fold_the_closed_form(monkeypatch):
     for dyn in (_EXPRESSION_CT, _PROBE_AFFINE):
         args = (0.7, 0.2, 0.4, -1.5, 1.0, 0, dyn.f0, dyn.f1, dyn.affine, 0.01, 10, 1, 1e-10, 0.0)
         (forms,) = _recorded_forms(monkeypatch, lambda: _loops_py.ct_loop(*args))
-        assert [form[3] for form in forms] == ["certified", "certified"]
+        assert [form[1] for form in forms] == ["certified", "certified"]
         for mode in (0, 1, 2, 3):
             source = _loops_py._kernel_source(mode, *forms)
             for unfolded in ("(0.0) * (1.0 - ", "(1.0) * ", "abs(pa - pb)", "clamps0"):
@@ -753,10 +771,10 @@ def test_shipped_ct_scenarios_kernel_forms(monkeypatch):
     expressions, which leave [0, 1]) are inlined with their checks."""
     scenario = Scenario.from_file(SCENARIOS / "expression_ct.scn")
     forms = _recorded_forms(monkeypatch, scenario.run_trajectory)
-    assert {(form0[3], form1[3]) for form0, form1 in forms} == {("certified", "certified")}
+    assert {(form0[1], form1[1]) for form0, form1 in forms} == {("certified", "certified")}
     scenario = Scenario.from_file(SCENARIOS / "three_equilibria_ct.scn")
     forms = _recorded_forms(monkeypatch, scenario.run_trajectory)
-    assert {(form0[3], form1[3]) for form0, form1 in forms} == {("check", "check")}
+    assert {(form0[1], form1[1]) for form0, form1 in forms} == {("check", "check")}
 
 
 @pytest.mark.parametrize(
@@ -771,7 +789,7 @@ def test_uncertain_starts_keep_the_checked_kernel(monkeypatch, start):
     pa, pb, h = (*start, 0.01)[:3]
     args = (pa, pb, 0.4, -1.5, 1.0, 2, dyn.f0, dyn.f1, None, h, 10, 1, 1e-10, 0.0)
     forms = _recorded_forms(monkeypatch, lambda: _outcome(_loops_py.ct_loop, args))
-    assert [(form0[3], form1[3]) for form0, form1 in forms] == [("check", "check")]
+    assert [(form0[1], form1[1]) for form0, form1 in forms] == [("check", "check")]
     assert _outcome(_loops_py.ct_loop, args) == _outcome(_reference_ct_loop, args)
 
 

@@ -383,7 +383,7 @@ def assert_goldens(tmp_path: Path, group: str) -> None:
 
 
 def test_the_goldens_have_one_row_per_case():
-    keys = [case.key for cases in goldens.CASES.values() for case in cases]
+    keys = [case.key for cases in goldens.CASES.values() for case in cases] + [goldens.KERNEL_SOURCES]
     assert sorted(keys) == sorted(GOLDENS)
 
 
