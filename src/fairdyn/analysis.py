@@ -263,8 +263,14 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
         left = max(d for d in dels if d <= r + 1e-15)
         right = min(d for d in dels if d >= r - 1e-15)
         radius = max(min(0.05, 0.5 * max(r - left, 1e-6), 0.5 * max(right - r, 1e-6)), 1e-6)
-        pts = np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()
-        attracting.append(Equilibrium(position=r, rate=max(map(slope, pts)), radius=radius))
+        # slope at 33 points, their ends (hi, lo) evaluated in one pass, in slope's order
+        ends = np.array([
+            (min(1.0, p + 1e-7), max(0.0, p - 1e-7))
+            for p in np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()
+        ])
+        fs_hi, fs_lo = _un_map_array(dyn, ends.ravel()).reshape(-1, 2).T
+        rate = max(((fs_hi - fs_lo) / (ends[:, 0] - ends[:, 1])).tolist())
+        attracting.append(Equilibrium(position=r, rate=rate, radius=radius))
 
     k_valid = interleaving_ok and len(attracting) > 0
     if k_valid:

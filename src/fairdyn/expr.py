@@ -41,7 +41,8 @@ The array function does the same IEEE operations on numpy float arrays.
 It calls sin, cos, exp and '^' (Python's pow) element by element on Python
 floats, as the scalar function does, and not numpy's ufuncs, which may round
 differently from libm; and it calls each once per distinct argument (per bit
-pattern, or pair of them), since grids pass the same arguments many times.
+pattern, or pair of them; see _map), since grids pass the same arguments
+many times.
 Where the scalar function could raise at some point (a zero divisor, an
 element-wise call that raises, a complex power) it returns None instead,
 and a non-finite value it returns marks a point where the scalar function
@@ -61,7 +62,6 @@ The RK4 kernel drops its clamp and checks of a map whose enclosure over
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -301,7 +301,7 @@ def compiled_array(b0, b1):
         v = {array_code}
     except EVAL_ERRORS:
         return None
-    return v if _isinstance(v, _ndarray) else _full(b0.shape, v)
+    return v if _isinstance(v, _ndarray) else _full(_broadcast_shapes(b0.shape, b1.shape), v)
 """
 # The errors that mark a failed evaluation of an expression's code.
 EVAL_ERRORS = (ArithmeticError, TypeError, ValueError)
@@ -311,34 +311,54 @@ def _is_array(value) -> bool:
     return isinstance(value, np.ndarray)
 
 
-# The distinct keys of a 1-D array, the index of each one's first point and
-# each point's number among them.
-_unique = functools.partial(np.unique, return_index=True, return_inverse=True)
+def _number(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the integer array keys, in increasing order,
+    and each key's index among them, an array of keys' shape: one sort, a
+    mask of where the sorted run changes, and a binary search per key."""
+    ordered = np.sort(keys, axis=None)
+    new = np.empty(ordered.size, bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    return distinct, np.searchsorted(distinct, keys)
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_number of the bit patterns of the float array a (an int64 view,
+    which keeps -0.0 apart from 0.0 and one NaN payload from another). Where
+    a's points lie along one axis and are strictly monotone, they are all
+    distinct, and each is its own number, in a's order."""
+    keys = a.view(np.int64)
+    if a.size == max(a.shape, default=1):
+        flat = a.reshape(-1)
+        if (flat[1:] > flat[:-1]).all() or (flat[1:] < flat[:-1]).all():
+            return keys.reshape(-1), np.arange(a.size).reshape(a.shape)
+    return _number(keys)
 
 
 def _map(fn: Callable[..., float], *args):
-    """fn element by element over the float array arguments, of one 1-D or
-    2-D shape (a float argument is the same at every point), on Python
-    floats: numpy's ufuncs may round sin, cos, exp and power differently
-    from the libm functions the scalar code calls. fn runs once per distinct
-    argument, keyed by the arrays' bit patterns (an int64 view, which keeps
-    -0.0 apart from 0.0 and one NaN payload from another), or per distinct
-    tuple of them, at the first point with that argument, and its value
-    goes to every point with that argument. np.unique numbers the keys of
-    each array, and a pair of numberings is numbered again as one key (a
-    number below size**2). An error of fn at any argument propagates; a
-    value that is not a real number, such as the complex power of a
-    negative base, raises TypeError."""
+    """fn element by element over the float array arguments, which
+    broadcast together (a float argument is the same at every point), on
+    Python floats: numpy's ufuncs may round sin, cos, exp and power
+    differently from the libm functions the scalar code calls. fn runs once
+    per distinct argument, keyed by the arrays' bit patterns (_distinct), or
+    per distinct pair of them, whose numbers i and j make the one key
+    i * n + j (n the count of the second array's patterns); its value goes
+    to every point with that argument. fn sees the distinct arguments in
+    no set order: an error of fn at any of them propagates, and a value
+    that is not a real number, such as the complex power of a negative
+    base, raises TypeError."""
     arrays = [a for a in args if _is_array(a)]
     if not arrays:
         return float(fn(*args))
-    _, first, groups = _unique(arrays[0].reshape(-1).view(np.int64))
-    for a in arrays[1:]:
-        _, more_first, more = _unique(a.reshape(-1).view(np.int64))
-        _, first, groups = _unique(groups * more_first.size + more)
-    columns = [a.reshape(-1)[first].tolist() if _is_array(a) else itertools.repeat(a) for a in args]
-    values = np.fromiter(map(fn, *columns), float, count=first.size)
-    return values[groups].reshape(arrays[0].shape)
+    if len(arrays) == 1:
+        keys, groups = _distinct(arrays[0])
+        columns = [keys.view(float).tolist() if _is_array(a) else itertools.repeat(a) for a in args]
+    else:  # '^' of two arrays
+        (ka, ia), (kb, ib) = map(_distinct, arrays)
+        keys, groups = _number(ia * kb.size + ib)
+        columns = [ka[keys // kb.size].view(float).tolist(), kb[keys % kb.size].view(float).tolist()]
+    return np.fromiter(map(fn, *columns), float, count=keys.size)[groups]
 
 
 def _nonzero(b):
@@ -499,7 +519,7 @@ _NAMES = {
     **SCALAR_FUNCTIONS, "__builtins__": {}, "EVAL_ERRORS": EVAL_ERRORS,
     "_isinstance": isinstance, "_complex": complex,
     "_map": _map, "_pow": operator.pow, "_nonzero": _nonzero, "_min": _min, "_max": _max,
-    "_ndarray": np.ndarray, "_full": np.full,
+    "_ndarray": np.ndarray, "_full": np.full, "_broadcast_shapes": np.broadcast_shapes,
 }
 
 
@@ -541,10 +561,13 @@ def compile_expression(source: str) -> Callable[[float, float], float]:
     literals, b0, b1) is the map's interval form.
 
     The map's `array` attribute is the expression's array function, with its
-    literals bound the same way: array(b0, b1) takes two float arrays of one
-    shape and returns the unchecked values at every point, bit for bit the
-    scalar map's wherever that returns, or None when the scalar map might
-    raise at some point. Evaluate it under np.errstate(all="ignore"); a
+    literals bound the same way: array(b0, b1) takes two float arrays that
+    broadcast together and returns the unchecked values at every point, bit
+    for bit the scalar map's wherever that returns, or None when the scalar
+    map might raise at some point. Each subexpression runs on the shape of
+    the rates it reads, so the values come in an array that broadcasts to
+    the arrays' shape (of b1's shape for a map of b1 alone; a constant map
+    fills the broadcast shape). Evaluate it under np.errstate(all="ignore"); a
     non-finite value marks a point where the scalar map raises."""
     def fail(b0: float, b1: float, outcome) -> None:
         raise ExpressionEvaluationError(source, b0, b1, outcome)

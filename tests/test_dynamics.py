@@ -383,6 +383,49 @@ def test_sample_grid_rejects_a_bad_resolution(resolution):
     assert dyn.sample_grid(1)[0].tolist() == [0.0, 1.0]
 
 
+# Map sources for the grid tests: the test_expr.py shapes (a map of b0 or b1
+# alone, one with a zero divisor, a complex power or an overflow at some
+# grid points, '^' of two arrays, -0.0, a NaN through max),
+# 1,000-term chains and the sine that aliases to 0 on the res-256 grid.
+GRID_SOURCES = [
+    "min(1/b0, 2)", "max(2, (1e999-1e999)/b0)", "(b0-0.5)^0.5", "(b1-0.5)^0.5", "exp(800*b1)",
+    "exp(1000*b1)", "sin(1e999*b0)", "min(b0, -b1)", "max(-b0, b1)", "sin(b0)", "b0^b1", "b0/b1",
+    "exp(-b0)*sin(18*(b0 + b1))", "-0.0*b0", "0.3 + 0.1*sin(1608.4954386379741*b0)", "0.25",
+    "+".join(["b0"] * 1000), "*".join(["b1"] * 1000), "/".join(["b1"] * 1000),
+]
+GRID_SPECS = [
+    *(parse_dynamics(source, "0.5", name=f"f0 = {source[:40]}") for source in GRID_SOURCES),
+    *(parse_dynamics("0.5", source, name=f"f1 = {source[:40]}") for source in GRID_SOURCES),
+    parse_dynamics("1/(b1 - 0.5)", "2/(b1 - 0.5)", name="both fail"),
+    appendix_c_dynamics(),
+    appendix_c_callbacks(),  # no array form
+    constant_dynamics(0.2, 0.8),
+    affine_dynamics(0.1, 0.7, -0.4, 0.5, 0.3, 0.9),  # clamps at both ends
+    affine_dynamics(-0.0, -0.0, 0.0, 0.5, 1e308, 1e308),  # -0.0, and an infinite value
+]
+
+
+@pytest.mark.parametrize("resolution", [1, 8, 96, 257])
+@pytest.mark.parametrize("dyn", GRID_SPECS, ids=lambda d: d.name)
+def test_the_broadcast_grid_is_the_materialised_grid(dyn, resolution):
+    """sample_grid evaluates the maps once, on the axes each subexpression
+    reads (b0 down, b1 across): the kept grid is sample's on the
+    materialised grid bit for bit, read-only and (r+1) x (r+1); where a map
+    fails at a grid point, the same error names the same point."""
+    xs = grid_axis(resolution)
+    spec = dataclasses.replace(dyn)  # keeps no grid
+    want = _result(lambda: spec.sample(xs[:, None], xs))
+    got = _result(lambda: spec.sample_grid(resolution)[1:])
+    assert got == want
+    if isinstance(want, list):
+        grid = spec.sample_grid(resolution)
+        assert grid[0].tobytes() == xs.tobytes()
+        assert all(a.shape == (xs.size, xs.size) for a in grid[1:])
+        assert not any(a.flags.writeable for a in grid)
+    else:
+        assert not spec._grids
+
+
 FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, 5e-324, -5e-324])
 
 

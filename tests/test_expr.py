@@ -389,16 +389,67 @@ def test_element_wise_functions_run_once_per_distinct_argument(monkeypatch):
     assert [[repr(v) for v in row] for row in values.tolist()] == expected
 
 
-def test_map_keys_points_by_bit_pattern():
-    """_map calls its function once per bit pattern: two NaN payloads, and
-    -0.0 and 0.0, are four arguments; each point gets its argument's value."""
-    a = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0, 1 << 63] * 3, np.uint64).view(float)
-    seen = []
-    values = expr._map(lambda x: seen.append(_bits(x)) or float(len(seen)), a)
-    assert sorted(seen) == sorted({_bits(x) for x in a.tolist()})
-    assert len(seen) == 4
-    for x, v in zip(a.view(np.int64).tolist(), values.tolist()):
-        assert seen[int(v) - 1] == (x,)
+# _map's arguments come from a pool with repeats, both zeros, two NaN
+# payloads, both infinities and subnormals, which numbering by value rather
+# than by bit pattern merges or splits; 800 overflows exp and 2^800.
+_NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64).view(float).tolist()
+_MAP_POOL = [0.0, -0.0, 0.5, -0.5, 1.0, 3.0, 800.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, *_NANS]
+_MAP_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "_pow": operator.pow}
+
+
+@st.composite
+def _map_cases(draw):
+    """A function name of _MAP_FUNCTIONS and its _map arguments: a 1-D or
+    2-D array; for _pow also an array and a float, either way round, or two
+    arrays that broadcast together."""
+    name = draw(st.sampled_from(sorted(_MAP_FUNCTIONS)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    layouts = [[(n,)], [(m, n)]]
+    if name == "_pow":
+        layouts += [[(n,), ()], [(), (m, n)], [(m, 1), (1, n)], [(m, n), (n,)], [(n,), (n,)]]
+    args = []
+    for shape in draw(st.sampled_from(layouts)):
+        size = math.prod(shape)
+        values = draw(st.lists(st.sampled_from(_MAP_POOL), min_size=size, max_size=size))
+        args.append(np.array(values).reshape(shape) if shape else values[0])
+    return name, args
+
+
+def _call_outcome(fn, *args):
+    """fn's value at Python floats, or the class of its error: a complex
+    value is a TypeError, as _map documents."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    return TypeError if isinstance(value, complex) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_map_cases())
+@example(("sin", [np.array([*_NANS, 0.0, -0.0] * 3)]))
+@example(("_pow", [np.array([[0.5], [-0.0], [0.5]]), np.array([[-0.0, 0.0, 2.0]])]))
+def test_map_keys_points_by_bit_pattern(case):
+    """_map gives each point the bits of fn called on that point's Python
+    floats, calling fn once per distinct bit pattern, or pair of them: two
+    NaN payloads, and -0.0 and 0.0, are four arguments. Where fn raises at
+    some point, _map raises the class of such an error."""
+    name, args = case
+    fn, seen = _MAP_FUNCTIONS[name], []
+    points = list(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*args))))
+    outcomes = [_call_outcome(fn, *point) for point in points]
+    errors = {o for o in outcomes if isinstance(o, type)}
+    run = lambda: expr._map(lambda *xs: seen.append(_bits(*xs)) or fn(*xs), *args)
+    if errors:
+        with pytest.raises(Exception) as exc:
+            run()
+        assert type(exc.value) in errors
+    else:
+        values = run()
+        assert values.shape == np.broadcast_shapes(*(np.shape(a) for a in args))
+        assert values.ravel().view(np.int64).tolist() == list(_bits(*outcomes))
+        assert set(seen) == {_bits(*point) for point in points}
+    assert len(seen) == len(set(seen))
 
 
 def test_a_long_division_chain_has_an_array_form():

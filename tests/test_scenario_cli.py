@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -537,20 +536,21 @@ def test_analyze_above_256_samples_one_grid(tmp_path, monkeypatch):
     """analyze --resolution 512 samples one grid, the contraction's, and
     its status-quo check reads that grid: the spec keeps one grid of 512."""
     specs, grids = [], []
-    make, sample = Scenario.make_dynamics, DynamicsSpec.sample
+    make, sample_grid = Scenario.make_dynamics, DynamicsSpec.sample_grid
 
     def made(self):
         specs.append(make(self))
         return specs[-1]
 
-    def sampled(self, b0, b1):
-        shape = np.broadcast_shapes(np.shape(b0), np.shape(b1))
-        if len(shape) == 2:  # a grid; the triangle and the UN map scan are 1-D
-            grids.append(shape)
-        return sample(self, b0, b1)
+    def sampled(self, resolution):
+        kept = resolution in self._grids
+        grid = sample_grid(self, resolution)
+        if not kept:  # a grid evaluated, not one the spec kept
+            grids.append(grid[1].shape)
+        return grid
 
     monkeypatch.setattr(Scenario, "make_dynamics", made)
-    monkeypatch.setattr(DynamicsSpec, "sample", sampled)
+    monkeypatch.setattr(DynamicsSpec, "sample_grid", sampled)
     path = SCENARIOS / "expression_ct.scn"
     assert main(["analyze", str(path), "--out", str(tmp_path), "--resolution", "512"]) == 0
     assert grids == [(513, 513)]
