@@ -243,15 +243,17 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
 
-    def slope(p: float) -> float:
-        """Central difference of f at p, one-sided at 0 and 1."""
-        lo, hi = max(0.0, p - 1e-7), min(1.0, p + 1e-7)
-        return (f(hi) - f(lo)) / (hi - lo)
+    def slopes(ps: list[float]) -> np.ndarray:
+        """Central differences of f at the points ps, one-sided at 0 and 1,
+        from one pass over their ends, hi then lo, point by point."""
+        ends = np.array([(min(1.0, p + 1e-7), max(0.0, p - 1e-7)) for p in ps]).reshape(-1, 2)
+        f_hi, f_lo = _un_map_array(dyn, ends.ravel()).reshape(-1, 2).T
+        return (f_hi - f_lo) / (ends[:, 0] - ends[:, 1])
 
-    kinds = []
-    for r in deduped:
-        fp = slope(r)
-        kinds.append("a" if (fp < 1.0 if mode == "CT" else abs(fp) < 1.0) else "u")
+    kinds = [
+        "a" if (fp < 1.0 if mode == "CT" else abs(fp) < 1.0) else "u"
+        for fp in slopes(deduped).tolist()
+    ]
     # Attracting points must be separated by exactly one unstable delimiter.
     interleaving_ok = "aa" not in "".join(kinds)
     unstable = [r for r, kind in zip(deduped, kinds) if kind == "u"]
@@ -263,13 +265,7 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
         left = max(d for d in dels if d <= r + 1e-15)
         right = min(d for d in dels if d >= r - 1e-15)
         radius = max(min(0.05, 0.5 * max(r - left, 1e-6), 0.5 * max(right - r, 1e-6)), 1e-6)
-        # slope at 33 points, their ends (hi, lo) evaluated in one pass, in slope's order
-        ends = np.array([
-            (min(1.0, p + 1e-7), max(0.0, p - 1e-7))
-            for p in np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()
-        ])
-        fs_hi, fs_lo = _un_map_array(dyn, ends.ravel()).reshape(-1, 2).T
-        rate = max(((fs_hi - fs_lo) / (ends[:, 0] - ends[:, 1])).tolist())
+        rate = max(slopes(np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()).tolist())
         attracting.append(Equilibrium(position=r, rate=rate, radius=radius))
 
     k_valid = interleaving_ok and len(attracting) > 0

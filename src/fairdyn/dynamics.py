@@ -136,19 +136,20 @@ class DynamicsSpec:
 
     The array form of the maps is their .array attribute, read off f0 and
     f1 at each use, so a replaced spec cannot keep a stale one: a function
-    that takes two float arrays of one shape and returns the unclamped map
-    at every point, bit for bit the scalar map's wherever that is finite,
-    or None when it cannot vouch for every point (see array_sample).
-    Compiled expressions (appendixC's too) and the affine and constant
-    builtins' closures have one; Python callbacks do not, and the grid
-    analyses call them once per point, each value through map_value (see
-    sample). A chunk with a failing point is evaluated again point by
-    point, so maps must be pure.
+    that takes two float arrays that broadcast together and returns the
+    unclamped map at every point (an array that broadcasts to their shape),
+    bit for bit the scalar map's wherever that is finite, or None when it
+    cannot vouch for every point (see array_sample). Compiled expressions
+    (appendixC's too) and the affine and constant builtins' closures have
+    one; Python callbacks do not, and the grid analyses call them once per
+    point, each value through map_value (see sample). Points with a failing
+    one among them are evaluated again point by point, so maps must be pure.
 
     The spec keeps the last grid that sample_grid sampled, for the grid
     analyses of one resolution to share: the axis and two float arrays of
-    (resolution+1)**2 points, 267 KB at resolution 128. dataclasses.replace
-    starts a spec without it.
+    (resolution+1)**2 points, at most 267 KB at resolution 128 and 16.8 MB
+    at 1024 (a map of one rate keeps a broadcast view of one axis's
+    values). dataclasses.replace starts a spec without it.
     """
 
     f0: Callable[[float, float], float]
@@ -169,13 +170,15 @@ class DynamicsSpec:
 
     def array_sample(self, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The clamped maps (f0, f1) at every point of the float arrays b0,
-        b1 of one shape, evaluated as arrays with the bits f0_clamped and
-        f1_clamped give there. None when f0 or f1 has no array form
-        (.array), or when some point has to go through the scalar maps: an
-        evaluation raised, a divisor was zero, a power was complex or a raw
-        value is not finite. The caller then evaluates those points one at a time,
-        which raises the per-point error (or, say, clamps an infinite affine
-        value)."""
+        b1, which broadcast together, evaluated as arrays with the bits
+        f0_clamped and f1_clamped give there: two arrays that broadcast to
+        the points' shape, each of the shape its map's array form returned
+        (a map of b1 alone runs on b1's points only).
+        None when f0 or f1 has no array form (.array), or when some point
+        has to go through the scalar maps: an evaluation raised, a divisor
+        was zero, a power was complex or a raw value is not finite. The caller then
+        evaluates those points one at a time, which raises the per-point
+        error (or, say, clamps an infinite affine value)."""
         arrays = getattr(self.f0, "array", None), getattr(self.f1, "array", None)
         if arrays[0] is None or arrays[1] is None:
             return None
@@ -183,7 +186,7 @@ class DynamicsSpec:
             values = [fn(b0, b1) for fn in arrays]
             if any(v is None or not np.isfinite(v).all() for v in values):
                 return None
-            f0, f1 = map(_clamp01_array, values)
+        f0, f1 = (_clamp01_array(v) for v in values)
         return f0, f1
 
     def sample(self, b0, b1) -> tuple[np.ndarray, np.ndarray]:
@@ -231,15 +234,21 @@ class DynamicsSpec:
 
     def sample_grid(self, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The axis xs = grid_axis(resolution) and the clamped maps sampled
-        at (xs[i], xs[j]), indexed [i, j], as read-only arrays. The spec
-        keeps the last grid it sampled and returns it again for the same
-        resolution; a sampling that raises keeps nothing. resolution must
-        be an integer >= 1 (step_count's ValueError otherwise)."""
+        at (xs[i], xs[j]), indexed [i, j], as read-only arrays. The maps'
+        array forms run once, on xs down and xs across (array_sample), so
+        each subexpression runs on the axes it reads; where they cannot
+        vouch for every point, sample takes the materialised grid in
+        chunks, which names the first failing point in row-major order.
+        The spec keeps the last grid it sampled and returns it again for
+        the same resolution; a sampling that raises keeps nothing.
+        resolution must be an integer >= 1 (step_count's ValueError
+        otherwise)."""
         step_count("resolution", resolution, 1)
         grid = self._grids.get(resolution)
         if grid is None:
             xs = grid_axis(resolution)
-            grid = (xs, *self.sample(xs[:, None], xs))
+            maps = self.array_sample(xs[:, None], xs[None, :]) or self.sample(xs[:, None], xs)
+            grid = (xs, *(np.broadcast_to(f, (xs.size, xs.size)) for f in maps))
             for array in grid:
                 array.flags.writeable = False
             self._grids.clear()
@@ -260,9 +269,16 @@ def grid_axis(resolution: int) -> np.ndarray:
 
 def max_grid_slope(values: np.ndarray, step: float) -> float:
     """Largest finite-difference slope along either axis of a map sampled on
-    a square grid with spacing step."""
-    rows, cols = np.abs(np.diff(values, axis=0)), np.abs(np.diff(values, axis=1))
-    return float(max(np.max(rows), np.max(cols)) / step)
+    a square grid with spacing step. Both axes' differences, (n-1)*n of
+    them on an n x n grid, go through one buffer in turn, and the largest
+    |difference| is the largest of their maxima and negated minima (its abs
+    makes a flat map's slope +0.0)."""
+    n = values.shape[0]
+    buffer = np.empty(n * (n - 1))
+    rows = np.subtract(values[1:], values[:-1], out=buffer.reshape(n - 1, n))
+    hi, lo = rows.max(), rows.min()
+    cols = np.subtract(values[:, 1:], values[:, :-1], out=buffer.reshape(n, n - 1))
+    return float(abs(max(hi, -lo, cols.max(), -cols.min())) / step)
 
 
 def constant_dynamics(f0_value: float, f1_value: float, name: str | None = None) -> DynamicsSpec:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -534,9 +535,10 @@ def test_analyze_subcommand(tmp_path):
 
 def test_analyze_above_256_samples_one_grid(tmp_path, monkeypatch):
     """analyze --resolution 512 samples one grid, the contraction's, and
-    its status-quo check reads that grid: the spec keeps one grid of 512."""
-    specs, grids = [], []
-    make, sample_grid = Scenario.make_dynamics, DynamicsSpec.sample_grid
+    its status-quo check reads that grid: the spec keeps one grid of 512.
+    expression_ct has array forms, so no 2-D grid goes through sample."""
+    specs, grids, sample_dims = [], [], []
+    make, sample_grid, sample = Scenario.make_dynamics, DynamicsSpec.sample_grid, DynamicsSpec.sample
 
     def made(self):
         specs.append(make(self))
@@ -549,11 +551,16 @@ def test_analyze_above_256_samples_one_grid(tmp_path, monkeypatch):
             grids.append(grid[1].shape)
         return grid
 
+    def sampled_points(self, b0, b1):
+        sample_dims.append(max(np.ndim(b0), np.ndim(b1)))
+        return sample(self, b0, b1)
+
     monkeypatch.setattr(Scenario, "make_dynamics", made)
     monkeypatch.setattr(DynamicsSpec, "sample_grid", sampled)
+    monkeypatch.setattr(DynamicsSpec, "sample", sampled_points)
     path = SCENARIOS / "expression_ct.scn"
     assert main(["analyze", str(path), "--out", str(tmp_path), "--resolution", "512"]) == 0
-    assert grids == [(513, 513)]
+    assert grids == [(513, 513)] and 2 not in sample_dims
     assert {id(spec) for spec in specs} == {id(specs[0])} and list(specs[0]._grids) == [512]
     assert "resolution = 512\n" in (tmp_path / "expression_ct_analysis.txt").read_text()
 
