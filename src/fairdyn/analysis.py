@@ -200,10 +200,8 @@ def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray:
 
 def _bisect(g, lo: float, hi: float, tol: float = 1e-12) -> float:
     glo = g(lo)
-    for _ in range(200):
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
         gm = g(mid)
         if gm == 0.0:
             return mid

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -65,6 +66,27 @@ def _fmt(x: float) -> str:
     return _FLOAT_FORMAT % float(x)
 
 
+def _value(v) -> str:
+    """One value of a text artifact (scenario file, analysis report, compare
+    row): a list or tuple as its items joined by ',', an integer (a bool
+    too) by str, any other real number by _fmt, anything else by str."""
+    if isinstance(v, (list, tuple)):
+        return ",".join(map(_value, v))
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
+        return _fmt(v)
+    return str(v)
+
+
+def _sections(sections: dict[str, list[tuple[str, object]]]) -> str:
+    """Each section as its [name] line and then one `key = value` line per
+    pair, values by _value; a blank line between sections, a newline at the
+    end. Scenario.from_text reads this format."""
+    return "\n".join(
+        "".join([f"[{name}]\n", *(f"{key} = {_value(value)}\n" for key, value in pairs)])
+        for name, pairs in sections.items()
+    )
+
+
 # One CSV row as one %-template: the numbers as _fmt writes them, then the
 # trajectory's case tag and event flags as they are.
 _TRAJECTORY_ROW = ",".join([_FLOAT_FORMAT] * 12 + ["%s"] * 2)
@@ -85,23 +107,10 @@ def _schedule(raw: str) -> float | list[float]:
     return values[0] if len(values) == 1 else values
 
 
-def _fmt_schedule(value: float | list[float]) -> str:
-    if isinstance(value, (list, tuple)):
-        return ",".join(_fmt(v) for v in value)
-    return _fmt(value)
-
-
-# Value types of the format table: (read from text, write as text).
-_STR = (str, str)
-_INT = (int, str)
-_FLOAT = (float, _fmt)
-_NAMES = (_names, ",".join)
-_SCHEDULE = (_schedule, _fmt_schedule)
-
-
 def scenario_format(builtin: str | None = None) -> list[tuple]:
     """The scenario file format, one row per key in file order: (section,
-    key, Scenario attribute, value type).
+    key, Scenario attribute, reader). The reader parses the value's text;
+    to_text writes every value by _value, whose text each reader reads back.
 
     [dynamics] holds either the expressions f0, f1 and their declared
     Lipschitz bounds l0, l1 (builtin None) or `builtin = <name>` and that
@@ -110,14 +119,14 @@ def scenario_format(builtin: str | None = None) -> list[tuple]:
     """
     if builtin is None:
         dynamics = [
-            ("dynamics", "f0", "expr_f0", _STR),
-            ("dynamics", "f1", "expr_f1", _STR),
-            ("dynamics", "l0", "declared_l0", _FLOAT),
-            ("dynamics", "l1", "declared_l1", _FLOAT),
+            ("dynamics", "f0", "expr_f0", str),
+            ("dynamics", "f1", "expr_f1", str),
+            ("dynamics", "l0", "declared_l0", float),
+            ("dynamics", "l1", "declared_l1", float),
         ]
     elif builtin in BUILTIN_PARAMS:
-        dynamics = [("dynamics", "builtin", "dynamics_builtin", _STR)] + [
-            ("dynamics", key, "dynamics_params", _FLOAT) for key in BUILTIN_PARAMS[builtin]
+        dynamics = [("dynamics", "builtin", "dynamics_builtin", str)] + [
+            ("dynamics", key, "dynamics_params", float) for key in BUILTIN_PARAMS[builtin]
         ]
     else:
         raise ScenarioError(
@@ -125,22 +134,22 @@ def scenario_format(builtin: str | None = None) -> list[tuple]:
             f"allowed: {', '.join(BUILTIN_PARAMS)}"
         )
     return [
-        ("scenario", "name", "name", _STR),
-        ("scenario", "mode", "mode", _STR),
-        ("scenario", "time", "time_mode", _STR),
-        ("scenario", "steps", "steps", _INT),
-        ("scenario", "t_end", "t_end", _FLOAT),
-        ("scenario", "h", "h", _FLOAT),
-        ("scenario", "sample_every", "sample_every", _INT),
-        ("scenario", "outputs", "outputs", _NAMES),
+        ("scenario", "name", "name", str),
+        ("scenario", "mode", "mode", str),
+        ("scenario", "time", "time_mode", str),
+        ("scenario", "steps", "steps", int),
+        ("scenario", "t_end", "t_end", float),
+        ("scenario", "h", "h", float),
+        ("scenario", "sample_every", "sample_every", int),
+        ("scenario", "outputs", "outputs", _names),
         *dynamics,
-        ("state", "piA", "pi_a", _FLOAT),
-        ("state", "piB", "pi_b", _FLOAT),
-        ("state", "gA", "g_a", _FLOAT),
-        ("utility", "u0", "u0", _FLOAT),
-        ("utility", "u1", "u1", _FLOAT),
-        ("stereotype", "epsA", "eps_a", _SCHEDULE),
-        ("stereotype", "epsB", "eps_b", _SCHEDULE),
+        ("state", "piA", "pi_a", float),
+        ("state", "piB", "pi_b", float),
+        ("state", "gA", "g_a", float),
+        ("utility", "u0", "u0", float),
+        ("utility", "u1", "u1", float),
+        ("stereotype", "epsA", "eps_a", _schedule),
+        ("stereotype", "epsB", "eps_b", _schedule),
     ]
 
 
@@ -153,9 +162,9 @@ def _invalid(source: str) -> bool:
     return False
 
 
-def _read(section: str, key: str, kind: tuple, raw: str):
+def _read(section: str, key: str, reader, raw: str):
     try:
-        return kind[0](raw)
+        return reader(raw)
     except ValueError as exc:
         raise ScenarioError(f"bad value {raw!r} for {key!r} in [{section}]: {exc}") from None
 
@@ -203,8 +212,8 @@ class Scenario:
         expressions = self.expr_f0 is not None or self.expr_f1 is not None
         if (self.dynamics_builtin is not None) == expressions:
             raise ScenarioError("specify exactly one of builtin dynamics or expressions")
-        for section, key, attr, kind in scenario_format(self.dynamics_builtin):  # rejects an unknown builtin
-            value = getattr(self, attr) if kind is _STR else None
+        for section, key, attr, reader in scenario_format(self.dynamics_builtin):  # rejects an unknown builtin
+            value = getattr(self, attr) if reader is str else None
             if isinstance(value, str) and (value != value.strip() or any(c in value for c in "\n\r;")):
                 # to_text could not write it back: from_text strips a value and ends it at ';'
                 raise ScenarioError(
@@ -320,16 +329,17 @@ class Scenario:
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        """Every set field in scenario_format order; from_text reads it back."""
-        sections: dict[str, list[str]] = {}
-        for section, key, attr, kind in scenario_format(self.dynamics_builtin):
+        """Every set field in scenario_format order, written by _sections;
+        from_text reads it back."""
+        sections: dict[str, list[tuple[str, object]]] = {}
+        for section, key, attr, _ in scenario_format(self.dynamics_builtin):
             if attr == "dynamics_params":
                 value = self.dynamics_params.get(key)
             else:
                 value = getattr(self, attr)
             if value is not None:
-                sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {kind[1](value)}")
-        return "\n".join("\n".join(lines) + "\n" for lines in sections.values())
+                sections.setdefault(section, []).append((key, value))
+        return _sections(sections)
 
     @staticmethod
     def from_text(text: str) -> "Scenario":
@@ -358,8 +368,8 @@ class Scenario:
                     raise ScenarioError(
                         f"unknown key {key!r} in {where}; allowed: {', '.join(keys)}"
                     )
-                _, _, attr, kind = keys[key]
-                value = _read(section, key, kind, raw)
+                _, _, attr, reader = keys[key]
+                value = _read(section, key, reader, raw)
                 if attr == "dynamics_params":
                     scenario.dynamics_params[key] = value
                 else:
@@ -458,6 +468,9 @@ def write_field_csv(rows, path: str | Path) -> None:
 
 
 def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int = 256) -> None:
+    """The analysis report: the contraction estimate, the status-quo bias
+    check, the equilibrium atlas, theorem 2's verdict and the AA case
+    persistence, one section each, written by _sections."""
     dyn = scenario.make_dynamics()
     u = scenario.utility_spec()
     report = estimate_contraction(dyn, resolution)
@@ -465,83 +478,67 @@ def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int 
     atlas = find_equilibria(dyn, mode=scenario.time_mode)
     persistence = prop3_case_persistence(scenario.g_a, u)
 
-    lines = [
-        "[contraction]",
-        f"method = {report.method}",
-        f"resolution = {report.grid_resolution}",
-        f"L0 = {_fmt(report.l0)}",
-        f"L1 = {_fmt(report.l1)}",
-        f"L_UN = {_fmt(report.l_un)}",
-        f"L_AA1 = {_fmt(report.l_aa1)}",
-        f"L_AA2 = {_fmt(report.l_aa2)}",
-        f"contractive_UN = {report.is_contractive_un}",
-        f"contractive_AA1 = {report.is_contractive_aa1}",
-        f"contractive_AA2 = {report.is_contractive_aa2}",
+    contraction = [
+        ("method", report.method),
+        ("resolution", report.grid_resolution),
+        ("L0", report.l0),
+        ("L1", report.l1),
+        ("L_UN", report.l_un),
+        ("L_AA1", report.l_aa1),
+        ("L_AA2", report.l_aa2),
+        ("contractive_UN", report.is_contractive_un),
+        ("contractive_AA1", report.is_contractive_aa1),
+        ("contractive_AA2", report.is_contractive_aa2),
     ]
     if report.l_un_upper is not None:
-        lines.append(f"L_UN_upper = {_fmt(report.l_un_upper)}")
-        lines.append(f"L_AA2_upper = {_fmt(report.l_aa2_upper)}")
-    lines += [
-        "",
-        "[status_quo_bias]",
-        f"holds = {sq.holds}",
-    ]
+        contraction += [("L_UN_upper", report.l_un_upper), ("L_AA2_upper", report.l_aa2_upper)]
+    status_quo = [("holds", sq.holds)]
     if sq.counterexample is not None:
-        lines.append(
-            f"counterexample = {_fmt(sq.counterexample[0])},{_fmt(sq.counterexample[1])}"
-        )
-    lines += [
-        "",
-        "[equilibria]",
-        f"mode = {atlas.mode}",
-        f"degenerate = {atlas.degenerate}",
-        f"k = {atlas.k}",
-        f"k_valid = {atlas.k_valid}",
+        status_quo.append(("counterexample", sq.counterexample))
+    equilibria = [
+        ("mode", atlas.mode),
+        ("degenerate", atlas.degenerate),
+        ("k", atlas.k),
+        ("k_valid", atlas.k_valid),
     ]
-    for i, eq in enumerate(atlas.attracting):
-        lines.append(
-            f"attracting_{i} = {_fmt(eq.position)} rate={_fmt(eq.rate)} radius={_fmt(eq.radius)}"
-        )
-    for i, d in enumerate(atlas.unstable):
-        lines.append(f"unstable_{i} = {_fmt(d)}")
-    lines += ["", "[theorem2]"]
+    equilibria += [
+        (f"attracting_{i}", f"{_fmt(eq.position)} rate={_fmt(eq.rate)} radius={_fmt(eq.radius)}")
+        for i, eq in enumerate(atlas.attracting)
+    ]
+    equilibria += [(f"unstable_{i}", d) for i, d in enumerate(atlas.unstable)]
     try:
         verdict = report.theorem2(scenario.g_a, u)
     except ValueError:  # alpha undefined
-        lines.append("alpha = undefined")
+        theorem2 = [("alpha", "undefined")]
     else:
-        lines += [
-            f"alpha = {_fmt(verdict.alpha)}",
-            f"lower_ok = {verdict.lower_ok}",
-            f"upper_ok = {verdict.upper_ok}",
-            f"applies = {verdict.applies}",
+        theorem2 = [
+            ("alpha", verdict.alpha),
+            ("lower_ok", verdict.lower_ok),
+            ("upper_ok", verdict.upper_ok),
+            ("applies", verdict.applies),
         ]
-    lines += [
-        "",
-        "[case_persistence]",
-        f"always_AA1 = {persistence.always_aa1}",
-        f"always_AA2 = {persistence.always_aa2}",
-        f"persistent_case = {persistence.persistent_case}",
+    case_persistence = [
+        ("always_AA1", persistence.always_aa1),
+        ("always_AA2", persistence.always_aa2),
+        ("persistent_case", persistence.persistent_case),
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_sections({
+        "contraction": contraction,
+        "status_quo_bias": status_quo,
+        "equilibria": equilibria,
+        "theorem2": theorem2,
+        "case_persistence": case_persistence,
+    }))
 
 
 def write_compare_csv(scenario: Scenario, path: str | Path, strict: bool = False) -> None:
+    """One row per mode, its cells written by _value."""
     lines = ["mode,cumulativeUtility,finalPiA,finalPiB,finalDelta"]
     dyn = scenario.make_dynamics()
     for mode in ("UN", "AA1", "AA2"):
         rec = scenario._trajectory(mode, dyn, None, strict)  # without a stereotype
-        lines.append(
-            ",".join(
-                [
-                    mode,
-                    _fmt(rec.cumulative_utility),
-                    _fmt(rec.pi_a[-1]),
-                    _fmt(rec.pi_b[-1]),
-                    _fmt(rec.pi_a[-1] - rec.pi_b[-1]),
-                ]
-            )
-        )
+        pa, pb = rec.pi_a[-1], rec.pi_b[-1]
+        lines.append(_value([mode, rec.cumulative_utility, pa, pb, pa - pb]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

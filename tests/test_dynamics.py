@@ -15,6 +15,7 @@ from fairdyn import (
     CaseSwitchError,
     PopulationState,
     QualificationProfile,
+    StepHalvingError,
     UtilitySpec,
     affine_dynamics,
     appendix_c_dynamics,
@@ -161,6 +162,20 @@ def test_ct_step_halving_check_passes():
     )
     assert rec.extras["step_halving_ok"]
     assert rec.extras["step_halving_diff"] <= 1e-6
+
+
+def test_ct_step_halving_failure_warns_and_raises_under_strict():
+    """A step of 0.5 on appendixC moves the endpoint 5.94e-05 from the h/2
+    run's, past the check's 1e-6: the run warns and records the check as
+    failed, and under strict raises StepHalvingError instead."""
+    state = PopulationState.of(0.95, 0.05, 0.5)
+    kwargs = dict(t_end=5.0, h=0.5, check_step_halving=True)
+    message = r"^step-halving check failed: endpoint difference 5\.94e-05$"
+    with pytest.warns(RuntimeWarning, match=message):
+        rec = ct_integrate(state, "UN", U, appendix_c_dynamics(), **kwargs)
+    assert not rec.extras["step_halving_ok"]
+    with pytest.raises(StepHalvingError, match=message):
+        ct_integrate(state, "UN", U, appendix_c_dynamics(), **kwargs, strict=True)
 
 
 def test_ct_step_halving_warns_each_case_switch_once():

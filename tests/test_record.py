@@ -7,7 +7,8 @@ the case_switch / advantage_swap events computed one sample at a time. The
 engines now build each record from its columns as arrays; DT, CT and
 stereotype runs must give the same record field for field (by repr, arrays
 element by element), the same warnings from the same lines and the same
-errors.
+errors. The DT reference steps by _reference_dt_step, the step as it is
+documented, not by the engine's own dynamics._dt_step_raw.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from fairdyn import (
     stereotype,
 )
 from fairdyn import _kernels, dynamics
+from fairdyn.core import clamp01
 from fairdyn.policy import CASE_TAGS, CASE_UN, MODE_CODES, policy_entries
 from conftest import appendix_c_callbacks
 
@@ -105,6 +107,16 @@ def _reference_recorder(state0, mode, time_mode, u, events, strict, policy_fn=No
     return sample, mark, finish
 
 
+def _reference_dt_step(x, b0, b1, dyn):
+    """One group's DT step as the engine is documented to take it: f1, then
+    f0, at the rates; each raw value below 0 or above 1 counts as a clamp;
+    the profile map of the clamped values, clamped. (new x, clamps)"""
+    raw1 = dyn.f1(b0, b1)
+    raw0 = dyn.f0(b0, b1)
+    clamps = int(raw1 < 0.0 or raw1 > 1.0) + int(raw0 < 0.0 or raw0 > 1.0)
+    return clamp01(x * clamp01(raw1) + (1.0 - x) * clamp01(raw0)), clamps
+
+
 def _reference_dt_trajectory(state0, mode, u, dyn, steps, strict=False, policy_fn=None):
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -115,8 +127,8 @@ def _reference_dt_trajectory(state0, mode, u, dyn, steps, strict=False, policy_f
     for t in range(steps + 1):
         b0a, b1a, b0b, b1b = sample(t, float(t), pa, pb)
         if t < steps:
-            pa, ca = dynamics._dt_step_raw(pa, b0a, b1a, dyn)
-            pb, cb = dynamics._dt_step_raw(pb, b0b, b1b, dyn)
+            pa, ca = _reference_dt_step(pa, b0a, b1a, dyn)
+            pb, cb = _reference_dt_step(pb, b0b, b1b, dyn)
             if ca or cb:
                 mark(float(t), "clamp")
                 clamp_count += ca + cb

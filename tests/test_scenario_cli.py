@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
 from fairdyn import cli
@@ -126,6 +127,12 @@ _SCENARIOS = st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(_SCENARIOS)
+@example(  # a per-step schedule: steps + 1 entries, one of them -0.0
+    Scenario(
+        name="x", time_mode="DT", steps=2, dynamics_builtin="constant",
+        dynamics_params={"f0": 0.2, "f1": 0.8}, eps_a=[0.01, -0.0, 0.02],
+    )
+)
 def test_to_text_round_trip_property(scenario):
     """A drawn scenario is rejected only for a name or an expression that
     to_text could not write back, or for a stereotype schedule that a CT
@@ -419,12 +426,15 @@ def test_field_outputs_beyond_the_default_grid_are_byte_identical(tmp_path):
 
 
 def test_python_m_fairdyn_runs_the_cli():
+    """Both entry points README documents, python -m fairdyn and python -m
+    fairdyn.cli, run main."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "fairdyn", "--version"], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (done.returncode, done.stdout) == (0, "fairdyn 1.0.0\n")
+    for module in ("fairdyn", "fairdyn.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--version"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "fairdyn 1.0.0\n"), module
 
 
 def test_compare_subcommand_theorem1_ordering(tmp_path, monkeypatch):
@@ -836,6 +846,30 @@ def test_verify_fails_on_a_parser_mismatch(monkeypatch, capsys):
     monkeypatch.setattr("fairdyn.dynamics.APPENDIX_C_F1", off)
     assert main(["verify", "--seed", "1", "--resolution", "1"]) == 1
     assert "[FAIL] expression parser vs appendixC in Python: 0/10000" in capsys.readouterr().out
+
+
+def test_verify_fails_on_a_closed_form_mismatch(monkeypatch, capsys):
+    """verify checks aa_policy's utility against the LP oracle's, then
+    against UN's, which it may not exceed: a closed form 1e-6 below the
+    oracle fails every instance, and so does one 10 above UN's that the
+    oracle agrees with."""
+    real_aa, real_lp = cli.aa_policy, cli.lp_oracle
+
+    def shifted(solve, by):
+        def solve_shifted(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            return dataclasses.replace(solution, achieved_utility=solution.achieved_utility + by)
+
+        return solve_shifted
+
+    monkeypatch.setattr(cli, "aa_policy", shifted(real_aa, -1e-6))
+    assert main(["verify", "--seed", "1", "--resolution", "50"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] closed-form vs LP oracle: 0/50" in out and "[PASS] expression parser" in out
+    monkeypatch.setattr(cli, "aa_policy", shifted(real_aa, 10.0))
+    monkeypatch.setattr(cli, "lp_oracle", shifted(real_lp, 10.0))
+    assert main(["verify", "--seed", "1", "--resolution", "50"]) == 1
+    assert "[FAIL] closed-form vs LP oracle: 0/50" in capsys.readouterr().out
 
 
 def test_run_scenario_writes_requested_artifacts(tmp_path):
