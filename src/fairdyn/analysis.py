@@ -189,15 +189,6 @@ def _delimiters(unstable: list[float]) -> list[float]:
     return [0.0] + sorted(d for d in unstable if 0.0 < d < 1.0) + [1.0]
 
 
-def _un_map_array(dyn: DynamicsSpec, pis: np.ndarray) -> np.ndarray:
-    """un_map(dyn) at every point of the float array pis, with the same bits,
-    from dyn.sample: the first failing point raises its error."""
-    f0, f1 = dyn.sample(0.0, pis)
-    val = dt_map(pis, f1, f0)
-    val = np.where(val > 0.0, val, 0.0)  # max(0.0, val)
-    return np.where(val < 1.0, val, 1.0)  # min(1.0, val)
-
-
 def _bisect(g, lo: float, hi: float, tol: float = 1e-12) -> float:
     glo = g(lo)
     while hi - lo > tol:
@@ -213,14 +204,18 @@ def _bisect(g, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
-    """Locate and classify fixed points of the UN-induced profile map, from
-    one scan of it on grid_axis(4096)."""
+    """Locate and classify fixed points of the UN-induced profile map: one
+    array scan of it on grid_axis(4096), which the basin probe reads too, and
+    the scalar un_map for every other value (roots, slopes, rates)."""
     if mode not in ("DT", "CT"):
         raise ValueError(f"mode must be 'DT' or 'CT', got {mode!r}")
     f = un_map(dyn)
     g = lambda pi: f(pi) - pi
     xs = grid_axis(4096)
-    fs = _un_map_array(dyn, xs)
+    f0, f1 = dyn.sample(0.0, xs)  # un_map(dyn) at every xs, with the same bits
+    fs = dt_map(xs, f1, f0)
+    fs = np.where(fs > 0.0, fs, 0.0)  # max(0.0, fs)
+    fs = np.where(fs < 1.0, fs, 1.0)  # min(1.0, fs)
     gs = fs - xs
     xs = xs.tolist()
 
@@ -241,16 +236,14 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
 
-    def slopes(ps: list[float]) -> np.ndarray:
-        """Central differences of f at the points ps, one-sided at 0 and 1,
-        from one pass over their ends, hi then lo, point by point."""
-        ends = np.array([(min(1.0, p + 1e-7), max(0.0, p - 1e-7)) for p in ps]).reshape(-1, 2)
-        f_hi, f_lo = _un_map_array(dyn, ends.ravel()).reshape(-1, 2).T
-        return (f_hi - f_lo) / (ends[:, 0] - ends[:, 1])
+    def slope(p: float) -> float:
+        """Central difference of f at p, one-sided at 0 and 1; hi first."""
+        hi, lo = min(1.0, p + 1e-7), max(0.0, p - 1e-7)
+        return (f(hi) - f(lo)) / (hi - lo)
 
     kinds = [
         "a" if (fp < 1.0 if mode == "CT" else abs(fp) < 1.0) else "u"
-        for fp in slopes(deduped).tolist()
+        for fp in map(slope, deduped)
     ]
     # Attracting points must be separated by exactly one unstable delimiter.
     interleaving_ok = "aa" not in "".join(kinds)
@@ -263,7 +256,7 @@ def find_equilibria(dyn: DynamicsSpec, mode: str = "CT") -> EquilibriumAtlas:
         left = max(d for d in dels if d <= r + 1e-15)
         right = min(d for d in dels if d >= r - 1e-15)
         radius = max(min(0.05, 0.5 * max(r - left, 1e-6), 0.5 * max(right - r, 1e-6)), 1e-6)
-        rate = max(slopes(np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()).tolist())
+        rate = max(map(slope, np.linspace(max(0.0, r - radius), min(1.0, r + radius), 33).tolist()))
         attracting.append(Equilibrium(position=r, rate=rate, radius=radius))
 
     k_valid = interleaving_ok and len(attracting) > 0

@@ -330,13 +330,13 @@ class Scenario:
 
     def to_text(self) -> str:
         """Every set field in scenario_format order, written by _sections;
-        from_text reads it back."""
+        from_text reads it back. A float field's value, or each entry of a
+        schedule, goes through float() first, so an int writes as it reads back."""
         sections: dict[str, list[tuple[str, object]]] = {}
-        for section, key, attr, _ in scenario_format(self.dynamics_builtin):
-            if attr == "dynamics_params":
-                value = self.dynamics_params.get(key)
-            else:
-                value = getattr(self, attr)
+        for section, key, attr, reader in scenario_format(self.dynamics_builtin):
+            value = self.dynamics_params.get(key) if attr == "dynamics_params" else getattr(self, attr)
+            if reader in (float, _schedule) and value is not None:
+                value = list(map(float, value)) if isinstance(value, (list, tuple)) else float(value)
             if value is not None:
                 sections.setdefault(section, []).append((key, value))
         return _sections(sections)
@@ -572,11 +572,12 @@ def write_output(
     elif kind == "compare":
         write_compare_csv(scenario, path, strict=strict)
     else:
+        intervals = 40 if resolution is None else step_count("resolution", resolution, 1)
         rows = export_field(
             scenario.make_dynamics(),
             scenario.mode,
             scenario.utility_spec(),
-            resolution=(40 if resolution is None else resolution) + 1,  # export_field counts points
+            resolution=intervals + 1,  # export_field counts points
             g_a=scenario.g_a,
         )
         write_field_csv(rows, path)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from fairdyn import (
 from fairdyn.analysis import ROOT_RESIDUAL_TOL, Equilibrium, EquilibriumAtlas, _bisect
 from fairdyn.dynamics import grid_axis, max_grid_slope
 from fairdyn.policy import CASE_AA1, CASE_AA2, MODE_AA, policy_entries
-from conftest import random_contractive_affine
+from conftest import appendix_c_callbacks, random_contractive_affine
 
 CONST = constant_dynamics(0.2, 0.8)
 U = UtilitySpec(u0=-1.0, u1=1.0)
@@ -242,6 +243,23 @@ def test_find_equilibria_rejects_an_unknown_mode():
         find_equilibria(CONST, mode="UN")
 
 
+@pytest.mark.parametrize("mode", ["CT", "DT"])
+@pytest.mark.parametrize("make", [appendix_c_dynamics, appendix_c_callbacks], ids=["expr", "callbacks"])
+def test_find_equilibria_samples_only_its_scan(make, mode):
+    """find_equilibria makes one DynamicsSpec.sample call, its 4,097-point
+    scan; roots, slopes and radius rates come from the scalar un_map."""
+    sample, sizes = DynamicsSpec.sample, []
+
+    def counted(dyn, b0, b1):
+        sizes.append(np.broadcast(b0, b1).size)
+        return sample(dyn, b0, b1)
+
+    with mock.patch.object(DynamicsSpec, "sample", counted):
+        atlas = find_equilibria(make(), mode)
+    assert sizes == [4097]
+    assert len(atlas.unstable) + atlas.k == 5  # every root's slope was taken
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_delta_bounds_rejects_values_that_are_not_finite(bad, position):
@@ -310,6 +328,8 @@ def test_prop3_symmetric_shares():
     rec = prop3_case_persistence(0.5, UtilitySpec(u0=-2.0, u1=1.0))
     assert rec.always_aa1 and not rec.always_aa2
     assert rec.persistent_case == "AA1"
+    # u0 = -u1 at gA 0.5: both scores are 0, so both cases persist
+    assert prop3_case_persistence(0.5, UtilitySpec(u0=-1.0, u1=1.0)).persistent_case == "Boundary"
 
 
 def test_prop3_asymmetric_example():
@@ -324,6 +344,7 @@ def test_prop3_no_penalty():
     for ga in (0.2, 0.5, 0.8):
         rec = prop3_case_persistence(ga, UtilitySpec(u0=0.0, u1=1.0))
         assert rec.always_aa2
+        assert rec.persistent_case == "AA2"  # both scores are ga*u1 > 0: never AA1
 
 
 @st.composite

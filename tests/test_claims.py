@@ -6,8 +6,11 @@ step-halving difference of the RK4 endpoint. The searches that found the
 witnesses are described in each docstring; they do not run here.
 """
 
+import functools
+
 from fairdyn import (
-    PopulationState, UtilitySpec, _loops_py, affine_dynamics, ct_integrate, estimate_contraction,
+    PopulationState, UtilitySpec, _loops_py, affine_dynamics, appendix_c_dynamics, ct_integrate,
+    estimate_contraction, theorem4_limits,
 )
 from fairdyn.expr import AFFINE_SHAPE
 
@@ -90,3 +93,63 @@ def test_utility_may_in_fact_increase():
         gains.append(utilities["AA2"] - utilities["UN"])
     assert gains[0] > 0.05
     assert abs(gains[1] - gains[0]) < 1e-9
+
+
+@functools.cache
+def _appendix_c_limits():
+    """theorem4_limits on appendixC from piA 0.95, piB 0.05 (gA 0.5, u = (-1,
+    1)), computed once for both tests, after checking that each mode's run has a step-halving difference
+    below 1e-12 at t_end 300, h 0.01, far below the margins asserted."""
+    dyn, state, u = appendix_c_dynamics(), PopulationState.of(0.95, 0.05, 0.5), UtilitySpec(-1.0, 1.0)
+    for mode in ("UN", "AA1", "AA2"):
+        rec = ct_integrate(state, mode, u, dyn, t_end=300.0, h=0.01, check_step_halving=True)
+        assert rec.extras["step_halving_diff"] < 1e-12
+    record = theorem4_limits(dyn, state, u)
+    assert all(limit.converged for limit in record.limits.values())
+    un_a, un_b = record.limits["UN"].limit
+    assert un_a - un_b > 0.5  # UN does not equalize: A stays high, B low
+    return record, (un_a, un_b)
+
+
+def test_parity_may_leave_a_worse_set_of_qualifications():
+    """"In such cases, we show that although imposing demographic parity may
+    remedy it, there is a danger that groups settle at a worse set of
+    qualifications."
+
+    On appendixC, the three-equilibrium dynamics of the paper's appendix,
+    UN from (piA, piB) = (0.95, 0.05) leaves each group at its own
+    attracting point: A at 0.85075, B at 0.17705. The parity policy that
+    raises the disadvantaged group (AA1) equalizes them, but at B's point:
+    A ends 0.674 lower and B where UN left it. theorem4_limits' verdict
+    says the same: AA1's limit is the disadvantaged group's attracting
+    point.
+
+    The runs clamp maps that leave [0, 1] (UN 293, AA1 540, AA2 60
+    times), as appendixC's maps do. The witness is not a search result: it
+    is a start with one group near 1 and the other near 0. Swapping AA1's
+    and AA2's closed forms (policy._AA_CASE_ENTRIES) makes this test and
+    the next fail."""
+    record, (un_a, un_b) = _appendix_c_limits()
+    pa, pb = record.limits["AA1"].limit
+    assert abs(pa - pb) < 1e-6
+    assert un_a - pa > 0.5
+    assert abs(pb - un_b) < 1e-6
+    assert record.aa1_matches_disadvantaged_basin
+
+
+def test_parity_may_equalize_and_improve_all_groups():
+    """"As a silver lining, we also identify when the constraint not only
+    leads to equality, but also improves all groups."
+
+    The witness of the previous test: the parity policy that lowers the
+    advantaged group (AA2) equalizes appendixC's groups at A's attracting
+    point, 0.85075. B ends 0.674 higher than under UN, and A where UN left
+    it (AA2's stationary stop leaves B 2.0e-10 below A).
+    theorem4_limits' verdicts say the same: AA2 equalizes, at the advantaged
+    group's attracting point."""
+    record, (un_a, un_b) = _appendix_c_limits()
+    pa, pb = record.limits["AA2"].limit
+    assert abs(pa - pb) < 1e-6
+    assert pb - un_b > 0.5
+    assert abs(pa - un_a) < 1e-6
+    assert record.aa2_equalized and record.aa2_matches_advantaged_basin

@@ -25,6 +25,7 @@ from fairdyn import (
     dt_step,
     dt_trajectory,
     estimate_contraction,
+    make_builtin,
     parse_dynamics,
 )
 from fairdyn import _loops_py, analysis
@@ -291,6 +292,20 @@ def test_validate_declared_lipschitz():
         estimate_contraction(only_l1, resolution=64)
 
 
+def test_validate_declared_samples_nothing_when_nothing_is_declared():
+    """With no declared constant there is nothing to check: validate_declared
+    calls no map and keeps no grid."""
+    calls = []
+    dyn = DynamicsSpec(f0=lambda b0, b1: calls.append(0) or 0.2, f1=lambda b0, b1: calls.append(1) or 0.8)
+    dyn.validate_declared(64)
+    assert calls == [] and dyn._grids == {}
+
+
+def test_make_builtin_names_an_unknown_builtin():
+    with pytest.raises(KeyError, match=re.escape("unknown builtin dynamics 'nope'")):
+        make_builtin("nope")
+
+
 def test_nan_from_callback_dynamics_is_rejected():
     from fairdyn import DynamicsSpec, StereotypeSpec, stereotype_trajectory, un_map
 
@@ -508,12 +523,6 @@ def _frozen_sample(dyn, b0, b1):
     return f0.reshape(b0.shape), f1.reshape(b0.shape)
 
 
-def _frozen_un_map_array(dyn, pis):
-    """analysis._un_map_array on a spec without array maps, written as
-    un_map point by point."""
-    return np.array(list(map(analysis.un_map(dyn), pis.tolist())))
-
-
 def _outcome_map(base, outcome, point, everywhere, calls, which):
     def f(b0, b1):
         calls[which] += 1
@@ -583,7 +592,6 @@ def test_called_maps_match_the_per_point_path(coeffs, case0, case1, declared):
         "sample": lambda dyn: dyn.sample(GRID8[:, None], GRID8),
         "status quo": lambda dyn: analysis.check_status_quo_bias(dyn, 64),
         "declared": lambda dyn: dyn.validate_declared(96),  # 97**2 points: two chunks
-        "UN map scan": lambda dyn: (analysis._un_map_array(dyn, grid_axis(4096)),),
         "equilibria CT": lambda dyn: analysis.find_equilibria(dyn, "CT"),
         "equilibria DT": lambda dyn: analysis.find_equilibria(dyn, "DT"),
     }
@@ -591,9 +599,7 @@ def test_called_maps_match_the_per_point_path(coeffs, case0, case1, declared):
         dyn, got_calls = fresh()
         got = _result(lambda: run(dyn))
         dyn, calls = fresh()
-        with mock.patch.object(DynamicsSpec, "sample", _frozen_sample), mock.patch.object(
-            analysis, "_un_map_array", _frozen_un_map_array
-        ):
+        with mock.patch.object(DynamicsSpec, "sample", _frozen_sample):
             want = _result(lambda: run(dyn))
         assert got == want, name
         if called_once:

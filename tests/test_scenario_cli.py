@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
 from fairdyn import cli
 from fairdyn.cli import SCENARIO_COMMANDS, main
-from fairdyn.scenario import Scenario, ScenarioError, export_field
+from fairdyn.scenario import Scenario, ScenarioError, export_field, write_output
 from conftest import appendix_c_callbacks
 import goldens
 
@@ -131,6 +131,15 @@ _SCENARIOS = st.builds(
     Scenario(
         name="x", time_mode="DT", steps=2, dynamics_builtin="constant",
         dynamics_params={"f0": 0.2, "f1": 0.8}, eps_a=[0.01, -0.0, 0.02],
+    )
+)
+@example(  # an int of 17 digits in a float field writes as the float read back
+    Scenario(name="x", dynamics_builtin="constant", dynamics_params={"f0": 0.2, "f1": 0.8}, u0=-10**17)
+)
+@example(  # and so does an int schedule entry
+    Scenario(
+        name="x", time_mode="DT", steps=2, dynamics_builtin="constant",
+        dynamics_params={"f0": 0.2, "f1": 0.8}, eps_a=[0.01, 10**17, 0.02],
     )
 )
 def test_to_text_round_trip_property(scenario):
@@ -605,6 +614,17 @@ def test_field_subcommand_grid_size(tmp_path):
     # --resolution N is N intervals per axis, as for analyze
     assert main(["field", str(path), "--out", str(tmp_path), "--resolution", "7"]) == 0
     assert len((tmp_path / "demo_field.csv").read_text().strip().split("\n")) == 1 + 8 * 8
+
+
+@pytest.mark.parametrize("resolution", [0, 1.5])
+def test_write_output_names_the_field_resolution_it_was_given(tmp_path, resolution):
+    """write_output's field resolution counts intervals, as --resolution
+    does: a bad one is named as given, not as export_field's point count."""
+    scenario = Scenario.from_text(DEMO)
+    message = f"resolution must be an integer >= 1, got {resolution!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_output(scenario, "field", tmp_path, resolution=resolution)
+    assert not list(tmp_path.iterdir())
 
 
 def test_field_diagonal_and_equilibrium_properties():
