@@ -17,6 +17,8 @@ import numpy as np
 
 from .core import PopulationState, UtilitySpec
 from .dynamics import (
+    GRID_RESOLUTION,
+    GRID_RESOLUTION_MIN,
     DynamicsSpec,
     TrajectoryRecord,
     ct_integrate,
@@ -72,7 +74,7 @@ def _contractive(bound: float) -> bool:
     return bound < 1.0 - CONTRACTIVITY_MARGIN
 
 
-def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> ContractionReport:
+def estimate_contraction(dyn: DynamicsSpec, resolution: int = GRID_RESOLUTION) -> ContractionReport:
     """Grid estimates of the three equalization constants.
 
     The grid is dyn.sample_grid(resolution): resolution+1 equispaced points
@@ -82,7 +84,7 @@ def estimate_contraction(dyn: DynamicsSpec, resolution: int = 256) -> Contractio
     declared Lipschitz constant replaces its sampled slope once
     dyn.check_declared has passed it (ValueError if not).
     """
-    step_count("resolution", resolution, 64)
+    step_count("resolution", resolution, GRID_RESOLUTION_MIN)
     xs, f0, f1 = dyn.sample_grid(resolution)
     l0, l1 = max_grid_slope(f0, xs[1]), max_grid_slope(f1, xs[1])
     dyn.check_declared(l0, l1)
@@ -134,11 +136,11 @@ class StatusQuoReport:
     counterexample: tuple[float, float] | None
 
 
-def check_status_quo_bias(dyn: DynamicsSpec, resolution: int = 256) -> StatusQuoReport:
+def check_status_quo_bias(dyn: DynamicsSpec, resolution: int = GRID_RESOLUTION) -> StatusQuoReport:
     """Verify f1 >= f0 - 1e-12 on dyn.sample_grid(resolution), the grid the
     spec keeps; the counterexample is the first failing point in row-major
     order."""
-    step_count("resolution", resolution, 64)
+    step_count("resolution", resolution, GRID_RESOLUTION_MIN)
     xs, f0, f1 = dyn.sample_grid(resolution)
     bad = np.flatnonzero(f1 < f0 - 1e-12)
     if not bad.size:

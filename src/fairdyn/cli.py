@@ -22,25 +22,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import PopulationState, UtilitySpec, utility
-from .dynamics import APPENDIX_C_F0, APPENDIX_C_F1, CaseSwitchError, StepHalvingError
+from .core import PopulationState, UtilitySpec
+from .dynamics import APPENDIX_C_F0, APPENDIX_C_F1, GRID_RESOLUTION_MIN, CaseSwitchError, StepHalvingError
 from .expr import ExpressionError, compile_expression
 from .policy import aa_policy, lp_oracle, unconstrained_policy
-from .scenario import (
-    EXIT_INVALID,
-    EXIT_OK,
-    EXIT_STEREOTYPE,
-    EXIT_STRICT,
-    Scenario,
-    ScenarioError,
-    write_output,
-)
+from .scenario import Scenario, ScenarioError, write_output
 from .stereotype import StereotypeValidityError
+
+EXIT_OK = 0
+EXIT_INVALID = 2
+EXIT_STRICT = 3
+EXIT_STEREOTYPE = 4
 
 # Scenario subcommand -> (artifact kind it writes, help text, --resolution's minimum or None).
 SCENARIO_COMMANDS = {
     "simulate": ("trajectory", "run one trajectory and write it as CSV", None),
-    "analyze": ("analysis", "contraction report, equilibria and theorem verdicts", 64),
+    "analyze": ("analysis", "contraction report, equilibria and theorem verdicts", GRID_RESOLUTION_MIN),
     "compare": ("compare", "cumulative utilities under UN, AA1 and AA2", None),
     "field": ("field", "gradient-field grid over the state square", 1),
 }
@@ -69,8 +66,7 @@ def _verify_policy_oracle(rng: random.Random, n: int) -> tuple[int, int]:
         if abs(closed.achieved_utility - oracle.achieved_utility) > 1e-9:
             failures += 1
             continue
-        un = unconstrained_policy(state, u)
-        if utility(state, un.policy, u) + 1e-9 < closed.achieved_utility:
+        if unconstrained_policy(state, u).achieved_utility + 1e-9 < closed.achieved_utility:
             failures += 1
     return n, failures
 

@@ -113,6 +113,18 @@ def un_map(dyn: DynamicsSpec):
     return f
 
 
+# Grid intervals per axis of the grid analyses: the default, and the least
+# that estimate_contraction, check_status_quo_bias and `fairdyn analyze` take.
+GRID_RESOLUTION = 256
+GRID_RESOLUTION_MIN = 64
+
+
+def grid_axis(resolution: int) -> np.ndarray:
+    """The resolution+1 equispaced points of [0, 1] along each axis of the
+    grid analyses."""
+    return np.linspace(0.0, 1.0, resolution + 1)
+
+
 class CaseSwitchError(RuntimeError):
     """Raised under strict mode when the AA case flips mid-run."""
 
@@ -222,7 +234,7 @@ class DynamicsSpec:
                     f"exceeds declared Lipschitz constant {declared:.6g}"
                 )
 
-    def validate_declared(self, resolution: int = 256) -> None:
+    def validate_declared(self, resolution: int = GRID_RESOLUTION) -> None:
         """check_declared on the slopes of sample_grid(resolution), the grid
         that estimate_contraction(resolution) reads; it checks resolution
         as sample_grid does also where nothing is declared."""
@@ -259,12 +271,6 @@ class DynamicsSpec:
 def _clamp01_array(values: np.ndarray) -> np.ndarray:
     """clamp01 at every element, by the same comparisons (so -0.0 stays)."""
     return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
-
-
-def grid_axis(resolution: int) -> np.ndarray:
-    """The resolution+1 equispaced points of [0, 1] along each axis of the
-    grid analyses."""
-    return np.linspace(0.0, 1.0, resolution + 1)
 
 
 def max_grid_slope(values: np.ndarray, step: float) -> float:

@@ -74,8 +74,7 @@ def unconstrained_policy(state: PopulationState, u: UtilitySpec) -> PolicySoluti
     u == (0, 0) are broken toward selecting the qualified.
     """
     policy = Policy.unconstrained()
-    achieved = (state.g_a * state.pi_a.p1 + state.g_b * state.pi_b.p1) * u.u1
-    return PolicySolution(policy=policy, case=None, achieved_utility=achieved)
+    return PolicySolution(policy=policy, case=None, achieved_utility=utility(state, policy, u))
 
 
 def determine_aa_case(state: PopulationState, u: UtilitySpec) -> AACase:

@@ -26,6 +26,7 @@ from .analysis import (
 from .core import PopulationState, UtilitySpec
 from .dynamics import (
     BUILTIN_PARAMS,
+    GRID_RESOLUTION,
     DynamicsSpec,
     TrajectoryRecord,
     ct_field,
@@ -47,12 +48,6 @@ TRAJECTORY_COLUMNS = (
     "stepUtility,cumUtility,caseTag,eventFlags"
 )
 FIELD_COLUMNS = "piB,piA,dA,dB,diffA,diffB"
-
-EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_STRICT = 3
-EXIT_STEREOTYPE = 4
-
 
 class ScenarioError(ValueError):
     pass
@@ -110,7 +105,8 @@ def _schedule(raw: str) -> float | list[float]:
 def scenario_format(builtin: str | None = None) -> list[tuple]:
     """The scenario file format, one row per key in file order: (section,
     key, Scenario attribute, reader). The reader parses the value's text;
-    to_text writes every value by _value, whose text each reader reads back.
+    a field's value must read back from its text _value as itself
+    (Scenario._format_sections), which validate checks and to_text writes.
 
     [dynamics] holds either the expressions f0, f1 and their declared
     Lipschitz bounds l0, l1 (builtin None) or `builtin = <name>` and that
@@ -124,7 +120,7 @@ def scenario_format(builtin: str | None = None) -> list[tuple]:
             ("dynamics", "l0", "declared_l0", float),
             ("dynamics", "l1", "declared_l1", float),
         ]
-    elif builtin in BUILTIN_PARAMS:
+    elif isinstance(builtin, str) and builtin in BUILTIN_PARAMS:
         dynamics = [("dynamics", "builtin", "dynamics_builtin", str)] + [
             ("dynamics", key, "dynamics_params", float) for key in BUILTIN_PARAMS[builtin]
         ]
@@ -169,6 +165,18 @@ def _read(section: str, key: str, reader, raw: str):
         raise ScenarioError(f"bad value {raw!r} for {key!r} in [{section}]: {exc}") from None
 
 
+def _same(read, value) -> bool:
+    """Whether read, value's text as its reader reads it, is value: item by
+    item for a list or tuple, NaN as NaN, an int as the float it reads as."""
+    if isinstance(value, (list, tuple)):
+        return isinstance(read, list) and len(read) == len(value) and all(map(_same, read, value))
+    return (
+        read == value
+        or read != read and value != value
+        or isinstance(read, float) and isinstance(value, numbers.Integral)
+    )
+
+
 @dataclass
 class Scenario:
     name: str
@@ -196,6 +204,14 @@ class Scenario:
     _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
+        try:
+            step_count("steps", self.steps, 0)  # its message, not _read's, for 2.5 or nan
+        except ValueError as exc:
+            raise ScenarioError(f"[scenario] {exc}") from exc
+        expressions = self.expr_f0 is not None or self.expr_f1 is not None
+        if (self.dynamics_builtin is not None) == expressions:
+            raise ScenarioError("specify exactly one of builtin dynamics or expressions")
+        self._format_sections()
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name {self.name!r} in [scenario] must be a plain file name")
         if self.mode not in MODE_CODES:
@@ -205,20 +221,9 @@ class Scenario:
         if self.time_mode not in ("DT", "CT"):
             raise ScenarioError(f"unknown time {self.time_mode!r} in [scenario]; allowed: DT, CT")
         try:
-            step_count("steps", self.steps, 0)
             ct_steps(self.t_end, self.h, self.sample_every)
         except ValueError as exc:
             raise ScenarioError(f"[scenario] {exc}") from exc
-        expressions = self.expr_f0 is not None or self.expr_f1 is not None
-        if (self.dynamics_builtin is not None) == expressions:
-            raise ScenarioError("specify exactly one of builtin dynamics or expressions")
-        for section, key, attr, reader in scenario_format(self.dynamics_builtin):  # rejects an unknown builtin
-            value = getattr(self, attr) if reader is str else None
-            if isinstance(value, str) and (value != value.strip() or any(c in value for c in "\n\r;")):
-                # to_text could not write it back: from_text strips a value and ends it at ';'
-                raise ScenarioError(
-                    f"{key} {value!r} in [{section}] has surrounding whitespace, a line break or ';'"
-                )
         if (self.expr_f0 is None) != (self.expr_f1 is None):
             raise ScenarioError("expression dynamics need both f0 and f1")
         if self.dynamics_builtin is not None and (
@@ -328,18 +333,39 @@ class Scenario:
 
     # -- serialization ----------------------------------------------------
 
-    def to_text(self) -> str:
-        """Every set field in scenario_format order, written by _sections;
-        from_text reads it back. A float field's value, or each entry of a
-        schedule, goes through float() first, so an int writes as it reads back."""
+    def _format_sections(self) -> dict[str, list[tuple[str, object]]]:
+        """Every set field in scenario_format order, by section, as its row's
+        reader reads its text _value back through _read, as from_text reads
+        a file line. ScenarioError names the key and section of None where
+        the default is not None, of a text with surrounding whitespace, a
+        line break or ';' (from_text strips a value and ends it at ';'), and
+        of a text that does not read back as the value (_same)."""
         sections: dict[str, list[tuple[str, object]]] = {}
         for section, key, attr, reader in scenario_format(self.dynamics_builtin):
-            value = self.dynamics_params.get(key) if attr == "dynamics_params" else getattr(self, attr)
-            if reader in (float, _schedule) and value is not None:
-                value = list(map(float, value)) if isinstance(value, (list, tuple)) else float(value)
-            if value is not None:
-                sections.setdefault(section, []).append((key, value))
-        return _sections(sections)
+            value = getattr(self, attr)
+            if attr == "dynamics_params" and value is not None:  # one entry per key
+                if key not in value:
+                    continue
+                value = value[key]
+            if value is None:
+                if Scenario.__dataclass_fields__[attr].default is None:
+                    continue
+                raise ScenarioError(f"{key} None in [{section}] needs a value")
+            text = _value(value)
+            if text != text.strip() or any(c in text for c in "\n\r;"):
+                raise ScenarioError(
+                    f"{key} {value!r} in [{section}] has surrounding whitespace, a line break or ';'"
+                )
+            read = _read(section, key, reader, text)
+            if not _same(read, value):
+                raise ScenarioError(f"{key} {value!r} in [{section}] reads back from a file as {read!r}")
+            sections.setdefault(section, []).append((key, read))
+        return sections
+
+    def to_text(self) -> str:
+        """The fields as _format_sections reads them back, written by
+        _sections; from_text reads the text back."""
+        return _sections(self._format_sections())
 
     @staticmethod
     def from_text(text: str) -> "Scenario":
@@ -467,7 +493,7 @@ def write_field_csv(rows, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int = 256) -> None:
+def write_analysis_report(scenario: Scenario, path: str | Path, resolution: int = GRID_RESOLUTION) -> None:
     """The analysis report: the contraction estimate, the status-quo bias
     check, the equilibrium atlas, theorem 2's verdict and the AA case
     persistence, one section each, written by _sections."""
@@ -561,14 +587,14 @@ def write_output(
     """Write one artifact of a validated scenario into out_dir (created if
     missing) and return its path. resolution, when not None, overrides the
     number of grid intervals per axis, grid_axis(resolution), of `analysis`
-    (default 256) and `field` (default 40)."""
+    (default GRID_RESOLUTION) and `field` (default 40)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scenario.name}_{OUTPUT_FILES[kind]}"
     if kind == "trajectory":
         write_trajectory_csv(scenario.run_trajectory(strict=strict), path)
     elif kind == "analysis":
-        write_analysis_report(scenario, path, resolution=256 if resolution is None else resolution)
+        write_analysis_report(scenario, path, resolution=GRID_RESOLUTION if resolution is None else resolution)
     elif kind == "compare":
         write_compare_csv(scenario, path, strict=strict)
     else:

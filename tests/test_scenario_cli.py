@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from fairdyn import DynamicsSpec, PopulationState, UtilitySpec, appendix_c_dynamics, find_equilibria
 from fairdyn import cli
 from fairdyn.cli import SCENARIO_COMMANDS, main
-from fairdyn.scenario import Scenario, ScenarioError, export_field, write_output
+from fairdyn.scenario import Scenario, ScenarioError, _names, _schedule, export_field, scenario_format, write_output
 from conftest import appendix_c_callbacks
 import goldens
 
@@ -279,6 +279,23 @@ BAD_FIELDS = [
     ({"expr_f0": None, "expr_f1": None}, "specify exactly one of builtin dynamics or expressions"),
     ({"expr_f0": None}, "expression dynamics need both f0 and f1"),
     ({"expr_f1": None}, "expression dynamics need both f0 and f1"),
+    # values of another kind: each field's text must read back as it
+    ({"u0": "abc"}, "bad value 'abc' for 'u0' in [utility]: could not convert string to float"),
+    ({"pi_a": "0.5"}, "piA '0.5' in [state] reads back from a file as 0.5"),
+    ({"time_mode": "CT", "h": "0.1"}, "h '0.1' in [scenario] reads back from a file as 0.1"),
+    ({"name": 5}, "name 5 in [scenario] reads back from a file as '5'"),
+    ({"expr_f0": 5}, "f0 5 in [dynamics] reads back from a file as '5'"),
+    ({"declared_l0": "1"}, "l0 '1' in [dynamics] reads back from a file as 1.0"),
+    ({"u0": None}, "u0 None in [utility] needs a value"),
+    ({"pi_a": None}, "piA None in [state] needs a value"),
+    ({"name": None}, "name None in [scenario] needs a value"),
+    ({"outputs": None}, "outputs None in [scenario] needs a value"),
+    ({"outputs": "trajectory"}, "outputs 'trajectory' in [scenario] reads back from a file as ['trajectory']"),
+    ({"eps_a": "0.1"}, "epsA '0.1' in [stereotype] reads back from a file as 0.1"),
+    ({"expr_f0": None, "expr_f1": None, "dynamics_builtin": "constant", "dynamics_params": {"f0": "a", "f1": 0.8}},
+     "bad value 'a' for 'f0' in [dynamics]: could not convert string to float"),
+    ({"eps_a": ["a"] * 51}, "for 'epsA' in [stereotype]: could not convert string to float: 'a'"),
+    ({"steps": True}, "bad value 'True' for 'steps' in [scenario]"),
 ]
 
 
@@ -301,6 +318,86 @@ def test_invalid_scenarios_rejected():
         scenario = Scenario(**{"name": "x", "expr_f0": "0.2", "expr_f1": "0.8", **fields})
         with pytest.raises(ScenarioError, match=re.escape(named)):
             scenario.validate()
+
+
+# A valid scenario of each [dynamics] layout: expressions and each builtin.
+LAYOUTS = {
+    None: {"name": "x", "expr_f0": "0.2", "expr_f1": "0.8"},
+    "constant": {"name": "x", "dynamics_builtin": "constant", "dynamics_params": {"f0": 0.2, "f1": 0.8}},
+    "affine": {"name": "x", "dynamics_builtin": "affine", "dynamics_params": {"a0": 0.1, "c1": 0.2}},
+    "appendixC": {"name": "x", "dynamics_builtin": "appendixC"},
+}
+_WORDS = st.text(min_size=0, max_size=6)
+_NUMBERS = st.integers(-3, 3) | _finite(-3, 3)
+
+
+def _other_kinds(reader, optional: bool):
+    """Values of another kind than a row with this reader holds: a bool
+    anywhere, None where the field is not optional, a number or a list in
+    a text row, a string or a list of numbers in a number row, a string
+    where a list belongs, and a list holding a non-number."""
+    kinds = [st.booleans()] + ([] if optional else [st.none()])
+    if reader is str:
+        kinds += [_NUMBERS, st.lists(_WORDS, min_size=1, max_size=2)]
+    elif reader is _names:
+        kinds += [_NUMBERS, _WORDS, st.lists(_NUMBERS, min_size=1, max_size=2)]
+    elif reader is _schedule:
+        kinds += [_WORDS, st.lists(_WORDS | st.booleans() | st.none(), min_size=1, max_size=3)]
+    else:  # float or int
+        kinds += [_WORDS, st.lists(_NUMBERS, min_size=1, max_size=2)]
+    return st.one_of(kinds)
+
+
+def _names_its_row(message: str, section: str, key: str) -> bool:
+    return f"[{section}]" in message and (
+        message.startswith((f"{key} ", f"[{section}] {key} ", f"unknown {key} "))
+        or f"for {key!r} in [{section}]" in message
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), builtin=st.sampled_from(list(LAYOUTS)))
+def test_a_field_of_another_kind_is_rejected_naming_its_row(data, builtin):
+    """Every row of every layout: validate and to_text reject a value of
+    another kind with a ScenarioError naming the row's key and section."""
+    section, key, attr, reader = data.draw(st.sampled_from(scenario_format(builtin)))
+    optional = Scenario.__dataclass_fields__[attr].default is None  # dynamics_params' is a factory
+    value = data.draw(_other_kinds(reader, optional), label=f"{key} in [{section}]")
+    fields = {**LAYOUTS[builtin]}
+    if attr == "dynamics_params":
+        fields[attr] = {**fields[attr], key: value}
+    else:
+        fields[attr] = value
+    scenario = Scenario(**fields)
+    for call in (scenario.validate, scenario.to_text):
+        with pytest.raises(ScenarioError) as info:
+            call()
+        assert _names_its_row(str(info.value), section, key), str(info.value)
+
+
+def test_to_text_rejects_a_field_that_does_not_read_back():
+    scenario = Scenario(name="x", expr_f0="0.2", expr_f1="0.8", u0="abc")
+    with pytest.raises(ScenarioError, match=re.escape("bad value 'abc' for 'u0' in [utility]")):
+        scenario.to_text()
+
+
+@pytest.mark.parametrize("fields", [
+    {"u0": -1, "u1": 2, "t_end": 3},  # ints in float fields
+    {"pi_a": np.float64(0.25), "u1": np.float64(1.5)},
+    {"u0": -0.0},
+    {"u0": -10**17, "u1": 10**23},  # 10**23 reads back as the float nearest it
+    {"steps": 2, "eps_a": (0.01, -0.0, 0.02), "eps_b": (0, 1e-3, 10**17)},  # tuple schedules, int entries
+])
+def test_numbers_a_file_can_hold_are_accepted(fields):
+    """Ints in float fields, numpy floats, -0.0 and tuple schedules pass
+    validate, and to_text writes them as the floats a file reads them as."""
+    scenario = Scenario(**{"name": "x", "expr_f0": "0.2", "expr_f1": "0.8", **fields})
+    scenario.validate()
+    again = Scenario.from_text(scenario.to_text())
+    for attr, value in fields.items():
+        expected = value if attr == "steps" else list(map(float, value)) if isinstance(value, tuple) else float(value)
+        assert repr(getattr(again, attr)) == repr(expected)  # repr tells -0.0 from 0.0
+    assert again.to_text() == scenario.to_text()
 
 
 def test_a_run_out_of_memory_exits_2_naming_the_size_inputs(tmp_path, capsys, monkeypatch):
